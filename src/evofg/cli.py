@@ -89,7 +89,7 @@ def cmd_load(args):
 def cmd_features(args):
     cfg = _load_config(args)
     g = load_graph_dir(args.graph)
-    aligned = align(g, min(cfg.d, min(g.num_nodes, g.features.shape[1])))
+    aligned = align(g, cfg.d)
     table = compute_primitives(g, aligned.matrix)
     table.export_text(args.out)
     print(f"wrote {len(table.names)} feature columns for {g.num_nodes} nodes -> {args.out}")

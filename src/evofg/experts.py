@@ -81,14 +81,10 @@ def _attention_edges(g: Graph):
     cached = g._ops.get("att_edges")
     if cached is not None:
         return cached
-    src, dst = [], []
-    for i in range(g.num_nodes):
-        for j in g.neighbors(i):
-            src.append(j)
-            dst.append(i)
-        src.append(i)
-        dst.append(i)
-    pair = (np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64))
+    # each node's neighbors in ascending order, then its self-loop
+    n = g.num_nodes
+    src = np.insert(g.indices, g.indptr[1:], np.arange(n))
+    pair = (src, np.repeat(np.arange(n), g.degrees + 1))
     g._ops["att_edges"] = pair
     return pair
 

@@ -7,14 +7,16 @@ degree, and ego-graph size.
 from __future__ import annotations
 
 import logging
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse.csgraph import shortest_path
 
-from .graph import EGO_RADIUS, Graph, bfs_distances
+from .graph import EGO_RADIUS, Graph
 
 log = logging.getLogger(__name__)
+
+_BLOCK = 256  # source rows per block: float temporaries stay at _BLOCK x N
 
 CATEGORIES = ("PageRank", "Betweenness", "Closeness", "Similarity", "Topology")
 
@@ -59,97 +61,76 @@ def pagerank(g: Graph, damping=0.85, tol=1e-10, max_iter=200) -> np.ndarray:
     return p
 
 
-def betweenness(g: Graph, sample_sources=None, seed=0) -> np.ndarray:
+def _row_blocks(n):
+    """Slices of at most _BLOCK rows covering 0..n-1."""
+    return [slice(lo, min(lo + _BLOCK, n)) for lo in range(0, n, _BLOCK)]
+
+
+def _hop_distances(g: Graph) -> np.ndarray:
+    """All-pairs hop distances (N x N, -1 where unreachable) in the smallest
+    signed integer type that holds them; cached on the graph."""
+    dist = g._ops.get("hops")
+    if dist is None:
+        n = g.num_nodes
+        dist = np.empty((n, n), dtype=np.min_scalar_type(-n))
+        a = g.adjacency()
+        for rows in _row_blocks(n):
+            block = shortest_path(
+                a, directed=False, unweighted=True, indices=np.arange(n)[rows]
+            )
+            dist[rows] = np.where(np.isinf(block), -1, block)
+        g._ops["hops"] = dist
+    return dist
+
+
+def _ego_mask(dist):
+    return (dist >= 0) & (dist <= EGO_RADIUS)
+
+
+def betweenness(g: Graph) -> np.ndarray:
     """Brandes betweenness on unweighted shortest paths, endpoints excluded,
     normalized by (N-1)(N-2)/2 pairs.
 
-    sample_sources enables the approximate variant for large graphs: run the
-    accumulation from that many random sources and rescale by N/#sources.
-    Exact mode is the default and the only one the oracle tests cover.
+    Level-synchronous linear-algebraic form (Kepner & Gilbert 2011), one
+    block of sources at a time: shortest-path counts go forward one hop
+    level at a time by products with A, dependencies go back level by level.
     """
     n = g.num_nodes
     score = np.zeros(n)
     if n < 3:
         return score
-    if sample_sources is None:
-        sources = range(n)
-        scale = 1.0
-    else:
-        if sample_sources < 64:
-            raise ValueError("approximate betweenness needs >= 64 sources")
-        rng = np.random.default_rng(seed)
-        sources = rng.choice(n, size=min(sample_sources, n), replace=False)
-        scale = n / len(sources)
-        log.info("betweenness: approximating from %d sources", len(sources))
-    for s in sources:
-        stack = []
-        preds = [[] for _ in range(n)]
-        sigma = np.zeros(n)
-        sigma[s] = 1.0
-        dist = np.full(n, -1, dtype=np.int64)
-        dist[s] = 0
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            stack.append(v)
-            for w in g.neighbors(v):
-                if dist[w] < 0:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
-                if dist[w] == dist[v] + 1:
-                    sigma[w] += sigma[v]
-                    preds[w].append(v)
-        delta = np.zeros(n)
-        while stack:
-            w = stack.pop()
-            for v in preds[w]:
-                delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w])
-            if w != s:
-                score[w] += delta[w]
+    a = g.adjacency()
+    dist = _hop_distances(g)
+    for rows in _row_blocks(n):
+        # column j holds the distances from source rows[j] (dist is symmetric)
+        d = np.ascontiguousarray(dist[:, rows])
+        depth = int(d.max())
+        sigma = (d == 0).astype(np.float64)
+        for k in range(1, depth + 1):
+            sigma = np.where(d == k, a @ np.where(d == k - 1, sigma, 0.0), sigma)
+        # sources sit at level 0 and never receive a dependency
+        delta = np.zeros(d.shape)
+        for k in range(depth, 1, -1):
+            coeff = np.divide(1.0 + delta, sigma, out=np.zeros(d.shape), where=d == k)
+            delta += np.where(d == k - 1, sigma * (a @ coeff), 0.0)
+        # a running total over sources in index order, so that tied scores
+        # round alike and the rank columns keep their ties
+        score = np.cumsum(np.vstack([score, delta.T]), axis=0)[-1]
     # each unordered pair was counted from both endpoints
-    return score * scale / ((n - 1) * (n - 2))
+    return score / ((n - 1) * (n - 2))
 
 
 def closeness(g: Graph) -> np.ndarray:
     """Component-size-scaled closeness: (|R|/(N-1)) * (|R| / sum of
     distances to R), with R the reachable set; isolated nodes get 0."""
     n = g.num_nodes
-    out = np.zeros(n)
     if n == 1:
-        return out
-    for v in range(n):
-        dist = bfs_distances(g, v)
-        reach = dist > 0
-        r = int(reach.sum())
-        if r == 0:
-            continue
-        total = dist[reach].sum()
-        out[v] = (r / (n - 1)) * (r / total)
-    return out
-
-
-def _neighborhood_structure(g: Graph):
-    """Per-node ego sets (<= EGO_RADIUS hops, center included) and exact-k
-    shells for k = 1..5; cached on the graph."""
-    cached = g._ops.get("nbhd")
-    if cached is not None:
-        return cached
-    egos = []
-    shells = []
-    for v in range(g.num_nodes):
-        dist = bfs_distances(g, v, max_depth=EGO_RADIUS)
-        egos.append(np.flatnonzero(dist >= 0).astype(np.int64))
-        shells.append([np.flatnonzero(dist == k).astype(np.int64) for k in range(1, 6)])
-    g._ops["nbhd"] = (egos, shells)
-    return egos, shells
-
-
-def _rank_fraction(subset_vals, v_val, size):
-    if size <= 1:
-        return 0.5
-    less = int(np.count_nonzero(subset_vals < v_val))
-    ties = int(np.count_nonzero(subset_vals == v_val)) - 1  # exclude v itself
-    return (less + 0.5 * ties) / (size - 1)
+        return np.zeros(1)
+    dist = _hop_distances(g)
+    reach = dist > 0
+    r = reach.sum(axis=1)
+    total = dist.sum(axis=1, where=reach, dtype=np.int64)
+    return (r / (n - 1)) * np.divide(r, total, out=np.zeros(n), where=r > 0)
 
 
 def scope_expand(values: np.ndarray, g: Graph):
@@ -157,12 +138,14 @@ def scope_expand(values: np.ndarray, g: Graph):
     (target, ego_mean, global_mean, ego_rank, global_rank)."""
     values = np.asarray(values, dtype=np.float64)
     n = g.num_nodes
-    egos, _ = _neighborhood_structure(g)
-    ego_mean = np.array([values[e].mean() for e in egos])
+    ego = _ego_mask(_hop_distances(g))
+    size = ego.sum(axis=1)
+    row = np.broadcast_to(values, ego.shape)
+    ego_mean = row.sum(axis=1, where=ego) / size
+    less = np.count_nonzero(ego & (row < values[:, None]), axis=1)
+    ties = np.count_nonzero(ego & (row == values[:, None]), axis=1) - 1  # not v itself
+    ego_rank = np.divide(less + 0.5 * ties, size - 1, out=np.full(n, 0.5), where=size > 1)
     global_mean = np.full(n, values.mean())
-    ego_rank = np.array(
-        [_rank_fraction(values[e], values[v], len(e)) for v, e in enumerate(egos)]
-    )
     sorted_vals = np.sort(values)
     left = np.searchsorted(sorted_vals, values, side="left")
     right = np.searchsorted(sorted_vals, values, side="right")
@@ -186,12 +169,13 @@ def khop_similarity(g: Graph, xtilde: np.ndarray, k: int) -> np.ndarray:
     if xtilde.shape[0] != g.num_nodes:
         raise ValueError("feature rows do not match the graph")
     xn = _normalized_rows(np.asarray(xtilde, dtype=np.float64))
-    _, shells = _neighborhood_structure(g)
+    dist = _hop_distances(g)
     out = np.zeros(g.num_nodes)
-    for v in range(g.num_nodes):
-        shell = shells[v][k - 1]
-        if len(shell):
-            out[v] = (xn[shell] @ xn[v]).mean()
+    for rows in _row_blocks(g.num_nodes):
+        shell = (dist[rows] == k).astype(np.float64)
+        size = shell.sum(axis=1)
+        sums = ((shell @ xn) * xn[rows]).sum(axis=1)
+        np.divide(sums, size, out=out[rows], where=size > 0)
     return out
 
 
@@ -278,7 +262,7 @@ class RouterFeatureTable:
 
 def compute_primitives(g: Graph, xtilde: np.ndarray) -> RouterFeatureTable:
     """Assemble the 23 primitive columns in their canonical order."""
-    egos, _ = _neighborhood_structure(g)
+    ego_size = np.count_nonzero(_ego_mask(_hop_distances(g)), axis=1)
     cols = []
     for stat in (pagerank(g), betweenness(g), closeness(g)):
         cols.extend(scope_expand(stat, g))
@@ -286,7 +270,7 @@ def compute_primitives(g: Graph, xtilde: np.ndarray) -> RouterFeatureTable:
     for k in range(1, 6):
         cols.append(khop_similarity(g, xtilde, k))
     cols.append(g.degrees.astype(np.float64))
-    cols.append(np.array([len(e) for e in egos], dtype=np.float64))
+    cols.append(ego_size.astype(np.float64))
     return RouterFeatureTable(
         matrix=np.column_stack(cols),
         names=list(PRIMITIVE_NAMES),

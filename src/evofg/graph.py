@@ -1,5 +1,5 @@
-"""Undirected attributed graphs: representation, file I/O, neighborhoods,
-and a seeded synthetic generator with planted anomalies.
+"""Undirected attributed graphs: representation, file I/O, and a seeded
+synthetic generator with planted anomalies.
 
 File layout (one directory per graph):
   edges.txt     one edge per line, "u<TAB>v", 0-based, '#' comments allowed
@@ -58,8 +58,8 @@ class Graph:
                 raise GraphFormatError("labels must be 0/1")
         self.labels = labels
         self.name = name
-        self._build_adjacency()
         self._ops = {}
+        self._build_adjacency()
         for arr in (self.edges, self.features):
             arr.setflags(write=False)
         if self.labels is not None:
@@ -71,25 +71,11 @@ class Graph:
             raise GraphFormatError("edge endpoint out of range")
         if self.edges.size and (self.edges[:, 0] == self.edges[:, 1]).any():
             raise GraphFormatError("self-loop in edge list")
-        deg = np.zeros(n, dtype=np.int64)
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(deg, out=indptr[1:])
-        indices = np.zeros(indptr[-1], dtype=np.int64)
-        fill = indptr[:-1].copy()
-        for u, v in self.edges:
-            indices[fill[u]] = v
-            fill[u] += 1
-            indices[fill[v]] = u
-            fill[v] += 1
-        # sort each neighbor list for deterministic iteration
-        for i in range(n):
-            indices[indptr[i] : indptr[i + 1]].sort()
-        self.indptr = indptr
-        self.indices = indices
-        self.degrees = deg
+        a = self.adjacency()
+        a.sort_indices()
+        self.indptr = a.indptr.astype(np.int64)
+        self.indices = a.indices.astype(np.int64)
+        self.degrees = np.diff(self.indptr)
         self.indptr.setflags(write=False)
         self.indices.setflags(write=False)
         self.degrees.setflags(write=False)
@@ -156,58 +142,6 @@ class Graph:
                 )
             )
         )
-
-
-def bfs_distances(g: Graph, v: int, max_depth: int | None = None) -> np.ndarray:
-    """Shortest-path distances from v; -1 for nodes beyond reach/depth."""
-    dist = np.full(g.num_nodes, -1, dtype=np.int64)
-    dist[v] = 0
-    frontier = [v]
-    depth = 0
-    while frontier and (max_depth is None or depth < max_depth):
-        depth += 1
-        nxt = []
-        for u in frontier:
-            for w in g.neighbors(u):
-                if dist[w] < 0:
-                    dist[w] = depth
-                    nxt.append(w)
-        frontier = nxt
-    return dist
-
-
-def k_hop_set(g: Graph, v: int, k: int) -> np.ndarray:
-    """Nodes at shortest-path distance exactly k from v, ascending."""
-    if not 0 <= v < g.num_nodes:
-        raise IndexError(f"node {v} out of range")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    dist = bfs_distances(g, v, max_depth=k)
-    return np.flatnonzero(dist == k).astype(np.int64)
-
-
-def ego_graph(g: Graph, v: int):
-    """Induced subgraph on v's <=6-hop neighborhood plus the old->new map."""
-    if not 0 <= v < g.num_nodes:
-        raise IndexError(f"node {v} out of range")
-    dist = bfs_distances(g, v, max_depth=EGO_RADIUS)
-    nodes = np.flatnonzero(dist >= 0).astype(np.int64)
-    mapping = {int(old): new for new, old in enumerate(nodes)}
-    inside = np.zeros(g.num_nodes, dtype=bool)
-    inside[nodes] = True
-    kept = [
-        (mapping[int(a)], mapping[int(b)])
-        for a, b in g.edges
-        if inside[a] and inside[b]
-    ]
-    sub = Graph(
-        num_nodes=len(nodes),
-        edges=np.array(kept, dtype=np.int64).reshape(-1, 2),
-        features=g.features[nodes],
-        labels=None if g.labels is None else g.labels[nodes],
-        name=f"{g.name}/ego{v}",
-    )
-    return sub, mapping
 
 
 def _parse_matrix_file(path):

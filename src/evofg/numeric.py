@@ -33,12 +33,13 @@ def pca_project(x: np.ndarray, d: int) -> np.ndarray:
     Directions come from the eigendecomposition of the covariance of the
     column-centered input, ordered by descending explained variance. Sign
     convention: each direction's largest-magnitude coordinate is positive.
-    Directions beyond the numerical rank are zeroed (logged).
+    Directions beyond the numerical rank are zeroed (logged), and columns
+    beyond the input width are zero-padded up to width d.
     """
     x = np.asarray(x, dtype=np.float64)
     n, d_ori = x.shape
-    if not 1 <= d <= min(n, d_ori):
-        raise ValueError(f"d={d} out of range [1, {min(n, d_ori)}]")
+    if d < 1:
+        raise ValueError(f"d={d} must be >= 1")
     xc = x - x.mean(axis=0)
     cov = (xc.T @ xc) / n
     evals, evecs = np.linalg.eigh(cov)
@@ -47,20 +48,21 @@ def pca_project(x: np.ndarray, d: int) -> np.ndarray:
     evecs = evecs[:, order]
     tol = max(n, d_ori) * np.finfo(np.float64).eps * max(evals.max(initial=0.0), 1e-30)
     rank_ok = evals > tol
-    if not rank_ok.all():
+    if rank_ok.sum() < d:
         log.warning(
             "pca_project: rank %d below requested %d; padding with zero directions",
             int(rank_ok.sum()),
             d,
         )
         evecs = evecs * rank_ok[None, :]
-    for k in range(d):
+    for k in range(evecs.shape[1]):
         v = evecs[:, k]
         if v.any():
             i = int(np.argmax(np.abs(v)))
             if v[i] < 0:
                 evecs[:, k] = -v
-    return xc @ evecs
+    proj = xc @ evecs
+    return np.pad(proj, ((0, 0), (0, d - proj.shape[1])))
 
 
 def _check_labels(labels):

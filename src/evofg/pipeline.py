@@ -7,6 +7,7 @@ config seed, so a run with the chat backend disabled is fully reproducible.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import logging
 import os
@@ -170,12 +171,24 @@ def prepare_graph(g: Graph, d: int) -> GraphBundle:
     return GraphBundle(graph=g, xtilde=aligned.matrix, table=table)
 
 
+def _content_digest(g: Graph) -> str:
+    """Digest of what prepare_graph reads: the edges, the features and their
+    shapes (names and labels are not part of it)."""
+    h = hashlib.sha256()
+    for arr in (g.edges, g.features):
+        h.update(repr(arr.shape).encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
 def prepare_graphs(graphs, d, cache=None):
     out = []
     for g in graphs:
-        key = (g.name, d)
+        key = (_content_digest(g), d)
         if cache is not None and key in cache:
-            out.append(cache[key].copy())
+            bundle = cache[key].copy()
+            bundle.graph = g
+            out.append(bundle)
             continue
         bundle = prepare_graph(g, d)
         if cache is not None:

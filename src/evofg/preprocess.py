@@ -12,10 +12,6 @@ from .graph import Graph
 from .numeric import pca_project
 
 
-class EdgelessGraphError(ValueError):
-    """Smoothness is undefined on a graph with no edges."""
-
-
 @dataclass
 class AlignedFeatures:
     matrix: np.ndarray  # N x d, columns in ascending-smoothness order
@@ -26,12 +22,12 @@ class AlignedFeatures:
 def smoothness_scores(xhat: np.ndarray, g: Graph) -> np.ndarray:
     """Per-column score: minus the mean squared difference across edges,
     each undirected edge counted once. Always <= 0; 0 means constant along
-    every edge."""
+    every edge, and on an edgeless graph."""
     xhat = np.asarray(xhat, dtype=np.float64)
     if xhat.shape[0] != g.num_nodes:
         raise ValueError("row count does not match the graph")
     if g.num_edges == 0:
-        raise EdgelessGraphError(f"{g.name}: no edges, smoothness undefined")
+        return np.zeros(xhat.shape[1])
     diffs = xhat[g.edges[:, 0]] - xhat[g.edges[:, 1]]
     return -(diffs**2).mean(axis=0)
 

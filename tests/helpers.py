@@ -44,6 +44,33 @@ def random_graph(rng, n, p=0.2, d=4, with_labels=False):
     return Graph(n, edges, rng.normal(size=(n, d)), labels, name=f"rand{n}")
 
 
+def degenerate_graphs(seed=0, d=8):
+    """Seeded shapes a zero-shot scorer must accept: (case name, graph)."""
+    rng = np.random.default_rng(seed)
+    ring = [(i, (i + 1) % 6) for i in range(6)]
+    return [
+        ("one_node", Graph(1, [], rng.normal(size=(1, d)), None, "one_node")),
+        ("two_nodes", graph_from_edges(2, [(0, 1)], d=d, seed=seed, name="two_nodes")),
+        ("edgeless", graph_from_edges(12, [], d=d, seed=seed, name="edgeless")),
+        ("isolated_nodes",
+         graph_from_edges(10, [(0, 1), (1, 2), (2, 3), (3, 0), (1, 3)], d=d,
+                          seed=seed, name="isolated_nodes")),
+        ("star", star_graph(9, d=d, seed=seed, name="star")),
+        ("complete", complete_graph(7, d=d, seed=seed, name="complete")),
+        ("disconnected",
+         graph_from_edges(14, ring + [(u + 6, v + 6) for u, v in ring] + [(12, 13)],
+                          d=d, seed=seed, name="disconnected")),
+        ("constant_features",
+         Graph(16, random_graph(rng, 16, p=0.3).edges, np.ones((16, d)), None,
+               "constant_features")),
+        ("duplicate_rows",
+         Graph(16, random_graph(rng, 16, p=0.3).edges,
+               np.repeat(rng.normal(size=(4, d)), 4, axis=0), None, "duplicate_rows")),
+        ("one_attribute", random_graph(rng, 18, p=0.25, d=1)),
+        ("fewer_nodes_than_d", path_graph(3, d=d, seed=seed, name="fewer_nodes_than_d")),
+    ]
+
+
 def flatten_params(params, names=None):
     names = names or list(params)
     return np.concatenate([np.asarray(params[k]).ravel() for k in names])

@@ -13,11 +13,14 @@ from evofg.features import (
     pagerank,
     scope_expand,
 )
-from evofg.graph import Graph
+from evofg.graph import EGO_RADIUS, Graph
+from evofg.preprocess import align
 from helpers import (
     brute_force_betweenness,
     brute_force_closeness,
+    brute_force_distances,
     complete_graph,
+    degenerate_graphs,
     cycle_graph,
     graph_from_edges,
     path_graph,
@@ -76,10 +79,6 @@ class TestBetweenness:
         for _ in range(8):
             g = random_graph(rng, int(rng.integers(4, 20)), p=0.3)
             assert np.abs(betweenness(g) - brute_force_betweenness(g)).max() < 1e-9
-
-    def test_approximate_mode_needs_enough_sources(self):
-        with pytest.raises(ValueError):
-            betweenness(path_graph(5), sample_sources=8)
 
 
 class TestCloseness:
@@ -203,6 +202,27 @@ class TestComputePrimitives:
         t2 = compute_primitives(g2, g2.features)
         # row for node v in g corresponds to row perm[v] in g2
         assert np.allclose(t1.matrix, t2.matrix[perm], atol=1e-9)
+
+
+@pytest.mark.parametrize("case,g", degenerate_graphs(seed=3),
+                         ids=[case for case, _ in degenerate_graphs(seed=3)])
+def test_degenerate_graph_primitives_match_oracles(case, g):
+    xtilde = align(g, 5).matrix  # wider than some of these graphs: zero-padded
+    t = compute_primitives(g, xtilde)
+    assert np.isfinite(t.matrix).all()
+    assert np.abs(t.column("BC_t") - brute_force_betweenness(g)).max() < 1e-9
+    assert np.abs(t.column("CC_t") - brute_force_closeness(g)).max() < 1e-9
+    dist = brute_force_distances(g)
+    assert np.array_equal(t.column("Ego_size"), (dist <= EGO_RADIUS).sum(axis=1))
+    norms = np.linalg.norm(xtilde, axis=1, keepdims=True)
+    xn = np.divide(xtilde, norms, out=np.zeros_like(xtilde), where=norms > 0)
+    sim = xn @ xn.T
+    for k in range(1, 6):
+        shell = dist == k
+        size = shell.sum(axis=1)
+        want = np.divide((sim * shell).sum(axis=1), size, out=np.zeros(g.num_nodes),
+                         where=size > 0)
+        assert np.abs(t.column(f"Sim_{k}hop") - want).max() < 1e-9
 
 
 class TestRouterFeatureTable:

@@ -3,18 +3,23 @@ import os
 import numpy as np
 import pytest
 
+from evofg.features import _ego_mask, _hop_distances
 from evofg.graph import (
     EGO_RADIUS,
     Graph,
     GraphFormatError,
-    ego_graph,
     gen_synthetic,
-    k_hop_set,
     load_graph,
     load_graph_dir,
     save_graph,
 )
-from helpers import complete_graph, path_graph, random_graph, star_graph
+from helpers import (
+    brute_force_distances,
+    complete_graph,
+    path_graph,
+    random_graph,
+    star_graph,
+)
 
 
 def write_graph_files(tmp_path, edge_text, feat_text, label_text):
@@ -84,50 +89,48 @@ class TestLoading:
 
 
 class TestNeighborhoods:
+    """The hop-distance matrix behind every structural primitive: row v
+    holds v's distances, -1 where unreachable; the exact-k shell is D == k
+    and the ego graph is 0 <= D <= EGO_RADIUS."""
+
     def test_k_hop_on_path(self):
-        g = path_graph(3)
-        assert k_hop_set(g, 0, 2).tolist() == [2]
+        dist = _hop_distances(path_graph(3))
+        assert np.flatnonzero(dist[0] == 2).tolist() == [2]
 
     def test_k_hop_triangle_empty_shell(self):
-        g = complete_graph(3)
-        assert k_hop_set(g, 0, 2).tolist() == []
+        dist = _hop_distances(complete_graph(3))
+        assert np.flatnonzero(dist[0] == 2).tolist() == []
 
     def test_k_hop_star_leaves(self):
-        g = star_graph(4)
-        assert k_hop_set(g, 0, 1).tolist() == [1, 2, 3, 4]
+        dist = _hop_distances(star_graph(4))
+        assert np.flatnonzero(dist[0] == 1).tolist() == [1, 2, 3, 4]
 
     def test_ego_isolated_node(self):
         g = Graph(3, [(0, 1)], np.zeros((3, 2)), None)
-        sub, mapping = ego_graph(g, 2)
-        assert sub.num_nodes == 1
-        assert sub.num_edges == 0
-        assert mapping == {2: 0}
+        dist = _hop_distances(g)
+        assert dist[2].tolist() == [-1, -1, 0]
+        assert np.flatnonzero(_ego_mask(dist[2])).tolist() == [2]
 
     def test_ego_path_endpoint_reaches_radius(self):
-        g = path_graph(10)
-        sub, mapping = ego_graph(g, 0)
-        assert sub.num_nodes == EGO_RADIUS + 1
-        assert sub.num_edges == EGO_RADIUS
-        assert mapping[0] == 0
+        dist = _hop_distances(path_graph(10))
+        assert np.flatnonzero(_ego_mask(dist[0])).tolist() == list(range(EGO_RADIUS + 1))
 
     def test_ego_complete_graph_is_whole_graph(self):
-        g = complete_graph(5)
-        sub, _ = ego_graph(g, 2)
-        assert sub.num_nodes == 5
-        assert sub.num_edges == 10
+        dist = _hop_distances(complete_graph(5))
+        assert _ego_mask(dist[2]).all()
 
     def test_shells_partition_ego(self):
         rng = np.random.default_rng(0)
         for _ in range(10):
             g = random_graph(rng, int(rng.integers(5, 25)), p=0.15)
-            v = int(rng.integers(g.num_nodes))
-            sub, mapping = ego_graph(g, v)
-            shells = [set(k_hop_set(g, v, k).tolist()) for k in range(1, EGO_RADIUS + 1)]
-            for i in range(len(shells)):
-                for j in range(i + 1, len(shells)):
-                    assert not (shells[i] & shells[j])
-            union = {v} | set().union(*shells)
-            assert union == set(mapping.keys())
+            dist = _hop_distances(g)
+            oracle = brute_force_distances(g)
+            assert np.array_equal(dist, np.where(np.isfinite(oracle), oracle, -1))
+            assert np.array_equal(_ego_mask(dist), oracle <= EGO_RADIUS)
+            shells = np.stack([dist == k for k in range(1, EGO_RADIUS + 1)])
+            assert (shells.sum(axis=0) <= 1).all()  # pairwise disjoint
+            union = shells.any(axis=0) | np.eye(g.num_nodes, dtype=bool)
+            assert np.array_equal(union, _ego_mask(dist))
 
 
 class TestSynthetic:

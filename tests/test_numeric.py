@@ -62,8 +62,18 @@ class TestPCA:
         assert any("rank" in r.message for r in caplog.records)
 
     def test_d_out_of_range(self):
-        with pytest.raises(ValueError):
-            pca_project(np.zeros((5, 3)), 4)
+        # d above the node count or the input width: project to the
+        # available rank, zero-pad to width d
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(6, 3))
+        proj = pca_project(x, 8)
+        assert proj.shape == (6, 8)
+        assert np.array_equal(proj[:, :3], pca_project(x, 3))
+        assert not proj[:, 3:].any()
+        wide = rng.normal(size=(3, 10))
+        proj = pca_project(wide, 5)
+        assert proj.shape == (3, 5)
+        assert np.abs(proj[:, :2]).max() > 0 and not proj[:, 2:].any()  # rank 2
         with pytest.raises(ValueError):
             pca_project(np.zeros((5, 3)), 0)
 

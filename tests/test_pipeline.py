@@ -19,6 +19,7 @@ from evofg.pipeline import (
     run_pipeline,
     score_graph,
 )
+from helpers import degenerate_graphs
 
 TINY = dict(
     d=5, d_e=6, d_prime=5, d_m=6, n_memory=4,
@@ -122,6 +123,31 @@ class TestScoreGraph:
         s1, _, _ = score_graph(artifacts, g)
         s2, _, _ = score_graph(artifacts, g2)
         assert np.allclose(np.sort(s1), np.sort(s2), atol=1e-8)
+
+    @pytest.mark.parametrize("case", [case for case, _ in degenerate_graphs()])
+    def test_degenerate_graph_scores(self, artifacts, case):
+        g = dict(degenerate_graphs())[case]
+        scores, routing, _ = score_graph(artifacts, g)
+        assert scores.shape == (g.num_nodes,)
+        assert np.isfinite(scores).all()
+        assert (routing.weights >= 0).all()
+        assert np.abs(routing.weights.sum(axis=1) - 1.0).max() < 1e-12
+        again, _, _ = score_graph(artifacts, dict(degenerate_graphs())[case])
+        assert np.array_equal(scores, again)
+
+    def test_prepared_cache_tells_apart_graphs_sharing_a_name(self, artifacts):
+        same_size = [
+            gen_synthetic(30, 8, 0.1, structure_seed=s, planted_kind="mixed", name="same")
+            for s in (11, 12)
+        ]
+        other_size = gen_synthetic(34, 8, 0.1, structure_seed=13, planted_kind="mixed",
+                                   name="same")
+        cache = {}
+        for g in same_size + [other_size]:
+            shared, _, _ = score_graph(artifacts, g, prepared_cache=cache)
+            fresh, _, _ = score_graph(artifacts, g, prepared_cache={})
+            assert np.array_equal(shared, fresh)
+        assert len(cache) == 3
 
     def test_training_graph_scores_reproduce_training_state(self, graphs):
         # single train graph: the key cache is exactly its canonical key set,

@@ -3,7 +3,7 @@ import pytest
 
 from evofg.graph import Graph
 from evofg.numeric import pca_project
-from evofg.preprocess import EdgelessGraphError, align, smoothness_scores
+from evofg.preprocess import align, smoothness_scores
 from helpers import graph_from_edges, path_graph
 
 
@@ -30,10 +30,10 @@ class TestSmoothness:
         s = smoothness_scores(rng.normal(size=(6, 4)), g)
         assert (s <= 0).all()
 
-    def test_edgeless_graph_rejected(self):
+    def test_edgeless_graph_scores_zero(self):
         g = Graph(3, [], np.zeros((3, 2)), None)
-        with pytest.raises(EdgelessGraphError):
-            smoothness_scores(np.zeros((3, 2)), g)
+        x = np.arange(6.0).reshape(3, 2)
+        assert np.array_equal(smoothness_scores(x, g), np.zeros(2))
 
     def test_scaling_features_scales_scores_quadratically(self):
         rng = np.random.default_rng(1)
@@ -93,3 +93,11 @@ class TestAlign:
     def test_source_records_graph_name(self):
         g = path_graph(4, d=3, seed=6)
         assert align(g, 2).source == g.name
+
+    def test_narrow_graph_padded_columns_sort_last(self):
+        g = path_graph(6, d=2, seed=7)
+        out = align(g, 5)
+        assert out.matrix.shape == (6, 5)
+        assert not out.matrix[:, 2:].any()
+        assert np.array_equal(out.smoothness[2:], np.zeros(3))
+        assert (out.smoothness[:2] < 0).all()
