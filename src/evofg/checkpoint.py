@@ -53,4 +53,17 @@ def load_checkpoint(path):
             if len(buf) != 8 * count:
                 raise CheckpointError(f"{path}: truncated tensor {entry['name']}")
             tensors[entry["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+        if fh.read(1):
+            raise CheckpointError(f"{path}: trailing bytes after the last tensor")
     return header, tensors
+
+
+def check_tensors(path, tensors: dict, expected: dict):
+    """Reject a checkpoint whose tensor names or shapes differ from the
+    ``expected`` name -> shape map of the architecture it claims."""
+    got = {k: v.shape for k, v in tensors.items()}
+    if got != expected:
+        raise CheckpointError(
+            f"{path}: tensors {sorted(got)} do not match the architecture's "
+            f"parameters {sorted(expected)} (or their shapes differ)"
+        )

@@ -1,37 +1,62 @@
 """Command-line interface: synthetic data generation, stage-wise training
 (pretrain / warmup / evolve), zero-shot scoring, evaluation, and reports.
 
-Stages write into an artifacts directory and are resumable: each command
-loads what earlier stages saved. Determinism: with the chat backend
-disabled, (config, seed) fully determines every output byte.
+Each training command runs one stage and resumes from the artifacts
+directory: ``pretrain`` writes config.json and the experts, ``warmup`` loads
+them and adds router.bin, ``evolve`` loads both and writes the full
+artifacts. A stage-wise run leaves the same bytes as ``run_pipeline``.
+Determinism: with the chat backend disabled, (config, seed) fully determines
+every output byte.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import glob
 import json
 import logging
 import os
 import sys
 
 
+from .experts import ARCHS
 from .features import compute_primitives
 from .graph import gen_synthetic, load_graph_dir, save_graph
 from .pipeline import (
     PipelineConfig,
     RunArtifacts,
+    build_contexts,
     evaluate_runs,
     evaluate_scored,
+    evolve,
+    load_pretrained,
+    prepare_graphs,
+    pretrain_all_experts,
     report_to_json,
     report_to_text,
     routing_frequency_table,
-    run_pipeline,
+    run_stage,
+    save_pretrained,
     score_graph,
+    warmup_router,
 )
 from .preprocess import align
+from .router import load_router, save_router
 
 log = logging.getLogger(__name__)
+
+
+class ResumeError(RuntimeError):
+    """A stage command cannot resume the run in its artifacts directory."""
+
+
+# what each training stage adds to an artifacts directory
+STAGE_OUTPUTS = {
+    "pretrain": ("config.json",) + tuple(f"expert_{arch}.bin" for arch in ARCHS),
+    "warmup": ("router.bin",),
+    "evolve": ("features.json", "keys.bin", "shapley_round_*.txt"),
+}
 
 
 def _load_config(args) -> PipelineConfig:
@@ -95,46 +120,77 @@ def cmd_features(args):
     print(f"wrote {len(table.names)} feature columns for {g.num_nodes} nodes -> {args.out}")
 
 
+def _resume(args, *earlier):
+    """The config and experts of the run in ``args.out``, once the
+    ``earlier`` stages' outputs are found there and the config given on the
+    command line equals the one the pretrain stage saved."""
+    cfg = _load_config(args)
+    for stage in earlier:
+        missing = [name for name in STAGE_OUTPUTS[stage]
+                   if not os.path.exists(os.path.join(args.out, name))]
+        if missing:
+            raise ResumeError(
+                f"{args.out} has no {', '.join(missing)}: run `evofg {stage}` first"
+            )
+    saved, models = load_pretrained(args.out)
+    if saved != cfg:
+        ours, theirs = cfg.to_dict(), saved.to_dict()
+        changed = [k for k in ours if ours[k] != theirs[k]]
+        raise ResumeError(
+            f"the config differs from {args.out}/config.json in {', '.join(changed)}: "
+            "pass the --config and flags given to `evofg pretrain`, or run it again"
+        )
+    return cfg, models
+
+
+def _training_contexts(args, cfg, models):
+    """The prepare and contexts stages on the training graphs."""
+    bundles = run_stage(cfg, "prepare", prepare_graphs, _load_graphs(args.train), cfg.d)
+    return bundles, run_stage(cfg, "contexts", build_contexts, bundles, models, cfg)
+
+
+def _clear_outputs(out_dir, *later):
+    """Delete the outputs of the ``later`` stages, which a rerun stage makes
+    stale."""
+    for stage in later:
+        for pattern in STAGE_OUTPUTS[stage]:
+            for path in glob.glob(os.path.join(out_dir, pattern)):
+                os.remove(path)
+
+
 def cmd_pretrain(args):
     cfg = _load_config(args)
-    graphs = _load_graphs(args.train)
-    artifacts = run_pipeline(
-        dataclasses.replace(cfg, rounds=0, warmup_epochs=0), graphs
-    )
-    artifacts.save(args.out)
-    print(f"pretrained {len(artifacts.experts)} experts -> {args.out}")
+    bundles = run_stage(cfg, "prepare", prepare_graphs, _load_graphs(args.train), cfg.d)
+    models = run_stage(cfg, "pretrain", pretrain_all_experts, bundles, cfg)
+    save_pretrained(args.out, cfg, models)
+    _clear_outputs(args.out, "warmup", "evolve")
+    print(f"pretrained {len(models)} experts -> {args.out}")
 
 
 def cmd_warmup(args):
-    cfg = _load_config(args)
-    graphs = _load_graphs(args.train)
-    pretrained = _maybe_pretrained(args.out)
-    artifacts = run_pipeline(
-        dataclasses.replace(cfg, rounds=0), graphs, pretrained=pretrained
-    )
-    artifacts.save(args.out)
-    print(f"warmed up router on {len(artifacts.active_names)} features -> {args.out}")
+    cfg, models = _resume(args, "pretrain")
+    _, contexts = _training_contexts(args, cfg, models)
+    router_model = run_stage(cfg, "warmup", warmup_router, contexts, cfg)
+    save_router(router_model, os.path.join(args.out, "router.bin"), contexts[0].names)
+    _clear_outputs(args.out, "evolve")
+    print(f"warmed up router on {len(contexts[0].names)} features -> {args.out}")
 
 
 def cmd_evolve(args):
-    cfg = _load_config(args)
-    graphs = _load_graphs(args.train)
-    pretrained = _maybe_pretrained(args.out)
-    artifacts = run_pipeline(cfg, graphs, pretrained=pretrained)
+    cfg, models = _resume(args, "pretrain", "warmup")
+    router_model, names = load_router(os.path.join(args.out, "router.bin"))
+    bundles, contexts = _training_contexts(args, cfg, models)
+    if names != contexts[0].names:
+        raise ResumeError(
+            f"{args.out}/router.bin routes on {len(names)} features, not on the "
+            f"{len(contexts[0].names)} primitives: run `evofg warmup` first"
+        )
+    artifacts = run_stage(cfg, "evolve", evolve, router_model, bundles, contexts, models, cfg)
     artifacts.save(args.out)
     print(
         f"evolved {cfg.rounds} round(s); final feature set has "
         f"{len(artifacts.active_names)} active columns -> {args.out}"
     )
-
-
-def _maybe_pretrained(out_dir):
-    from .experts import ARCHS, load_expert
-
-    paths = [os.path.join(out_dir, f"expert_{arch}.bin") for arch in ARCHS]
-    if all(os.path.exists(p) for p in paths):
-        return [load_expert(p) for p in paths], {}
-    return None
 
 
 def cmd_score(args):
@@ -313,7 +369,11 @@ def main(argv=None):
     if args.command == "eval" and not args.train and not args.artifacts:
         print("eval needs --artifacts or --train", file=sys.stderr)
         return 2
-    args.func(args)
+    try:
+        args.func(args)
+    except ResumeError as exc:
+        print(f"evofg {args.command}: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -224,19 +224,18 @@ def expr_from_dict(d):
     return FeatureExpr(op=d["op"], args=tuple(d["args"]), category=d["category"])
 
 
-def extend_table(table: RouterFeatureTable, exprs) -> None:
-    """Evaluate and append expressions in order (later ones may reference
-    earlier ones)."""
+def extend_table(table: RouterFeatureTable, exprs) -> RouterFeatureTable:
+    """``table`` plus one active column per expression, evaluated in order
+    (later ones may reference earlier ones)."""
     for expr in exprs:
-        table.append_column(expr.name, eval_expr(expr, table), expr)
+        table = table.with_column(expr, eval_expr(expr, table))
+    return table
 
 
-def rebuild_columns(table: RouterFeatureTable, provenance, active_names) -> None:
-    """Re-create a trained run's generated columns on a fresh graph's
-    primitive table, then restore the final active mask."""
+def rebuild_columns(table: RouterFeatureTable, provenance, active_names) -> RouterFeatureTable:
+    """A trained run's generated columns re-created on a fresh graph's
+    primitive table, with the run's final active set."""
     for p in provenance:
-        if p == "primitive":
-            continue
-        if not table.has_column(p.name):
-            table.append_column(p.name, eval_expr(p, table), p)
-    table.set_active(active_names)
+        if p != "primitive" and not table.has_column(p.name):
+            table = table.with_column(p, eval_expr(p, table))
+    return table.with_active(active_names)

@@ -15,7 +15,7 @@ import logging
 import numpy as np
 
 from . import autodiff as ad
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import check_tensors, load_checkpoint, save_checkpoint
 from .graph import Graph
 
 log = logging.getLogger(__name__)
@@ -43,35 +43,39 @@ class ExpertModel:
         self.seed = seed
         self.trained = trained
 
-    def clone_params(self):
-        return {k: v.copy() for k, v in self.params.items()}
-
 
 def _glorot(rng, shape):
     fan = sum(shape) if len(shape) > 1 else shape[0] + 1
     return rng.normal(0.0, np.sqrt(2.0 / fan), size=shape)
 
 
+def _param_shapes(arch, d, d_e, d_prime):
+    """Name -> shape of an expert's parameters, in canonical order."""
+    if arch == "CHEBY":
+        shapes = {f"cheb_w{k}": (d, d_e) for k in range(CHEB_ORDER + 1)}
+    elif arch in ARCHS:
+        shapes = {"w0": (d, d_e)}
+    else:
+        raise ValueError(f"unknown architecture {arch!r}")
+    if arch == "ATTENTION":
+        shapes.update(att_self=(d_e,), att_nbr=(d_e,))
+    if arch == "GPR":
+        shapes["gamma"] = (GPR_DEPTH + 1,)
+    shapes.update(wq=(d_e, d_prime), wk=(d_e, d_prime))
+    return shapes
+
+
 def init_expert(arch, d, d_e, d_prime, seed) -> ExpertModel:
     rng = np.random.default_rng(seed)
     params = {}
-    if arch == "LOWPASS":
-        params["w0"] = _glorot(rng, (d, d_e))
-    elif arch == "ATTENTION":
-        params["w0"] = _glorot(rng, (d, d_e))
-        # zero attention vectors = uniform attention at init; training shapes them
-        params["att_self"] = np.zeros(d_e)
-        params["att_nbr"] = np.zeros(d_e)
-    elif arch == "CHEBY":
-        for k in range(CHEB_ORDER + 1):
-            params[f"cheb_w{k}"] = _glorot(rng, (d, d_e))
-    elif arch == "GPR":
-        params["w0"] = _glorot(rng, (d, d_e))
-        params["gamma"] = GPR_ALPHA * (1.0 - GPR_ALPHA) ** np.arange(GPR_DEPTH + 1.0)
-    else:
-        raise ValueError(f"unknown architecture {arch!r}")
-    params["wq"] = _glorot(rng, (d_e, d_prime))
-    params["wk"] = _glorot(rng, (d_e, d_prime))
+    for name, shape in _param_shapes(arch, d, d_e, d_prime).items():
+        if name.startswith("att_"):
+            # zero attention vectors = uniform attention at init; training shapes them
+            params[name] = np.zeros(shape)
+        elif name == "gamma":
+            params[name] = GPR_ALPHA * (1.0 - GPR_ALPHA) ** np.arange(GPR_DEPTH + 1.0)
+        else:
+            params[name] = _glorot(rng, shape)
     return ExpertModel(arch, params, (d, d_e, d_prime), seed=seed)
 
 
@@ -153,6 +157,14 @@ def cross_attention_t(wq, wk, hq, hk, d_prime):
     return ad.matmul(att, hk)
 
 
+def reconstruct(model: ExpertModel, hq, hk) -> np.ndarray:
+    """Reconstruct the query embeddings hq from the key embeddings hk."""
+    lv = ad.leaves(model.params)
+    return cross_attention_t(
+        lv["wq"], lv["wk"], ad.wrap(hq), ad.wrap(hk), model.dims[2]
+    ).value
+
+
 def cross_attn_reconstruct(model: ExpertModel, h, keys, queries) -> np.ndarray:
     """Reconstruct query rows of h from key rows; keys and queries are
     disjoint node index sets and keys must be nonempty."""
@@ -162,12 +174,7 @@ def cross_attn_reconstruct(model: ExpertModel, h, keys, queries) -> np.ndarray:
         raise ValueError("key set must be nonempty")
     if np.intersect1d(keys, queries).size:
         raise ValueError("keys and queries must be disjoint")
-    lv = ad.leaves(model.params)
-    ht = ad.wrap(h)
-    return cross_attention_t(
-        lv["wq"], lv["wk"], ad.gather_rows(ht, queries), ad.gather_rows(ht, keys),
-        model.dims[2],
-    ).value
+    return reconstruct(model, h[queries], h[keys])
 
 
 def anomaly_scores(hq, hq_recon) -> np.ndarray:
@@ -279,10 +286,12 @@ def load_expert(path) -> ExpertModel:
     header, tensors = load_checkpoint(path)
     if header.get("kind") != "expert":
         raise ValueError(f"{path} is not an expert checkpoint")
+    dims = tuple(header["dims"])
+    check_tensors(path, tensors, _param_shapes(header["arch"], *dims))
     return ExpertModel(
         arch=header["arch"],
         params=tensors,
-        dims=tuple(header["dims"]),
+        dims=dims,
         seed=header["seed"],
         trained=header["trained"],
     )

@@ -7,7 +7,7 @@ degree, and ego-graph size.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.sparse.csgraph import shortest_path
@@ -188,14 +188,16 @@ def edge_avg_similarity(g: Graph, xtilde: np.ndarray) -> float:
     return float((xn[g.edges[:, 0]] * xn[g.edges[:, 1]]).sum(axis=1).mean())
 
 
-@dataclass
+@dataclass(frozen=True)
 class RouterFeatureTable:
     """Node-by-feature matrix with names, categories, an active mask, and
     per-column provenance ("primitive" or the expression that built it).
 
-    Columns 0..22 are always the primitives in their fixed order; generated
-    columns are appended and never removed (deselection only clears the
-    active flag, so earlier expressions stay evaluable on new graphs).
+    A table is a value: ``with_column`` and ``with_active`` return a new
+    table and leave this one as it was. Columns 0..22 are always the
+    primitives in their fixed order; generated columns are appended and
+    never removed (deselection only clears the active flag, so earlier
+    expressions stay evaluable on new graphs).
     """
 
     matrix: np.ndarray
@@ -206,15 +208,11 @@ class RouterFeatureTable:
 
     def __post_init__(self):
         if self.active is None:
-            self.active = np.ones(len(self.names), dtype=bool)
+            object.__setattr__(self, "active", np.ones(len(self.names), dtype=bool))
         if len(set(self.names)) != len(self.names):
             raise ValueError("duplicate column names")
         if self.matrix.shape[1] != len(self.names):
             raise ValueError("matrix width does not match names")
-
-    @property
-    def num_nodes(self):
-        return self.matrix.shape[0]
 
     def column(self, name):
         return self.matrix[:, self.names.index(name)]
@@ -222,21 +220,25 @@ class RouterFeatureTable:
     def has_column(self, name):
         return name in self.names
 
-    def append_column(self, name, values, expr):
-        if name in self.names:
-            raise ValueError(f"column {name!r} already exists")
-        self.matrix = np.column_stack([self.matrix, np.asarray(values, np.float64)])
-        self.names.append(name)
-        self.categories.append(expr.category)
-        self.provenance.append(expr)
-        self.active = np.append(self.active, True)
+    def with_column(self, expr, values):
+        """This table plus one active column, named and built by ``expr``."""
+        if expr.name in self.names:
+            raise ValueError(f"column {expr.name!r} already exists")
+        return RouterFeatureTable(
+            matrix=np.column_stack([self.matrix, np.asarray(values, np.float64)]),
+            names=self.names + [expr.name],
+            categories=self.categories + [expr.category],
+            provenance=self.provenance + [expr],
+            active=np.append(self.active, True),
+        )
 
     def active_names(self):
         return [n for n, a in zip(self.names, self.active) if a]
 
-    def set_active(self, kept_names):
+    def with_active(self, kept_names):
+        """This table with exactly the columns in ``kept_names`` active."""
         kept = set(kept_names)
-        self.active = np.array([n in kept for n in self.names])
+        return replace(self, active=np.array([n in kept for n in self.names]))
 
     def active_by_category(self):
         out = {c: [] for c in CATEGORIES}

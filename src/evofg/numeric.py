@@ -1,6 +1,6 @@
-"""Shared numeric kernels: PCA projection, ranking metrics, coefficient of
-variation, and the central-difference gradient checker that every trainable
-loss in this package must pass."""
+"""Shared numeric kernels: PCA projection, ranking metrics, and the
+central-difference gradient checker that every trainable loss in this
+package must pass."""
 
 from __future__ import annotations
 
@@ -104,18 +104,6 @@ def auprc(scores, labels) -> float:
     k = np.arange(1, len(y) + 1)
     precision_at_pos = tp[y == 1] / k[y == 1]
     return float(precision_at_pos.mean())
-
-
-def coeff_variation(x) -> float:
-    """Population std over mean; 0 when the mean is 0 (logged)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.size < 2:
-        raise ValueError("coefficient of variation needs at least 2 values")
-    m = x.mean()
-    if m == 0.0:
-        log.debug("coeff_variation: zero mean, returning 0")
-        return 0.0
-    return float(x.std() / m)
 
 
 def finite_diff_check(loss_fn, grad_fn, params, step=1e-5) -> GradReport:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import dsl
+from . import dsl, experts
 from .checkpoint import load_checkpoint, save_checkpoint
 from .experts import ARCHS, anomaly_scores, load_expert, pretrain_expert, save_expert
 from .features import compute_primitives, RouterFeatureTable
@@ -87,7 +87,6 @@ class PipelineConfig:
     random_backend: bool = False
     no_memory: bool = False
     reset_final: bool = False
-    self_keys: bool = False  # draw inference keys from the target graph
 
     _ALIASES = {
         "T": "shapley_iters",
@@ -144,24 +143,11 @@ def derive_seed(seed, *tags):
     return int(derive_rng(seed, *tags).integers(2**31))
 
 
-@dataclass
+@dataclass(frozen=True)
 class GraphBundle:
     graph: Graph
     xtilde: np.ndarray
     table: RouterFeatureTable
-
-    def copy(self):
-        return GraphBundle(
-            graph=self.graph,
-            xtilde=self.xtilde,
-            table=RouterFeatureTable(
-                matrix=self.table.matrix.copy(),
-                names=list(self.table.names),
-                categories=list(self.table.categories),
-                provenance=list(self.table.provenance),
-                active=self.table.active.copy(),
-            ),
-        )
 
 
 def prepare_graph(g: Graph, d: int) -> GraphBundle:
@@ -182,17 +168,17 @@ def _content_digest(g: Graph) -> str:
 
 
 def prepare_graphs(graphs, d, cache=None):
+    """The prepare stage: one bundle per graph. Bundles and their tables are
+    values, so a cache hit is shared as is, bound to the graph passed in."""
     out = []
     for g in graphs:
         key = (_content_digest(g), d)
         if cache is not None and key in cache:
-            bundle = cache[key].copy()
-            bundle.graph = g
-            out.append(bundle)
+            out.append(dataclasses.replace(cache[key], graph=g))
             continue
         bundle = prepare_graph(g, d)
         if cache is not None:
-            cache[key] = bundle.copy()
+            cache[key] = bundle
         out.append(bundle)
     return out
 
@@ -211,6 +197,22 @@ def make_backend(cfg: PipelineConfig):
     return dsl.DeterministicBackend()
 
 
+def save_pretrained(out_dir, cfg: PipelineConfig, models):
+    """What the pretrain stage leaves in an artifacts directory."""
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, "config.json"), "w", encoding="utf-8") as fh:
+        json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
+    for model in models:
+        save_expert(model, os.path.join(out_dir, f"expert_{model.arch}.bin"))
+
+
+def load_pretrained(out_dir):
+    """(config, experts) saved by ``save_pretrained``."""
+    config = PipelineConfig.from_json(os.path.join(out_dir, "config.json"))
+    models = [load_expert(os.path.join(out_dir, f"expert_{arch}.bin")) for arch in ARCHS]
+    return config, models
+
+
 @dataclass
 class RunArtifacts:
     config: PipelineConfig
@@ -220,14 +222,9 @@ class RunArtifacts:
     active_names: list
     key_cache: dict  # arch -> stacked key embeddings from training graphs
     shapley_reports: list = field(default_factory=list)
-    expert_traces: dict = field(default_factory=dict)
 
     def save(self, out_dir):
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "config.json"), "w", encoding="utf-8") as fh:
-            json.dump(self.config.to_dict(), fh, indent=2, sort_keys=True)
-        for model in self.experts:
-            save_expert(model, os.path.join(out_dir, f"expert_{model.arch}.bin"))
+        save_pretrained(out_dir, self.config, self.experts)
         save_router(self.router, os.path.join(out_dir, "router.bin"), self.active_names)
         with open(os.path.join(out_dir, "features.json"), "w", encoding="utf-8") as fh:
             json.dump(
@@ -250,13 +247,15 @@ class RunArtifacts:
 
     @classmethod
     def load(cls, out_dir):
-        config = PipelineConfig.from_json(os.path.join(out_dir, "config.json"))
-        experts = [
-            load_expert(os.path.join(out_dir, f"expert_{arch}.bin")) for arch in ARCHS
-        ]
-        router, active_names = load_router(os.path.join(out_dir, "router.bin"))
+        config, models = load_pretrained(out_dir)
+        router, router_names = load_router(os.path.join(out_dir, "router.bin"))
         with open(os.path.join(out_dir, "features.json"), "r", encoding="utf-8") as fh:
             feats = json.load(fh)
+        if router_names != feats["active"]:
+            raise ValueError(
+                f"{out_dir}: router.bin routes on {len(router_names)} features that "
+                f"differ from the {len(feats['active'])} active in features.json"
+            )
         provenance = [dsl.expr_from_dict(p) for p in feats["provenance"]]
         header, key_cache = load_checkpoint(os.path.join(out_dir, "keys.bin"))
         if header.get("kind") != "keycache":
@@ -271,7 +270,7 @@ class RunArtifacts:
             r += 1
         return cls(
             config=config,
-            experts=experts,
+            experts=models,
             router=router,
             provenance=provenance,
             active_names=feats["active"],
@@ -280,26 +279,32 @@ class RunArtifacts:
         )
 
 
+def run_stage(cfg: PipelineConfig, name, fn, *args):
+    """``fn(*args)``, with a failure re-raised as the StageError of ``name``."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        raise StageError(name, cfg.seed, exc) from exc
+
+
 def pretrain_all_experts(bundles, cfg: PipelineConfig):
+    """The pretrain stage: one trained expert per architecture, ARCHS order."""
     inputs = [(b.graph, b.xtilde) for b in bundles]
-    models = []
-    traces = {}
-    for arch in ARCHS:
-        model, trace = pretrain_expert(
-            arch, inputs, cfg, derive_seed(cfg.seed, "expert", arch)
-        )
-        models.append(model)
-        traces[arch] = trace
-    return models, traces
+    return [
+        pretrain_expert(arch, inputs, cfg, derive_seed(cfg.seed, "expert", arch))[0]
+        for arch in ARCHS
+    ]
 
 
-def build_contexts(bundles, experts, cfg: PipelineConfig):
+def build_contexts(bundles, models, cfg: PipelineConfig):
+    """The contexts stage: routing material per training graph, on the
+    active columns of its table."""
     return [
         RoutingContext(
             b.graph,
             b.xtilde,
             b.table,
-            experts,
+            models,
             cfg.key_fraction,
             derive_rng(cfg.seed, "split", b.graph.name),
         )
@@ -307,27 +312,35 @@ def build_contexts(bundles, experts, cfg: PipelineConfig):
     ]
 
 
-def _set_active_everywhere(bundles, contexts, kept_names):
-    for b in bundles:
-        b.table.set_active(kept_names)
-    for ctx in contexts:
-        ctx.refresh()
+def _new_router(cfg: PipelineConfig, d_r, tag):
+    return init_router(
+        cfg.d, d_r, cfg.d_m, cfg.n_memory, cfg.n_experts, derive_seed(cfg.seed, tag),
+        use_memory=not cfg.no_memory,
+    )
 
 
-def evolution_rounds(router_model, bundles, contexts, cfg: PipelineConfig, backend):
-    """The iterative loop: generate candidates, estimate contributions with
-    the frozen router, apply the retention rule, retrain."""
-    reports = []
+def warmup_router(contexts, cfg: PipelineConfig):
+    """The warm-up stage: a fresh router aligned with the experts'
+    correctness targets on the contexts' features."""
+    router_model = _new_router(cfg, len(contexts[0].names), "router-init")
+    train_router(router_model, contexts, cfg, "warmup", derive_seed(cfg.seed, "warmup"))
+    return router_model
+
+
+def evolve(router_model, bundles, contexts, models, cfg: PipelineConfig) -> RunArtifacts:
+    """The evolve stage on a warmed-up router (trained in place): rounds of
+    generate candidates, estimate contributions with the frozen router,
+    apply the retention rule and retrain, then the final retrain and the key
+    cache."""
+    backend = make_backend(cfg)
     gen_rng = derive_rng(cfg.seed, "generate")
+    tables = [b.table for b in bundles]
+    reports = []
     for r in range(1, cfg.rounds + 1):
-        exprs = dsl.generate_candidates(
-            backend, bundles[0].table, cfg.gen_per_round, gen_rng
-        )
-        for b in bundles:
-            dsl.extend_table(b.table, exprs)
-        for ctx in contexts:
-            ctx.refresh()
-        active = bundles[0].table.active_names()
+        exprs = dsl.generate_candidates(backend, tables[0], cfg.gen_per_round, gen_rng)
+        tables = [dsl.extend_table(t, exprs) for t in tables]
+        contexts = [ctx.with_features(t) for ctx, t in zip(contexts, tables)]
+        active = contexts[0].names
         resize_router(
             router_model, len(active), derive_seed(cfg.seed, "resize-gen", r)
         )
@@ -339,7 +352,8 @@ def evolution_rounds(router_model, bundles, contexts, cfg: PipelineConfig, backe
         )
         kept = active if cfg.no_select else select_features(stats, cfg.z_crit)
         reports.append(format_stats(stats, kept))
-        _set_active_everywhere(bundles, contexts, kept)
+        tables = [t.with_active(kept) for t in tables]
+        contexts = [ctx.with_features(t) for ctx, t in zip(contexts, tables)]
         resize_router(
             router_model, len(kept), derive_seed(cfg.seed, "resize-select", r)
         )
@@ -350,83 +364,39 @@ def evolution_rounds(router_model, bundles, contexts, cfg: PipelineConfig, backe
             "round %d: generated %d, kept %d of %d active features",
             r, len(exprs), len(kept), len(active),
         )
-    return reports
-
-
-def run_pipeline(cfg: PipelineConfig, train_graphs, out_dir=None, prepared_cache=None,
-                 pretrained=None) -> RunArtifacts:
-    """Execute the full training pipeline on labeled source graphs.
-
-    ``pretrained`` may carry (experts, traces) from a previous run with the
-    same seed/config to skip expert pretraining (the ablation harness and
-    stage-wise CLI use this).
-    """
-
-    def stage(name, fn):
-        try:
-            return fn()
-        except Exception as exc:
-            raise StageError(name, cfg.seed, exc) from exc
-
-    bundles = stage("prepare", lambda: prepare_graphs(train_graphs, cfg.d, prepared_cache))
-    if pretrained is None:
-        experts, traces = stage("pretrain", lambda: pretrain_all_experts(bundles, cfg))
-    else:
-        experts, traces = pretrained
-    contexts = stage("contexts", lambda: build_contexts(bundles, experts, cfg))
-    n_active = len(bundles[0].table.active_names())
-    router_model = init_router(
-        cfg.d,
-        n_active,
-        cfg.d_m,
-        cfg.n_memory,
-        cfg.n_experts,
-        derive_seed(cfg.seed, "router-init"),
-        use_memory=not cfg.no_memory,
-    )
-    stage(
-        "warmup",
-        lambda: train_router(
-            router_model, contexts, cfg, "warmup", derive_seed(cfg.seed, "warmup")
-        ),
-    )
-    backend = make_backend(cfg)
-    reports = stage(
-        "evolve",
-        lambda: evolution_rounds(router_model, bundles, contexts, cfg, backend),
-    )
     if cfg.rounds > 0:
         if cfg.reset_final:
-            fresh = init_router(
-                cfg.d,
-                router_model.d_r,
-                cfg.d_m,
-                cfg.n_memory,
-                cfg.n_experts,
-                derive_seed(cfg.seed, "final-init"),
-                use_memory=not cfg.no_memory,
-            )
-            router_model.params = fresh.params
-        stage(
-            "final-retrain",
-            lambda: train_router(
-                router_model, contexts, cfg, "main", derive_seed(cfg.seed, "final")
-            ),
-        )
-    key_cache = {
+            router_model.params = _new_router(cfg, router_model.d_r, "final-init").params
+        train_router(router_model, contexts, cfg, "main", derive_seed(cfg.seed, "final"))
+    return RunArtifacts(
+        config=cfg,
+        experts=models,
+        router=router_model,
+        provenance=list(tables[0].provenance),
+        active_names=contexts[0].names,
+        key_cache=build_key_cache(contexts),
+        shapley_reports=reports,
+    )
+
+
+def build_key_cache(contexts):
+    """The key cache: per expert, the in-context key embeddings of every
+    training graph, stacked in graph order."""
+    return {
         arch: np.vstack([ctx.expert_h_full[e][ctx.keys] for ctx in contexts])
         for e, arch in enumerate(ARCHS)
     }
-    artifacts = RunArtifacts(
-        config=cfg,
-        experts=experts,
-        router=router_model,
-        provenance=list(bundles[0].table.provenance),
-        active_names=bundles[0].table.active_names(),
-        key_cache=key_cache,
-        shapley_reports=reports,
-        expert_traces=traces,
-    )
+
+
+def run_pipeline(cfg: PipelineConfig, train_graphs, out_dir=None,
+                 prepared_cache=None) -> RunArtifacts:
+    """Execute the full training pipeline on labeled source graphs: the
+    stages in order, each on the values the one before returned."""
+    bundles = run_stage(cfg, "prepare", prepare_graphs, train_graphs, cfg.d, prepared_cache)
+    models = run_stage(cfg, "pretrain", pretrain_all_experts, bundles, cfg)
+    contexts = run_stage(cfg, "contexts", build_contexts, bundles, models, cfg)
+    router_model = run_stage(cfg, "warmup", warmup_router, contexts, cfg)
+    artifacts = run_stage(cfg, "evolve", evolve, router_model, bundles, contexts, models, cfg)
     if out_dir:
         artifacts.save(out_dir)
     return artifacts
@@ -439,48 +409,25 @@ def score_graph(artifacts: RunArtifacts, g: Graph, prepared_cache=None):
 
     Returns (scores, routing_output, per_expert_scores).
     """
-    cfg = artifacts.config
-    bundle = prepare_graphs([g], cfg.d, prepared_cache)[0]
-    dsl.rebuild_columns(bundle.table, artifacts.provenance, artifacts.active_names)
-    hr = bundle.table.standardized_active()
+    bundle = prepare_graphs([g], artifacts.config.d, prepared_cache)[0]
+    table = dsl.rebuild_columns(bundle.table, artifacts.provenance, artifacts.active_names)
 
     expert_h = []
     expert_recon = []
     per_expert_scores = {}
-    for e, model in enumerate(artifacts.experts):
-        h = model_encode_cached(model, bundle)
-        if cfg.self_keys:
-            rng = derive_rng(cfg.seed, "self-keys", g.name)
-            n_keys = max(1, int(round(cfg.key_fraction * g.num_nodes)))
-            keys = np.sort(rng.choice(g.num_nodes, size=n_keys, replace=False))
-            hk = h[keys]
-        else:
-            hk = artifacts.key_cache[model.arch]
-        recon = _cross_attention_full(model, h, hk)
+    for model in artifacts.experts:
+        h = experts.encode(model, bundle.xtilde, g)
+        recon = experts.reconstruct(model, h, artifacts.key_cache[model.arch])
         expert_h.append(h)
         expert_recon.append(recon)
         per_expert_scores[model.arch] = anomaly_scores(h, recon)
 
-    routing = route(artifacts.router, bundle.xtilde, g, hr, train_mode=False)
+    routing = route(
+        artifacts.router, bundle.xtilde, g, table.standardized_active(), train_mode=False
+    )
     h_final, recon_final = aggregate(routing.weights, expert_h, expert_recon)
     scores = anomaly_scores(h_final, recon_final)
     return scores, routing, per_expert_scores
-
-
-def model_encode_cached(model, bundle):
-    from .experts import encode
-
-    return encode(model, bundle.xtilde, bundle.graph)
-
-
-def _cross_attention_full(model, h, hk):
-    from . import autodiff as ad
-    from .experts import cross_attention_t
-
-    lv = ad.leaves(model.params)
-    return cross_attention_t(
-        lv["wq"], lv["wk"], ad.wrap(h), ad.wrap(hk), model.dims[2]
-    ).value
 
 
 def evaluate_scored(scored):

@@ -9,13 +9,14 @@ masked-feature environments, and coefficient-of-variation balancing.
 
 from __future__ import annotations
 
+import copy
 import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import check_tensors, load_checkpoint, save_checkpoint
 from .experts import (
     anomaly_loss_t,
     anomaly_scores,
@@ -46,9 +47,6 @@ class RouterModel:
     def d_r(self):
         return self.dims[1]
 
-    def clone_params(self):
-        return {k: v.copy() for k, v in self.params.items()}
-
 
 @dataclass
 class RoutingOutput:
@@ -62,17 +60,29 @@ def _glorot(rng, shape):
     return rng.normal(0.0, np.sqrt(2.0 / sum(shape)), size=shape)
 
 
+def _param_shapes(d, d_r, d_m, n_memory, n_experts):
+    """Name -> shape of a router's parameters, in canonical order."""
+    return {
+        "gnn_w": (d, d_m),
+        "proj_w": (d_r, d_m),
+        "proj_b": (d_m,),
+        "mem_node": (n_memory, d_m),
+        "mem_feat": (n_memory, d_m),
+        "scale": (n_experts, d_m),
+        "noise_w": (d_r, n_experts),
+    }
+
+
 def init_router(d, d_r, d_m, n_memory, n_experts, seed, use_memory=True) -> RouterModel:
     rng = np.random.default_rng(seed)
-    params = {
-        "gnn_w": _glorot(rng, (d, d_m)),
-        "proj_w": _glorot(rng, (d_r, d_m)),
-        "proj_b": np.zeros(d_m),
-        "mem_node": rng.standard_normal((n_memory, d_m)) / np.sqrt(d_m),
-        "mem_feat": rng.standard_normal((n_memory, d_m)) / np.sqrt(d_m),
-        "scale": rng.standard_normal((n_experts, d_m)) / np.sqrt(d_m),
-        "noise_w": _glorot(rng, (d_r, n_experts)),
-    }
+    params = {}
+    for name, shape in _param_shapes(d, d_r, d_m, n_memory, n_experts).items():
+        if name == "proj_b":
+            params[name] = np.zeros(shape)
+        elif name in ("mem_node", "mem_feat", "scale"):
+            params[name] = rng.standard_normal(shape) / np.sqrt(d_m)
+        else:
+            params[name] = _glorot(rng, shape)
     return RouterModel(params, (d, d_r, d_m, n_memory, n_experts), seed, use_memory)
 
 
@@ -120,13 +130,15 @@ def route_t(lv, xtilde, g, hr, noise=None, use_memory=True):
 def route(model: RouterModel, xtilde, g, hr, train_mode=False, rng=None, mask=None):
     """Public routing call. Deterministic unless train_mode, in which case
     Gaussian exploration noise modulated by softplus(H_r W) is added to the
-    logits. ``mask`` zeroes feature columns at fixed width."""
+    logits drawn from ``rng`` (required). ``mask`` zeroes feature columns at
+    fixed width."""
     hr = np.asarray(hr, dtype=np.float64)
     if mask is not None:
         hr = hr * np.asarray(mask, dtype=np.float64)
     noise = None
     if train_mode:
-        rng = rng or np.random.default_rng()
+        if rng is None:
+            raise ValueError("train_mode routing draws noise and needs an rng")
         noise = rng.standard_normal((hr.shape[0], model.dims[4]))
     out = route_t(ad.leaves(model.params), xtilde, g, hr, noise, model.use_memory)
     m = model.dims[3]
@@ -205,13 +217,12 @@ def balance_loss(p, g) -> float:
 class RoutingContext:
     """Frozen per-graph material for router training and utility evaluation:
     the canonical key/query split, expert embeddings and reconstructions on
-    the queries, the expert-correctness targets, and the (refreshable)
-    standardized active feature matrix."""
+    the queries, the expert-correctness targets, and the standardized
+    matrix ``hr`` of a table's active columns ``names``."""
 
     def __init__(self, graph, xtilde, table, experts, key_fraction, rng):
         self.graph = graph
         self.xtilde = xtilde
-        self.table = table
         self.keys, self.queries = sample_key_split(graph.labels, key_fraction, rng)
         self.y_q = np.asarray(graph.labels)[self.queries]
         self.expert_h_full = [encode(m, xtilde, graph) for m in experts]
@@ -224,18 +235,23 @@ class RoutingContext:
             [anomaly_scores(hq, rec) for hq, rec in zip(self.expert_hq, self.expert_recon)]
         )
         self.q_matrix = expert_correctness(scores, self.y_q)
-        self.expert_scores = scores
+        self.names = table.active_names()
         self.hr = table.standardized_active()
 
-    def refresh(self):
-        self.hr = self.table.standardized_active()
+    def with_features(self, table):
+        """This context routed on ``table``'s active columns; the expert
+        material is shared, not recomputed."""
+        ctx = copy.copy(self)
+        ctx.names = table.active_names()
+        ctx.hr = table.standardized_active()
+        return ctx
 
 
 def routing_utility(model: RouterModel, subset, contexts) -> float:
     """Alignment utility of a feature subset: minus the mean KL between the
     correctness targets and deterministic routing on the masked features
     (non-members zeroed at fixed width). Larger is better."""
-    names = contexts[0].table.active_names()
+    names = contexts[0].names
     member = set(subset)
     mask = np.array([1.0 if n in member else 0.0 for n in names])
     vals = []
@@ -354,9 +370,11 @@ def load_router(path):
     header, tensors = load_checkpoint(path)
     if header.get("kind") != "router":
         raise ValueError(f"{path} is not a router checkpoint")
+    dims = tuple(header["dims"])
+    check_tensors(path, tensors, _param_shapes(*dims))
     model = RouterModel(
         params=tensors,
-        dims=tuple(header["dims"]),
+        dims=dims,
         seed=header["seed"],
         use_memory=header["use_memory"],
     )

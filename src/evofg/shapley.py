@@ -1,12 +1,10 @@
-"""Marginal-contribution estimation by complementary subset sampling, the
-significance-based retention rule, and an exact enumeration oracle for small
-feature sets."""
+"""Marginal-contribution estimation by complementary subset sampling and
+the significance-based retention rule."""
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from math import factorial
 
 import numpy as np
 
@@ -100,70 +98,6 @@ def select_features(stats: ShapleyStats, z_crit) -> list:
         )
         kept = [best]
     return kept
-
-
-def exact_shapley(features, utility) -> np.ndarray:
-    """Exact permutation-weighted value per feature by full subset
-    enumeration; capped at 15 features."""
-    features = list(features)
-    n = len(features)
-    if n > 15:
-        raise ValueError("exact enumeration capped at 15 features")
-    cache = {}
-
-    def v(mask):
-        if mask not in cache:
-            cache[mask] = float(
-                utility(frozenset(f for i, f in enumerate(features) if mask >> i & 1))
-            )
-        return cache[mask]
-
-    fact = [factorial(k) for k in range(n + 1)]
-    phi = np.zeros(n)
-    full = fact[n]
-    for i in range(n):
-        others = [j for j in range(n) if j != i]
-        for sub_mask in range(1 << (n - 1)):
-            mask = 0
-            size = 0
-            for b, j in enumerate(others):
-                if sub_mask >> b & 1:
-                    mask |= 1 << j
-                    size += 1
-            w = fact[size] * fact[n - size - 1] / full
-            phi[i] += w * (v(mask | 1 << i) - v(mask))
-    return phi
-
-
-def mean_marginal_oracle(features, utility) -> np.ndarray:
-    """Expected marginal contribution under the sampler's subset law: for
-    each feature, the unweighted average of v(S+f) - v(S) over all subsets S
-    of the other features (each other feature in S with probability 1/2)."""
-    features = list(features)
-    n = len(features)
-    if n > 15:
-        raise ValueError("enumeration capped at 15 features")
-    cache = {}
-
-    def v(mask):
-        if mask not in cache:
-            cache[mask] = float(
-                utility(frozenset(f for i, f in enumerate(features) if mask >> i & 1))
-            )
-        return cache[mask]
-
-    phi = np.zeros(n)
-    for i in range(n):
-        others = [j for j in range(n) if j != i]
-        total = 0.0
-        for sub_mask in range(1 << (n - 1)):
-            mask = 0
-            for b, j in enumerate(others):
-                if sub_mask >> b & 1:
-                    mask |= 1 << j
-            total += v(mask | 1 << i) - v(mask)
-        phi[i] = total / (1 << (n - 1))
-    return phi
 
 
 def format_stats(stats: ShapleyStats, kept) -> str:

@@ -1,7 +1,9 @@
-"""Shared test utilities: tiny graph builders, parameter flattening, and
-finite-difference adapters for model losses."""
+"""Shared test utilities: tiny graph builders, parameter flattening,
+finite-difference adapters for model losses, and brute-force oracles."""
 
 from __future__ import annotations
+
+from math import factorial
 
 import numpy as np
 
@@ -193,3 +195,63 @@ def brute_force_auprc(scores, labels):
             tp = sum(1 for i in order[:k] if labels[i] == 1)
             ap.append(tp / k)
     return float(np.mean(ap))
+
+
+def coeff_variation(x) -> float:
+    """Population std over mean; 0 when the mean is 0."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.size < 2:
+        raise ValueError("coefficient of variation needs at least 2 values")
+    m = x.mean()
+    return 0.0 if m == 0.0 else float(x.std() / m)
+
+
+def _subset_marginals(features, utility):
+    """(i, |S|, v(S + f_i) - v(S)) for each feature f_i and each subset S of
+    the other features, with v evaluated once per subset; capped at 15
+    features."""
+    n = len(features)
+    if n > 15:
+        raise ValueError("enumeration capped at 15 features")
+    cache = {}
+
+    def v(mask):
+        if mask not in cache:
+            cache[mask] = float(
+                utility(frozenset(f for i, f in enumerate(features) if mask >> i & 1))
+            )
+        return cache[mask]
+
+    for i in range(n):
+        others = [j for j in range(n) if j != i]
+        for sub_mask in range(1 << (n - 1)):
+            mask = 0
+            size = 0
+            for b, j in enumerate(others):
+                if sub_mask >> b & 1:
+                    mask |= 1 << j
+                    size += 1
+            yield i, size, v(mask | 1 << i) - v(mask)
+
+
+def exact_shapley(features, utility) -> np.ndarray:
+    """Exact permutation-weighted value per feature by full subset
+    enumeration."""
+    features = list(features)
+    n = len(features)
+    fact = [factorial(k) for k in range(n + 1)]
+    phi = np.zeros(n)
+    for i, size, delta in _subset_marginals(features, utility):
+        phi[i] += fact[size] * fact[n - size - 1] / fact[n] * delta
+    return phi
+
+
+def mean_marginal_oracle(features, utility) -> np.ndarray:
+    """Expected marginal contribution under the sampler's subset law: for
+    each feature, the unweighted average of v(S+f) - v(S) over all subsets S
+    of the other features (each other feature in S with probability 1/2)."""
+    features = list(features)
+    phi = np.zeros(len(features))
+    for i, _, delta in _subset_marginals(features, utility):
+        phi[i] += delta
+    return phi / (1 << (len(features) - 1))

@@ -28,11 +28,13 @@ from evofg.numeric import auprc, auroc, finite_diff_check
 from evofg.pipeline import (
     PipelineConfig,
     build_contexts,
+    evolve,
     make_backend,
     prepare_graphs,
     pretrain_all_experts,
     run_pipeline,
     score_graph,
+    warmup_router,
 )
 from evofg.router import (
     RoutingContext,
@@ -48,7 +50,7 @@ from evofg.router import (
     routing_utility,
     train_router,
 )
-from evofg.shapley import estimate_contributions, mean_marginal_oracle
+from evofg.shapley import estimate_contributions
 from helpers import (
     brute_force_auprc,
     brute_force_auroc,
@@ -56,6 +58,7 @@ from helpers import (
     brute_force_closeness,
     cycle_graph,
     fd_adapters,
+    mean_marginal_oracle,
     random_graph,
 )
 
@@ -164,7 +167,7 @@ def test_c03_gradient_checks():
         )
         rg = gen_synthetic(24, 6, 0.15, structure_seed=3, planted_kind="mixed")
         bundle = prepare_graphs([rg], cfg.d, None)[0]
-        experts, _ = pretrain_all_experts([bundle], cfg)
+        experts = pretrain_all_experts([bundle], cfg)
         ctx = build_contexts([bundle], experts, cfg)[0]
         model = init_router(cfg.d, ctx.hr.shape[1], cfg.d_m, cfg.n_memory, 4, seed=5)
 
@@ -264,7 +267,7 @@ def test_c07_invariant_learning_degeneracy():
         )
         g = gen_synthetic(26, 6, 0.15, structure_seed=7, planted_kind="mixed")
         bundle = prepare_graphs([g], cfg.d, None)[0]
-        experts, _ = pretrain_all_experts([bundle], cfg)
+        experts = pretrain_all_experts([bundle], cfg)
         ctx = build_contexts([bundle], experts, cfg)[0]
         model = init_router(cfg.d, ctx.hr.shape[1], cfg.d_m, cfg.n_memory, 4, seed=8)
         for n_envs in (2, 5, 20):
@@ -287,17 +290,10 @@ def test_c08_planted_feature_utility_monotonicity():
         names = [f"noise{i}" for i in range(8)] + ["planted"]
         hr = np.column_stack([rng.normal(size=(n, 8)), (correct - 1.5) / 1.5])
 
-        class _Table:
-            def __init__(self, names):
-                self._names = names
-
-            def active_names(self):
-                return list(self._names)
-
         ctx = RoutingContext.__new__(RoutingContext)
         ctx.graph = g
         ctx.xtilde = g.features
-        ctx.table = _Table(names)
+        ctx.names = names
         ctx.hr = hr
         ctx.keys = np.array([], dtype=np.int64)
         ctx.queries = np.arange(n)
@@ -398,13 +394,15 @@ def test_c10_ablation_harness(suite):
         beaten = {v: 0 for v in ("no_select", "random_backend", "no_memory", "lambda0")}
         for seed in (0, 1, 2):
             cfgs = variants(seed)
+            # the variants share everything before the warm-up: the experts
+            # and the routing contexts depend on neither toggle
             bundles = prepare_graphs(train, cfgs["full"].d, cache)
-            shared_experts = pretrain_all_experts(bundles, cfgs["full"])
+            experts = pretrain_all_experts(bundles, cfgs["full"])
+            contexts = build_contexts(bundles, experts, cfgs["full"])
             aurocs = {}
             for vname, cfg in cfgs.items():
-                art = run_pipeline(
-                    cfg, train, prepared_cache=cache, pretrained=shared_experts
-                )
+                router = warmup_router(contexts, cfg)
+                art = evolve(router, bundles, contexts, experts, cfg)
                 aurocs[vname] = [
                     auroc(score_graph(art, g, prepared_cache=cache)[0], g.labels)
                     for g in test

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 
 import numpy as np
@@ -84,7 +85,7 @@ class TestEval:
             g = random_graph(rng, int(rng.integers(4, 12)), p=0.4, d=3)
             t = compute_primitives(g, g.features)
             # exercise huge/degenerate magnitudes too
-            t.matrix = t.matrix * rng.choice([1.0, 1e6, 1e-9])
+            t = dataclasses.replace(t, matrix=t.matrix * rng.choice([1.0, 1e6, 1e-9]))
             exprs = generate_candidates(backend, t, 6, rng)
             for e in exprs:
                 out = eval_expr(e, t)
@@ -119,7 +120,7 @@ class TestExprValidation:
 
     def test_decision_inactive_column_rejected(self):
         t = make_table()
-        t.set_active([n for n in t.names if n != "PR_t"])
+        t = t.with_active([n for n in t.names if n != "PR_t"])
         d = GenerationDecision("PageRank", ["PR_t"], "LOG1P")
         with pytest.raises(ExprValidationError, match="not active"):
             validate_decision(d, t)
@@ -194,7 +195,7 @@ class TestGeneration:
         t = make_table(seed=8)
         rng = np.random.default_rng(4)
         first = generate_candidates(DeterministicBackend(), t, 5, rng)
-        extend_table(t, first)
+        t = extend_table(t, first)
         assert t.matrix.shape[1] == 23 + 5
         second = generate_candidates(DeterministicBackend(), t, 20, rng)
         gen_names = {e.name for e in first}
@@ -211,11 +212,22 @@ class TestProvenance:
         t = make_table(seed=9)
         rng = np.random.default_rng(5)
         exprs = generate_candidates(DeterministicBackend(), t, 8, rng)
-        extend_table(t, exprs)
+        t = extend_table(t, exprs)
         kept = t.names[:23:3] + [exprs[2].name, exprs[5].name]
-        t.set_active(kept)
+        t = t.with_active(kept)
 
-        fresh = make_table(seed=10)
-        rebuild_columns(fresh, t.provenance, kept)
+        fresh = rebuild_columns(make_table(seed=10), t.provenance, kept)
         assert fresh.names == t.names
         assert fresh.active_names() == t.active_names()
+
+    def test_extension_and_activation_leave_the_input_table_as_it_was(self):
+        # prepared caches and routing contexts share tables without copies
+        t = make_table(seed=11)
+        matrix, names, active = t.matrix.copy(), list(t.names), t.active.copy()
+        exprs = generate_candidates(DeterministicBackend(), t, 4, np.random.default_rng(6))
+        grown = extend_table(t, exprs).with_active(names[:5])
+        rebuild_columns(t, grown.provenance, grown.active_names())
+        assert grown.matrix.shape[1] == 23 + 4
+        assert np.array_equal(t.matrix, matrix)
+        assert t.names == names and t.provenance == ["primitive"] * 23
+        assert np.array_equal(t.active, active)

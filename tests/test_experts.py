@@ -17,6 +17,7 @@ from evofg.experts import (
     sample_key_split,
     save_expert,
 )
+from evofg.checkpoint import CheckpointError
 from evofg.graph import Graph
 from evofg.numeric import finite_diff_check
 from evofg.pipeline import PipelineConfig
@@ -266,4 +267,28 @@ class TestCheckpoint:
         path = str(tmp_path / "x.bin")
         save_checkpoint(path, {"kind": "other"}, {"t": np.zeros(2)})
         with pytest.raises(ValueError):
+            load_expert(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = str(tmp_path / "x.bin")
+        save_expert(init_expert("GPR", 4, 5, 4, seed=16), path)
+        with open(path, "ab") as fh:
+            fh.write(b"\0")
+        with pytest.raises(CheckpointError, match="trailing bytes"):
+            load_expert(path)
+
+    @pytest.mark.parametrize("change", ["missing", "extra", "renamed", "reshaped"])
+    def test_tensors_must_match_the_architecture(self, tmp_path, change):
+        m = init_expert("CHEBY", 4, 5, 4, seed=17)
+        if change == "missing":
+            del m.params["cheb_w3"]
+        elif change == "extra":
+            m.params["w0"] = np.zeros((4, 5))
+        elif change == "renamed":
+            m.params["cheb_w4"] = m.params.pop("cheb_w3")
+        else:
+            m.params["wq"] = np.zeros((5, 3))
+        path = str(tmp_path / "x.bin")
+        save_expert(m, path)
+        with pytest.raises(CheckpointError, match="do not match"):
             load_expert(path)

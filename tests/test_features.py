@@ -247,8 +247,7 @@ class TestRouterFeatureTable:
         assert np.allclose(z.std(axis=0)[live], 1.0)
 
     def test_set_active_and_names(self):
-        t = self.make_table()
-        t.set_active(["PR_t", "Deg_t"])
+        t = self.make_table().with_active(["PR_t", "Deg_t"])
         assert t.active_names() == ["PR_t", "Deg_t"]
         assert t.standardized_active().shape == (4, 2)
 

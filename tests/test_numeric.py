@@ -7,11 +7,10 @@ from evofg.numeric import (
     UndefinedMetricError,
     auprc,
     auroc,
-    coeff_variation,
     finite_diff_check,
     pca_project,
 )
-from helpers import brute_force_auprc, brute_force_auroc
+from helpers import brute_force_auprc, brute_force_auroc, coeff_variation
 
 
 class TestPCA:

@@ -164,10 +164,10 @@ class TestScoreGraph:
         from evofg import dsl
 
         bundle = prepare_graphs([train[0]], cfg.d, cache)[0]
-        dsl.rebuild_columns(bundle.table, art.provenance, art.active_names)
+        table = dsl.rebuild_columns(bundle.table, art.provenance, art.active_names)
         ctx = build_contexts([bundle], art.experts, cfg)[0]
         routing = route(art.router, bundle.xtilde, bundle.graph,
-                        bundle.table.standardized_active())
+                        table.standardized_active())
         p_q = routing.weights[ctx.queries]
         h_mix = sum(p_q[:, e:e + 1] * ctx.expert_hq[e] for e in range(4))
         r_mix = sum(p_q[:, e:e + 1] * ctx.expert_recon[e] for e in range(4))
@@ -185,6 +185,19 @@ class TestScoreGraph:
         s2, r2, _ = score_graph(loaded, test[0])
         assert np.array_equal(s1, s2)
         assert np.array_equal(r1.weights, r2.weights)
+
+    def test_load_rejects_router_features_other_than_the_active_set(self, tmp_path,
+                                                                    artifacts):
+        out = str(tmp_path / "artifacts")
+        artifacts.save(out)
+        path = os.path.join(out, "features.json")
+        with open(path) as fh:
+            feats = json.load(fh)
+        feats["active"] = feats["active"][1:]
+        with open(path, "w") as fh:
+            json.dump(feats, fh)
+        with pytest.raises(ValueError, match="router.bin"):
+            RunArtifacts.load(out)
 
     def test_zero_shot_hygiene_label_file_never_opened(self, tmp_path, artifacts,
                                                        graphs, monkeypatch):
@@ -294,6 +307,89 @@ class TestCLI:
     def run(self, *argv):
         assert cli_main(list(argv)) == 0
 
+    def write_run_inputs(self, tmp_path):
+        """Two training graph directories and a tiny config file."""
+        dirs = []
+        for name, seed, kind in (("tr_a", 31, "structural"), ("tr_b", 32, "attribute")):
+            dirs.append(str(tmp_path / name))
+            self.run("gen", "--out", dirs[-1], "--nodes", "40", "--features", "8",
+                     "--rate", "0.1", "--kind", kind, "--seed", str(seed))
+        cfg_path = str(tmp_path / "cfg.json")
+        with open(cfg_path, "w") as fh:
+            json.dump({**TINY, "expert_epochs": list(TINY["expert_epochs"]),
+                       "seed": 3}, fh)
+        return dirs, cfg_path
+
+    def test_stagewise_run_matches_one_shot_bytes(self, tmp_path, monkeypatch):
+        import evofg.pipeline as pipeline_mod
+
+        dirs, cfg_path = self.write_run_inputs(tmp_path)
+        once = str(tmp_path / "once")
+        run_pipeline(PipelineConfig.from_json(cfg_path),
+                     [load_graph_dir(d) for d in dirs]).save(once)
+
+        phases = []
+        train_router = pipeline_mod.train_router
+
+        def counting_train_router(model, contexts, cfg, phase, seed):
+            phases.append(phase)
+            return train_router(model, contexts, cfg, phase, seed)
+
+        monkeypatch.setattr(pipeline_mod, "train_router", counting_train_router)
+        staged = str(tmp_path / "staged")
+        for command in ("pretrain", "warmup", "evolve"):
+            self.run(command, "--train", *dirs, "--out", staged, "--config", cfg_path)
+        assert phases == ["warmup"] + ["main"] * (TINY["rounds"] + 1)
+
+        assert sorted(os.listdir(staged)) == sorted(os.listdir(once))
+        for name in os.listdir(once):
+            with open(os.path.join(once, name), "rb") as a, \
+                    open(os.path.join(staged, name), "rb") as b:
+                assert a.read() == b.read(), name
+
+        # a rerun stage starts the rest of the run over
+        self.run("pretrain", "--train", *dirs, "--out", staged, "--config", cfg_path)
+        assert not {"router.bin", "features.json", "keys.bin",
+                    "shapley_round_1.txt"} & set(os.listdir(staged))
+
+    def test_stage_commands_name_the_missing_stage(self, tmp_path, capsys):
+        dirs, cfg_path = self.write_run_inputs(tmp_path)
+        art = str(tmp_path / "artifacts")
+        capsys.readouterr()
+        for command in ("warmup", "evolve"):
+            assert cli_main([command, "--train", *dirs, "--out", art,
+                             "--config", cfg_path]) == 2
+            assert "run `evofg pretrain` first" in capsys.readouterr().err
+        self.run("pretrain", "--train", *dirs, "--out", art, "--config", cfg_path)
+        assert cli_main(["evolve", "--train", *dirs, "--out", art,
+                         "--config", cfg_path]) == 2
+        assert "run `evofg warmup` first" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(art, "features.json"))
+        # evolve resumes from the warmed-up router, which a finished run has replaced
+        self.run("warmup", "--train", *dirs, "--out", art, "--config", cfg_path)
+        self.run("evolve", "--train", *dirs, "--out", art, "--config", cfg_path)
+        capsys.readouterr()
+        assert cli_main(["evolve", "--train", *dirs, "--out", art,
+                         "--config", cfg_path]) == 2
+        assert "run `evofg warmup` first" in capsys.readouterr().err
+
+    def test_stage_commands_reject_a_different_config(self, tmp_path, capsys):
+        dirs, cfg_path = self.write_run_inputs(tmp_path)
+        art = str(tmp_path / "artifacts")
+        self.run("pretrain", "--train", *dirs, "--out", art, "--config", cfg_path)
+        capsys.readouterr()
+        reseeded = ["--train", *dirs, "--out", art, "--config", cfg_path, "--seed", "4"]
+        assert cli_main(["warmup", *reseeded]) == 2
+        assert not os.path.exists(os.path.join(art, "router.bin"))
+        errors = capsys.readouterr().err
+        self.run("warmup", "--train", *dirs, "--out", art, "--config", cfg_path)
+        assert cli_main(["evolve", *reseeded]) == 2
+        assert not os.path.exists(os.path.join(art, "features.json"))
+        errors = (errors + capsys.readouterr().err).splitlines()
+        assert len(errors) == 2
+        for err in errors:
+            assert "config differs" in err and "in seed:" in err
+
     def test_full_stagewise_flow(self, tmp_path, capsys):
         gdir = {}
         for name, seed, kind in (("tr", 21, "structural"), ("te", 22, "mixed")):
@@ -347,27 +443,13 @@ class TestCLI:
         assert a.equals(b)
 
     def test_ablation_flags_reach_config(self, tmp_path):
-        import evofg.cli as cli_mod
+        from evofg.cli import _load_config, build_parser
 
-        seen = {}
-
-        def fake_run(cfg, graphs, **kw):
-            seen["cfg"] = cfg
-            raise SystemExit(0)
-
-        gdir = str(tmp_path / "g")
-        self.run("gen", "--out", gdir, "--nodes", "30", "--features", "5",
-                 "--rate", "0.1", "--seed", "5")
-        orig = cli_mod.run_pipeline
-        cli_mod.run_pipeline = fake_run
-        try:
-            with pytest.raises(SystemExit):
-                cli_main(["evolve", "--train", gdir, "--out", str(tmp_path / "a"),
-                          "--no-select", "--no-memory", "--lambda", "0",
-                          "--reset-final", "--random-backend", "--seed", "9"])
-        finally:
-            cli_mod.run_pipeline = orig
-        cfg = seen["cfg"]
+        args = build_parser().parse_args(
+            ["evolve", "--train", str(tmp_path / "g"), "--out", str(tmp_path / "a"),
+             "--no-select", "--no-memory", "--lambda", "0",
+             "--reset-final", "--random-backend", "--seed", "9"])
+        cfg = _load_config(args)
         assert cfg.no_select and cfg.no_memory and cfg.random_backend
         assert cfg.reset_final
         assert cfg.lam == 0.0

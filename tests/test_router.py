@@ -27,6 +27,7 @@ from evofg.router import (
     train_router,
     _env_losses_t,
 )
+from evofg.checkpoint import CheckpointError
 from evofg.graph import gen_synthetic
 from helpers import fd_adapters, random_graph
 
@@ -78,6 +79,11 @@ class TestRoute:
         o2 = route(model, b.xtilde, b.graph, ctx.hr, train_mode=True,
                    rng=np.random.default_rng(1))
         assert not np.array_equal(o1.logits, o2.logits)
+
+    def test_train_mode_needs_an_rng(self, setup):
+        cfg, b, ctx, model = setup
+        with pytest.raises(ValueError, match="rng"):
+            route(model, b.xtilde, b.graph, ctx.hr, train_mode=True)
 
     def test_identical_scale_vectors_give_uniform_weights(self, setup):
         cfg, b, ctx, _ = setup
@@ -205,7 +211,7 @@ class TestBalance:
 class TestUtility:
     def test_full_subset_matches_direct_kl(self, setup):
         cfg, b, ctx, model = setup
-        v = routing_utility(model, frozenset(ctx.table.active_names()), [ctx])
+        v = routing_utility(model, frozenset(ctx.names), [ctx])
         out = route(model, b.xtilde, b.graph, ctx.hr)
         direct = -kl_router_loss(ctx.q_matrix, out.logits[ctx.queries])
         assert v == pytest.approx(direct, abs=1e-12)
@@ -217,7 +223,7 @@ class TestUtility:
 
     def test_utility_is_pure(self, setup):
         cfg, b, ctx, model = setup
-        s = frozenset(list(ctx.table.active_names())[:7])
+        s = frozenset(ctx.names[:7])
         assert routing_utility(model, s, [ctx]) == routing_utility(model, s, [ctx])
 
 
@@ -318,7 +324,7 @@ class TestTraining:
 class TestRouterCheckpoint:
     def test_roundtrip(self, tmp_path, setup):
         cfg, b, ctx, model = setup
-        names = ctx.table.active_names()
+        names = ctx.names
         path = str(tmp_path / "router.bin")
         save_router(model, path, names)
         m2, names2 = load_router(path)
@@ -327,6 +333,15 @@ class TestRouterCheckpoint:
         assert m2.use_memory == model.use_memory
         for k in model.params:
             assert np.array_equal(m2.params[k], model.params[k])
+
+    def test_tensors_must_match_the_architecture(self, tmp_path, setup):
+        cfg, b, ctx, model = setup
+        path = str(tmp_path / "router.bin")
+        broken = init_router(cfg.d, 3, cfg.d_m, cfg.n_memory, 4, seed=19)
+        del broken.params["noise_w"]
+        save_router(broken, path, ["a", "b", "c"])
+        with pytest.raises(CheckpointError, match="do not match"):
+            load_router(path)
 
 
 def test_routing_frequency_normalized():

@@ -4,11 +4,10 @@ import pytest
 from evofg.shapley import (
     ShapleyStats,
     estimate_contributions,
-    exact_shapley,
     format_stats,
-    mean_marginal_oracle,
     select_features,
 )
+from helpers import exact_shapley, mean_marginal_oracle
 
 FEATURES8 = [f"f{i}" for i in range(8)]
 
