@@ -86,11 +86,11 @@ def _toposort(root):
 
 
 def _acc(node, g):
+    # the first gradient is stored as given (it may be another node's array),
+    # so later ones are added out of place
     if not node.requires_grad:
         return
-    if node.grad is None:
-        node.grad = np.zeros_like(node.value)
-    node.grad += g
+    node.grad = g if node.grad is None else node.grad + g
 
 
 def _unbroadcast(g, shape):
@@ -209,8 +209,7 @@ def spmm(s, x):
     """Sparse-constant @ dense: s is a fixed scipy sparse matrix."""
     x = wrap(x)
     out = Tensor(s @ x.value, (x,))
-    st = s.T.tocsr()
-    out._backward = lambda g: _acc(x, st @ g)
+    out._backward = lambda g: _acc(x, s.T @ g)
     return out
 
 
@@ -362,16 +361,17 @@ def scale_rows(a, w):
     return out
 
 
-def col(a, j):
-    a = wrap(a)
-    out = Tensor(a.value[:, j], (a,))
-
-    def bw(g):
-        acc = np.zeros_like(a.value)
-        acc[:, j] = g
-        _acc(a, acc)
-
-    out._backward = bw
+def mix_rows(p, mats):
+    """Per-row mixture sum_e p[:, e] * mats[e] of constant R x d matrices by
+    the columns of p (R x E), summed in expert order."""
+    p = wrap(p)
+    acc = mats[0] * p.value[:, 0, None]
+    for e in range(1, len(mats)):
+        acc = acc + mats[e] * p.value[:, e, None]
+    out = Tensor(acc, (p,))
+    out._backward = lambda g: _acc(
+        p, np.stack([(g * m).sum(axis=1) for m in mats], axis=1)
+    )
     return out
 
 

@@ -33,8 +33,9 @@ def pca_project(x: np.ndarray, d: int) -> np.ndarray:
     Directions come from the eigendecomposition of the covariance of the
     column-centered input, ordered by descending explained variance. Sign
     convention: each direction's largest-magnitude coordinate is positive.
-    Directions beyond the numerical rank are zeroed (logged), and columns
-    beyond the input width are zero-padded up to width d.
+    Directions beyond the numerical rank are zeroed, and columns beyond the
+    input width are zero-padded up to width d. A rank below what the input's
+    shape allows, min(N - 1, width, d), is logged as a warning.
     """
     x = np.asarray(x, dtype=np.float64)
     n, d_ori = x.shape
@@ -48,11 +49,16 @@ def pca_project(x: np.ndarray, d: int) -> np.ndarray:
     evecs = evecs[:, order]
     tol = max(n, d_ori) * np.finfo(np.float64).eps * max(evals.max(initial=0.0), 1e-30)
     rank_ok = evals > tol
-    if rank_ok.sum() < d:
-        log.warning(
-            "pca_project: rank %d below requested %d; padding with zero directions",
-            int(rank_ok.sum()),
-            d,
+    rank = int(rank_ok.sum())
+    if rank < d:
+        # centered rows span at most N - 1 directions: padding up to that
+        # bound is the defined behaviour for small or narrow inputs
+        shape_rank = min(n - 1, d_ori, d)
+        log.log(
+            logging.WARNING if rank < shape_rank else logging.DEBUG,
+            "pca_project: rank %d below requested %d (at most %d for a %d x %d "
+            "input); padding with zero directions",
+            rank, d, shape_rank, n, d_ori,
         )
         evecs = evecs * rank_ok[None, :]
     for k in range(evecs.shape[1]):

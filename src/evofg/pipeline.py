@@ -27,6 +27,7 @@ from .preprocess import align
 from .router import (
     RoutingContext,
     aggregate,
+    freeze_node_branch,
     init_router,
     load_router,
     resize_router,
@@ -344,9 +345,12 @@ def evolve(router_model, bundles, contexts, models, cfg: PipelineConfig) -> RunA
         resize_router(
             router_model, len(active), derive_seed(cfg.seed, "resize-gen", r)
         )
+        # the router is frozen until the retrain below: its node branch is
+        # computed once for the round's utility calls
+        frozen = freeze_node_branch(router_model, contexts)
         stats = estimate_contributions(
             active,
-            lambda s: routing_utility(router_model, s, contexts),
+            lambda s: routing_utility(router_model, s, frozen),
             cfg.shapley_iters,
             derive_seed(cfg.seed, "shapley", r),
         )

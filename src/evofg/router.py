@@ -99,32 +99,47 @@ def resize_router(model: RouterModel, new_d_r, seed) -> None:
     model.dims = (d, new_d_r, d_m, n_memory, n_experts)
 
 
-def route_t(lv, xtilde, g, hr, noise=None, use_memory=True):
-    """Tape forward; hr is the (possibly masked) standardized feature matrix
-    and noise, when given, is a fixed N x E standard-normal draw."""
+def node_branch_t(lv, xtilde, g, use_memory=True):
+    """The mask-independent half of the forward: node queries propagated by
+    ``gnn_w`` and, with memory, their node-memory retrieval. Returns
+    (retrieved node embedding, node-memory attention or None)."""
+    hn_q = ad.tanh(
+        ad.spmm(g.sym_norm_selfloops(), ad.matmul(ad.wrap(xtilde), lv["gnn_w"]))
+    )
+    if not use_memory:
+        return hn_q, None
+    s_n = ad.row_softmax(ad.matmul(hn_q, ad.transpose(lv["mem_node"])))
+    return ad.matmul(s_n, lv["mem_node"]), s_n
+
+
+def feature_branch_t(lv, hn_m, hr, noise=None, use_memory=True):
+    """The feature half of the forward on the rows of a node-branch output
+    ``hn_m``: logits, routing weights and the feature-memory attention."""
     if hr.shape[1] != lv["proj_w"].value.shape[0]:
         raise ValueError(
             f"feature width {hr.shape[1]} != router width {lv['proj_w'].value.shape[0]}"
         )
-    hn_q = ad.tanh(
-        ad.spmm(g.sym_norm_selfloops(), ad.matmul(ad.wrap(xtilde), lv["gnn_w"]))
-    )
     hr_q = ad.add(ad.matmul(ad.wrap(hr), lv["proj_w"]), lv["proj_b"])
+    s_r = None
+    hr_m = hr_q
     if use_memory:
-        s_n = ad.row_softmax(ad.matmul(hn_q, ad.transpose(lv["mem_node"])))
         s_r = ad.row_softmax(ad.matmul(hr_q, ad.transpose(lv["mem_feat"])))
-        hn_m = ad.matmul(s_n, lv["mem_node"])
         hr_m = ad.matmul(s_r, lv["mem_feat"])
-    else:
-        s_n = s_r = None
-        hn_m, hr_m = hn_q, hr_q
     logits = ad.matmul(ad.mul(hr_m, hn_m), ad.transpose(lv["scale"]))
     if noise is not None:
         logits = ad.add(
             logits,
             ad.mul(ad.wrap(noise), ad.softplus(ad.matmul(ad.wrap(hr), lv["noise_w"]))),
         )
-    return {"G": logits, "P": ad.row_softmax(logits), "S_n": s_n, "S_r": s_r}
+    return {"G": logits, "P": ad.row_softmax(logits), "S_r": s_r}
+
+
+def route_t(lv, xtilde, g, hr, noise=None, use_memory=True):
+    """Tape forward, the node branch composed with the feature branch; hr is
+    the (possibly masked) standardized feature matrix and noise, when given,
+    is a fixed N x E standard-normal draw."""
+    hn_m, s_n = node_branch_t(lv, xtilde, g, use_memory)
+    return {**feature_branch_t(lv, hn_m, hr, noise, use_memory), "S_n": s_n}
 
 
 def route(model: RouterModel, xtilde, g, hr, train_mode=False, rng=None, mask=None):
@@ -151,15 +166,6 @@ def route(model: RouterModel, xtilde, g, hr, train_mode=False, rng=None, mask=No
     )
 
 
-def aggregate_t(p_rows, expert_mats):
-    """Convex per-node mixture of frozen expert matrices by routing weights."""
-    acc = None
-    for e, mat in enumerate(expert_mats):
-        term = ad.scale_rows(ad.wrap(mat), ad.col(p_rows, e))
-        acc = term if acc is None else ad.add(acc, term)
-    return acc
-
-
 def aggregate(p, expert_h, expert_recon):
     """Soft aggregation of expert embeddings and reconstructions; returns
     (H_final, H_recon_final) as arrays."""
@@ -167,8 +173,7 @@ def aggregate(p, expert_h, expert_recon):
         for m in mats:
             if m.shape[0] != p.shape[0]:
                 raise ValueError("routing weight rows do not match expert rows")
-    pt = ad.wrap(p)
-    return aggregate_t(pt, expert_h).value, aggregate_t(pt, expert_recon).value
+    return ad.mix_rows(p, expert_h).value, ad.mix_rows(p, expert_recon).value
 
 
 def normalize_targets(q, n_experts):
@@ -247,29 +252,56 @@ class RoutingContext:
         return ctx
 
 
-def routing_utility(model: RouterModel, subset, contexts) -> float:
+@dataclass(frozen=True)
+class FrozenNodeBranch:
+    """A context's routing material for one round of contribution
+    estimation, during which the router does not change: the node branch's
+    rows at the queries, next to the queries' features and targets."""
+
+    names: list
+    node_q: np.ndarray
+    hr_q: np.ndarray
+    q_matrix: np.ndarray
+
+
+def freeze_node_branch(model: RouterModel, contexts):
+    """Each context's node branch under ``model`` as it is now; rebuild it
+    whenever the router's parameters change."""
+    lv = ad.leaves(model.params)
+    frozen = []
+    for ctx in contexts:
+        node, _ = node_branch_t(lv, ctx.xtilde, ctx.graph, model.use_memory)
+        frozen.append(FrozenNodeBranch(
+            ctx.names, node.value[ctx.queries], ctx.hr[ctx.queries], ctx.q_matrix
+        ))
+    return frozen
+
+
+def routing_utility(model: RouterModel, subset, frozen) -> float:
     """Alignment utility of a feature subset: minus the mean KL between the
     correctness targets and deterministic routing on the masked features
-    (non-members zeroed at fixed width). Larger is better."""
-    names = contexts[0].names
+    (non-members zeroed at fixed width). Larger is better. ``frozen`` is
+    ``freeze_node_branch(model, contexts)``; only the feature branch runs."""
+    names = frozen[0].names
     member = set(subset)
     mask = np.array([1.0 if n in member else 0.0 for n in names])
+    lv = ad.leaves(model.params)
     vals = []
-    for ctx in contexts:
-        lv = ad.leaves(model.params)
-        out = route_t(lv, ctx.xtilde, ctx.graph, ctx.hr * mask, None, model.use_memory)
-        g_q = out["G"].value[ctx.queries]
-        vals.append(kl_router_loss(ctx.q_matrix, g_q))
+    for f in frozen:
+        out = feature_branch_t(lv, ad.wrap(f.node_q), f.hr_q * mask, None, model.use_memory)
+        vals.append(kl_router_loss(f.q_matrix, out["G"].value))
     return -float(np.mean(vals))
 
 
-def _env_losses_t(lv, ctx, masks, noise, use_memory):
+def _env_losses_t(lv, ctx, node, masks, noise, use_memory):
+    """Anomaly loss per masked-feature environment; every environment routes
+    on the same node-branch output ``node``."""
     losses = []
     for mask in masks:
-        out = route_t(lv, ctx.xtilde, ctx.graph, ctx.hr * mask, noise, use_memory)
+        out = feature_branch_t(lv, node, ctx.hr * mask, noise, use_memory)
         p_q = ad.gather_rows(out["P"], ctx.queries)
-        hq = aggregate_t(p_q, ctx.expert_hq)
-        rec = aggregate_t(p_q, ctx.expert_recon)
+        hq = ad.mix_rows(p_q, ctx.expert_hq)
+        rec = ad.mix_rows(p_q, ctx.expert_recon)
         losses.append(anomaly_loss_t(hq, rec, ctx.y_q))
     return losses
 
@@ -283,28 +315,6 @@ def _combine_env_losses_t(losses, lam):
     dev = ad.sub(vec, mean)
     var = ad.tmean(ad.mul(dev, dev))
     return ad.add(mean, ad.mul(var, lam))
-
-
-def invariant_env_draws(ctx, n_envs, mask_rate, seed):
-    """Masks (one per environment) plus a single noise draw shared by all
-    environments, so identical masks give identical environments."""
-    rng = np.random.default_rng(seed)
-    d_r = ctx.hr.shape[1]
-    masks = (rng.random((n_envs, d_r)) >= mask_rate).astype(np.float64)
-    noise = rng.standard_normal((ctx.graph.num_nodes, ctx.q_matrix.shape[1]))
-    return masks, noise
-
-
-def invariant_loss(model, ctx, n_envs, lam, mask_rate, seed):
-    """Mean masked-environment anomaly loss plus lam times its population
-    variance; returns (value, per-environment trace)."""
-    if n_envs < 2:
-        raise ValueError("invariant loss needs at least 2 environments")
-    masks, noise = invariant_env_draws(ctx, n_envs, mask_rate, seed)
-    lv = ad.leaves(model.params)
-    losses = _env_losses_t(lv, ctx, masks, noise, model.use_memory)
-    total = _combine_env_losses_t(losses, lam)
-    return float(total.value), [float(l.value) for l in losses]
 
 
 def train_router(model, contexts, cfg, phase, seed):
@@ -326,13 +336,16 @@ def train_router(model, contexts, cfg, phase, seed):
                 g_q = ad.gather_rows(out["G"], ctx.queries)
                 graph_losses.append(kl_router_loss_t(ctx.q_matrix, g_q))
             else:
+                # one node branch per graph and epoch, shared by the
+                # environments and the clean balance pass
+                node, _ = node_branch_t(lv, ctx.xtilde, ctx.graph, model.use_memory)
                 d_r = ctx.hr.shape[1]
                 masks = (rng.random((cfg.n_envs, d_r)) >= cfg.mask_rate).astype(float)
                 env_noise = rng.standard_normal((n, n_experts))
-                env = _env_losses_t(lv, ctx, masks, env_noise, model.use_memory)
+                env = _env_losses_t(lv, ctx, node, masks, env_noise, model.use_memory)
                 l_in = _combine_env_losses_t(env, cfg.lam)
                 clean_noise = rng.standard_normal((n, n_experts))
-                out = route_t(lv, ctx.xtilde, ctx.graph, ctx.hr, clean_noise, model.use_memory)
+                out = feature_branch_t(lv, node, ctx.hr, clean_noise, model.use_memory)
                 l_moe = balance_loss_t(
                     ad.gather_rows(out["P"], ctx.queries),
                     ad.gather_rows(out["G"], ctx.queries),

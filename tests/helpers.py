@@ -8,7 +8,15 @@ from math import factorial
 import numpy as np
 
 from evofg import autodiff as ad
+from evofg.experts import anomaly_loss_t
 from evofg.graph import Graph
+from evofg.router import (
+    _combine_env_losses_t,
+    _env_losses_t,
+    kl_router_loss,
+    node_branch_t,
+    route_t,
+)
 
 
 def graph_from_edges(n, edges, d=3, labels=None, seed=0, name="toy"):
@@ -103,6 +111,57 @@ def fd_adapters(build_loss, params):
         return flatten_params(ad.grads(lv), names)
 
     return loss_fn, grad_fn, flatten_params(params, names)
+
+
+def invariant_env_draws(ctx, n_envs, mask_rate, seed):
+    """Masks (one per environment) plus a single noise draw shared by all
+    environments, so identical masks give identical environments."""
+    rng = np.random.default_rng(seed)
+    d_r = ctx.hr.shape[1]
+    masks = (rng.random((n_envs, d_r)) >= mask_rate).astype(np.float64)
+    noise = rng.standard_normal((ctx.graph.num_nodes, ctx.q_matrix.shape[1]))
+    return masks, noise
+
+
+def invariant_loss(model, ctx, n_envs, lam, mask_rate, seed):
+    """Mean masked-environment anomaly loss plus lam times its population
+    variance, as the router's main phase builds it; returns (value,
+    per-environment trace)."""
+    if n_envs < 2:
+        raise ValueError("invariant loss needs at least 2 environments")
+    masks, noise = invariant_env_draws(ctx, n_envs, mask_rate, seed)
+    lv = ad.leaves(model.params)
+    node, _ = node_branch_t(lv, ctx.xtilde, ctx.graph, model.use_memory)
+    losses = _env_losses_t(lv, ctx, node, masks, noise, model.use_memory)
+    total = _combine_env_losses_t(losses, lam)
+    return float(total.value), [float(l.value) for l in losses]
+
+
+def per_env_route_losses_t(lv, ctx, masks, noise, use_memory):
+    """Reference for ``_env_losses_t``: one full ``route_t`` forward, node
+    branch included, per environment."""
+    losses = []
+    for mask in masks:
+        out = route_t(lv, ctx.xtilde, ctx.graph, ctx.hr * mask, noise, use_memory)
+        p_q = ad.gather_rows(out["P"], ctx.queries)
+        hq = ad.mix_rows(p_q, ctx.expert_hq)
+        rec = ad.mix_rows(p_q, ctx.expert_recon)
+        losses.append(anomaly_loss_t(hq, rec, ctx.y_q))
+    return losses
+
+
+def full_forward_utility(model, subset, contexts):
+    """Reference for ``routing_utility``: a full ``route_t`` forward on every
+    node of each context under the router as it is now, then the query
+    rows."""
+    member = set(subset)
+    mask = np.array([1.0 if n in member else 0.0 for n in contexts[0].names])
+    vals = []
+    for ctx in contexts:
+        lv = ad.leaves(model.params)
+        out = route_t(lv, ctx.xtilde, ctx.graph, ctx.hr * mask, None, model.use_memory)
+        vals.append(kl_router_loss(ctx.q_matrix, out["G"].value[ctx.queries]))
+    return -float(np.mean(vals))
 
 
 def brute_force_distances(g: Graph):

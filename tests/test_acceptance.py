@@ -41,10 +41,10 @@ from evofg.router import (
     _combine_env_losses_t,
     _env_losses_t,
     balance_loss_t,
+    freeze_node_branch,
     init_router,
-    invariant_env_draws,
-    invariant_loss,
     kl_router_loss_t,
+    node_branch_t,
     route,
     route_t,
     routing_utility,
@@ -58,6 +58,8 @@ from helpers import (
     brute_force_closeness,
     cycle_graph,
     fd_adapters,
+    invariant_env_draws,
+    invariant_loss,
     mean_marginal_oracle,
     random_graph,
 )
@@ -181,7 +183,8 @@ def test_c03_gradient_checks():
         masks, noise = invariant_env_draws(ctx, 3, 0.3, 12)
 
         def build_inv(lv):
-            env = _env_losses_t(lv, ctx, masks, noise, True)
+            node, _ = node_branch_t(lv, ctx.xtilde, ctx.graph, True)
+            env = _env_losses_t(lv, ctx, node, masks, noise, True)
             return _combine_env_losses_t(env, 0.8)
 
         rep = finite_diff_check(*fd_adapters(build_inv, model.params))
@@ -306,13 +309,14 @@ def test_c08_planted_feature_utility_monotonicity():
         train_router(model, [ctx], warm_cfg, "warmup", seed=12)
 
         noise_names = names[:-1]
+        frozen = freeze_node_branch(model, [ctx])
         good = 0
         for _ in range(50):
             subset = frozenset(
                 f for f in noise_names if rng.random() < 0.5
             )
-            v_without = routing_utility(model, subset, [ctx])
-            v_with = routing_utility(model, subset | {"planted"}, [ctx])
+            v_without = routing_utility(model, subset, frozen)
+            v_with = routing_utility(model, subset | {"planted"}, frozen)
             good += int(v_with >= v_without)
         assert good >= 48, f"monotonicity held for only {good}/50 subsets"
 

@@ -35,7 +35,7 @@ def test_sparse_segment_and_gather_ops_gradient():
         rows = ad.gather_rows(h, idx)
         alpha = ad.segment_softmax(ad.leaky_relu(lv["a"], 0.2), seg, 3)
         mixed = ad.segment_sum_rows(ad.scale_rows(rows, alpha), seg, 3)
-        c0 = ad.col(mixed, 0)
+        c0 = ad.matvec(mixed, np.array([1.0, 0.0, 0.0]))
         lo = ad.vec_min(ad.tsum(mixed, axis=1))
         return ad.add(ad.tmean(ad.mul(c0, c0)), ad.mul(lo, 0.3))
 
@@ -95,3 +95,35 @@ def test_grad_accumulates_over_shared_use():
     y = ad.mul(lv["w"], lv["w"])  # w^2: dy/dw = 2w
     ad.tsum(y).backward()
     assert np.allclose(lv["w"].grad, [4.0])
+
+
+def test_mix_rows_gradient_and_expert_order_sum():
+    rng = np.random.default_rng(4)
+    params = {"w": rng.normal(size=(5, 3))}
+    mats = [rng.normal(size=(5, 2)) for _ in range(3)]
+    recs = [rng.normal(size=(5, 2)) for _ in range(3)]
+
+    def build(lv):
+        p = ad.row_softmax(lv["w"])
+        h = ad.mix_rows(p, mats)
+        r = ad.mix_rows(p, recs)  # a second use of the same weights
+        d = ad.sub(h, r)
+        return ad.tmean(ad.mul(d, d))
+
+    loss_fn, grad_fn, vec = fd_adapters(build, params)
+    rep = finite_diff_check(loss_fn, grad_fn, vec)
+    assert rep.max_rel_err < 1e-7
+
+    p = rng.dirichlet(np.ones(3), size=5)
+    chain = (mats[0] * p[:, 0, None] + mats[1] * p[:, 1, None]) + mats[2] * p[:, 2, None]
+    assert np.array_equal(ad.mix_rows(p, mats).value, chain)
+
+
+def test_first_gradient_shared_by_two_inputs_stays_separate():
+    # add hands the same upstream array to both inputs; a later contribution
+    # to one of them must not change the other's gradient
+    lv = ad.leaves({"a": np.array([1.0, 2.0]), "b": np.array([3.0, -1.0])})
+    y = ad.add(lv["a"], lv["b"])
+    ad.tsum(ad.add(y, lv["a"])).backward()
+    assert np.array_equal(lv["a"].grad, [2.0, 2.0])
+    assert np.array_equal(lv["b"].grad, [1.0, 1.0])

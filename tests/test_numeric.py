@@ -60,6 +60,24 @@ class TestPCA:
         assert np.allclose(proj[:, 2:], 0.0)
         assert any("rank" in r.message for r in caplog.records)
 
+    def test_narrow_full_rank_input_pads_without_warning(self, caplog):
+        # 24 attribute columns projected to d = 32: padding is what the shape
+        # forces, logged at debug level only
+        x = np.random.default_rng(6).normal(size=(120, 24))
+        with caplog.at_level("DEBUG", logger="evofg.numeric"):
+            proj = pca_project(x, 32)
+        assert not proj[:, 24:].any()
+        assert not [r for r in caplog.records if r.levelname == "WARNING"]
+        assert any(r.levelname == "DEBUG" and "rank 24" in r.message
+                   for r in caplog.records)
+
+    def test_constant_features_warn(self, caplog):
+        with caplog.at_level("WARNING", logger="evofg.numeric"):
+            proj = pca_project(np.ones((50, 24)), 32)
+        assert not proj.any()
+        assert any(r.levelname == "WARNING" and "rank 0" in r.message
+                   for r in caplog.records)
+
     def test_d_out_of_range(self):
         # d above the node count or the input width: project to the
         # available rank, zero-pad to width d

@@ -5,21 +5,27 @@ import os
 import numpy as np
 import pytest
 
+from evofg import pipeline
 from evofg.cli import main as cli_main
 from evofg.graph import Graph, gen_synthetic, load_graph_dir, save_graph
 from evofg.pipeline import (
     PipelineConfig,
     RunArtifacts,
     StageError,
+    build_contexts,
     derive_rng,
     evaluate_runs,
     evaluate_scored,
+    evolve,
+    prepare_graphs,
+    pretrain_all_experts,
     report_to_json,
     report_to_text,
     run_pipeline,
     score_graph,
+    warmup_router,
 )
-from helpers import degenerate_graphs
+from helpers import degenerate_graphs, full_forward_utility
 
 TINY = dict(
     d=5, d_e=6, d_prime=5, d_m=6, n_memory=4,
@@ -94,6 +100,43 @@ class TestRunPipeline:
                 }
             reports.append(report_to_json(evaluate_scored(scored)).encode())
         assert reports[0] == reports[1]
+
+
+    def test_each_round_evaluates_subsets_on_its_own_frozen_router(self, graphs,
+                                                                   monkeypatch):
+        train, _ = graphs
+        cfg = tiny_cfg(seed=12)
+        bundles = prepare_graphs(train, cfg.d, {})
+        models = pretrain_all_experts(bundles, cfg)
+        contexts = build_contexts(bundles, models, cfg)
+        router_model = warmup_router(contexts, cfg)
+        rounds = []  # (frozen material, contexts it was built from, gnn_w then)
+        calls = []
+
+        def recording_freeze(model, ctxs):
+            frozen = real_freeze(model, ctxs)
+            rounds.append((frozen, ctxs, model.params["gnn_w"].copy()))
+            return frozen
+
+        def checking_utility(model, subset, frozen):
+            r = next(i for i, (f, _, _) in enumerate(rounds) if f is frozen)
+            assert r == len(rounds) - 1  # the current round's material
+            value = real_utility(model, subset, frozen)
+            ref = full_forward_utility(model, subset, rounds[r][1])
+            assert value == pytest.approx(ref, rel=1e-12)
+            calls.append(r)
+            return value
+
+        real_freeze, real_utility = pipeline.freeze_node_branch, pipeline.routing_utility
+        monkeypatch.setattr(pipeline, "freeze_node_branch", recording_freeze)
+        monkeypatch.setattr(pipeline, "routing_utility", checking_utility)
+        evolve(router_model, bundles, contexts, models, cfg)
+
+        assert len(rounds) == cfg.rounds
+        for r, (frozen, _, _) in enumerate(rounds):
+            assert calls.count(r) == cfg.shapley_iters * (len(frozen[0].names) + 2)
+        # round 2 runs on a router the round-1 retrain changed in place
+        assert not np.array_equal(rounds[0][2], rounds[1][2])
 
 
 class TestScoreGraph:

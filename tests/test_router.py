@@ -11,12 +11,12 @@ from evofg.router import (
     aggregate,
     balance_loss,
     balance_loss_t,
+    freeze_node_branch,
     init_router,
-    invariant_env_draws,
-    invariant_loss,
     kl_router_loss,
     kl_router_loss_t,
     load_router,
+    node_branch_t,
     normalize_targets,
     resize_router,
     route,
@@ -29,7 +29,13 @@ from evofg.router import (
 )
 from evofg.checkpoint import CheckpointError
 from evofg.graph import gen_synthetic
-from helpers import fd_adapters, random_graph
+from helpers import (
+    fd_adapters,
+    full_forward_utility,
+    invariant_env_draws,
+    invariant_loss,
+    per_env_route_losses_t,
+)
 
 
 def tiny_cfg(**kw):
@@ -43,7 +49,7 @@ def tiny_cfg(**kw):
 
 
 @pytest.fixture(scope="module")
-def setup():
+def pretrained():
     cfg = tiny_cfg()
     g = gen_synthetic(24, 6, 0.15, structure_seed=3, planted_kind="mixed")
     bundle = prepare_graph(g, cfg.d)
@@ -51,6 +57,12 @@ def setup():
         pretrain_expert(a, [(bundle.graph, bundle.xtilde)], cfg, seed=i)[0]
         for i, a in enumerate(ARCHS)
     ]
+    return cfg, bundle, experts
+
+
+@pytest.fixture(scope="module")
+def setup(pretrained):
+    cfg, bundle, experts = pretrained
     ctx = build_contexts([bundle], experts, cfg)[0]
     model = init_router(cfg.d, ctx.hr.shape[1], cfg.d_m, cfg.n_memory, 4, seed=5)
     return cfg, bundle, ctx, model
@@ -211,20 +223,52 @@ class TestBalance:
 class TestUtility:
     def test_full_subset_matches_direct_kl(self, setup):
         cfg, b, ctx, model = setup
-        v = routing_utility(model, frozenset(ctx.names), [ctx])
+        v = routing_utility(model, frozenset(ctx.names), freeze_node_branch(model, [ctx]))
         out = route(model, b.xtilde, b.graph, ctx.hr)
         direct = -kl_router_loss(ctx.q_matrix, out.logits[ctx.queries])
         assert v == pytest.approx(direct, abs=1e-12)
 
     def test_empty_subset_finite(self, setup):
         cfg, b, ctx, model = setup
-        v = routing_utility(model, frozenset(), [ctx])
+        v = routing_utility(model, frozenset(), freeze_node_branch(model, [ctx]))
         assert np.isfinite(v)
 
     def test_utility_is_pure(self, setup):
         cfg, b, ctx, model = setup
         s = frozenset(ctx.names[:7])
-        assert routing_utility(model, s, [ctx]) == routing_utility(model, s, [ctx])
+        frozen = freeze_node_branch(model, [ctx])
+        assert routing_utility(model, s, frozen) == routing_utility(model, s, frozen)
+
+    @pytest.mark.parametrize("use_memory", [True, False])
+    def test_frozen_branch_matches_full_forward(self, setup, pretrained, use_memory):
+        cfg, b, ctx, _ = setup
+        experts = pretrained[2]
+        model = init_router(cfg.d, ctx.hr.shape[1], cfg.d_m, cfg.n_memory, 4, seed=20,
+                            use_memory=use_memory)
+        other = prepare_graph(
+            gen_synthetic(20, 5, 0.15, structure_seed=4, planted_kind="mixed"), cfg.d
+        )
+        ctx2 = build_contexts([other], experts, cfg)[0]
+        frozen = freeze_node_branch(model, [ctx, ctx2])
+        rng = np.random.default_rng(21)
+        for _ in range(10):
+            s = frozenset(n for n in ctx.names if rng.random() < 0.5)
+            ref = full_forward_utility(model, s, [ctx, ctx2])
+            assert routing_utility(model, s, frozen) == pytest.approx(ref, rel=1e-12)
+
+    def test_frozen_branch_goes_stale_when_the_router_trains(self, setup):
+        cfg, b, ctx, _ = setup
+        model = init_router(cfg.d, ctx.hr.shape[1], cfg.d_m, cfg.n_memory, 4, seed=22)
+        s = frozenset(ctx.names[::2])
+        frozen = freeze_node_branch(model, [ctx])
+        before = routing_utility(model, s, frozen)
+        train_router(model, [ctx], tiny_cfg(lr=0.05), "main", seed=23)  # in place
+        ref = full_forward_utility(model, s, [ctx])
+        assert ref != pytest.approx(before, rel=1e-6)
+        # the old material no longer describes the router; a rebuild does
+        assert routing_utility(model, s, frozen) != pytest.approx(ref, rel=1e-6)
+        rebuilt = freeze_node_branch(model, [ctx])
+        assert routing_utility(model, s, rebuilt) == pytest.approx(ref, rel=1e-12)
 
 
 class TestInvariantLoss:
@@ -251,6 +295,34 @@ class TestInvariantLoss:
         with pytest.raises(ValueError):
             invariant_loss(model, ctx, 1, lam=0.5, mask_rate=0.2, seed=11)
 
+    @pytest.mark.parametrize("use_memory", [True, False])
+    def test_shared_node_branch_matches_per_environment_forward(self, setup, use_memory):
+        cfg, b, ctx, _ = setup
+        model = init_router(cfg.d, ctx.hr.shape[1], cfg.d_m, cfg.n_memory, 4, seed=24,
+                            use_memory=use_memory)
+        masks, noise = invariant_env_draws(ctx, 5, 0.3, 25)
+
+        def shared(lv):
+            node, _ = node_branch_t(lv, ctx.xtilde, ctx.graph, use_memory)
+            return _env_losses_t(lv, ctx, node, masks, noise, use_memory)
+
+        def reference(lv):
+            return per_env_route_losses_t(lv, ctx, masks, noise, use_memory)
+
+        runs = []
+        for build in (shared, reference):
+            lv = ad.leaves(model.params)
+            env = build(lv)
+            total = _combine_env_losses_t(env, 0.8)
+            total.backward()
+            runs.append(([float(l.value) for l in env], float(total.value), ad.grads(lv)))
+        (env_s, total_s, grads_s), (env_r, total_r, grads_r) = runs
+        assert env_s == pytest.approx(env_r, rel=1e-12)
+        assert total_s == pytest.approx(total_r, rel=1e-12)
+        for name, g_r in grads_r.items():
+            err = np.abs(grads_s[name] - g_r).max()
+            assert err <= 1e-12 * np.abs(g_r).max(), name
+
 
 class TestRouterGradients:
     def test_invariant_loss_fd(self, setup):
@@ -258,7 +330,8 @@ class TestRouterGradients:
         masks, noise = invariant_env_draws(ctx, 3, 0.3, 12)
 
         def build(lv):
-            env = _env_losses_t(lv, ctx, masks, noise, True)
+            node, _ = node_branch_t(lv, ctx.xtilde, ctx.graph, True)
+            env = _env_losses_t(lv, ctx, node, masks, noise, True)
             return _combine_env_losses_t(env, 0.8)
 
         loss_fn, grad_fn, vec = fd_adapters(build, model.params)
