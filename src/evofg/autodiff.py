@@ -1,9 +1,10 @@
 """Minimal reverse-mode differentiation tape over float64 numpy arrays.
 
 Every trainable loss in this package is built from the ops below and is
-verified against central finite differences (see ``numeric.finite_diff_check``),
-so the op set stays deliberately small: dense/sparse matmul, elementwise
-nonlinearities, row/segment softmax, and gather/scatter indexing.
+verified against central finite differences (``finite_diff_check`` in
+``tests/helpers.py``), so the op set stays deliberately small: dense/sparse
+matmul, elementwise nonlinearities, row/segment softmax, and gather/scatter
+indexing.
 """
 
 from __future__ import annotations

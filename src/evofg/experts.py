@@ -199,10 +199,6 @@ def anomaly_loss_t(hq, hq_recon, y):
     return ad.tmean(ad.add(normal_term, anomaly_term))
 
 
-def anomaly_loss(hq, hq_recon, y) -> float:
-    return float(anomaly_loss_t(ad.wrap(hq), ad.wrap(hq_recon), y).value)
-
-
 def sample_key_split(y, key_fraction, rng):
     """Keys = random fraction of normal nodes (at least one); queries = the
     rest of the graph."""

@@ -10,7 +10,6 @@ import logging
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.sparse.csgraph import shortest_path
 
 from .graph import EGO_RADIUS, Graph
 
@@ -66,21 +65,79 @@ def _row_blocks(n):
     return [slice(lo, min(lo + _BLOCK, n)) for lo in range(0, n, _BLOCK)]
 
 
+def _sweep(g: Graph):
+    """(hop distances, betweenness) from one ``_level_sweep``, cached on the
+    graph."""
+    if "sweep" not in g._ops:
+        g._ops["sweep"] = _level_sweep(g)
+    return g._ops["sweep"]
+
+
+def _level_sweep(g: Graph):
+    """All-pairs hop distances (N x N, -1 where unreachable, in the smallest
+    signed integer type that holds them) and Brandes betweenness on
+    unweighted shortest paths, endpoints excluded, normalized by
+    (N-1)(N-2)/2 pairs.
+
+    Level-synchronous linear-algebraic form (Brandes 2001, Kepner & Gilbert
+    2011), one block of sources at a time: path counts and hop levels go
+    forward by products with A, dependencies go back level by level.
+    """
+    n = g.num_nodes
+    a = g.adjacency()
+    dist = np.empty((n, n), dtype=np.min_scalar_type(-n))
+    score = np.zeros(n)
+    for rows in _row_blocks(n):
+        # a running total over sources in index order, so that tied scores
+        # round alike and the rank columns keep their ties (no block's
+        # temporaries outlive it)
+        score = np.cumsum(
+            np.vstack([score, _block_dependencies(a, rows, dist).T]), axis=0
+        )[-1]
+    if n < 3:
+        return dist, score
+    # each unordered pair was counted from both endpoints
+    return dist, score / ((n - 1) * (n - 2))
+
+
+def _block_dependencies(a, rows, dist):
+    """Fill ``dist[:, rows]`` and return the dependency of every node (rows)
+    on each source in ``rows`` (columns)."""
+    d, sigma, depth = _forward_levels(a, rows, dist.dtype)
+    dist[:, rows] = d
+    # sources sit at level 0 and never receive a dependency
+    delta = np.zeros(d.shape)
+    for k in range(depth, 1, -1):
+        coeff = np.divide(1.0 + delta, sigma, out=np.zeros(d.shape), where=d == k)
+        delta += np.where(d == k - 1, sigma * (a @ coeff), 0.0)
+    return delta
+
+
+def _forward_levels(a, rows, dtype):
+    """Hop levels (-1 where unreachable), shortest-path counts and depth of
+    the BFS from each source in ``rows``, one column per source. A times the
+    frontier's path counts gives the path counts into each node; its nonzero
+    entries at unvisited nodes are the next level."""
+    n = a.shape[0]
+    d = np.full((n, rows.stop - rows.start), -1, dtype=dtype)
+    d[np.arange(rows.start, rows.stop), np.arange(d.shape[1])] = 0
+    frontier = (d == 0).astype(np.float64)
+    sigma = frontier.copy()
+    depth = 0
+    while True:
+        reached = a @ frontier
+        level = (reached != 0) & (d < 0)
+        if not level.any():
+            return d, sigma, depth
+        depth += 1
+        d[level] = depth
+        np.copyto(reached, 0.0, where=~level)
+        frontier = reached
+        sigma += frontier
+
+
 def _hop_distances(g: Graph) -> np.ndarray:
-    """All-pairs hop distances (N x N, -1 where unreachable) in the smallest
-    signed integer type that holds them; cached on the graph."""
-    dist = g._ops.get("hops")
-    if dist is None:
-        n = g.num_nodes
-        dist = np.empty((n, n), dtype=np.min_scalar_type(-n))
-        a = g.adjacency()
-        for rows in _row_blocks(n):
-            block = shortest_path(
-                a, directed=False, unweighted=True, indices=np.arange(n)[rows]
-            )
-            dist[rows] = np.where(np.isinf(block), -1, block)
-        g._ops["hops"] = dist
-    return dist
+    return _sweep(g)[0]
 
 
 def _ego_mask(dist):
@@ -88,36 +145,8 @@ def _ego_mask(dist):
 
 
 def betweenness(g: Graph) -> np.ndarray:
-    """Brandes betweenness on unweighted shortest paths, endpoints excluded,
-    normalized by (N-1)(N-2)/2 pairs.
-
-    Level-synchronous linear-algebraic form (Kepner & Gilbert 2011), one
-    block of sources at a time: shortest-path counts go forward one hop
-    level at a time by products with A, dependencies go back level by level.
-    """
-    n = g.num_nodes
-    score = np.zeros(n)
-    if n < 3:
-        return score
-    a = g.adjacency()
-    dist = _hop_distances(g)
-    for rows in _row_blocks(n):
-        # column j holds the distances from source rows[j] (dist is symmetric)
-        d = np.ascontiguousarray(dist[:, rows])
-        depth = int(d.max())
-        sigma = (d == 0).astype(np.float64)
-        for k in range(1, depth + 1):
-            sigma = np.where(d == k, a @ np.where(d == k - 1, sigma, 0.0), sigma)
-        # sources sit at level 0 and never receive a dependency
-        delta = np.zeros(d.shape)
-        for k in range(depth, 1, -1):
-            coeff = np.divide(1.0 + delta, sigma, out=np.zeros(d.shape), where=d == k)
-            delta += np.where(d == k - 1, sigma * (a @ coeff), 0.0)
-        # a running total over sources in index order, so that tied scores
-        # round alike and the rank columns keep their ties
-        score = np.cumsum(np.vstack([score, delta.T]), axis=0)[-1]
-    # each unordered pair was counted from both endpoints
-    return score / ((n - 1) * (n - 2))
+    """Brandes betweenness (see ``_level_sweep``)."""
+    return _sweep(g)[1].copy()
 
 
 def closeness(g: Graph) -> np.ndarray:

@@ -1,11 +1,8 @@
-"""Shared numeric kernels: PCA projection, ranking metrics, and the
-central-difference gradient checker that every trainable loss in this
-package must pass."""
+"""Shared numeric kernels: PCA projection and ranking metrics."""
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,17 +11,6 @@ log = logging.getLogger(__name__)
 
 class UndefinedMetricError(ValueError):
     """Raised when a ranking metric is requested with single-class labels."""
-
-
-class ProbeError(RuntimeError):
-    """Raised when a finite-difference probe hits a non-finite loss."""
-
-
-@dataclass
-class GradReport:
-    max_rel_err: float
-    worst_param: int
-    step: float
 
 
 def pca_project(x: np.ndarray, d: int) -> np.ndarray:
@@ -110,33 +96,3 @@ def auprc(scores, labels) -> float:
     k = np.arange(1, len(y) + 1)
     precision_at_pos = tp[y == 1] / k[y == 1]
     return float(precision_at_pos.mean())
-
-
-def finite_diff_check(loss_fn, grad_fn, params, step=1e-5) -> GradReport:
-    """Compare an analytic gradient against central differences.
-
-    loss_fn(p) -> float and grad_fn(p) -> vector must be pure in p. The
-    relative error per coordinate uses the finite-difference value as the
-    denominator, floored at 1e-8.
-    """
-    p = np.asarray(params, dtype=np.float64).copy()
-    base = loss_fn(p)
-    if not np.isfinite(base):
-        raise ProbeError("loss non-finite at the base point")
-    analytic = np.asarray(grad_fn(p), dtype=np.float64)
-    worst = 0.0
-    worst_i = -1
-    for i in range(p.size):
-        probe = p.copy()
-        probe[i] += step
-        up = loss_fn(probe)
-        probe[i] = p[i] - step
-        down = loss_fn(probe)
-        if not (np.isfinite(up) and np.isfinite(down)):
-            raise ProbeError(f"non-finite loss while probing coordinate {i}")
-        fd = (up - down) / (2.0 * step)
-        rel = abs(analytic[i] - fd) / max(abs(fd), 1e-8)
-        if rel > worst:
-            worst = rel
-            worst_i = i
-    return GradReport(max_rel_err=float(worst), worst_param=worst_i, step=step)

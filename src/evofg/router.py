@@ -114,7 +114,8 @@ def node_branch_t(lv, xtilde, g, use_memory=True):
 
 def feature_branch_t(lv, hn_m, hr, noise=None, use_memory=True):
     """The feature half of the forward on the rows of a node-branch output
-    ``hn_m``: logits, routing weights and the feature-memory attention."""
+    ``hn_m``: logits and the feature-memory attention. The routing weights
+    are ``ad.row_softmax`` of the logits, for the callers that need them."""
     if hr.shape[1] != lv["proj_w"].value.shape[0]:
         raise ValueError(
             f"feature width {hr.shape[1]} != router width {lv['proj_w'].value.shape[0]}"
@@ -131,7 +132,7 @@ def feature_branch_t(lv, hn_m, hr, noise=None, use_memory=True):
             logits,
             ad.mul(ad.wrap(noise), ad.softplus(ad.matmul(ad.wrap(hr), lv["noise_w"]))),
         )
-    return {"G": logits, "P": ad.row_softmax(logits), "S_r": s_r}
+    return {"G": logits, "S_r": s_r}
 
 
 def route_t(lv, xtilde, g, hr, noise=None, use_memory=True):
@@ -139,7 +140,8 @@ def route_t(lv, xtilde, g, hr, noise=None, use_memory=True):
     the (possibly masked) standardized feature matrix and noise, when given,
     is a fixed N x E standard-normal draw."""
     hn_m, s_n = node_branch_t(lv, xtilde, g, use_memory)
-    return {**feature_branch_t(lv, hn_m, hr, noise, use_memory), "S_n": s_n}
+    out = feature_branch_t(lv, hn_m, hr, noise, use_memory)
+    return {**out, "P": ad.row_softmax(out["G"]), "S_n": s_n}
 
 
 def route(model: RouterModel, xtilde, g, hr, train_mode=False, rng=None, mask=None):
@@ -185,17 +187,21 @@ def normalize_targets(q, n_experts):
     return out
 
 
-def kl_router_loss_t(q, g_t):
-    qn = normalize_targets(q, g_t.value.shape[1])
+def _kl_targets(q, n_experts):
+    """Normalized targets and their row sums of q log q, which the KL loss
+    needs and no logit changes."""
+    qn = normalize_targets(q, n_experts)
     logq = np.where(qn > 0, np.log(np.maximum(qn, 1e-300)), 0.0)
-    entropy = (qn * logq).sum(axis=1)
+    return qn, (qn * logq).sum(axis=1)
+
+
+def _kl_loss_t(qn, entropy, g_t):
     cross = ad.tsum(ad.mul(ad.row_log_softmax(g_t), qn), axis=1)
     return ad.tmean(ad.sub(entropy, cross))
 
 
-def kl_router_loss(q, g) -> float:
-    """Mean row-wise KL(normalized targets || softmax(logits))."""
-    return float(kl_router_loss_t(q, ad.wrap(np.asarray(g, dtype=np.float64))).value)
+def kl_router_loss_t(q, g_t):
+    return _kl_loss_t(*_kl_targets(q, g_t.value.shape[1]), g_t)
 
 
 def _cv_squared_t(v):
@@ -211,12 +217,6 @@ def balance_loss_t(p_t, g_t):
     # CV needs nonnegative loads; logit sums are shifted by their minimum
     shifted = ad.sub(load_g, ad.vec_min(load_g))
     return ad.add(_cv_squared_t(load_p), _cv_squared_t(shifted))
-
-
-def balance_loss(p, g) -> float:
-    """Squared CV of per-expert weight mass plus squared CV of min-shifted
-    logit mass."""
-    return float(balance_loss_t(ad.wrap(p), ad.wrap(g)).value)
 
 
 class RoutingContext:
@@ -256,12 +256,14 @@ class RoutingContext:
 class FrozenNodeBranch:
     """A context's routing material for one round of contribution
     estimation, during which the router does not change: the node branch's
-    rows at the queries, next to the queries' features and targets."""
+    rows at the queries, next to the queries' features, normalized targets
+    and target entropies."""
 
     names: list
     node_q: np.ndarray
     hr_q: np.ndarray
-    q_matrix: np.ndarray
+    targets: np.ndarray
+    entropy: np.ndarray
 
 
 def freeze_node_branch(model: RouterModel, contexts):
@@ -272,7 +274,8 @@ def freeze_node_branch(model: RouterModel, contexts):
     for ctx in contexts:
         node, _ = node_branch_t(lv, ctx.xtilde, ctx.graph, model.use_memory)
         frozen.append(FrozenNodeBranch(
-            ctx.names, node.value[ctx.queries], ctx.hr[ctx.queries], ctx.q_matrix
+            ctx.names, node.value[ctx.queries], ctx.hr[ctx.queries],
+            *_kl_targets(ctx.q_matrix, model.dims[4]),
         ))
     return frozen
 
@@ -289,7 +292,7 @@ def routing_utility(model: RouterModel, subset, frozen) -> float:
     vals = []
     for f in frozen:
         out = feature_branch_t(lv, ad.wrap(f.node_q), f.hr_q * mask, None, model.use_memory)
-        vals.append(kl_router_loss(f.q_matrix, out["G"].value))
+        vals.append(float(_kl_loss_t(f.targets, f.entropy, out["G"]).value))
     return -float(np.mean(vals))
 
 
@@ -299,7 +302,7 @@ def _env_losses_t(lv, ctx, node, masks, noise, use_memory):
     losses = []
     for mask in masks:
         out = feature_branch_t(lv, node, ctx.hr * mask, noise, use_memory)
-        p_q = ad.gather_rows(out["P"], ctx.queries)
+        p_q = ad.gather_rows(ad.row_softmax(out["G"]), ctx.queries)
         hq = ad.mix_rows(p_q, ctx.expert_hq)
         rec = ad.mix_rows(p_q, ctx.expert_recon)
         losses.append(anomaly_loss_t(hq, rec, ctx.y_q))
@@ -347,7 +350,7 @@ def train_router(model, contexts, cfg, phase, seed):
                 clean_noise = rng.standard_normal((n, n_experts))
                 out = feature_branch_t(lv, node, ctx.hr, clean_noise, model.use_memory)
                 l_moe = balance_loss_t(
-                    ad.gather_rows(out["P"], ctx.queries),
+                    ad.gather_rows(ad.row_softmax(out["G"]), ctx.queries),
                     ad.gather_rows(out["G"], ctx.queries),
                 )
                 graph_losses.append(ad.add(l_in, l_moe))

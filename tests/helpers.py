@@ -1,11 +1,14 @@
-"""Shared test utilities: tiny graph builders, parameter flattening,
-finite-difference adapters for model losses, and brute-force oracles."""
+"""Shared test utilities: tiny graph builders, parameter flattening, the
+central-difference gradient checker and its adapters for model losses,
+float wrappers of tape losses, and brute-force oracles."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
+from scipy.sparse.csgraph import shortest_path
 
 from evofg import autodiff as ad
 from evofg.experts import anomaly_loss_t
@@ -13,7 +16,8 @@ from evofg.graph import Graph
 from evofg.router import (
     _combine_env_losses_t,
     _env_losses_t,
-    kl_router_loss,
+    balance_loss_t,
+    kl_router_loss_t,
     node_branch_t,
     route_t,
 )
@@ -79,6 +83,62 @@ def degenerate_graphs(seed=0, d=8):
         ("one_attribute", random_graph(rng, 18, p=0.25, d=1)),
         ("fewer_nodes_than_d", path_graph(3, d=d, seed=seed, name="fewer_nodes_than_d")),
     ]
+
+
+class ProbeError(RuntimeError):
+    """Raised when a finite-difference probe hits a non-finite loss."""
+
+
+@dataclass
+class GradReport:
+    max_rel_err: float
+    worst_param: int
+    step: float
+
+
+def finite_diff_check(loss_fn, grad_fn, params, step=1e-5) -> GradReport:
+    """Compare an analytic gradient against central differences.
+
+    loss_fn(p) -> float and grad_fn(p) -> vector must be pure in p. The
+    relative error per coordinate uses the finite-difference value as the
+    denominator, floored at 1e-8.
+    """
+    p = np.asarray(params, dtype=np.float64).copy()
+    base = loss_fn(p)
+    if not np.isfinite(base):
+        raise ProbeError("loss non-finite at the base point")
+    analytic = np.asarray(grad_fn(p), dtype=np.float64)
+    worst = 0.0
+    worst_i = -1
+    for i in range(p.size):
+        probe = p.copy()
+        probe[i] += step
+        up = loss_fn(probe)
+        probe[i] = p[i] - step
+        down = loss_fn(probe)
+        if not (np.isfinite(up) and np.isfinite(down)):
+            raise ProbeError(f"non-finite loss while probing coordinate {i}")
+        fd = (up - down) / (2.0 * step)
+        rel = abs(analytic[i] - fd) / max(abs(fd), 1e-8)
+        if rel > worst:
+            worst = rel
+            worst_i = i
+    return GradReport(max_rel_err=float(worst), worst_param=worst_i, step=step)
+
+
+def anomaly_loss(hq, hq_recon, y) -> float:
+    return float(anomaly_loss_t(ad.wrap(hq), ad.wrap(hq_recon), y).value)
+
+
+def kl_router_loss(q, g) -> float:
+    """Mean row-wise KL(normalized targets || softmax(logits))."""
+    return float(kl_router_loss_t(q, ad.wrap(np.asarray(g, dtype=np.float64))).value)
+
+
+def balance_loss(p, g) -> float:
+    """Squared CV of per-expert weight mass plus squared CV of min-shifted
+    logit mass."""
+    return float(balance_loss_t(ad.wrap(p), ad.wrap(g)).value)
 
 
 def flatten_params(params, names=None):
@@ -227,6 +287,36 @@ def brute_force_closeness(g: Graph):
         if r:
             out[v] = (r / (n - 1)) * (r / dist[v][reach].sum())
     return out
+
+
+def two_pass_sweep(g: Graph):
+    """Oracle for ``features._level_sweep`` in two separate passes: Dijkstra
+    hop distances (-1 where unreachable, smallest signed integer type), then
+    Brandes betweenness forward and back over those distances, in blocks of
+    256 sources and with the same summation order, so the results must
+    match bit for bit."""
+    n = g.num_nodes
+    a = g.adjacency()
+    blocks = [slice(lo, min(lo + 256, n)) for lo in range(0, n, 256)]
+    dist = np.empty((n, n), dtype=np.min_scalar_type(-n))
+    for rows in blocks:
+        hops = shortest_path(a, directed=False, unweighted=True, indices=np.arange(n)[rows])
+        dist[rows] = np.where(np.isinf(hops), -1, hops)
+    score = np.zeros(n)
+    if n < 3:
+        return dist, score
+    for rows in blocks:
+        d = np.ascontiguousarray(dist[:, rows])
+        depth = int(d.max())
+        sigma = (d == 0).astype(np.float64)
+        for k in range(1, depth + 1):
+            sigma = np.where(d == k, a @ np.where(d == k - 1, sigma, 0.0), sigma)
+        delta = np.zeros(d.shape)
+        for k in range(depth, 1, -1):
+            coeff = np.divide(1.0 + delta, sigma, out=np.zeros(d.shape), where=d == k)
+            delta += np.where(d == k - 1, sigma * (a @ coeff), 0.0)
+        score = np.cumsum(np.vstack([score, delta.T]), axis=0)[-1]
+    return dist, score / ((n - 1) * (n - 2))
 
 
 def brute_force_auroc(scores, labels):

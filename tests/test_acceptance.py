@@ -24,7 +24,7 @@ from evofg.experts import (
 )
 from evofg.features import betweenness, closeness, pagerank
 from evofg.graph import gen_synthetic
-from evofg.numeric import auprc, auroc, finite_diff_check
+from evofg.numeric import auprc, auroc
 from evofg.pipeline import (
     PipelineConfig,
     build_contexts,
@@ -58,6 +58,7 @@ from helpers import (
     brute_force_closeness,
     cycle_graph,
     fd_adapters,
+    finite_diff_check,
     invariant_env_draws,
     invariant_loss,
     mean_marginal_oracle,

@@ -2,8 +2,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from evofg import autodiff as ad
-from evofg.numeric import finite_diff_check
-from helpers import fd_adapters
+from helpers import fd_adapters, finite_diff_check
 
 
 def test_composite_dense_ops_gradient():

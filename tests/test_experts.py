@@ -4,7 +4,6 @@ import pytest
 from evofg import autodiff as ad
 from evofg.experts import (
     ARCHS,
-    anomaly_loss,
     anomaly_scores,
     cross_attention_t,
     cross_attn_reconstruct,
@@ -19,9 +18,14 @@ from evofg.experts import (
 )
 from evofg.checkpoint import CheckpointError
 from evofg.graph import Graph
-from evofg.numeric import finite_diff_check
 from evofg.pipeline import PipelineConfig
-from helpers import fd_adapters, graph_from_edges, random_graph
+from helpers import (
+    anomaly_loss,
+    fd_adapters,
+    finite_diff_check,
+    graph_from_edges,
+    random_graph,
+)
 
 
 def tiny_cfg(**kw):

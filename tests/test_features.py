@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from evofg import features
 from evofg.features import (
     PRIMITIVE_CATEGORIES,
     PRIMITIVE_NAMES,
@@ -13,7 +14,7 @@ from evofg.features import (
     pagerank,
     scope_expand,
 )
-from evofg.graph import EGO_RADIUS, Graph
+from evofg.graph import EGO_RADIUS, Graph, gen_synthetic
 from evofg.preprocess import align
 from helpers import (
     brute_force_betweenness,
@@ -26,6 +27,7 @@ from helpers import (
     path_graph,
     random_graph,
     star_graph,
+    two_pass_sweep,
 )
 
 # star with damping 0.85: solve p0 = 0.0375 + 0.85*(1 - p0) analytically
@@ -223,6 +225,55 @@ def test_degenerate_graph_primitives_match_oracles(case, g):
         want = np.divide((sim * shell).sum(axis=1), size, out=np.zeros(g.num_nodes),
                          where=size > 0)
         assert np.abs(t.column(f"Sim_{k}hop") - want).max() < 1e-9
+
+
+def _sweep_cases():
+    cases = degenerate_graphs(seed=5)
+    for seed, n in ((1, 60), (2, 300), (3, 520)):
+        g = gen_synthetic(n, 6, 0.08, structure_seed=seed, planted_kind="mixed")
+        cases.append((f"synthetic_{n}", g))
+    # two components of different depth, plus isolated nodes; 530 nodes
+    # make three source blocks
+    a = gen_synthetic(300, 6, 0.08, structure_seed=4, planted_kind="structural")
+    b = gen_synthetic(220, 6, 0.08, structure_seed=5, planted_kind="attribute")
+    edges = np.vstack([a.edges, b.edges + a.num_nodes])
+    feats = np.vstack([a.features, b.features, np.ones((10, 6))])
+    cases.append(("synthetic_disconnected", Graph(530, edges, feats, None, "split")))
+    return cases
+
+
+@pytest.mark.parametrize("case,g", _sweep_cases(), ids=[c for c, _ in _sweep_cases()])
+def test_sweep_matches_two_pass_oracle(case, g, monkeypatch):
+    """Every primitive column is bit-identical to the one built on separate
+    Dijkstra distances and Brandes betweenness."""
+    xtilde = align(g, 5).matrix
+    fresh = Graph(g.num_nodes, g.edges, g.features, None, g.name)
+    dist, bc = features._level_sweep(fresh)
+    want_dist, want_bc = two_pass_sweep(fresh)
+    assert dist.dtype == want_dist.dtype
+    assert np.array_equal(dist, want_dist)
+    assert np.array_equal(bc, want_bc)
+    table = compute_primitives(fresh, xtilde)
+    monkeypatch.setattr(features, "_level_sweep", two_pass_sweep)
+    oracle = compute_primitives(Graph(g.num_nodes, g.edges, g.features, None, g.name), xtilde)
+    for j, name in enumerate(PRIMITIVE_NAMES):
+        assert np.array_equal(table.matrix[:, j], oracle.matrix[:, j]), name
+
+
+def test_one_sweep_per_graph(monkeypatch):
+    calls = []
+    real = features._level_sweep
+
+    def counted(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(features, "_level_sweep", counted)
+    g = gen_synthetic(300, 6, 0.08, structure_seed=1, planted_kind="mixed")
+    compute_primitives(g, align(g, 5).matrix)
+    betweenness(g)
+    khop_similarity(g, g.features, 2)
+    assert calls == [g]
 
 
 class TestRouterFeatureTable:

@@ -1,16 +1,15 @@
 import numpy as np
 import pytest
 
-from evofg.numeric import (
+from evofg.numeric import UndefinedMetricError, auprc, auroc, pca_project
+from helpers import (
     GradReport,
     ProbeError,
-    UndefinedMetricError,
-    auprc,
-    auroc,
+    brute_force_auprc,
+    brute_force_auroc,
+    coeff_variation,
     finite_diff_check,
-    pca_project,
 )
-from helpers import brute_force_auprc, brute_force_auroc, coeff_variation
 
 
 class TestPCA:

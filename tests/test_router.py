@@ -3,17 +3,14 @@ import pytest
 
 from evofg import autodiff as ad
 from evofg.experts import pretrain_expert, ARCHS
-from evofg.numeric import finite_diff_check
 from evofg.pipeline import PipelineConfig, build_contexts, prepare_graph
 from evofg.router import (
     RoutingContext,
     _combine_env_losses_t,
     aggregate,
-    balance_loss,
     balance_loss_t,
     freeze_node_branch,
     init_router,
-    kl_router_loss,
     kl_router_loss_t,
     load_router,
     node_branch_t,
@@ -30,10 +27,13 @@ from evofg.router import (
 from evofg.checkpoint import CheckpointError
 from evofg.graph import gen_synthetic
 from helpers import (
+    balance_loss,
     fd_adapters,
+    finite_diff_check,
     full_forward_utility,
     invariant_env_draws,
     invariant_loss,
+    kl_router_loss,
     per_env_route_losses_t,
 )
 
