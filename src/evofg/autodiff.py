@@ -3,8 +3,8 @@
 Every trainable loss in this package is built from the ops below and is
 verified against central finite differences (``finite_diff_check`` in
 ``tests/helpers.py``), so the op set stays deliberately small: dense/sparse
-matmul, elementwise nonlinearities, row/segment softmax, and gather/scatter
-indexing.
+matmul, elementwise nonlinearities, row/segment softmax, gather/scatter
+indexing, and the router's fused expert-mixture ops.
 """
 
 from __future__ import annotations
@@ -155,8 +155,10 @@ def mul(a, b):
     out = Tensor(a.value * b.value, (a, b))
 
     def bw(g):
-        _acc(a, _unbroadcast(g * b.value, a.value.shape))
-        _acc(b, _unbroadcast(g * a.value, b.value.shape))
+        if a.requires_grad:
+            _acc(a, _unbroadcast(g * b.value, a.value.shape))
+        if b.requires_grad:
+            _acc(b, _unbroadcast(g * a.value, b.value.shape))
 
     out._backward = bw
     return out
@@ -179,8 +181,11 @@ def matmul(a, b):
     out = Tensor(a.value @ b.value, (a, b))
 
     def bw(g):
-        _acc(a, g @ b.value.T)
-        _acc(b, a.value.T @ g)
+        # a constant operand (features, noise, fixed matrices) gets no product
+        if a.requires_grad:
+            _acc(a, g @ b.value.T)
+        if b.requires_grad:
+            _acc(b, a.value.T @ g)
 
     out._backward = bw
     return out
@@ -332,7 +337,10 @@ def gather_rows(a, idx):
 
     def bw(g):
         acc = np.zeros_like(a.value)
-        np.add.at(acc, idx, g)
+        if np.all(np.diff(idx) > 0):  # no repeated row: a plain scatter
+            acc[idx] = g
+        else:
+            np.add.at(acc, idx, g)
         _acc(a, acc)
 
     out._backward = bw
@@ -373,6 +381,52 @@ def mix_rows(p, mats):
     out._backward = lambda g: _acc(
         p, np.stack([(g * m).sum(axis=1) for m in mats], axis=1)
     )
+    return out
+
+
+def tile_rows(a, k):
+    """k copies of a (R x d) stacked by rows: row j * R + r is a[r]."""
+    a = wrap(a)
+    r = a.value.shape[0]
+    out = Tensor(np.tile(a.value, (k, 1)), (a,))
+    out._backward = lambda g: _acc(a, g.reshape(k, r, -1).sum(axis=0))
+    return out
+
+
+def gram_cosine_rows(p, g_ab, g_aa, g_bb):
+    """Per-row cosine between the mixtures a = sum_e p[:, e] * A_e and
+    b = sum_e p[:, e] * B_e of constant R x d matrices, from their per-row
+    Gram blocks g_ab[r, e, f] = <A_e[r], B_f[r]>, g_aa and g_bb (R x E x E),
+    so no mixture is formed. p stacks k groups of R rows ((k * R) x E), row
+    j * R + r meeting block r; the result is k x R. The squared norms are
+    clamped at 1e-30 and the norm product at 1e-15, as in a direct cosine."""
+    p = wrap(p)
+    # rows r x weights e x groups k, so each row's Gram block multiplies all
+    # k groups at once
+    pt = p.value.reshape(-1, *g_ab.shape[:2]).transpose(1, 2, 0)
+
+    def quad(gram):  # p^T G p and (G + G^T) p per row and group
+        gp = gram @ pt
+        return (pt * gp).sum(axis=1), gp + gram.transpose(0, 2, 1) @ pt
+
+    s_ab, d_ab = quad(g_ab)
+    s_aa, d_aa = quad(g_aa)
+    s_bb, d_bb = quad(g_bb)
+    na = np.sqrt(np.maximum(s_aa, 1e-30))
+    nb = np.sqrt(np.maximum(s_bb, 1e-30))
+    prod = na * nb
+    den = np.maximum(prod, 1e-15)
+    out = Tensor(np.ascontiguousarray((s_ab / den).T), (p,))
+
+    def bw(g):
+        g = g.T
+        g_den = -g * s_ab / (den * den) * (prod > 1e-15)
+        w_aa = g_den * nb * 0.5 / na * (s_aa > 1e-30)
+        w_bb = g_den * na * 0.5 / nb * (s_bb > 1e-30)
+        dp = (g / den)[:, None] * d_ab + w_aa[:, None] * d_aa + w_bb[:, None] * d_bb
+        _acc(p, dp.transpose(2, 0, 1).reshape(p.value.shape))
+
+    out._backward = bw
     return out
 
 

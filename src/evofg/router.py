@@ -18,7 +18,6 @@ import numpy as np
 from . import autodiff as ad
 from .checkpoint import check_tensors, load_checkpoint, save_checkpoint
 from .experts import (
-    anomaly_loss_t,
     anomaly_scores,
     cross_attn_reconstruct,
     encode,
@@ -219,11 +218,17 @@ def balance_loss_t(p_t, g_t):
     return ad.add(_cv_squared_t(load_p), _cv_squared_t(shifted))
 
 
+def _gram_blocks(a_mats, b_mats):
+    """out[r, e, f] = <a_mats[e][r], b_mats[f][r]> for E matrices of R rows."""
+    return np.stack(a_mats, axis=1) @ np.stack(b_mats, axis=1).transpose(0, 2, 1)
+
+
 class RoutingContext:
     """Frozen per-graph material for router training and utility evaluation:
     the canonical key/query split, expert embeddings and reconstructions on
-    the queries, the expert-correctness targets, and the standardized
-    matrix ``hr`` of a table's active columns ``names``."""
+    the queries and their per-row Gram blocks, the expert-correctness
+    targets, and the standardized matrix ``hr`` of a table's active columns
+    ``names``."""
 
     def __init__(self, graph, xtilde, table, experts, key_fraction, rng):
         self.graph = graph
@@ -240,6 +245,13 @@ class RoutingContext:
             [anomaly_scores(hq, rec) for hq, rec in zip(self.expert_hq, self.expert_recon)]
         )
         self.q_matrix = expert_correctness(scores, self.y_q)
+        # per-query-row Gram blocks of the frozen expert matrices: every
+        # routed cosine of the main phase is a quadratic form in them
+        self.gram = (
+            _gram_blocks(self.expert_recon, self.expert_hq),
+            _gram_blocks(self.expert_recon, self.expert_recon),
+            _gram_blocks(self.expert_hq, self.expert_hq),
+        )
         self.names = table.active_names()
         self.hr = table.standardized_active()
 
@@ -296,21 +308,26 @@ def routing_utility(model: RouterModel, subset, frozen) -> float:
     return -float(np.mean(vals))
 
 
-def _env_losses_t(lv, ctx, node, masks, noise, use_memory):
-    """Anomaly loss per masked-feature environment; every environment routes
-    on the same node-branch output ``node``."""
-    losses = []
-    for mask in masks:
-        out = feature_branch_t(lv, node, ctx.hr * mask, noise, use_memory)
-        p_q = ad.gather_rows(ad.row_softmax(out["G"]), ctx.queries)
-        hq = ad.mix_rows(p_q, ctx.expert_hq)
-        rec = ad.mix_rows(p_q, ctx.expert_recon)
-        losses.append(anomaly_loss_t(hq, rec, ctx.y_q))
-    return losses
+def _env_losses_t(lv, ctx, node_q, masks, noise_q, use_memory):
+    """The anomaly loss of every masked-feature environment, as one K-vector.
+    The K masked copies of the query features are routed as one stacked
+    operand on the shared node-branch rows ``node_q`` with the query noise
+    rows ``noise_q``; each environment's loss is the mean over its own
+    query rows."""
+    k, d_r = masks.shape
+    hr = (ctx.hr[ctx.queries] * masks[:, None, :]).reshape(-1, d_r)
+    out = feature_branch_t(
+        lv, ad.tile_rows(node_q, k), hr, np.tile(noise_q, (k, 1)), use_memory
+    )
+    cos = ad.gram_cosine_rows(ad.row_softmax(out["G"]), *ctx.gram)  # k x Nq
+    normal_term = ad.mul(ad.sub(1.0, cos), 1.0 - ctx.y_q)
+    anomaly_term = ad.mul(ad.maximum_scalar(cos, 0.0), ctx.y_q)
+    return ad.tmean(ad.add(normal_term, anomaly_term), axis=1)
 
 
-def _combine_env_losses_t(losses, lam):
-    vec = ad.stack_scalars(losses)
+def _combine_env_losses_t(vec, lam):
+    """Mean plus ``lam`` times the population variance of the K-vector of
+    environment losses."""
     # shifted mean: exact when all environments coincide (identical masks
     # must yield a zero variance term, bit for bit)
     anchor = ad.index_scalar(vec, 0)
@@ -322,7 +339,9 @@ def _combine_env_losses_t(losses, lam):
 
 def train_router(model, contexts, cfg, phase, seed):
     """Warm-up (KL alignment) or main (invariant + balance) optimization with
-    experts frozen; one step per epoch on the mean loss over graphs."""
+    experts frozen; one step per epoch on the mean loss over graphs. The node
+    branch runs on every node of a graph, the feature branch on its query
+    rows only, which are all any loss reads."""
     epochs = cfg.warmup_epochs if phase == "warmup" else cfg.router_epochs
     opt = ad.AdamW(model.params, lr=cfg.lr, weight_decay=cfg.wd)
     rng = np.random.default_rng(seed)
@@ -333,26 +352,24 @@ def train_router(model, contexts, cfg, phase, seed):
         graph_losses = []
         for ctx in contexts:
             n = ctx.graph.num_nodes
+            # one node branch per graph and epoch; in the main phase the
+            # environments and the clean balance pass share it
+            node, _ = node_branch_t(lv, ctx.xtilde, ctx.graph, model.use_memory)
+            node_q = ad.gather_rows(node, ctx.queries)
+            hr_q = ctx.hr[ctx.queries]
             if phase == "warmup":
-                noise = rng.standard_normal((n, n_experts))
-                out = route_t(lv, ctx.xtilde, ctx.graph, ctx.hr, noise, model.use_memory)
-                g_q = ad.gather_rows(out["G"], ctx.queries)
-                graph_losses.append(kl_router_loss_t(ctx.q_matrix, g_q))
+                noise = rng.standard_normal((n, n_experts))[ctx.queries]
+                out = feature_branch_t(lv, node_q, hr_q, noise, model.use_memory)
+                graph_losses.append(kl_router_loss_t(ctx.q_matrix, out["G"]))
             else:
-                # one node branch per graph and epoch, shared by the
-                # environments and the clean balance pass
-                node, _ = node_branch_t(lv, ctx.xtilde, ctx.graph, model.use_memory)
-                d_r = ctx.hr.shape[1]
-                masks = (rng.random((cfg.n_envs, d_r)) >= cfg.mask_rate).astype(float)
-                env_noise = rng.standard_normal((n, n_experts))
-                env = _env_losses_t(lv, ctx, node, masks, env_noise, model.use_memory)
+                draws = rng.random((cfg.n_envs, hr_q.shape[1]))
+                masks = (draws >= cfg.mask_rate).astype(float)
+                env_noise = rng.standard_normal((n, n_experts))[ctx.queries]
+                env = _env_losses_t(lv, ctx, node_q, masks, env_noise, model.use_memory)
                 l_in = _combine_env_losses_t(env, cfg.lam)
-                clean_noise = rng.standard_normal((n, n_experts))
-                out = feature_branch_t(lv, node, ctx.hr, clean_noise, model.use_memory)
-                l_moe = balance_loss_t(
-                    ad.gather_rows(ad.row_softmax(out["G"]), ctx.queries),
-                    ad.gather_rows(out["G"], ctx.queries),
-                )
+                clean_noise = rng.standard_normal((n, n_experts))[ctx.queries]
+                out = feature_branch_t(lv, node_q, hr_q, clean_noise, model.use_memory)
+                l_moe = balance_loss_t(ad.row_softmax(out["G"]), out["G"])
                 graph_losses.append(ad.add(l_in, l_moe))
         total = ad.tmean(ad.stack_scalars(graph_losses))
         if not np.isfinite(total.value):

@@ -192,14 +192,16 @@ def invariant_loss(model, ctx, n_envs, lam, mask_rate, seed):
     masks, noise = invariant_env_draws(ctx, n_envs, mask_rate, seed)
     lv = ad.leaves(model.params)
     node, _ = node_branch_t(lv, ctx.xtilde, ctx.graph, model.use_memory)
-    losses = _env_losses_t(lv, ctx, node, masks, noise, model.use_memory)
+    node_q = ad.gather_rows(node, ctx.queries)
+    losses = _env_losses_t(lv, ctx, node_q, masks, noise[ctx.queries], model.use_memory)
     total = _combine_env_losses_t(losses, lam)
-    return float(total.value), [float(l.value) for l in losses]
+    return float(total.value), [float(v) for v in losses.value]
 
 
 def per_env_route_losses_t(lv, ctx, masks, noise, use_memory):
     """Reference for ``_env_losses_t``: one full ``route_t`` forward, node
-    branch included, per environment."""
+    branch included, per environment, on every node, then the query rows'
+    expert mixtures and their direct cosine loss; a K-vector."""
     losses = []
     for mask in masks:
         out = route_t(lv, ctx.xtilde, ctx.graph, ctx.hr * mask, noise, use_memory)
@@ -207,7 +209,39 @@ def per_env_route_losses_t(lv, ctx, masks, noise, use_memory):
         hq = ad.mix_rows(p_q, ctx.expert_hq)
         rec = ad.mix_rows(p_q, ctx.expert_recon)
         losses.append(anomaly_loss_t(hq, rec, ctx.y_q))
-    return losses
+    return ad.stack_scalars(losses)
+
+
+def reference_train_main(model, contexts, cfg, seed):
+    """Reference for the main phase of ``train_router``, with the same draws:
+    per environment a full ``route_t`` forward (``per_env_route_losses_t``)
+    and a balance pass on every node, then the query rows. Trains ``model``
+    in place and returns the loss trace."""
+    opt = ad.AdamW(model.params, lr=cfg.lr, weight_decay=cfg.wd)
+    rng = np.random.default_rng(seed)
+    n_experts = model.dims[4]
+    trace = []
+    for _ in range(cfg.router_epochs):
+        lv = ad.leaves(model.params)
+        graph_losses = []
+        for ctx in contexts:
+            n = ctx.graph.num_nodes
+            draws = rng.random((cfg.n_envs, ctx.hr.shape[1]))
+            masks = (draws >= cfg.mask_rate).astype(float)
+            env_noise = rng.standard_normal((n, n_experts))
+            env = per_env_route_losses_t(lv, ctx, masks, env_noise, model.use_memory)
+            clean_noise = rng.standard_normal((n, n_experts))
+            out = route_t(lv, ctx.xtilde, ctx.graph, ctx.hr, clean_noise, model.use_memory)
+            l_moe = balance_loss_t(
+                ad.gather_rows(out["P"], ctx.queries),
+                ad.gather_rows(out["G"], ctx.queries),
+            )
+            graph_losses.append(ad.add(_combine_env_losses_t(env, cfg.lam), l_moe))
+        total = ad.tmean(ad.stack_scalars(graph_losses))
+        total.backward()
+        opt.step(ad.grads(lv))
+        trace.append(float(total.value))
+    return trace
 
 
 def full_forward_utility(model, subset, contexts):

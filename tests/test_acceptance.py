@@ -185,7 +185,8 @@ def test_c03_gradient_checks():
 
         def build_inv(lv):
             node, _ = node_branch_t(lv, ctx.xtilde, ctx.graph, True)
-            env = _env_losses_t(lv, ctx, node, masks, noise, True)
+            node_q = ad.gather_rows(node, ctx.queries)
+            env = _env_losses_t(lv, ctx, node_q, masks, noise[ctx.queries], True)
             return _combine_env_losses_t(env, 0.8)
 
         rep = finite_diff_check(*fd_adapters(build_inv, model.params))

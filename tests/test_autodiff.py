@@ -118,6 +118,110 @@ def test_mix_rows_gradient_and_expert_order_sum():
     assert np.array_equal(ad.mix_rows(p, mats).value, chain)
 
 
+def _gram(a_mats, b_mats):
+    return np.einsum("erd,frd->ref", np.stack(a_mats), np.stack(b_mats))
+
+
+def _direct_cosine(p, a_mats, b_mats, k):
+    """cos(mix(p, A), mix(p, B)) per row, the tape ops the Gram form
+    replaces, with the R-row expert matrices tiled over the k groups."""
+    from evofg.experts import cosine_rows_t
+
+    a = ad.mix_rows(p, [np.tile(m, (k, 1)) for m in a_mats])
+    b = ad.mix_rows(p, [np.tile(m, (k, 1)) for m in b_mats])
+    return cosine_rows_t(a, b)
+
+
+def _assert_rows_close(got, ref):
+    """Every row within 1e-12 of the largest entry of its reference row, so
+    a huge gradient on one clamped row cannot hide an error on another."""
+    scale = np.abs(ref).reshape(len(ref), -1).max(axis=1)
+    err = np.abs(got - ref).reshape(len(ref), -1).max(axis=1)
+    assert np.all(err <= 1e-12 * scale), np.flatnonzero(err > 1e-12 * scale)
+
+
+def _gram_and_direct(p_val, a_mats, b_mats, k, w):
+    """Value and gradient of sum(w * cos) in p, by the Gram op and directly."""
+    out = []
+    for direct in (False, True):
+        p = ad.param(p_val.copy())
+        if direct:
+            cos = ad.mul(_direct_cosine(p, a_mats, b_mats, k), w.ravel())
+        else:
+            blocks = _gram(a_mats, b_mats), _gram(a_mats, a_mats), _gram(b_mats, b_mats)
+            cos = ad.mul(ad.gram_cosine_rows(p, *blocks), w)
+        ad.tsum(cos).backward()
+        out.append((cos.value.ravel(), p.grad))
+    return out
+
+
+def test_gram_cosine_rows_gradient():
+    rng = np.random.default_rng(5)
+    a_mats = [rng.normal(size=(6, 3)) for _ in range(4)]
+    b_mats = [rng.normal(size=(6, 3)) for _ in range(4)]
+    blocks = _gram(a_mats, b_mats), _gram(a_mats, a_mats), _gram(b_mats, b_mats)
+    w = rng.normal(size=(2, 6))
+
+    def build(lv):
+        cos = ad.gram_cosine_rows(ad.row_softmax(lv["g"]), *blocks)
+        return ad.tsum(ad.mul(cos, w))
+
+    loss_fn, grad_fn, vec = fd_adapters(build, {"g": rng.normal(size=(12, 4))})
+    assert finite_diff_check(loss_fn, grad_fn, vec).max_rel_err < 1e-6
+
+
+def test_gram_cosine_rows_matches_direct_mixture_cosine():
+    rng = np.random.default_rng(6)
+    r, k = 40, 3
+    a_mats = [rng.normal(size=(r, 7)) for _ in range(4)]
+    b_mats = [rng.normal(size=(r, 7)) for _ in range(4)]
+    p_val = rng.dirichlet(np.ones(4), size=k * r)
+    w = rng.normal(size=(k, r))
+    (cos_g, grad_g), (cos_d, grad_d) = _gram_and_direct(p_val, a_mats, b_mats, k, w)
+    assert np.abs(cos_g - cos_d).max() <= 1e-12 * np.abs(cos_d).max()
+    _assert_rows_close(grad_g, grad_d)
+
+
+def test_gram_cosine_rows_zero_mixtures_and_clamps():
+    rng = np.random.default_rng(7)
+    r, k = 6, 2
+    a_mats = [rng.normal(size=(r, 3)) for _ in range(4)]
+    b_mats = [rng.normal(size=(r, 3)) for _ in range(4)]
+    for m in a_mats:
+        m[0] = 0.0  # row 0: zero a mixture, squared norm at its 1e-30 clamp
+    for m in b_mats:
+        m[1] = 0.0  # row 1: the same for b
+    for m in a_mats + b_mats:
+        m[2] *= 1e-8  # row 2: norms above 1e-30, product under 1e-15
+    for m, n in zip(a_mats, b_mats):
+        m[4] *= 1e-17  # row 4: a nonzero a mixture under the 1e-30 clamp,
+        n[4] *= 10.0  # and a long b, so the product clears 1e-15
+    # row 3: a mixture that cancels exactly, A_1 = -A_0 and A_3 = -A_2
+    a_mats[1][3] = -a_mats[0][3]
+    a_mats[3][3] = -a_mats[2][3]
+    p_val = rng.dirichlet(np.ones(4), size=k * r)
+    p_val[3::r] = 0.25
+    w = rng.normal(size=(k, r))
+    (cos_g, grad_g), (cos_d, grad_d) = _gram_and_direct(p_val, a_mats, b_mats, k, w)
+    assert np.all(cos_g[[0, 1, 3, r, r + 1, r + 3]] == 0.0)
+    assert np.abs(cos_d[2::r]).max() < 1e-1  # the product clamp shrinks them
+    _assert_rows_close(cos_g[:, None], cos_d[:, None])
+    _assert_rows_close(grad_g, grad_d)
+
+
+def test_tile_rows_gradient_and_layout():
+    rng = np.random.default_rng(8)
+    a = rng.normal(size=(3, 2))
+    assert np.array_equal(ad.tile_rows(a, 4).value, np.vstack([a] * 4))
+    w = rng.normal(size=(12, 2))
+
+    def build(lv):
+        return ad.tsum(ad.mul(ad.tile_rows(ad.tanh(lv["a"]), 4), w))
+
+    loss_fn, grad_fn, vec = fd_adapters(build, {"a": a})
+    assert finite_diff_check(loss_fn, grad_fn, vec).max_rel_err < 1e-7
+
+
 def test_first_gradient_shared_by_two_inputs_stays_separate():
     # add hands the same upstream array to both inputs; a later contribution
     # to one of them must not change the other's gradient

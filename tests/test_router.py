@@ -35,6 +35,7 @@ from helpers import (
     invariant_loss,
     kl_router_loss,
     per_env_route_losses_t,
+    reference_train_main,
 )
 
 
@@ -285,9 +286,7 @@ class TestInvariantLoss:
         assert v0 == pytest.approx(np.mean(trace), abs=1e-15)
 
     def test_combine_arithmetic(self):
-        total = _combine_env_losses_t(
-            [ad.wrap(np.array(0.2)), ad.wrap(np.array(0.4))], 0.8
-        )
+        total = _combine_env_losses_t(ad.wrap(np.array([0.2, 0.4])), 0.8)
         assert float(total.value) == pytest.approx(0.308)
 
     def test_needs_two_environments(self, setup):
@@ -304,7 +303,8 @@ class TestInvariantLoss:
 
         def shared(lv):
             node, _ = node_branch_t(lv, ctx.xtilde, ctx.graph, use_memory)
-            return _env_losses_t(lv, ctx, node, masks, noise, use_memory)
+            node_q = ad.gather_rows(node, ctx.queries)
+            return _env_losses_t(lv, ctx, node_q, masks, noise[ctx.queries], use_memory)
 
         def reference(lv):
             return per_env_route_losses_t(lv, ctx, masks, noise, use_memory)
@@ -315,7 +315,7 @@ class TestInvariantLoss:
             env = build(lv)
             total = _combine_env_losses_t(env, 0.8)
             total.backward()
-            runs.append(([float(l.value) for l in env], float(total.value), ad.grads(lv)))
+            runs.append(([float(v) for v in env.value], float(total.value), ad.grads(lv)))
         (env_s, total_s, grads_s), (env_r, total_r, grads_r) = runs
         assert env_s == pytest.approx(env_r, rel=1e-12)
         assert total_s == pytest.approx(total_r, rel=1e-12)
@@ -331,7 +331,8 @@ class TestRouterGradients:
 
         def build(lv):
             node, _ = node_branch_t(lv, ctx.xtilde, ctx.graph, True)
-            env = _env_losses_t(lv, ctx, node, masks, noise, True)
+            node_q = ad.gather_rows(node, ctx.queries)
+            env = _env_losses_t(lv, ctx, node_q, masks, noise[ctx.queries], True)
             return _combine_env_losses_t(env, 0.8)
 
         loss_fn, grad_fn, vec = fd_adapters(build, model.params)
@@ -380,6 +381,30 @@ class TestTraining:
         trace = train_router(model, [ctx], tiny_cfg(lr=1e-3), "main", seed=16)
         assert len(trace) == 2
         assert all(np.isfinite(v) for v in trace)
+
+    @pytest.mark.parametrize("use_memory", [True, False])
+    def test_main_phase_matches_per_environment_reference(self, setup, pretrained,
+                                                         use_memory):
+        cfg, b, ctx, _ = setup
+        other = prepare_graph(
+            gen_synthetic(20, 5, 0.15, structure_seed=4, planted_kind="mixed"), cfg.d
+        )
+        contexts = [ctx, build_contexts([other], pretrained[2], cfg)[0]]
+        main_cfg = tiny_cfg(lr=0.05, router_epochs=2, n_envs=4)
+
+        def trained(train):
+            model = init_router(cfg.d, ctx.hr.shape[1], cfg.d_m, cfg.n_memory, 4,
+                                seed=26, use_memory=use_memory)
+            return train(model), model.params
+
+        trace, params = trained(
+            lambda m: train_router(m, contexts, main_cfg, "main", seed=27))
+        trace_ref, params_ref = trained(
+            lambda m: reference_train_main(m, contexts, main_cfg, seed=27))
+        assert trace == pytest.approx(trace_ref, rel=1e-12)
+        for name, p_ref in params_ref.items():
+            err = np.abs(params[name] - p_ref).max()
+            assert err <= 1e-12 * np.abs(p_ref).max(), name
 
     def test_memory_persists_across_resize(self, setup):
         cfg, b, ctx, _ = setup
