@@ -10,6 +10,7 @@ indexing, and the router's fused expert-mixture ops.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 
 class Tensor:
@@ -37,34 +38,6 @@ class Tensor:
         for node in order:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
-
-    # operator sugar; keeps model code readable
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def _toposort(root):
@@ -331,16 +304,25 @@ def segment_softmax(logits, seg, n_seg):
     return out
 
 
+def scatter_add_rows(idx, rows, n):
+    """out[i] = sum of rows[j] over the j with idx[j] == i, for i < n, added
+    in j order: the sums of ``np.add.at`` bit for bit, as one product with
+    the sparse n x R incidence matrix of idx. rows is 1-D or 2-D."""
+    r = len(idx)
+    incidence = sp.csr_matrix((np.ones(r), (idx, np.arange(r))), shape=(n, r))
+    return incidence @ rows
+
+
 def gather_rows(a, idx):
     a = wrap(a)
     out = Tensor(a.value[idx], (a,))
 
     def bw(g):
-        acc = np.zeros_like(a.value)
         if np.all(np.diff(idx) > 0):  # no repeated row: a plain scatter
+            acc = np.zeros_like(a.value)
             acc[idx] = g
         else:
-            np.add.at(acc, idx, g)
+            acc = scatter_add_rows(idx, g, a.value.shape[0])
         _acc(a, acc)
 
     out._backward = bw
@@ -350,9 +332,7 @@ def gather_rows(a, idx):
 def segment_sum_rows(a, seg, n_seg):
     """out[s] = sum of rows of a whose segment id is s."""
     a = wrap(a)
-    acc = np.zeros((n_seg,) + a.value.shape[1:])
-    np.add.at(acc, seg, a.value)
-    out = Tensor(acc, (a,))
+    out = Tensor(scatter_add_rows(seg, a.value, n_seg), (a,))
     out._backward = lambda g: _acc(a, g[seg])
     return out
 
@@ -367,20 +347,6 @@ def scale_rows(a, w):
         _acc(w, (g * a.value).sum(axis=1))
 
     out._backward = bw
-    return out
-
-
-def mix_rows(p, mats):
-    """Per-row mixture sum_e p[:, e] * mats[e] of constant R x d matrices by
-    the columns of p (R x E), summed in expert order."""
-    p = wrap(p)
-    acc = mats[0] * p.value[:, 0, None]
-    for e in range(1, len(mats)):
-        acc = acc + mats[e] * p.value[:, e, None]
-    out = Tensor(acc, (p,))
-    out._backward = lambda g: _acc(
-        p, np.stack([(g * m).sum(axis=1) for m in mats], axis=1)
-    )
     return out
 
 
@@ -455,30 +421,18 @@ def stack_scalars(ts):
     return out
 
 
-def vec_min(a):
-    """Minimum of a 1-D tensor; gradient flows to the first argmin."""
-    a = wrap(a)
-    i = int(np.argmin(a.value))
-    out = Tensor(a.value[i], (a,))
-
-    def bw(g):
-        acc = np.zeros_like(a.value)
-        acc[i] = g
-        _acc(a, acc)
-
-    out._backward = bw
-    return out
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
 
 
 class AdamW:
     """Adaptive-moment optimizer with decoupled weight decay."""
 
-    def __init__(self, params, lr, weight_decay=0.0, betas=(0.9, 0.999), eps=1e-8):
+    def __init__(self, params, lr, weight_decay=0.0):
         self.params = params
         self.lr = lr
         self.wd = weight_decay
-        self.b1, self.b2 = betas
-        self.eps = eps
+        self.b1, self.b2 = ADAM_BETAS
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
@@ -493,6 +447,6 @@ class AdamW:
             self.v[k] = self.b2 * self.v[k] + (1 - self.b2) * g * g
             mhat = self.m[k] / b1t
             vhat = self.v[k] / b2t
-            p -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            p -= self.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
             if self.wd:
                 p -= self.lr * self.wd * p

@@ -39,6 +39,7 @@ from .pipeline import (
     run_stage,
     save_pretrained,
     score_graph,
+    score_labeled,
     warmup_router,
 )
 from .preprocess import align
@@ -79,8 +80,8 @@ def _load_config(args) -> PipelineConfig:
     return cfg
 
 
-def _load_graphs(paths, with_labels=True):
-    return [load_graph_dir(p, with_labels=with_labels) for p in paths]
+def _load_graphs(paths):
+    return [load_graph_dir(p) for p in paths]
 
 
 def cmd_gen(args):
@@ -217,16 +218,7 @@ def cmd_eval(args):
         report = evaluate_runs(cfg, train_graphs, test_graphs, runs=args.runs)
     else:
         artifacts = RunArtifacts.load(args.artifacts)
-        scored = {}
-        for g in test_graphs:
-            scores, routing, per_expert = score_graph(artifacts, g)
-            scored[g.name] = {
-                "scores": scores,
-                "labels": g.labels,
-                "weights": routing.weights,
-                "per_expert": per_expert,
-            }
-        report = evaluate_scored(scored)
+        report = evaluate_scored(score_labeled(artifacts, test_graphs))
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "metrics.json"), "w", encoding="utf-8") as fh:
         fh.write(report_to_json(report))
@@ -266,22 +258,21 @@ def cmd_report(args):
         print("no reports found; run `evofg eval` first")
 
 
-def _add_common(p, config=True):
-    if config:
-        p.add_argument("--config", help="JSON config mirroring PipelineConfig fields")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--llm-fixtures", dest="llm_fixtures",
-                       help="directory of recorded chat responses (enables fixture mode)")
-        p.add_argument("--no-select", dest="no_select", action="store_true",
-                       help="skip the selection rule (keep all generated features)")
-        p.add_argument("--random-backend", dest="random_backend", action="store_true",
-                       help="force the deterministic random composer")
-        p.add_argument("--no-memory", dest="no_memory", action="store_true",
-                       help="projection-only router (no memory retrieval)")
-        p.add_argument("--lambda", dest="lam", type=float, default=None,
-                       help="variance-penalty weight override")
-        p.add_argument("--reset-final", dest="reset_final", action="store_true",
-                       help="fresh router initialization before the final retrain")
+def _add_common(p):
+    p.add_argument("--config", help="JSON config mirroring PipelineConfig fields")
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--llm-fixtures", dest="llm_fixtures",
+                   help="directory of recorded chat responses (enables fixture mode)")
+    p.add_argument("--no-select", dest="no_select", action="store_true",
+                   help="skip the selection rule (keep all generated features)")
+    p.add_argument("--random-backend", dest="random_backend", action="store_true",
+                   help="force the deterministic random composer")
+    p.add_argument("--no-memory", dest="no_memory", action="store_true",
+                   help="projection-only router (no memory retrieval)")
+    p.add_argument("--lambda", dest="lam", type=float, default=None,
+                   help="variance-penalty weight override")
+    p.add_argument("--reset-final", dest="reset_final", action="store_true",
+                   help="fresh router initialization before the final retrain")
 
 
 def build_parser():

@@ -17,6 +17,10 @@ log = logging.getLogger(__name__)
 
 _BLOCK = 256  # source rows per block: float temporaries stay at _BLOCK x N
 
+PAGERANK_DAMPING = 0.85
+PAGERANK_TOL = 1e-10  # L1 change between iterates
+PAGERANK_MAX_ITER = 200
+
 CATEGORIES = ("PageRank", "Betweenness", "Closeness", "Similarity", "Topology")
 
 _SCOPES = ("t", "ego_mean", "global_mean", "ego_rank", "global_rank")
@@ -39,9 +43,10 @@ PRIMITIVE_CATEGORIES = (
 )
 
 
-def pagerank(g: Graph, damping=0.85, tol=1e-10, max_iter=200) -> np.ndarray:
+def pagerank(g: Graph) -> np.ndarray:
     """Power iteration with uniform teleport; dangling mass is spread
-    uniformly. Stops at L1 change < tol (or max_iter). Sums to 1."""
+    uniformly. Stops at L1 change < PAGERANK_TOL (or PAGERANK_MAX_ITER
+    iterations). Sums to 1."""
     n = g.num_nodes
     if n == 1:
         return np.ones(1)
@@ -50,10 +55,10 @@ def pagerank(g: Graph, damping=0.85, tol=1e-10, max_iter=200) -> np.ndarray:
     inv_deg = np.where(dangling, 0.0, 1.0 / np.where(dangling, 1.0, deg))
     a = g.adjacency()
     p = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
+    for _ in range(PAGERANK_MAX_ITER):
         spread = a @ (p * inv_deg) + p[dangling].sum() / n
-        p_new = (1.0 - damping) / n + damping * spread
-        if np.abs(p_new - p).sum() < tol:
+        p_new = (1.0 - PAGERANK_DAMPING) / n + PAGERANK_DAMPING * spread
+        if np.abs(p_new - p).sum() < PAGERANK_TOL:
             p = p_new
             break
         p = p_new

@@ -84,9 +84,6 @@ class Graph:
     def num_edges(self):
         return self.edges.shape[0]
 
-    def neighbors(self, v):
-        return self.indices[self.indptr[v] : self.indptr[v + 1]]
-
     def adjacency(self):
         """Symmetric 0/1 adjacency as scipy CSR."""
         n = self.num_nodes
@@ -127,21 +124,6 @@ class Graph:
             dinv = np.divide(1.0, d, out=np.zeros_like(d), where=d > 0)
             self._ops["D_inv_A"] = sp.diags(dinv) @ self.adjacency()
         return self._ops["D_inv_A"]
-
-    def equals(self, other):
-        return (
-            self.num_nodes == other.num_nodes
-            and np.array_equal(self.edges, other.edges)
-            and np.array_equal(self.features, other.features)
-            and (
-                (self.labels is None and other.labels is None)
-                or (
-                    self.labels is not None
-                    and other.labels is not None
-                    and np.array_equal(self.labels, other.labels)
-                )
-            )
-        )
 
 
 def _parse_matrix_file(path):
@@ -221,13 +203,14 @@ def load_graph(edge_path, feature_path, label_path=None, name="graph") -> Graph:
     return Graph(features.shape[0], edges, features, labels, name=name)
 
 
-def load_graph_dir(path, name=None, with_labels=True) -> Graph:
-    """Load a graph from a directory following the standard file names."""
+def load_graph_dir(path, with_labels=True) -> Graph:
+    """Load a graph from a directory following the standard file names; the
+    graph is named after the directory."""
     return load_graph(
         os.path.join(path, EDGE_FILE),
         os.path.join(path, FEATURE_FILE),
         os.path.join(path, LABEL_FILE) if with_labels else None,
-        name=name or os.path.basename(os.path.normpath(path)),
+        name=os.path.basename(os.path.normpath(path)),
     )
 
 

@@ -17,6 +17,11 @@ log = logging.getLogger(__name__)
 API_KEY_ENV = "EVOFG_LLM_API_KEY"
 DEFAULT_MODEL = "Qwen2-7B-Instruct"
 PROMPT_VERSION = "v1"
+# request settings of every chat call
+TIMEOUT_S = 30.0
+RETRIES = 2  # transport errors only, with exponential backoff
+TEMPERATURE = 0.2
+MAX_TOKENS = 256
 
 SYSTEM_PROMPT = f"""\
 You design routing features for a graph anomaly detector (prompt {PROMPT_VERSION}).
@@ -65,49 +70,34 @@ class FixtureTransport:
             return json.load(fh)
 
 
-def _http_transport(timeout):
+def _http_post(url, headers, body):
     import requests
 
-    def post(url, headers, body):
-        try:
-            resp = requests.post(url, headers=headers, json=body, timeout=timeout)
-        except requests.RequestException as exc:
-            raise TransportError(f"request failed: {exc}") from exc
-        if resp.status_code // 100 != 2:
-            raise TransportError(f"HTTP {resp.status_code}: {resp.text[:200]}")
-        try:
-            return resp.json()
-        except ValueError as exc:
-            raise ResponseFormatError("response body is not JSON") from exc
-
-    return post
+    try:
+        resp = requests.post(url, headers=headers, json=body, timeout=TIMEOUT_S)
+    except requests.RequestException as exc:
+        raise TransportError(f"request failed: {exc}") from exc
+    if resp.status_code // 100 != 2:
+        raise TransportError(f"HTTP {resp.status_code}: {resp.text[:200]}")
+    try:
+        return resp.json()
+    except ValueError as exc:
+        raise ResponseFormatError("response body is not JSON") from exc
 
 
 class ChatCompletionClient:
     """Minimal client for POST {base_url}/v1/chat/completions.
 
-    Transport errors are retried (2 retries, exponential backoff); content
-    errors are raised immediately so the caller can fall back.
+    Transport errors are retried (``RETRIES`` times, exponential backoff);
+    content errors are raised immediately so the caller can fall back. The
+    API key is read from ``EVOFG_LLM_API_KEY``.
     """
 
-    def __init__(
-        self,
-        base_url,
-        model=DEFAULT_MODEL,
-        api_key=None,
-        timeout=30.0,
-        retries=2,
-        temperature=0.2,
-        max_tokens=256,
-        transport=None,
-    ):
+    def __init__(self, base_url, model=DEFAULT_MODEL, transport=None):
         self.url = base_url.rstrip("/") + "/v1/chat/completions"
         self.model = model
-        self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV, "")
-        self.retries = retries
-        self.temperature = temperature
-        self.max_tokens = max_tokens
-        self.transport = transport or _http_transport(timeout)
+        self.api_key = os.environ.get(API_KEY_ENV, "")
+        self.transport = transport or _http_post
 
     def complete(self, messages) -> str:
         headers = {"Content-Type": "application/json"}
@@ -116,16 +106,16 @@ class ChatCompletionClient:
         body = {
             "model": self.model,
             "messages": messages,
-            "temperature": self.temperature,
-            "max_tokens": self.max_tokens,
+            "temperature": TEMPERATURE,
+            "max_tokens": MAX_TOKENS,
         }
         delay = 0.5
-        for attempt in range(self.retries + 1):
+        for attempt in range(RETRIES + 1):
             try:
                 payload = self.transport(self.url, headers, body)
                 break
             except TransportError:
-                if attempt == self.retries:
+                if attempt == RETRIES:
                     raise
                 log.warning("chat request failed (attempt %d), retrying", attempt + 1)
                 time.sleep(delay)

@@ -69,16 +69,8 @@ def auroc(scores, labels) -> float:
     computed exactly from midranks."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = _check_labels(labels)
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(len(scores), dtype=np.float64)
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0  # midrank, 1-based
-        i = j + 1
+    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]  # midranks, 1-based
     n_pos = int(labels.sum())
     n_neg = len(labels) - n_pos
     u = ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2.0

@@ -67,7 +67,6 @@ class PipelineConfig:
     d_prime: int = 32  # attention width
     d_m: int = 32  # memory width
     n_memory: int = 32  # memory slots per bank
-    n_experts: int = 4
     lr: float = 1e-5
     wd: float = 5e-5
     expert_epochs: tuple = (10, 10, 10, 40)  # per ARCHS order
@@ -96,18 +95,19 @@ class PipelineConfig:
         "m": "gen_per_round",
         "R": "rounds",
         "M": "n_memory",
-        "E": "n_experts",
     }
 
     def __post_init__(self):
         if isinstance(self.llm, dict):
             self.llm = LLMSettings(**self.llm)
         self.expert_epochs = tuple(self.expert_epochs)
+        if len(self.expert_epochs) != len(ARCHS):
+            raise ValueError(f"expert_epochs needs one entry per expert: {', '.join(ARCHS)}")
         if self.lam < 0:
             raise ValueError("lambda must be nonnegative")
         if not 0 < self.key_fraction < 1:
             raise ValueError("key_fraction must lie in (0, 1)")
-        for name in ("d", "d_e", "d_prime", "d_m", "n_memory", "n_experts"):
+        for name in ("d", "d_e", "d_prime", "d_m", "n_memory"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -116,6 +116,10 @@ class PipelineConfig:
         known = {f.name for f in dataclasses.fields(cls)}
         kwargs = {}
         for key, value in data.items():
+            if key in ("n_experts", "E"):  # saved while the count was a field
+                if value != len(ARCHS):
+                    raise ValueError(f"{key}={value!r}: the experts are {', '.join(ARCHS)}")
+                continue
             key = cls._ALIASES.get(key, key)
             if key not in known:
                 raise ValueError(f"unknown config field {key!r}")
@@ -315,7 +319,7 @@ def build_contexts(bundles, models, cfg: PipelineConfig):
 
 def _new_router(cfg: PipelineConfig, d_r, tag):
     return init_router(
-        cfg.d, d_r, cfg.d_m, cfg.n_memory, cfg.n_experts, derive_seed(cfg.seed, tag),
+        cfg.d, d_r, cfg.d_m, cfg.n_memory, len(ARCHS), derive_seed(cfg.seed, tag),
         use_memory=not cfg.no_memory,
     )
 
@@ -392,18 +396,14 @@ def build_key_cache(contexts):
     }
 
 
-def run_pipeline(cfg: PipelineConfig, train_graphs, out_dir=None,
-                 prepared_cache=None) -> RunArtifacts:
+def run_pipeline(cfg: PipelineConfig, train_graphs, prepared_cache=None) -> RunArtifacts:
     """Execute the full training pipeline on labeled source graphs: the
     stages in order, each on the values the one before returned."""
     bundles = run_stage(cfg, "prepare", prepare_graphs, train_graphs, cfg.d, prepared_cache)
     models = run_stage(cfg, "pretrain", pretrain_all_experts, bundles, cfg)
     contexts = run_stage(cfg, "contexts", build_contexts, bundles, models, cfg)
     router_model = run_stage(cfg, "warmup", warmup_router, contexts, cfg)
-    artifacts = run_stage(cfg, "evolve", evolve, router_model, bundles, contexts, models, cfg)
-    if out_dir:
-        artifacts.save(out_dir)
-    return artifacts
+    return run_stage(cfg, "evolve", evolve, router_model, bundles, contexts, models, cfg)
 
 
 def score_graph(artifacts: RunArtifacts, g: Graph, prepared_cache=None):
@@ -432,6 +432,21 @@ def score_graph(artifacts: RunArtifacts, g: Graph, prepared_cache=None):
     h_final, recon_final = aggregate(routing.weights, expert_h, expert_recon)
     scores = anomaly_scores(h_final, recon_final)
     return scores, routing, per_expert_scores
+
+
+def score_labeled(artifacts: RunArtifacts, graphs, prepared_cache=None):
+    """Zero-shot scores of labeled graphs in the form ``evaluate_scored``
+    reads, keyed by graph name."""
+    scored = {}
+    for g in graphs:
+        scores, routing, per_expert = score_graph(artifacts, g, prepared_cache)
+        scored[g.name] = {
+            "scores": scores,
+            "labels": g.labels,
+            "weights": routing.weights,
+            "per_expert": per_expert,
+        }
+    return scored
 
 
 def evaluate_scored(scored):
@@ -480,18 +495,9 @@ def evaluate_runs(cfg: PipelineConfig, train_graphs, test_graphs, runs=1,
     for i in range(runs):
         run_cfg = dataclasses.replace(cfg, seed=cfg.seed + i)
         artifacts = run_pipeline(run_cfg, train_graphs, prepared_cache=prepared_cache)
-        scored = {}
-        for g in test_graphs:
-            scores, routing, per_expert = score_graph(
-                artifacts, g, prepared_cache=prepared_cache
-            )
-            scored[g.name] = {
-                "scores": scores,
-                "labels": g.labels,
-                "weights": routing.weights,
-                "per_expert": per_expert,
-            }
-        run_reports.append(evaluate_scored(scored))
+        run_reports.append(
+            evaluate_scored(score_labeled(artifacts, test_graphs, prepared_cache))
+        )
     report = {"runs": run_reports, "n_runs": runs, "base_seed": cfg.seed}
     names = sorted(run_reports[0]["per_graph"])
     agg = {}

@@ -10,6 +10,7 @@ masked-feature environments, and coefficient-of-variation balancing.
 from __future__ import annotations
 
 import copy
+import functools
 import logging
 from dataclasses import dataclass
 
@@ -174,7 +175,11 @@ def aggregate(p, expert_h, expert_recon):
         for m in mats:
             if m.shape[0] != p.shape[0]:
                 raise ValueError("routing weight rows do not match expert rows")
-    return ad.mix_rows(p, expert_h).value, ad.mix_rows(p, expert_recon).value
+
+    def mix(mats):  # sum_e p[:, e] * mats[e], summed in expert order
+        return functools.reduce(np.add, [m * p[:, e, None] for e, m in enumerate(mats)])
+
+    return mix(expert_h), mix(expert_recon)
 
 
 def normalize_targets(q, n_experts):
@@ -214,7 +219,8 @@ def balance_loss_t(p_t, g_t):
     load_p = ad.tsum(p_t, axis=0)
     load_g = ad.tsum(g_t, axis=0)
     # CV needs nonnegative loads; logit sums are shifted by their minimum
-    shifted = ad.sub(load_g, ad.vec_min(load_g))
+    low = ad.index_scalar(load_g, int(np.argmin(load_g.value)))
+    shifted = ad.sub(load_g, low)
     return ad.add(_cv_squared_t(load_p), _cv_squared_t(shifted))
 
 

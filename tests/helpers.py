@@ -23,6 +23,43 @@ from evofg.router import (
 )
 
 
+def neighbors(g: Graph, v):
+    """The sorted neighbor ids of node v."""
+    return g.indices[g.indptr[v] : g.indptr[v + 1]]
+
+
+def graph_equals(a: Graph, b: Graph):
+    """Same node count, edges, features and labels (names are not compared)."""
+    return (
+        a.num_nodes == b.num_nodes
+        and np.array_equal(a.edges, b.edges)
+        and np.array_equal(a.features, b.features)
+        and (
+            (a.labels is None and b.labels is None)
+            or (
+                a.labels is not None
+                and b.labels is not None
+                and np.array_equal(a.labels, b.labels)
+            )
+        )
+    )
+
+
+def mix_rows(p, mats):
+    """Tape op: per-row mixture sum_e p[:, e] * mats[e] of constant R x d
+    matrices by the columns of p (R x E), summed in expert order (the order
+    ``router.aggregate`` sums in)."""
+    p = ad.wrap(p)
+    acc = mats[0] * p.value[:, 0, None]
+    for e in range(1, len(mats)):
+        acc = acc + mats[e] * p.value[:, e, None]
+    out = ad.Tensor(acc, (p,))
+    out._backward = lambda g: ad._acc(
+        p, np.stack([(g * m).sum(axis=1) for m in mats], axis=1)
+    )
+    return out
+
+
 def graph_from_edges(n, edges, d=3, labels=None, seed=0, name="toy"):
     rng = np.random.default_rng(seed)
     feats = rng.normal(size=(n, d))
@@ -206,8 +243,8 @@ def per_env_route_losses_t(lv, ctx, masks, noise, use_memory):
     for mask in masks:
         out = route_t(lv, ctx.xtilde, ctx.graph, ctx.hr * mask, noise, use_memory)
         p_q = ad.gather_rows(out["P"], ctx.queries)
-        hq = ad.mix_rows(p_q, ctx.expert_hq)
-        rec = ad.mix_rows(p_q, ctx.expert_recon)
+        hq = mix_rows(p_q, ctx.expert_hq)
+        rec = mix_rows(p_q, ctx.expert_recon)
         losses.append(anomaly_loss_t(hq, rec, ctx.y_q))
     return ad.stack_scalars(losses)
 
@@ -282,7 +319,7 @@ def brute_force_path_counts(g: Graph, dist):
             if t == s or not np.isfinite(dist[s, t]):
                 continue
             total = 0.0
-            for u in g.neighbors(t):
+            for u in neighbors(g, t):
                 if dist[s, u] + 1 == dist[s, t]:
                     total += sigma[s, u]
             sigma[s, t] = total

@@ -2,7 +2,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from evofg import autodiff as ad
-from helpers import fd_adapters, finite_diff_check
+from helpers import fd_adapters, finite_diff_check, mix_rows
 
 
 def test_composite_dense_ops_gradient():
@@ -35,12 +35,27 @@ def test_sparse_segment_and_gather_ops_gradient():
         alpha = ad.segment_softmax(ad.leaky_relu(lv["a"], 0.2), seg, 3)
         mixed = ad.segment_sum_rows(ad.scale_rows(rows, alpha), seg, 3)
         c0 = ad.matvec(mixed, np.array([1.0, 0.0, 0.0]))
-        lo = ad.vec_min(ad.tsum(mixed, axis=1))
+        sums = ad.tsum(mixed, axis=1)
+        lo = ad.index_scalar(sums, int(np.argmin(sums.value)))
         return ad.add(ad.tmean(ad.mul(c0, c0)), ad.mul(lo, 0.3))
 
     loss_fn, grad_fn, vec = fd_adapters(build, params)
     rep = finite_diff_check(loss_fn, grad_fn, vec)
     assert rep.max_rel_err < 1e-6
+
+
+def test_scatter_add_rows_matches_add_at_bit_for_bit():
+    rng = np.random.default_rng(6)
+    for _ in range(50):
+        n = int(rng.integers(1, 40))
+        idx = rng.integers(0, n, size=int(rng.integers(0, 300)))  # unsorted, repeated
+        scale = 10.0 ** rng.integers(-8, 9, size=(len(idx), 1))
+        for rows in (rng.normal(size=(len(idx), 5)) * scale, rng.normal(size=len(idx))):
+            ref = np.zeros((n,) + rows.shape[1:])
+            np.add.at(ref, idx, rows)
+            got = ad.scatter_add_rows(idx, rows, n)
+            assert got.shape == ref.shape
+            assert np.array_equal(got, ref)
 
 
 def test_log_softmax_softplus_matvec_gradient():
@@ -104,8 +119,8 @@ def test_mix_rows_gradient_and_expert_order_sum():
 
     def build(lv):
         p = ad.row_softmax(lv["w"])
-        h = ad.mix_rows(p, mats)
-        r = ad.mix_rows(p, recs)  # a second use of the same weights
+        h = mix_rows(p, mats)
+        r = mix_rows(p, recs)  # a second use of the same weights
         d = ad.sub(h, r)
         return ad.tmean(ad.mul(d, d))
 
@@ -115,7 +130,7 @@ def test_mix_rows_gradient_and_expert_order_sum():
 
     p = rng.dirichlet(np.ones(3), size=5)
     chain = (mats[0] * p[:, 0, None] + mats[1] * p[:, 1, None]) + mats[2] * p[:, 2, None]
-    assert np.array_equal(ad.mix_rows(p, mats).value, chain)
+    assert np.array_equal(mix_rows(p, mats).value, chain)
 
 
 def _gram(a_mats, b_mats):
@@ -127,8 +142,8 @@ def _direct_cosine(p, a_mats, b_mats, k):
     replaces, with the R-row expert matrices tiled over the k groups."""
     from evofg.experts import cosine_rows_t
 
-    a = ad.mix_rows(p, [np.tile(m, (k, 1)) for m in a_mats])
-    b = ad.mix_rows(p, [np.tile(m, (k, 1)) for m in b_mats])
+    a = mix_rows(p, [np.tile(m, (k, 1)) for m in a_mats])
+    b = mix_rows(p, [np.tile(m, (k, 1)) for m in b_mats])
     return cosine_rows_t(a, b)
 
 

@@ -25,7 +25,7 @@ from evofg.pipeline import (
     score_graph,
     warmup_router,
 )
-from helpers import degenerate_graphs, full_forward_utility
+from helpers import degenerate_graphs, full_forward_utility, graph_equals
 
 TINY = dict(
     d=5, d_e=6, d_prime=5, d_m=6, n_memory=4,
@@ -229,6 +229,25 @@ class TestScoreGraph:
         assert np.array_equal(s1, s2)
         assert np.array_equal(r1.weights, r2.weights)
 
+    def test_artifacts_saving_the_expert_count_load_and_score(self, tmp_path, artifacts,
+                                                             graphs):
+        # config.json as written while the expert count was a config field
+        _, test = graphs
+        out = str(tmp_path / "artifacts")
+        artifacts.save(out)
+        path = os.path.join(out, "config.json")
+        with open(path) as fh:
+            saved = json.load(fh)
+        assert "n_experts" not in saved
+        with open(path, "w") as fh:
+            json.dump({**saved, "n_experts": 4}, fh, indent=2, sort_keys=True)
+        loaded = RunArtifacts.load(out)
+        assert loaded.config == artifacts.config
+        s1, r1, _ = score_graph(artifacts, test[0])
+        s2, r2, _ = score_graph(loaded, test[0])
+        assert np.array_equal(s1, s2)
+        assert np.array_equal(r1.weights, r2.weights)
+
     def test_load_rejects_router_features_other_than_the_active_set(self, tmp_path,
                                                                     artifacts):
         out = str(tmp_path / "artifacts")
@@ -331,6 +350,31 @@ class TestConfig:
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError, match="unknown config"):
             PipelineConfig.from_dict({"bogus": 1})
+
+    def test_saved_expert_count_of_four_is_dropped(self):
+        assert PipelineConfig.from_dict({"n_experts": 4}) == PipelineConfig()
+        assert PipelineConfig.from_dict({"E": 4, "seed": 2}) == PipelineConfig(seed=2)
+
+    @pytest.mark.parametrize("key", ["n_experts", "E"])
+    @pytest.mark.parametrize("value", [3, 5])
+    def test_other_expert_count_rejected_at_config_load(self, tmp_path, key, value):
+        with pytest.raises(ValueError, match=f"{key}={value}: the experts are LOWPASS, ATTENTION"):
+            PipelineConfig.from_dict({key: value})
+        # the CLI reads the config before it opens a training graph
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({key: value}))
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match=key):
+            cli_main(["pretrain", "--train", str(tmp_path / "missing"),
+                      "--out", str(out), "--config", str(cfg_path)])
+        assert not out.exists()
+
+    @pytest.mark.parametrize("epochs", [(1, 1), (1, 1, 1, 1, 1)])
+    def test_expert_epochs_needs_one_entry_per_expert(self, epochs):
+        with pytest.raises(ValueError, match="expert_epochs needs"):
+            PipelineConfig(expert_epochs=epochs)
+        with pytest.raises(ValueError, match="expert_epochs needs"):
+            PipelineConfig.from_dict({"expert_epochs": list(epochs)})
 
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError):
@@ -483,7 +527,7 @@ class TestCLI:
         self.run("save", "--graph", src, "--out", dst)
         a = load_graph_dir(src)
         b = load_graph_dir(dst)
-        assert a.equals(b)
+        assert graph_equals(a, b)
 
     def test_ablation_flags_reach_config(self, tmp_path):
         from evofg.cli import _load_config, build_parser

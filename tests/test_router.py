@@ -34,6 +34,7 @@ from helpers import (
     invariant_env_draws,
     invariant_loss,
     kl_router_loss,
+    mix_rows,
     per_env_route_losses_t,
     reference_train_main,
 )
@@ -166,6 +167,17 @@ class TestAggregate:
         p = np.array([[0.5, 0.5]])
         h, _ = aggregate(p, mats, mats)
         assert np.allclose(h, 1.0)
+
+    def test_sums_in_expert_order(self):
+        # scoring's mixture is the sum over experts in ARCHS order, bit for bit
+        rng = np.random.default_rng(3)
+        mats = [rng.normal(size=(50, 3)) * 10.0 ** e for e in range(4)]
+        p = rng.dirichlet(np.ones(4), size=50)
+        chain = ((mats[0] * p[:, 0, None] + mats[1] * p[:, 1, None])
+                 + mats[2] * p[:, 2, None]) + mats[3] * p[:, 3, None]
+        h, r = aggregate(p, mats, mats[::-1])
+        assert np.array_equal(h, chain)
+        assert np.array_equal(r, mix_rows(p, mats[::-1]).value)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
