@@ -4,7 +4,11 @@ Every trainable loss in this package is built from the ops below and is
 verified against central finite differences (``finite_diff_check`` in
 ``tests/helpers.py``), so the op set stays deliberately small: dense/sparse
 matmul, elementwise nonlinearities, row/segment softmax, gather/scatter
-indexing, and the router's fused expert-mixture ops.
+indexing, and the router's fused ops: ``gram_cosine_rows``, and
+``affine``, ``key_softmax`` and ``memory_readout``, which compute what the
+chains they replace compute, in the same order, but keep only what their
+backward reads. Backward drops an inner node's gradient once it is used;
+leaves keep theirs.
 """
 
 from __future__ import annotations
@@ -30,7 +34,9 @@ class Tensor:
         return self.value.shape
 
     def backward(self):
-        """Accumulate gradients of this scalar into every reachable leaf."""
+        """Accumulate gradients of this scalar into every reachable leaf.
+        Leaves keep their gradients; inner nodes hold none afterwards, so a
+        second call adds one more copy of the leaf gradients."""
         if self.value.ndim != 0:
             raise ValueError("backward() requires a scalar tensor")
         order = _toposort(self)
@@ -38,6 +44,11 @@ class Tensor:
         for node in order:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                # an inner node's gradient is read by its own backward only;
+                # dropping it here keeps the gradients of the current
+                # frontier alive, not those of the whole tape
+                if node._parents:
+                    node.grad = None
 
 
 def _toposort(root):
@@ -164,6 +175,25 @@ def matmul(a, b):
     return out
 
 
+def affine(x, w, b):
+    """x @ w + b, the bias added in place, so the tape keeps one array."""
+    x, w, b = wrap(x), wrap(w), wrap(b)
+    y = x.value @ w.value
+    y += b.value
+    out = Tensor(y, (x, w, b))
+
+    def bw(g):
+        if x.requires_grad:
+            _acc(x, g @ w.value.T)
+        if w.requires_grad:
+            _acc(w, x.value.T @ g)
+        if b.requires_grad:
+            _acc(b, _unbroadcast(g, b.value.shape))
+
+    out._backward = bw
+    return out
+
+
 def matvec(a, v):
     """2-D tensor @ 1-D tensor -> 1-D tensor."""
     a, v = wrap(a), wrap(v)
@@ -269,6 +299,27 @@ def row_softmax(a):
     return out
 
 
+def key_softmax(a, keys):
+    """row_softmax(a @ keys.T): each row's attention over the rows of keys.
+    The logits are not kept; backward needs only the attention."""
+    a, keys = wrap(a), wrap(keys)
+    p = a.value @ keys.value.T
+    p -= p.max(axis=1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=1, keepdims=True)
+    out = Tensor(p, (a, keys))
+
+    def bw(g):
+        gl = p * (g - (g * p).sum(axis=1, keepdims=True))
+        if a.requires_grad:
+            _acc(a, gl @ keys.value)
+        if keys.requires_grad:
+            _acc(keys, (a.value.T @ gl).T)
+
+    out._backward = bw
+    return out
+
+
 def row_log_softmax(a):
     a = wrap(a)
     z = a.value - a.value.max(axis=1, keepdims=True)
@@ -350,12 +401,42 @@ def scale_rows(a, w):
     return out
 
 
-def tile_rows(a, k):
-    """k copies of a (R x d) stacked by rows: row j * R + r is a[r]."""
-    a = wrap(a)
-    r = a.value.shape[0]
-    out = Tensor(np.tile(a.value, (k, 1)), (a,))
-    out._backward = lambda g: _acc(a, g.reshape(k, r, -1).sum(axis=0))
+def memory_readout(s, mem, node, scale):
+    """((s @ mem) * node) @ scale.T: per-expert logits from memory readouts.
+    s stacks k groups of R rows ((k * R) x M) and the R node rows are
+    broadcast over the groups, not tiled; mem=None reads s itself as the
+    embedding (a router without memory). Backward recomputes s @ mem, so
+    the op keeps no intermediate."""
+    s, node, scale = wrap(s), wrap(node), wrap(scale)
+    if mem is not None:
+        mem = wrap(mem)
+    r, d = node.value.shape
+
+    def embed():  # s @ mem as k x R x d
+        h = s.value if mem is None else s.value @ mem.value
+        return h.reshape(-1, r, d)
+
+    prod = (embed() * node.value).reshape(-1, d)
+    parents = (s, node, scale) if mem is None else (s, mem, node, scale)
+    out = Tensor(prod @ scale.value.T, parents)
+
+    def bw(g):
+        h = embed()
+        g_h = (g @ scale.value).reshape(-1, r, d)
+        if scale.requires_grad:
+            _acc(scale, ((h * node.value).reshape(-1, d).T @ g).T)
+        if node.requires_grad:
+            _acc(node, (g_h * h).sum(axis=0))
+        g_h = (g_h * node.value).reshape(-1, d)
+        if mem is None:
+            _acc(s, g_h)
+            return
+        if s.requires_grad:
+            _acc(s, g_h @ mem.value.T)
+        if mem.requires_grad:
+            _acc(mem, s.value.T @ g_h)
+
+    out._backward = bw
     return out
 
 

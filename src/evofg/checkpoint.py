@@ -41,18 +41,34 @@ def load_checkpoint(path):
     with open(path, "rb") as fh:
         if fh.read(4) != MAGIC:
             raise CheckpointError(f"{path}: bad magic")
-        version, hlen = struct.unpack("<II", fh.read(8))
+        fixed = fh.read(8)
+        if len(fixed) != 8:
+            raise CheckpointError(f"{path}: truncated before the header length")
+        version, hlen = struct.unpack("<II", fixed)
         if version != FORMAT_VERSION:
             raise CheckpointError(f"{path}: unsupported version {version}")
-        header = json.loads(fh.read(hlen).decode("utf-8"))
+        blob = fh.read(hlen)
+        if len(blob) != hlen:
+            raise CheckpointError(
+                f"{path}: header length {hlen} runs past the end of the file"
+            )
+        try:
+            header = json.loads(blob.decode("utf-8"))
+        except ValueError as exc:  # bad UTF-8 or bad JSON
+            raise CheckpointError(f"{path}: header is not JSON: {exc}") from None
+        if not isinstance(header, dict) or not isinstance(header.get("tensors"), list):
+            raise CheckpointError(f"{path}: header has no tensor list")
         tensors = {}
         for entry in header["tensors"]:
-            shape = tuple(entry["shape"])
+            try:
+                name, shape = entry["name"], tuple(int(n) for n in entry["shape"])
+            except (KeyError, TypeError, ValueError):
+                raise CheckpointError(f"{path}: malformed tensor entry {entry!r}") from None
             count = int(np.prod(shape)) if shape else 1
             buf = fh.read(8 * count)
             if len(buf) != 8 * count:
-                raise CheckpointError(f"{path}: truncated tensor {entry['name']}")
-            tensors[entry["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+                raise CheckpointError(f"{path}: truncated tensor {name}")
+            tensors[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
         if fh.read(1):
             raise CheckpointError(f"{path}: trailing bytes after the last tensor")
     return header, tensors

@@ -426,9 +426,7 @@ def score_graph(artifacts: RunArtifacts, g: Graph, prepared_cache=None):
         expert_recon.append(recon)
         per_expert_scores[model.arch] = anomaly_scores(h, recon)
 
-    routing = route(
-        artifacts.router, bundle.xtilde, g, table.standardized_active(), train_mode=False
-    )
+    routing = route(artifacts.router, bundle.xtilde, g, table.standardized_active())
     h_final, recon_final = aggregate(routing.weights, expert_h, expert_recon)
     scores = anomaly_scores(h_final, recon_final)
     return scores, routing, per_expert_scores

@@ -108,25 +108,27 @@ def node_branch_t(lv, xtilde, g, use_memory=True):
     )
     if not use_memory:
         return hn_q, None
-    s_n = ad.row_softmax(ad.matmul(hn_q, ad.transpose(lv["mem_node"])))
+    s_n = ad.key_softmax(hn_q, lv["mem_node"])
     return ad.matmul(s_n, lv["mem_node"]), s_n
 
 
 def feature_branch_t(lv, hn_m, hr, noise=None, use_memory=True):
     """The feature half of the forward on the rows of a node-branch output
-    ``hn_m``: logits and the feature-memory attention. The routing weights
-    are ``ad.row_softmax`` of the logits, for the callers that need them."""
+    ``hn_m``: logits and the feature-memory attention. ``hr`` may stack k
+    groups of ``hn_m``'s rows, which every group then shares. The routing
+    weights are ``ad.row_softmax`` of the logits, for the callers that need
+    them."""
     if hr.shape[1] != lv["proj_w"].value.shape[0]:
         raise ValueError(
             f"feature width {hr.shape[1]} != router width {lv['proj_w'].value.shape[0]}"
         )
-    hr_q = ad.add(ad.matmul(ad.wrap(hr), lv["proj_w"]), lv["proj_b"])
-    s_r = None
-    hr_m = hr_q
+    hr_q = ad.affine(hr, lv["proj_w"], lv["proj_b"])
     if use_memory:
-        s_r = ad.row_softmax(ad.matmul(hr_q, ad.transpose(lv["mem_feat"])))
-        hr_m = ad.matmul(s_r, lv["mem_feat"])
-    logits = ad.matmul(ad.mul(hr_m, hn_m), ad.transpose(lv["scale"]))
+        s_r = ad.key_softmax(hr_q, lv["mem_feat"])
+        logits = ad.memory_readout(s_r, lv["mem_feat"], hn_m, lv["scale"])
+    else:
+        s_r = None
+        logits = ad.memory_readout(hr_q, None, hn_m, lv["scale"])
     if noise is not None:
         logits = ad.add(
             logits,
@@ -144,22 +146,18 @@ def route_t(lv, xtilde, g, hr, noise=None, use_memory=True):
     return {**out, "P": ad.row_softmax(out["G"]), "S_n": s_n}
 
 
-def route(model: RouterModel, xtilde, g, hr, train_mode=False, rng=None, mask=None):
-    """Public routing call. Deterministic unless train_mode, in which case
-    Gaussian exploration noise modulated by softplus(H_r W) is added to the
-    logits drawn from ``rng`` (required). ``mask`` zeroes feature columns at
-    fixed width."""
+def route(model: RouterModel, xtilde, g, hr):
+    """Public routing call: the deterministic forward (no exploration noise)
+    on the standardized feature matrix ``hr``."""
     hr = np.asarray(hr, dtype=np.float64)
-    if mask is not None:
-        hr = hr * np.asarray(mask, dtype=np.float64)
-    noise = None
-    if train_mode:
-        if rng is None:
-            raise ValueError("train_mode routing draws noise and needs an rng")
-        noise = rng.standard_normal((hr.shape[0], model.dims[4]))
-    out = route_t(ad.leaves(model.params), xtilde, g, hr, noise, model.use_memory)
-    m = model.dims[3]
-    ones = np.full((hr.shape[0], m), 1.0 / m)
+    out = route_t(ad.leaves(model.params), xtilde, g, hr, None, model.use_memory)
+    return _routing_output(out, model.dims[3])
+
+
+def _routing_output(out, n_memory):
+    """A ``route_t`` result as arrays; a router without memory attends
+    uniformly over its ``n_memory`` slots."""
+    ones = np.full((out["G"].shape[0], n_memory), 1.0 / n_memory)
     return RoutingOutput(
         logits=out["G"].value,
         weights=out["P"].value,
@@ -322,9 +320,7 @@ def _env_losses_t(lv, ctx, node_q, masks, noise_q, use_memory):
     query rows."""
     k, d_r = masks.shape
     hr = (ctx.hr[ctx.queries] * masks[:, None, :]).reshape(-1, d_r)
-    out = feature_branch_t(
-        lv, ad.tile_rows(node_q, k), hr, np.tile(noise_q, (k, 1)), use_memory
-    )
+    out = feature_branch_t(lv, node_q, hr, np.tile(noise_q, (k, 1)), use_memory)
     cos = ad.gram_cosine_rows(ad.row_softmax(out["G"]), *ctx.gram)  # k x Nq
     normal_term = ad.mul(ad.sub(1.0, cos), 1.0 - ctx.y_q)
     anomaly_term = ad.mul(ad.maximum_scalar(cos, 0.0), ctx.y_q)

@@ -16,9 +16,11 @@ from evofg.graph import Graph
 from evofg.router import (
     _combine_env_losses_t,
     _env_losses_t,
+    _routing_output,
     balance_loss_t,
     kl_router_loss_t,
     node_branch_t,
+    route,
     route_t,
 )
 
@@ -58,6 +60,52 @@ def mix_rows(p, mats):
         p, np.stack([(g * m).sum(axis=1) for m in mats], axis=1)
     )
     return out
+
+
+def tile_rows(a, k):
+    """Tape op: k copies of a (R x d) stacked by rows: row j * R + r is a[r]."""
+    a = ad.wrap(a)
+    r = a.value.shape[0]
+    out = ad.Tensor(np.tile(a.value, (k, 1)), (a,))
+    out._backward = lambda g: ad._acc(a, g.reshape(k, r, -1).sum(axis=0))
+    return out
+
+
+def unfused_affine(x, w, b):
+    """The tape chain ``ad.affine`` replaces."""
+    return ad.add(ad.matmul(ad.wrap(x), w), b)
+
+
+def unfused_key_softmax(a, keys):
+    """The tape chain ``ad.key_softmax`` replaces."""
+    return ad.row_softmax(ad.matmul(a, ad.transpose(keys)))
+
+
+def unfused_memory_readout(s, mem, node, scale):
+    """The tape chain ``ad.memory_readout`` replaces: the node rows tiled
+    over the k groups of s's rows, when there is more than one."""
+    h = s if mem is None else ad.matmul(s, mem)
+    k = h.shape[0] // node.shape[0]
+    if k > 1:
+        node = tile_rows(node, k)
+    return ad.matmul(ad.mul(h, node), ad.transpose(scale))
+
+
+def route_noisy(model, xtilde, g, hr, train_mode=False, rng=None, mask=None):
+    """``router.route`` with a feature mask and exploration noise: ``mask``
+    zeroes feature columns at fixed width, and with ``train_mode`` Gaussian
+    noise drawn from ``rng`` (required), modulated by softplus(H_r W), is
+    added to the logits."""
+    hr = np.asarray(hr, dtype=np.float64)
+    if mask is not None:
+        hr = hr * np.asarray(mask, dtype=np.float64)
+    if not train_mode:
+        return route(model, xtilde, g, hr)
+    if rng is None:
+        raise ValueError("train_mode routing draws noise and needs an rng")
+    noise = rng.standard_normal((hr.shape[0], model.dims[4]))
+    out = route_t(ad.leaves(model.params), xtilde, g, hr, noise, model.use_memory)
+    return _routing_output(out, model.dims[3])
 
 
 def graph_from_edges(n, edges, d=3, labels=None, seed=0, name="toy"):

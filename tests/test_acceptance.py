@@ -63,6 +63,7 @@ from helpers import (
     invariant_loss,
     mean_marginal_oracle,
     random_graph,
+    route_noisy,
 )
 
 
@@ -250,7 +251,7 @@ def test_c06_routing_invariants():
             model = models[(i * 7) % len(models)]
             hr = rng.normal(size=(g.num_nodes, 7)) * rng.choice([1e-3, 1.0, 50.0])
             train_mode = bool(i % 3 == 0)
-            out = route(model, g.features, g, hr, train_mode=train_mode, rng=rng)
+            out = route_noisy(model, g.features, g, hr, train_mode=train_mode, rng=rng)
             assert np.abs(out.weights.sum(axis=1) - 1.0).max() < 1e-9
             assert (out.weights >= 0.0).all()
         g, model = graphs[0], models[0]

@@ -1,8 +1,19 @@
+import tracemalloc
+
 import numpy as np
+import pytest
 import scipy.sparse as sp
 
 from evofg import autodiff as ad
-from helpers import fd_adapters, finite_diff_check, mix_rows
+from helpers import (
+    fd_adapters,
+    finite_diff_check,
+    mix_rows,
+    tile_rows,
+    unfused_affine,
+    unfused_key_softmax,
+    unfused_memory_readout,
+)
 
 
 def test_composite_dense_ops_gradient():
@@ -227,11 +238,11 @@ def test_gram_cosine_rows_zero_mixtures_and_clamps():
 def test_tile_rows_gradient_and_layout():
     rng = np.random.default_rng(8)
     a = rng.normal(size=(3, 2))
-    assert np.array_equal(ad.tile_rows(a, 4).value, np.vstack([a] * 4))
+    assert np.array_equal(tile_rows(a, 4).value, np.vstack([a] * 4))
     w = rng.normal(size=(12, 2))
 
     def build(lv):
-        return ad.tsum(ad.mul(ad.tile_rows(ad.tanh(lv["a"]), 4), w))
+        return ad.tsum(ad.mul(tile_rows(ad.tanh(lv["a"]), 4), w))
 
     loss_fn, grad_fn, vec = fd_adapters(build, {"a": a})
     assert finite_diff_check(loss_fn, grad_fn, vec).max_rel_err < 1e-7
@@ -245,3 +256,119 @@ def test_first_gradient_shared_by_two_inputs_stays_separate():
     ad.tsum(ad.add(y, lv["a"])).backward()
     assert np.array_equal(lv["a"].grad, [2.0, 2.0])
     assert np.array_equal(lv["b"].grad, [1.0, 1.0])
+
+
+def _chain_loss(lv, x, w):
+    """A loss that reaches each leaf once: tanh(x @ W + b) weighted by w."""
+    h = ad.tanh(ad.affine(x, lv["w"], lv["b"]))
+    return ad.tsum(ad.mul(h, w)), h
+
+
+def test_backward_releases_inner_gradients_and_keeps_leaf_gradients():
+    rng = np.random.default_rng(9)
+    lv = ad.leaves({"w": rng.normal(size=(4, 3)), "b": rng.normal(size=3)})
+    loss, h = _chain_loss(lv, rng.normal(size=(5, 4)), rng.normal(size=(5, 3)))
+    loss.backward()
+    assert loss.grad is None and h.grad is None
+    assert lv["w"].grad.shape == (4, 3) and lv["b"].grad.shape == (3,)
+
+
+def test_second_backward_adds_exactly_one_more_copy_of_leaf_gradients():
+    rng = np.random.default_rng(10)
+    lv = ad.leaves({"w": rng.normal(size=(4, 3)), "b": rng.normal(size=3)})
+    loss, _ = _chain_loss(lv, rng.normal(size=(5, 4)), rng.normal(size=(5, 3)))
+    loss.backward()
+    once = ad.grads(lv)
+    loss.backward()
+    for k, g in ad.grads(lv).items():
+        assert np.array_equal(g, 2.0 * once[k])
+
+
+def test_backward_keeps_a_bounded_number_of_gradients_alive():
+    x = ad.param(np.random.default_rng(11).normal(size=(2000, 64)))
+    h = x
+    for _ in range(30):
+        h = ad.tanh(h)
+    loss = ad.tsum(h)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loss.backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a few arrays of the chain's size at a time, not one per tanh
+    assert peak - before < 6 * x.value.nbytes, (peak - before) / x.value.nbytes
+
+
+def _fused_and_unfused(build, params):
+    """Value and every leaf gradient of build(lv, fused) for both versions."""
+    out = []
+    for fused in (True, False):
+        lv = ad.leaves({k: v.copy() for k, v in params.items()})
+        loss = build(lv, fused)
+        loss.backward()
+        out.append((loss.value, ad.grads(lv)))
+    return out
+
+
+def _assert_fused_exact(build, params):
+    (v_f, g_f), (v_u, g_u) = _fused_and_unfused(build, params)
+    assert np.array_equal(v_f, v_u)
+    for k in params:
+        assert np.array_equal(g_f[k], g_u[k]), k
+    loss_fn, grad_fn, vec = fd_adapters(lambda lv: build(lv, True), params)
+    assert finite_diff_check(loss_fn, grad_fn, vec).max_rel_err < 1e-6
+
+
+def test_affine_matches_the_chain_it_replaces():
+    rng = np.random.default_rng(12)
+    x, w = rng.normal(size=(9, 5)), rng.normal(size=(9, 4))
+    params = {"x": x, "w": rng.normal(size=(5, 4)), "b": rng.normal(size=4)}
+
+    def build(lv, fused):
+        op = ad.affine if fused else unfused_affine
+        h = op(ad.tanh(lv["x"]), lv["w"], lv["b"])
+        return ad.tsum(ad.mul(ad.tanh(h), w))
+
+    _assert_fused_exact(build, params)
+
+
+def test_key_softmax_matches_the_chain_it_replaces():
+    rng = np.random.default_rng(13)
+    w = rng.normal(size=(8, 6))
+    params = {"a": rng.normal(size=(8, 3)), "keys": rng.normal(size=(6, 3))}
+
+    def build(lv, fused):
+        op = ad.key_softmax if fused else unfused_key_softmax
+        return ad.tsum(ad.mul(op(ad.tanh(lv["a"]), lv["keys"]), w))
+
+    _assert_fused_exact(build, params)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("with_memory", [True, False])
+def test_memory_readout_matches_the_chain_it_replaces(k, with_memory):
+    rng = np.random.default_rng(14)
+    r, m, d, e = 5, 4, 3, 2
+    w = rng.normal(size=(k * r, e))
+    params = {
+        "a": rng.normal(size=(k * r, d)),
+        "mem": rng.normal(size=(m, d)),
+        "node": rng.normal(size=(r, d)),
+        "scale": rng.normal(size=(e, d)),
+    }
+
+    def build(lv, fused):
+        # the feature branch's shape: the memory read twice, the node rows
+        # an inner node shared by the k groups
+        if with_memory:
+            s = (ad.key_softmax if fused else unfused_key_softmax)(lv["a"], lv["mem"])
+            mem = lv["mem"]
+        else:
+            s, mem = ad.tanh(lv["a"]), None
+        op = ad.memory_readout if fused else unfused_memory_readout
+        logits = op(s, mem, ad.tanh(lv["node"]), lv["scale"])
+        return ad.add(ad.tsum(ad.mul(logits, w)), ad.tmean(ad.mul(lv["mem"], lv["mem"])))
+
+    _assert_fused_exact(build, params)

@@ -37,6 +37,7 @@ from helpers import (
     mix_rows,
     per_env_route_losses_t,
     reference_train_main,
+    route_noisy,
 )
 
 
@@ -88,16 +89,16 @@ class TestRoute:
 
     def test_train_mode_adds_noise(self, setup):
         cfg, b, ctx, model = setup
-        o1 = route(model, b.xtilde, b.graph, ctx.hr, train_mode=True,
-                   rng=np.random.default_rng(0))
-        o2 = route(model, b.xtilde, b.graph, ctx.hr, train_mode=True,
-                   rng=np.random.default_rng(1))
+        o1 = route_noisy(model, b.xtilde, b.graph, ctx.hr, train_mode=True,
+                         rng=np.random.default_rng(0))
+        o2 = route_noisy(model, b.xtilde, b.graph, ctx.hr, train_mode=True,
+                         rng=np.random.default_rng(1))
         assert not np.array_equal(o1.logits, o2.logits)
 
     def test_train_mode_needs_an_rng(self, setup):
         cfg, b, ctx, model = setup
         with pytest.raises(ValueError, match="rng"):
-            route(model, b.xtilde, b.graph, ctx.hr, train_mode=True)
+            route_noisy(model, b.xtilde, b.graph, ctx.hr, train_mode=True)
 
     def test_identical_scale_vectors_give_uniform_weights(self, setup):
         cfg, b, ctx, _ = setup
@@ -129,7 +130,7 @@ class TestRoute:
     def test_mask_zeroes_columns_at_fixed_width(self, setup):
         cfg, b, ctx, model = setup
         mask = np.zeros(ctx.hr.shape[1])
-        out = route(model, b.xtilde, b.graph, ctx.hr, mask=mask)
+        out = route_noisy(model, b.xtilde, b.graph, ctx.hr, mask=mask)
         manual = route(model, b.xtilde, b.graph, np.zeros_like(ctx.hr))
         assert np.array_equal(out.logits, manual.logits)
 
