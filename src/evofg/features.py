@@ -7,6 +7,9 @@ degree, and ego-graph size.
 from __future__ import annotations
 
 import logging
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -15,7 +18,14 @@ from .graph import EGO_RADIUS, Graph
 
 log = logging.getLogger(__name__)
 
-_BLOCK = 256  # source rows per block: float temporaries stay at _BLOCK x N
+# rows per block of khop_similarity, whose float temporaries stay at
+# _BLOCK x N; the shell sums are GEMMs, which may group their sums by row
+# count, so a change of this size can move bits
+_BLOCK = 256
+# sources per block of the level sweep, whose temporaries are _SWEEP_BLOCK x N
+# floats on each of its two threads; every source's column is computed on its
+# own, so this size moves no bit (64 ran faster than 256 at N = 650 and 3200)
+_SWEEP_BLOCK = 64
 
 PAGERANK_DAMPING = 0.85
 PAGERANK_TOL = 1e-10  # L1 change between iterates
@@ -65,9 +75,9 @@ def pagerank(g: Graph) -> np.ndarray:
     return p
 
 
-def _row_blocks(n):
-    """Slices of at most _BLOCK rows covering 0..n-1."""
-    return [slice(lo, min(lo + _BLOCK, n)) for lo in range(0, n, _BLOCK)]
+def _row_blocks(n, size=_BLOCK):
+    """Slices of at most ``size`` rows covering 0..n-1."""
+    return [slice(lo, min(lo + size, n)) for lo in range(0, n, size)]
 
 
 def _sweep(g: Graph):
@@ -86,23 +96,102 @@ def _level_sweep(g: Graph):
 
     Level-synchronous linear-algebraic form (Brandes 2001, Kepner & Gilbert
     2011), one block of sources at a time: path counts and hop levels go
-    forward by products with A, dependencies go back level by level.
+    forward by products with A, dependencies go back level by level. Every
+    source's column is computed on its own, so neither the block size nor
+    the thread that runs a block changes a bit of the result.
     """
     n = g.num_nodes
     a = g.adjacency()
     dist = np.empty((n, n), dtype=np.min_scalar_type(-n))
+    blocks = _row_blocks(n, _SWEEP_BLOCK)
+    # block index -> its dependencies, until they are added in; both threads
+    # insert, only the calling thread (in add_done) removes
+    done = {}
     score = np.zeros(n)
-    for rows in _row_blocks(n):
+    added = 0
+
+    def compute(i):
+        done[i] = _block_dependencies(a, blocks[i], dist)
+
+    def add_done():
         # a running total over sources in index order, so that tied scores
-        # round alike and the rank columns keep their ties (no block's
-        # temporaries outlive it)
-        score = np.cumsum(
-            np.vstack([score, _block_dependencies(a, rows, dist).T]), axis=0
-        )[-1]
+        # round alike and the rank columns keep their ties; a block is added
+        # once every block before it is, and its dependencies are dropped
+        nonlocal score, added
+        while added in done:
+            score = np.cumsum(np.vstack([score, done.pop(added).T]), axis=0)[-1]
+            added += 1
+
+    _share_blocks(compute, len(blocks), add_done)
     if n < 3:
         return dist, score
     # each unordered pair was counted from both endpoints
     return dist, score / ((n - 1) * (n - 2))
+
+
+def _share_blocks(task, count, between):
+    """Run ``task(i)`` for every i in range(count) on the calling thread and,
+    on a machine with a second CPU, the sweep's helper thread; each claims
+    the next index in turn. The calling thread also runs ``between()`` after
+    each of its tasks and once at the end. An exception in either thread
+    stops both from claiming more, and is raised here once the helper has
+    stopped."""
+    indices = iter(range(count))
+    lock = threading.Lock()
+
+    def claim_and_run(after):
+        while True:
+            with lock:
+                i = next(indices, None)
+            if i is None:
+                return
+            try:
+                task(i)
+                after()
+            except BaseException:
+                with lock:
+                    for _ in indices:  # leave nothing for the other thread
+                        pass
+                raise
+
+    helper = _sweep_helper()
+    pending = None if helper is None else helper.submit(claim_and_run, lambda: None)
+    # a helper that has not started (busy with another caller's sweep, or
+    # not yet woken) is cancelled rather than waited for
+    try:
+        claim_and_run(between)
+    except BaseException:
+        if pending is not None and not pending.cancel():
+            pending.exception()  # wait for the helper; this thread's error wins
+        raise
+    if pending is not None and not pending.cancel():
+        pending.result()
+    between()
+
+
+_helper = None
+_helper_lock = threading.Lock()
+
+
+def _sweep_helper():
+    """The one-thread executor that shares ``_level_sweep`` with the calling
+    thread, started on first use; None with a single usable CPU. One helper,
+    not more: each thread brings its own malloc arena, so every helper adds
+    to the peak memory. (In a forked child the inherited executor has no
+    thread; its task is cancelled and the calling thread sweeps alone.)"""
+    global _helper
+    with _helper_lock:
+        if _helper is None and _usable_cpus() > 1:
+            _helper = ThreadPoolExecutor(1, thread_name_prefix="evofg-sweep")
+        return _helper
+
+
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
 
 
 def _block_dependencies(a, rows, dist):

@@ -9,8 +9,11 @@ File layout (one directory per graph):
 
 from __future__ import annotations
 
+import io
+import itertools
 import logging
 import os
+import re
 
 import numpy as np
 import scipy.sparse as sp
@@ -126,6 +129,13 @@ class Graph:
         return self._ops["D_inv_A"]
 
 
+# The parsers below read a whole file with numpy. When numpy refuses a file,
+# or reads it in a shape other than the layout's, the per-line parser that
+# follows it reads the same lines again: it raises at the first bad line with
+# its path:line, or returns what numpy could not read (int() and float() also
+# take forms such as "1_000" that numpy does not).
+
+
 def _parse_matrix_file(path):
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
@@ -135,60 +145,97 @@ def _parse_matrix_file(path):
             n, d = int(header[0]), int(header[1])
         except ValueError as exc:
             raise GraphFormatError(f"{path}:1: non-integer header") from exc
-        rows = np.empty((n, d), dtype=np.float64)
-        for i in range(n):
-            line = fh.readline()
-            if not line:
-                raise GraphFormatError(f"{path}: expected {n} feature rows, got {i}")
-            parts = line.split()
-            if len(parts) != d:
-                raise GraphFormatError(f"{path}:{i + 2}: expected {d} values")
-            try:
-                rows[i] = [float(p) for p in parts]
-            except ValueError as exc:
-                raise GraphFormatError(f"{path}:{i + 2}: bad real value") from exc
+        lines = list(itertools.islice(fh, n))
+    rows = None
+    # numpy warns on input without data, and it skips blank lines, so that a
+    # blank row shows as a short shape; the per-line parser rejects both
+    if d > 0 and len(lines) == n > 0 and lines[0].strip():
+        try:
+            rows = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
+        except ValueError:
+            pass
+    if rows is None or rows.shape != (n, d):
+        rows = _matrix_rows_by_line(path, lines, n, d)
     return rows
 
 
+def _matrix_rows_by_line(path, lines, n, d):
+    rows = np.empty((n, d), dtype=np.float64)
+    for i, line in enumerate(lines):
+        parts = line.split()
+        if len(parts) != d:
+            raise GraphFormatError(f"{path}:{i + 2}: expected {d} values")
+        try:
+            rows[i] = [float(p) for p in parts]
+        except ValueError as exc:
+            raise GraphFormatError(f"{path}:{i + 2}: bad real value") from exc
+    if len(lines) < n:
+        raise GraphFormatError(f"{path}: expected {n} feature rows, got {len(lines)}")
+    return rows
+
+
+# a line whose first character other than white space is not a comment
+_DATA_LINE = re.compile(r"^[^\S\n]*[^#\s]", re.MULTILINE)
+
+
 def _parse_edges(path, num_nodes):
-    pairs = []
-    dropped_loops = 0
     with open(path, "r", encoding="utf-8") as fh:
-        for ln, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise GraphFormatError(f"{path}:{ln}: expected 'u<TAB>v'")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError as exc:
-                raise GraphFormatError(f"{path}:{ln}: non-integer endpoint") from exc
-            if u < 0 or v < 0 or u >= num_nodes or v >= num_nodes:
-                raise GraphFormatError(
-                    f"{path}:{ln}: node index out of range [0, {num_nodes})"
-                )
-            if u == v:
-                dropped_loops += 1
-                continue
-            pairs.append((min(u, v), max(u, v)))
-    if dropped_loops:
-        log.warning("%s: dropped %d self-loop(s)", path, dropped_loops)
-    return np.array(sorted(set(pairs)), dtype=np.int64).reshape(-1, 2)
+        text = fh.read()
+    if not _DATA_LINE.search(text):
+        # empty or comments only: an edgeless graph (np.loadtxt would warn)
+        pairs = np.empty((0, 2), dtype=np.int64)
+    else:
+        try:
+            pairs = np.loadtxt(io.StringIO(text), dtype=np.int64, comments="#", ndmin=2)
+        except ValueError:
+            pairs = None
+        if pairs is None or pairs.shape[1] != 2 or pairs.min() < 0 or pairs.max() >= num_nodes:
+            pairs = _edge_pairs_by_line(path, text, num_nodes)
+    loops = pairs[:, 0] == pairs[:, 1]
+    if loops.any():
+        log.warning("%s: dropped %d self-loop(s)", path, np.count_nonzero(loops))
+    return np.unique(np.sort(pairs[~loops], axis=1), axis=0)
+
+
+def _edge_pairs_by_line(path, text, num_nodes):
+    pairs = []
+    for ln, raw in enumerate(text.split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise GraphFormatError(f"{path}:{ln}: expected 'u<TAB>v'")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError as exc:
+            raise GraphFormatError(f"{path}:{ln}: non-integer endpoint") from exc
+        if u < 0 or v < 0 or u >= num_nodes or v >= num_nodes:
+            raise GraphFormatError(
+                f"{path}:{ln}: node index out of range [0, {num_nodes})"
+            )
+        pairs.append((u, v))
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
 
 def _parse_labels(path, num_nodes):
-    labels = np.empty(num_nodes, dtype=np.int64)
     with open(path, "r", encoding="utf-8") as fh:
-        for i in range(num_nodes):
-            line = fh.readline()
-            if not line:
-                raise GraphFormatError(f"{path}: expected {num_nodes} labels, got {i}")
-            token = line.strip()
-            if token not in ("0", "1"):
-                raise GraphFormatError(f"{path}:{i + 1}: label must be 0 or 1")
-            labels[i] = int(token)
+        lines = list(itertools.islice(fh, num_nodes))
+    tokens = np.array(lines, dtype=str)
+    if len(lines) == num_nodes and np.isin(tokens, ("0\n", "1\n", "0", "1")).all():
+        return np.isin(tokens, ("1\n", "1")).astype(np.int64)
+    return _labels_by_line(path, lines, num_nodes)
+
+
+def _labels_by_line(path, lines, num_nodes):
+    labels = np.empty(num_nodes, dtype=np.int64)
+    for i, line in enumerate(lines):
+        token = line.strip()
+        if token not in ("0", "1"):
+            raise GraphFormatError(f"{path}:{i + 1}: label must be 0 or 1")
+        labels[i] = int(token)
+    if len(lines) < num_nodes:
+        raise GraphFormatError(f"{path}: expected {num_nodes} labels, got {len(lines)}")
     return labels
 
 

@@ -1,3 +1,11 @@
+import os
+import select
+import signal
+import sys
+import threading
+import time
+import warnings
+
 import numpy as np
 import pytest
 
@@ -239,6 +247,14 @@ def _sweep_cases():
     edges = np.vstack([a.edges, b.edges + a.num_nodes])
     feats = np.vstack([a.features, b.features, np.ones((10, 6))])
     cases.append(("synthetic_disconnected", Graph(530, edges, feats, None, "split")))
+    # a 24 x 25 grid: ten blocks of 64 sources, 47 levels deep, many
+    # shortest paths per pair and many tied scores
+    rows, cols = 24, 25
+    node = np.arange(rows * cols).reshape(rows, cols)
+    grid = np.vstack([np.c_[node[:, :-1].ravel(), node[:, 1:].ravel()],
+                      np.c_[node[:-1].ravel(), node[1:].ravel()]])
+    feats = np.random.default_rng(6).normal(size=(rows * cols, 6))
+    cases.append(("grid_600", Graph(rows * cols, grid, feats, None, "grid")))
     return cases
 
 
@@ -258,6 +274,117 @@ def test_sweep_matches_two_pass_oracle(case, g, monkeypatch):
     oracle = compute_primitives(Graph(g.num_nodes, g.edges, g.features, None, g.name), xtilde)
     for j, name in enumerate(PRIMITIVE_NAMES):
         assert np.array_equal(table.matrix[:, j], oracle.matrix[:, j]), name
+
+
+def _fresh(g):
+    return Graph(g.num_nodes, g.edges, g.features, None, g.name)
+
+
+def _inline_sweep(g, monkeypatch):
+    """``_level_sweep`` on the calling thread alone."""
+    with monkeypatch.context() as m:
+        m.setattr(features, "_sweep_helper", lambda: None)
+        return features._level_sweep(_fresh(g))
+
+
+@pytest.mark.parametrize("case,g", _sweep_cases(), ids=[c for c, _ in _sweep_cases()])
+def test_sweep_with_helper_matches_calling_thread_alone(case, g, monkeypatch):
+    dist, bc = features._level_sweep(_fresh(g))
+    want_dist, want_bc = _inline_sweep(g, monkeypatch)
+    assert np.array_equal(dist, want_dist)
+    assert bc.tobytes() == want_bc.tobytes()
+
+
+@pytest.mark.parametrize("failing", ["calling", "helper"])
+def test_block_error_raised_after_helper_stops(failing, monkeypatch):
+    if failing == "helper" and features._sweep_helper() is None:
+        pytest.skip("one usable CPU: the sweep runs without a helper thread")
+    g = _sweep_cases()[-1][1]  # ten blocks
+    caller = threading.current_thread()
+    real = features._block_dependencies
+    running, started = [], []
+
+    def flaky(a, rows, dist):
+        failing_thread = (threading.current_thread() is caller) == (failing == "calling")
+        started.append(rows.start)
+        running.append(rows.start)
+        try:
+            if not failing_thread:
+                time.sleep(0.02)  # still busy when the other thread fails
+            elif rows.start >= 64:
+                raise RuntimeError(f"block {rows.start} failed")
+            return real(a, rows, dist)
+        finally:
+            running.remove(rows.start)
+
+    monkeypatch.setattr(features, "_block_dependencies", flaky)
+    with pytest.raises(RuntimeError, match="failed"):
+        features._level_sweep(_fresh(g))
+    assert running == []  # the helper had stopped
+    claimed = len(started)
+    time.sleep(0.05)
+    assert len(started) == claimed < 10  # and claims no more blocks
+    monkeypatch.setattr(features, "_block_dependencies", real)
+    dist, bc = features._level_sweep(_fresh(g))
+    want_dist, want_bc = _inline_sweep(g, monkeypatch)
+    assert np.array_equal(dist, want_dist)
+    assert bc.tobytes() == want_bc.tobytes()
+
+
+def test_concurrent_sweeps_share_the_helper(monkeypatch):
+    """Three threads sweep at once, all through the one helper, with thread
+    switches forced often; each result equals its single-thread sweep."""
+    graphs = [g for _, g in _sweep_cases()[-5:]]
+    want = [_inline_sweep(g, monkeypatch) for g in graphs]
+    got = {}
+
+    def sweep_all(t):
+        for j, g in enumerate(graphs):
+            got[t, j] = features._level_sweep(_fresh(g))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=sweep_all, args=(t,)) for t in range(3)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(got) == 3 * len(graphs)
+    for (t, j), (dist, bc) in got.items():
+        assert np.array_equal(dist, want[j][0])
+        assert bc.tobytes() == want[j][1].tobytes()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+def test_sweep_in_forked_child():
+    """A child forked after the helper started inherits an executor without
+    a thread; its sweep still finishes, on the calling thread, bit for bit."""
+    g = _sweep_cases()[-1][1]
+    want_dist, want_bc = features._level_sweep(_fresh(g))
+    read_end, write_end = os.pipe()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # forking with threads
+        pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            dist, bc = features._level_sweep(_fresh(g))
+            status = 0 if np.array_equal(dist, want_dist) and bc.tobytes() == want_bc.tobytes() else 2
+        finally:
+            os.write(write_end, bytes([status]))
+            os._exit(0)
+    os.close(write_end)
+    ready, _, _ = select.select([read_end], [], [], 60)
+    answer = os.read(read_end, 1) if ready else b""
+    os.close(read_end)
+    if not ready:
+        os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)
+    assert answer == bytes([0])
 
 
 def test_one_sweep_per_graph(monkeypatch):

@@ -89,6 +89,43 @@ class TestLoading:
         with pytest.raises(GraphFormatError):
             load_graph(*paths)
 
+    @pytest.mark.parametrize("edge_text", ["", "# no edges\n  # at all\n\n"])
+    def test_edge_file_without_edges_loads_edgeless(self, tmp_path, caplog, edge_text):
+        paths = write_graph_files(tmp_path, edge_text, "2 1\n0\n1\n", "0\n1\n")
+        g = load_graph(*paths)
+        assert g.num_nodes == 2 and g.num_edges == 0
+        assert not caplog.records
+
+    @pytest.mark.parametrize("feat_text,where", [
+        ("3 2\n0 1\n\n4 5\n", "features.txt:3: expected 2"),
+        ("3 2\n\n\n\n", "features.txt:2: expected 2"),
+        ("3 2\n0 1\n2 x\n4 5\n", "features.txt:3: bad real"),
+        ("3 2\n0 1\n2 3 4\n", "features.txt:3: expected 2"),
+        ("3 2\n0 1\n2 3\n", "expected 3 feature rows, got 2"),
+    ])
+    def test_feature_error_names_line(self, tmp_path, feat_text, where):
+        paths = write_graph_files(tmp_path, "0\t1\n", feat_text, "0\n1\n0\n")
+        with pytest.raises(GraphFormatError, match=where):
+            load_graph(*paths)
+
+    @pytest.mark.parametrize("label_text,where", [
+        ("0\n1\n2\n", "labels.txt:3: label"),
+        ("0\n\n1\n", "labels.txt:2: label"),
+        ("0\n1\n", "expected 3 labels, got 2"),
+    ])
+    def test_label_error_names_line(self, tmp_path, label_text, where):
+        paths = write_graph_files(tmp_path, "0\t1\n", "3 1\n0\n1\n2\n", label_text)
+        with pytest.raises(GraphFormatError, match=where):
+            load_graph(*paths)
+
+    def test_padded_labels_and_blank_edge_lines_accepted(self, tmp_path):
+        paths = write_graph_files(
+            tmp_path, "\n 0 1 # first\n\n2\t1\n", "3 1\n0\n1\n2\n", " 1\n0 \n1"
+        )
+        g = load_graph(*paths)
+        assert g.edges.tolist() == [[0, 1], [1, 2]]
+        assert g.labels.tolist() == [1, 0, 1]
+
 
 class TestNeighborhoods:
     """The hop-distance matrix behind every structural primitive: row v
@@ -180,6 +217,17 @@ class TestRoundTrip:
             a = (tmp_path / "a" / fname).read_bytes()
             b = (tmp_path / "b" / fname).read_bytes()
             assert a == b
+
+    def test_extreme_floats_round_trip_bit_for_bit(self, tmp_path):
+        rng = np.random.default_rng(14)
+        x = rng.normal(size=(40, 6)) * 10.0 ** rng.integers(-300, 301, size=(40, 6))
+        x[0, :4] = [5e-324, -0.0, 1.7976931348623157e308, -5e-324]
+        x[1, :3] = [2.2250738585072014e-308, 4.9e-310, -1.7976931348623157e308]
+        g = Graph(40, [(0, 1), (1, 2)], x, rng.integers(0, 2, size=40))
+        save_graph(g, str(tmp_path / "g"))
+        g2 = load_graph_dir(str(tmp_path / "g"))
+        assert g2.features.tobytes() == x.tobytes()
+        assert np.array_equal(g2.labels, g.labels)
 
     def test_unlabeled_dir_load(self, tmp_path):
         g = gen_synthetic(30, 3, 0.1, structure_seed=13, planted_kind="mixed")
