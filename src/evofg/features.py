@@ -22,10 +22,8 @@ log = logging.getLogger(__name__)
 # _BLOCK x N; the shell sums are GEMMs, which may group their sums by row
 # count, so a change of this size can move bits
 _BLOCK = 256
-# sources per block of the level sweep, whose temporaries are _SWEEP_BLOCK x N
-# floats on each of its two threads; every source's column is computed on its
-# own, so this size moves no bit (64 ran faster than 256 at N = 650 and 3200)
-_SWEEP_BLOCK = 64
+# bytes of one N x block float64 array of the level sweep (see _sweep_block)
+_SWEEP_BYTES = 128 * 1024
 
 PAGERANK_DAMPING = 0.85
 PAGERANK_TOL = 1e-10  # L1 change between iterates
@@ -103,7 +101,7 @@ def _level_sweep(g: Graph):
     n = g.num_nodes
     a = g.adjacency()
     dist = np.empty((n, n), dtype=np.min_scalar_type(-n))
-    blocks = _row_blocks(n, _SWEEP_BLOCK)
+    blocks = _row_blocks(n, _sweep_block(n))
     # block index -> its dependencies, until they are added in; both threads
     # insert, only the calling thread (in add_done) removes
     done = {}
@@ -127,6 +125,17 @@ def _level_sweep(g: Graph):
         return dist, score
     # each unordered pair was counted from both endpoints
     return dist, score / ((n - 1) * (n - 2))
+
+
+def _sweep_block(n):
+    """Sources per block of the level sweep: as many as keep an N x block
+    float array within _SWEEP_BYTES, from 32 to 64. Every source's column is
+    computed on its own, so the size moves no bit. The helper thread's malloc
+    arena keeps its largest block's temporaries after a sweep (about 1.2 MB
+    at N = 650 with 32 sources, 2.4-2.7 MB with 64). On graphs of a few
+    hundred nodes each block's Python work and hand-off between the threads
+    weigh more than its arithmetic, so blocks of 64 sweep faster there."""
+    return min(64, max(32, _SWEEP_BYTES // (8 * n)))
 
 
 def _share_blocks(task, count, between):
@@ -182,7 +191,10 @@ def _sweep_helper():
     global _helper
     with _helper_lock:
         if _helper is None and _usable_cpus() > 1:
-            _helper = ThreadPoolExecutor(1, thread_name_prefix="evofg-sweep")
+            _helper = ThreadPoolExecutor(
+                1, thread_name_prefix="evofg-sweep",
+                initializer=_leave_cpu, initargs=(_current_cpu(),),
+            )
         return _helper
 
 
@@ -192,6 +204,30 @@ def _usable_cpus():
     except AttributeError:  # no CPU affinity on this platform
         return os.cpu_count() or 1
 
+
+def _current_cpu():
+    """The CPU the calling thread runs on (field 39 of Linux's per-thread
+    stat file), None where that is not known."""
+    try:
+        with open("/proc/thread-self/stat", "rb") as fh:
+            return int(fh.read().rsplit(b")", 1)[1].split()[36])
+    except (OSError, ValueError, IndexError):
+        return None
+
+
+def _leave_cpu(cpu):
+    """Run once in the new helper thread: step off ``cpu``, the CPU of the
+    thread that started it, then allow every CPU again. Linux may start the
+    helper on its creator's CPU and, with the two threads handing the GIL
+    back and forth, keep it there for about a second of sweeps, which then
+    take as long as on one thread; once apart, each wakes where it last ran."""
+    try:
+        cpus = os.sched_getaffinity(0)
+        if cpu in cpus:
+            os.sched_setaffinity(0, cpus - {cpu})
+            os.sched_setaffinity(0, cpus)
+    except (AttributeError, OSError):  # no per-thread CPU affinity here
+        pass
 
 
 def _block_dependencies(a, rows, dist):

@@ -129,11 +129,11 @@ class Graph:
         return self._ops["D_inv_A"]
 
 
-# The parsers below read a whole file with numpy. When numpy refuses a file,
-# or reads it in a shape other than the layout's, the per-line parser that
-# follows it reads the same lines again: it raises at the first bad line with
-# its path:line, or returns what numpy could not read (int() and float() also
-# take forms such as "1_000" that numpy does not).
+# The feature and edge parsers read a whole file with numpy. When numpy
+# refuses a file, or reads it in a shape other than the layout's, the per-line
+# parser that follows it reads the same lines again: it raises at the first
+# bad line with its path:line, or returns what numpy could not read (int() and
+# float() also take forms such as "1_000" that numpy does not).
 
 
 def _parse_matrix_file(path):
@@ -176,6 +176,11 @@ def _matrix_rows_by_line(path, lines, n, d):
 
 # a line whose first character other than white space is not a comment
 _DATA_LINE = re.compile(r"^[^\S\n]*[^#\s]", re.MULTILINE)
+# a character other than a digit, a sign, a space or a tab before any comment
+# on its line; numpy may read such a token as an integer through a float
+# ("1.7" as 1, with only a DeprecationWarning), so it goes to the per-line
+# parser, which rejects it
+_NOT_INTEGER_TEXT = re.compile(r"^[^#\n]*[^0-9+\- \t\n#]", re.MULTILINE)
 
 
 def _parse_edges(path, num_nodes):
@@ -184,6 +189,8 @@ def _parse_edges(path, num_nodes):
     if not _DATA_LINE.search(text):
         # empty or comments only: an edgeless graph (np.loadtxt would warn)
         pairs = np.empty((0, 2), dtype=np.int64)
+    elif _NOT_INTEGER_TEXT.search(text):
+        pairs = _edge_pairs_by_line(path, text, num_nodes)
     else:
         try:
             pairs = np.loadtxt(io.StringIO(text), dtype=np.int64, comments="#", ndmin=2)
@@ -219,23 +226,16 @@ def _edge_pairs_by_line(path, text, num_nodes):
 
 
 def _parse_labels(path, num_nodes):
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = list(itertools.islice(fh, num_nodes))
-    tokens = np.array(lines, dtype=str)
-    if len(lines) == num_nodes and np.isin(tokens, ("0\n", "1\n", "0", "1")).all():
-        return np.isin(tokens, ("1\n", "1")).astype(np.int64)
-    return _labels_by_line(path, lines, num_nodes)
-
-
-def _labels_by_line(path, lines, num_nodes):
     labels = np.empty(num_nodes, dtype=np.int64)
-    for i, line in enumerate(lines):
-        token = line.strip()
-        if token not in ("0", "1"):
-            raise GraphFormatError(f"{path}:{i + 1}: label must be 0 or 1")
-        labels[i] = int(token)
-    if len(lines) < num_nodes:
-        raise GraphFormatError(f"{path}: expected {num_nodes} labels, got {len(lines)}")
+    with open(path, "r", encoding="utf-8") as fh:
+        for i in range(num_nodes):
+            line = fh.readline()
+            if not line:
+                raise GraphFormatError(f"{path}: expected {num_nodes} labels, got {i}")
+            token = line.strip()
+            if token not in ("0", "1"):
+                raise GraphFormatError(f"{path}:{i + 1}: label must be 0 or 1")
+            labels[i] = int(token)
     return labels
 
 

@@ -247,8 +247,8 @@ def _sweep_cases():
     edges = np.vstack([a.edges, b.edges + a.num_nodes])
     feats = np.vstack([a.features, b.features, np.ones((10, 6))])
     cases.append(("synthetic_disconnected", Graph(530, edges, feats, None, "split")))
-    # a 24 x 25 grid: ten blocks of 64 sources, 47 levels deep, many
-    # shortest paths per pair and many tied scores
+    # a 24 x 25 grid: more than eight blocks of 64 sources (19 of 32), 47
+    # levels deep, many shortest paths per pair and many tied scores
     rows, cols = 24, 25
     node = np.arange(rows * cols).reshape(rows, cols)
     grid = np.vstack([np.c_[node[:, :-1].ravel(), node[:, 1:].ravel()],
@@ -299,7 +299,9 @@ def test_sweep_with_helper_matches_calling_thread_alone(case, g, monkeypatch):
 def test_block_error_raised_after_helper_stops(failing, monkeypatch):
     if failing == "helper" and features._sweep_helper() is None:
         pytest.skip("one usable CPU: the sweep runs without a helper thread")
-    g = _sweep_cases()[-1][1]  # ten blocks
+    g = _sweep_cases()[-1][1]
+    size = features._sweep_block(g.num_nodes)
+    blocks = len(features._row_blocks(g.num_nodes, size))
     caller = threading.current_thread()
     real = features._block_dependencies
     running, started = [], []
@@ -311,7 +313,7 @@ def test_block_error_raised_after_helper_stops(failing, monkeypatch):
         try:
             if not failing_thread:
                 time.sleep(0.02)  # still busy when the other thread fails
-            elif rows.start >= 64:
+            elif rows.start >= 2 * size:
                 raise RuntimeError(f"block {rows.start} failed")
             return real(a, rows, dist)
         finally:
@@ -323,7 +325,7 @@ def test_block_error_raised_after_helper_stops(failing, monkeypatch):
     assert running == []  # the helper had stopped
     claimed = len(started)
     time.sleep(0.05)
-    assert len(started) == claimed < 10  # and claims no more blocks
+    assert len(started) == claimed < blocks  # and claims no more blocks
     monkeypatch.setattr(features, "_block_dependencies", real)
     dist, bc = features._level_sweep(_fresh(g))
     want_dist, want_bc = _inline_sweep(g, monkeypatch)
@@ -357,6 +359,36 @@ def test_concurrent_sweeps_share_the_helper(monkeypatch):
     for (t, j), (dist, bc) in got.items():
         assert np.array_equal(dist, want[j][0])
         assert bc.tobytes() == want[j][1].tobytes()
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
+def test_new_helper_steps_off_its_creators_cpu_once(monkeypatch):
+    """The helper's start-up moves it off the CPU of the thread that created
+    it and then gives it back every CPU that thread may use."""
+    cpus = os.sched_getaffinity(0)
+    cpu = features._current_cpu()
+    if cpu is None or len(cpus) < 2:
+        pytest.skip("the current CPU is not known, or there is only one")
+    assert cpu in cpus
+    real = os.sched_setaffinity
+    calls = []
+
+    def recording(pid, mask):
+        calls.append((pid, set(mask)))
+        real(pid, mask)
+
+    monkeypatch.setattr(os, "sched_setaffinity", recording)
+    after = []
+
+    def start():
+        features._leave_cpu(cpu)
+        after.append(os.sched_getaffinity(0))
+
+    t = threading.Thread(target=start)
+    t.start()
+    t.join()
+    assert calls == [(0, cpus - {cpu}), (0, cpus)]
+    assert after == [cpus] and os.sched_getaffinity(0) == cpus
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")

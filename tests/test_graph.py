@@ -1,4 +1,5 @@
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -116,6 +117,34 @@ class TestLoading:
     def test_label_error_names_line(self, tmp_path, label_text, where):
         paths = write_graph_files(tmp_path, "0\t1\n", "3 1\n0\n1\n2\n", label_text)
         with pytest.raises(GraphFormatError, match=where):
+            load_graph(*paths)
+
+    @pytest.mark.parametrize("lenient_numpy", [False, True])
+    @pytest.mark.parametrize("endpoint", ["1.0", "1.7"])
+    def test_float_endpoint_rejected_with_warnings_ignored(
+        self, tmp_path, monkeypatch, lenient_numpy, endpoint
+    ):
+        # some numpy versions read "1.7" as the integer 1 with only a
+        # DeprecationWarning; lenient_numpy stands in for them
+        if lenient_numpy:
+            loadtxt = np.loadtxt
+
+            def truncating_loadtxt(fname, dtype=float, **kw):
+                out = loadtxt(fname, dtype=np.float64, **kw)
+                return out.astype(dtype) if dtype is np.int64 else out
+
+            monkeypatch.setattr(np, "loadtxt", truncating_loadtxt)
+        paths = write_graph_files(
+            tmp_path, f"0\t2\n0\t{endpoint}\n", "3 1\n0\n1\n2\n", "0\n1\n0\n"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(GraphFormatError, match="edges.txt:2: non-integer endpoint"):
+                load_graph(*paths)
+
+    def test_label_with_trailing_nul_rejected(self, tmp_path):
+        paths = write_graph_files(tmp_path, "0\t1\n", "2 1\n0\n1\n", "0\n1\x00")
+        with pytest.raises(GraphFormatError, match="labels.txt:2: label"):
             load_graph(*paths)
 
     def test_padded_labels_and_blank_edge_lines_accepted(self, tmp_path):
