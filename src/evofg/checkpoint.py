@@ -4,7 +4,7 @@ Layout (all integers little-endian):
   bytes 0..3   magic "EVFG"
   bytes 4..7   format version (u32)
   bytes 8..11  header length in bytes (u32)
-  header       UTF-8 JSON; carries a "tensors" list of {"name", "shape"}
+  header       UTF-8 JSON; carries a "kind" and a "tensors" list of {"name", "shape"}
   payload      for each tensor, in header order, raw float64 little-endian
 """
 
@@ -37,7 +37,8 @@ def save_checkpoint(path, header: dict, tensors: dict):
             fh.write(np.ascontiguousarray(v, dtype="<f8").tobytes())
 
 
-def load_checkpoint(path):
+def load_checkpoint(path, kind):
+    """(header, tensors) of a sound checkpoint of ``kind`` at ``path``."""
     with open(path, "rb") as fh:
         if fh.read(4) != MAGIC:
             raise CheckpointError(f"{path}: bad magic")
@@ -71,6 +72,8 @@ def load_checkpoint(path):
             tensors[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
         if fh.read(1):
             raise CheckpointError(f"{path}: trailing bytes after the last tensor")
+    if header.get("kind") != kind:
+        raise CheckpointError(f"{path}: is of kind {header.get('kind')!r}, not {kind!r}")
     return header, tensors
 
 

@@ -2,8 +2,8 @@
 (pretrain / warmup / evolve), zero-shot scoring, evaluation, and reports.
 
 Each training command runs one stage and resumes from the artifacts
-directory: ``pretrain`` writes config.json and the experts, ``warmup`` loads
-them and adds router.bin, ``evolve`` loads both and writes the full
+directory: ``pretrain`` writes the config and the experts, ``warmup`` loads
+them and adds the router, ``evolve`` loads both and writes the full
 artifacts. A stage-wise run leaves the same bytes as ``run_pipeline``.
 Determinism: with the chat backend disabled, (config, seed) fully determines
 every output byte.
@@ -19,11 +19,12 @@ import logging
 import os
 import sys
 
-
-from .experts import ARCHS
 from .features import compute_primitives
 from .graph import gen_synthetic, load_graph_dir, save_graph
 from .pipeline import (
+    CONFIG_FILE,
+    ROUTER_FILE,
+    STAGE_OUTPUTS,
     PipelineConfig,
     RunArtifacts,
     build_contexts,
@@ -31,19 +32,22 @@ from .pipeline import (
     evaluate_scored,
     evolve,
     load_pretrained,
+    load_round_reports,
+    load_router_file,
     prepare_graphs,
     pretrain_all_experts,
+    report_routing_frequency,
     report_to_json,
     report_to_text,
     routing_frequency_table,
     run_stage,
     save_pretrained,
+    save_router_file,
     score_graph,
     score_labeled,
     warmup_router,
 )
 from .preprocess import align
-from .router import load_router, save_router
 
 log = logging.getLogger(__name__)
 
@@ -52,12 +56,9 @@ class ResumeError(RuntimeError):
     """A stage command cannot resume the run in its artifacts directory."""
 
 
-# what each training stage adds to an artifacts directory
-STAGE_OUTPUTS = {
-    "pretrain": ("config.json",) + tuple(f"expert_{arch}.bin" for arch in ARCHS),
-    "warmup": ("router.bin",),
-    "evolve": ("features.json", "keys.bin", "shapley_round_*.txt"),
-}
+# the text reports `evofg eval` writes and `evofg report` prints
+METRICS_TEXT = "metrics.txt"
+FREQUENCY_TEXT = "routing_frequency.txt"
 
 
 def _load_config(args) -> PipelineConfig:
@@ -138,7 +139,7 @@ def _resume(args, *earlier):
         ours, theirs = cfg.to_dict(), saved.to_dict()
         changed = [k for k in ours if ours[k] != theirs[k]]
         raise ResumeError(
-            f"the config differs from {args.out}/config.json in {', '.join(changed)}: "
+            f"the config differs from {args.out}/{CONFIG_FILE} in {', '.join(changed)}: "
             "pass the --config and flags given to `evofg pretrain`, or run it again"
         )
     return cfg, models
@@ -172,18 +173,18 @@ def cmd_warmup(args):
     cfg, models = _resume(args, "pretrain")
     _, contexts = _training_contexts(args, cfg, models)
     router_model = run_stage(cfg, "warmup", warmup_router, contexts, cfg)
-    save_router(router_model, os.path.join(args.out, "router.bin"), contexts[0].names)
+    save_router_file(args.out, router_model, contexts[0].names)
     _clear_outputs(args.out, "evolve")
     print(f"warmed up router on {len(contexts[0].names)} features -> {args.out}")
 
 
 def cmd_evolve(args):
     cfg, models = _resume(args, "pretrain", "warmup")
-    router_model, names = load_router(os.path.join(args.out, "router.bin"))
+    router_model, names = load_router_file(args.out)
     bundles, contexts = _training_contexts(args, cfg, models)
     if names != contexts[0].names:
         raise ResumeError(
-            f"{args.out}/router.bin routes on {len(names)} features, not on the "
+            f"{args.out}/{ROUTER_FILE} routes on {len(names)} features, not on the "
             f"{len(contexts[0].names)} primitives: run `evofg warmup` first"
         )
     artifacts = run_stage(cfg, "evolve", evolve, router_model, bundles, contexts, models, cfg)
@@ -219,43 +220,28 @@ def cmd_eval(args):
     else:
         artifacts = RunArtifacts.load(args.artifacts)
         report = evaluate_scored(score_labeled(artifacts, test_graphs))
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "metrics.json"), "w", encoding="utf-8") as fh:
-        fh.write(report_to_json(report))
     text = report_to_text(report)
-    with open(os.path.join(out_dir, "metrics.txt"), "w", encoding="utf-8") as fh:
-        fh.write(text)
-    freq = report.get("routing_frequency") or (
-        report["runs"][-1].get("routing_frequency") if report.get("runs") else {}
-    )
+    outputs = {"metrics.json": report_to_json(report), METRICS_TEXT: text}
+    freq = report_routing_frequency(report)
     if freq:
-        with open(
-            os.path.join(out_dir, "routing_frequency.txt"), "w", encoding="utf-8"
-        ) as fh:
-            fh.write(routing_frequency_table(freq))
+        outputs[FREQUENCY_TEXT] = routing_frequency_table(freq)
+    os.makedirs(out_dir, exist_ok=True)
+    for name, content in outputs.items():
+        with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
+            fh.write(content)
     print(text)
 
 
 def cmd_report(args):
-    shown = False
-    for name in ("metrics.txt", "routing_frequency.txt"):
+    texts = []
+    for name in (METRICS_TEXT, FREQUENCY_TEXT):
         path = os.path.join(args.artifacts, name)
         if os.path.exists(path):
             with open(path, "r", encoding="utf-8") as fh:
-                print(fh.read())
-            shown = True
-    r = 1
-    while True:
-        path = os.path.join(args.artifacts, f"shapley_round_{r}.txt")
-        if not os.path.exists(path):
-            break
-        print(f"--- selection round {r} ---")
-        with open(path, "r", encoding="utf-8") as fh:
-            print(fh.read())
-        shown = True
-        r += 1
-    if not shown:
-        print("no reports found; run `evofg eval` first")
+                texts.append(fh.read())
+    for r, report in enumerate(load_round_reports(args.artifacts), start=1):
+        texts.append(f"--- selection round {r} ---\n{report}")
+    print("\n".join(texts) if texts else "no reports found; run `evofg eval` first")
 
 
 def _add_common(p):

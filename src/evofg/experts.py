@@ -44,9 +44,9 @@ class ExpertModel:
         self.trained = trained
 
 
-def _glorot(rng, shape):
-    fan = sum(shape) if len(shape) > 1 else shape[0] + 1
-    return rng.normal(0.0, np.sqrt(2.0 / fan), size=shape)
+def glorot(rng, shape):
+    """Glorot-normal draw for a weight matrix of ``shape``."""
+    return rng.normal(0.0, np.sqrt(2.0 / sum(shape)), size=shape)
 
 
 def _param_shapes(arch, d, d_e, d_prime):
@@ -75,7 +75,7 @@ def init_expert(arch, d, d_e, d_prime, seed) -> ExpertModel:
         elif name == "gamma":
             params[name] = GPR_ALPHA * (1.0 - GPR_ALPHA) ** np.arange(GPR_DEPTH + 1.0)
         else:
-            params[name] = _glorot(rng, shape)
+            params[name] = glorot(rng, shape)
     return ExpertModel(arch, params, (d, d_e, d_prime), seed=seed)
 
 
@@ -189,14 +189,18 @@ def cosine_rows_t(a, b):
     return ad.div(dot, ad.maximum_scalar(ad.mul(na, nb), 1e-15))
 
 
-def anomaly_loss_t(hq, hq_recon, y):
-    """Cosine-consistency loss: normal rows pay 1 - cos, anomalous rows pay
-    max(0, cos); mean over the query batch."""
+def consistency_loss_t(cos, y, axis=None):
+    """Cosine-consistency loss of query cosines ``cos`` (labels ``y`` on the last
+    axis): normal rows pay 1 - cos, anomalous rows max(0, cos); mean over ``axis``."""
     y = np.asarray(y, dtype=np.float64)
-    cos = cosine_rows_t(hq_recon, hq)
     normal_term = ad.mul(ad.sub(1.0, cos), 1.0 - y)
     anomaly_term = ad.mul(ad.maximum_scalar(cos, 0.0), y)
-    return ad.tmean(ad.add(normal_term, anomaly_term))
+    return ad.tmean(ad.add(normal_term, anomaly_term), axis=axis)
+
+
+def anomaly_loss_t(hq, hq_recon, y):
+    """Consistency loss of ``hq_recon`` against ``hq``, mean over the queries."""
+    return consistency_loss_t(cosine_rows_t(hq_recon, hq), y)
 
 
 def sample_key_split(y, key_fraction, rng):
@@ -279,9 +283,7 @@ def save_expert(model: ExpertModel, path):
 
 
 def load_expert(path) -> ExpertModel:
-    header, tensors = load_checkpoint(path)
-    if header.get("kind") != "expert":
-        raise ValueError(f"{path} is not an expert checkpoint")
+    header, tensors = load_checkpoint(path, "expert")
     dims = tuple(header["dims"])
     check_tensors(path, tensors, _param_shapes(header["arch"], *dims))
     return ExpertModel(

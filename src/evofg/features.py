@@ -140,11 +140,11 @@ def _sweep_block(n):
 
 def _share_blocks(task, count, between):
     """Run ``task(i)`` for every i in range(count) on the calling thread and,
-    on a machine with a second CPU, the sweep's helper thread; each claims
-    the next index in turn. The calling thread also runs ``between()`` after
-    each of its tasks and once at the end. An exception in either thread
-    stops both from claiming more, and is raised here once the helper has
-    stopped."""
+    given two tasks or more and a second CPU, the sweep's helper thread;
+    each claims the next index in turn. The calling thread also runs
+    ``between()`` after each of its tasks and once at the end. An exception
+    in either thread stops both from claiming more, and is raised here once
+    the helper has stopped."""
     indices = iter(range(count))
     lock = threading.Lock()
 
@@ -163,7 +163,7 @@ def _share_blocks(task, count, between):
                         pass
                 raise
 
-    helper = _sweep_helper()
+    helper = _sweep_helper() if count > 1 else None
     pending = None if helper is None else helper.submit(claim_and_run, lambda: None)
     # a helper that has not started (busy with another caller's sweep, or
     # not yet woken) is cancelled rather than waited for
@@ -423,15 +423,15 @@ class RouterFeatureTable:
 
 def compute_primitives(g: Graph, xtilde: np.ndarray) -> RouterFeatureTable:
     """Assemble the 23 primitive columns in their canonical order."""
-    ego_size = np.count_nonzero(_ego_mask(_hop_distances(g)), axis=1)
     cols = []
+    # betweenness reads the sweep first, so the sweep runs (and is timed) in it
     for stat in (pagerank(g), betweenness(g), closeness(g)):
         cols.extend(scope_expand(stat, g))
     cols.append(np.full(g.num_nodes, edge_avg_similarity(g, xtilde)))
     for k in range(1, 6):
         cols.append(khop_similarity(g, xtilde, k))
     cols.append(g.degrees.astype(np.float64))
-    cols.append(ego_size.astype(np.float64))
+    cols.append(np.count_nonzero(_ego_mask(_hop_distances(g)), axis=1).astype(np.float64))
     return RouterFeatureTable(
         matrix=np.column_stack(cols),
         names=list(PRIMITIVE_NAMES),

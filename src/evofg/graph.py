@@ -41,11 +41,7 @@ class Graph:
     def __init__(self, num_nodes, edges, features, labels, name="graph"):
         self.num_nodes = int(num_nodes)
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        if edges.size:
-            lo = np.minimum(edges[:, 0], edges[:, 1])
-            hi = np.maximum(edges[:, 0], edges[:, 1])
-            edges = np.unique(np.stack([lo, hi], axis=1), axis=0)
-        self.edges = edges
+        self.edges = np.unique(np.sort(edges, axis=1), axis=0)
         self.features = np.asarray(features, dtype=np.float64)
         if self.features.shape[0] != self.num_nodes:
             raise GraphFormatError(
@@ -201,7 +197,7 @@ def _parse_edges(path, num_nodes):
     loops = pairs[:, 0] == pairs[:, 1]
     if loops.any():
         log.warning("%s: dropped %d self-loop(s)", path, np.count_nonzero(loops))
-    return np.unique(np.sort(pairs[~loops], axis=1), axis=0)
+    return pairs[~loops]
 
 
 def _edge_pairs_by_line(path, text, num_nodes):
@@ -351,6 +347,6 @@ def gen_synthetic(
             cols = rng.choice(n_features, size=n_features // 2, replace=False)
             x[v, cols] += 2.0 * col_std[cols]
 
-    edges = np.array(sorted(edge_set), dtype=np.int64).reshape(-1, 2)
+    edges = np.array(list(edge_set), dtype=np.int64).reshape(-1, 2)
     gname = name or f"syn_{planted_kind}_c{n_communities}_s{structure_seed}"
     return Graph(n_nodes, edges, x, labels, name=gname)

@@ -175,16 +175,14 @@ def _content_digest(g: Graph) -> str:
 def prepare_graphs(graphs, d, cache=None):
     """The prepare stage: one bundle per graph. Bundles and their tables are
     values, so a cache hit is shared as is, bound to the graph passed in."""
+    if cache is None:
+        return [prepare_graph(g, d) for g in graphs]
     out = []
     for g in graphs:
         key = (_content_digest(g), d)
-        if cache is not None and key in cache:
-            out.append(dataclasses.replace(cache[key], graph=g))
-            continue
-        bundle = prepare_graph(g, d)
-        if cache is not None:
-            cache[key] = bundle
-        out.append(bundle)
+        if key not in cache:
+            cache[key] = prepare_graph(g, d)
+        out.append(dataclasses.replace(cache[key], graph=g))
     return out
 
 
@@ -202,20 +200,57 @@ def make_backend(cfg: PipelineConfig):
     return dsl.DeterministicBackend()
 
 
+# an artifacts directory's files; templates take an architecture or a round
+CONFIG_FILE = "config.json"
+EXPERT_FILE = "expert_{}.bin"
+ROUTER_FILE = "router.bin"
+FEATURES_FILE = "features.json"
+KEYS_FILE = "keys.bin"
+ROUND_FILE = "shapley_round_{}.txt"
+
+# what each training stage adds to an artifacts directory
+STAGE_OUTPUTS = {
+    "pretrain": (CONFIG_FILE,) + tuple(EXPERT_FILE.format(arch) for arch in ARCHS),
+    "warmup": (ROUTER_FILE,),
+    "evolve": (FEATURES_FILE, KEYS_FILE, ROUND_FILE.format("*")),
+}
+
+
 def save_pretrained(out_dir, cfg: PipelineConfig, models):
     """What the pretrain stage leaves in an artifacts directory."""
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "config.json"), "w", encoding="utf-8") as fh:
+    with open(os.path.join(out_dir, CONFIG_FILE), "w", encoding="utf-8") as fh:
         json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
     for model in models:
-        save_expert(model, os.path.join(out_dir, f"expert_{model.arch}.bin"))
+        save_expert(model, os.path.join(out_dir, EXPERT_FILE.format(model.arch)))
 
 
 def load_pretrained(out_dir):
     """(config, experts) saved by ``save_pretrained``."""
-    config = PipelineConfig.from_json(os.path.join(out_dir, "config.json"))
-    models = [load_expert(os.path.join(out_dir, f"expert_{arch}.bin")) for arch in ARCHS]
+    config = PipelineConfig.from_json(os.path.join(out_dir, CONFIG_FILE))
+    models = [load_expert(os.path.join(out_dir, EXPERT_FILE.format(arch))) for arch in ARCHS]
     return config, models
+
+
+def save_router_file(out_dir, router_model, feature_names):
+    """The warm-up stage's router, which the evolve stage replaces."""
+    save_router(router_model, os.path.join(out_dir, ROUTER_FILE), feature_names)
+
+
+def load_router_file(out_dir):
+    """(router, feature names) saved by ``save_router_file``."""
+    return load_router(os.path.join(out_dir, ROUTER_FILE))
+
+
+def load_round_reports(out_dir):
+    """The selection reports saved for rounds 1, 2, ... up to the first gap."""
+    reports = []
+    while True:
+        path = os.path.join(out_dir, ROUND_FILE.format(len(reports) + 1))
+        if not os.path.exists(path):
+            return reports
+        with open(path, "r", encoding="utf-8") as fh:
+            reports.append(fh.read())
 
 
 @dataclass
@@ -230,49 +265,29 @@ class RunArtifacts:
 
     def save(self, out_dir):
         save_pretrained(out_dir, self.config, self.experts)
-        save_router(self.router, os.path.join(out_dir, "router.bin"), self.active_names)
-        with open(os.path.join(out_dir, "features.json"), "w", encoding="utf-8") as fh:
-            json.dump(
-                {
-                    "provenance": [dsl.expr_to_dict(p) for p in self.provenance],
-                    "active": self.active_names,
-                },
-                fh,
-                indent=2,
-            )
-        save_checkpoint(
-            os.path.join(out_dir, "keys.bin"), {"kind": "keycache"}, self.key_cache
-        )
+        save_router_file(out_dir, self.router, self.active_names)
+        provenance = [dsl.expr_to_dict(p) for p in self.provenance]
+        with open(os.path.join(out_dir, FEATURES_FILE), "w", encoding="utf-8") as fh:
+            json.dump({"provenance": provenance, "active": self.active_names}, fh, indent=2)
+        save_checkpoint(os.path.join(out_dir, KEYS_FILE), {"kind": "keycache"}, self.key_cache)
         for r, report in enumerate(self.shapley_reports, start=1):
-            with open(
-                os.path.join(out_dir, f"shapley_round_{r}.txt"), "w", encoding="utf-8"
-            ) as fh:
+            with open(os.path.join(out_dir, ROUND_FILE.format(r)), "w", encoding="utf-8") as fh:
                 fh.write(report)
         return out_dir
 
     @classmethod
     def load(cls, out_dir):
         config, models = load_pretrained(out_dir)
-        router, router_names = load_router(os.path.join(out_dir, "router.bin"))
-        with open(os.path.join(out_dir, "features.json"), "r", encoding="utf-8") as fh:
+        router, router_names = load_router_file(out_dir)
+        with open(os.path.join(out_dir, FEATURES_FILE), "r", encoding="utf-8") as fh:
             feats = json.load(fh)
         if router_names != feats["active"]:
             raise ValueError(
-                f"{out_dir}: router.bin routes on {len(router_names)} features that "
-                f"differ from the {len(feats['active'])} active in features.json"
+                f"{out_dir}: {ROUTER_FILE} routes on {len(router_names)} features that "
+                f"differ from the {len(feats['active'])} active in {FEATURES_FILE}"
             )
         provenance = [dsl.expr_from_dict(p) for p in feats["provenance"]]
-        header, key_cache = load_checkpoint(os.path.join(out_dir, "keys.bin"))
-        if header.get("kind") != "keycache":
-            raise ValueError("keys.bin is not a key cache")
-        reports = []
-        r = 1
-        while os.path.exists(os.path.join(out_dir, f"shapley_round_{r}.txt")):
-            with open(
-                os.path.join(out_dir, f"shapley_round_{r}.txt"), "r", encoding="utf-8"
-            ) as fh:
-                reports.append(fh.read())
-            r += 1
+        _, key_cache = load_checkpoint(os.path.join(out_dir, KEYS_FILE), "keycache")
         return cls(
             config=config,
             experts=models,
@@ -280,7 +295,7 @@ class RunArtifacts:
             provenance=provenance,
             active_names=feats["active"],
             key_cache=key_cache,
-            shapley_reports=reports,
+            shapley_reports=load_round_reports(out_dir),
         )
 
 
@@ -522,6 +537,11 @@ def report_to_json(report) -> str:
     return json.dumps(report, indent=2, sort_keys=True, default=float) + "\n"
 
 
+def report_routing_frequency(report):
+    """The routing frequencies a report shows: a multi-run report's last run's."""
+    return (report["runs"][-1] if report.get("runs") else report).get("routing_frequency", {})
+
+
 def report_to_text(report) -> str:
     """Aligned, human-readable metrics and routing-frequency tables."""
     lines = []
@@ -538,7 +558,6 @@ def report_to_text(report) -> str:
             )
         if "mean_auroc_over_runs" in report:
             lines.append(f"mean AUROC over runs: {report['mean_auroc_over_runs']:.4f}")
-        freq_src = report["runs"][-1] if report.get("runs") else {}
     else:
         lines.append(f"{'graph':<28} {'AUROC':>8} {'AUPRC':>8}")
         for name, row in sorted(report.get("per_graph", {}).items()):
@@ -546,8 +565,7 @@ def report_to_text(report) -> str:
                 lines.append(f"{name:<28} {'undef':>8} {'undef':>8}")
             else:
                 lines.append(f"{name:<28} {row['auroc']:>8.4f} {row['auprc']:>8.4f}")
-        freq_src = report
-    freq = freq_src.get("routing_frequency", {})
+    freq = report_routing_frequency(report)
     if freq:
         lines.append("")
         lines.append("soft routing frequency (rows sum to 1):")

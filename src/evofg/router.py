@@ -20,9 +20,11 @@ from . import autodiff as ad
 from .checkpoint import check_tensors, load_checkpoint, save_checkpoint
 from .experts import (
     anomaly_scores,
+    consistency_loss_t,
     cross_attn_reconstruct,
     encode,
     expert_correctness,
+    glorot,
     sample_key_split,
 )
 
@@ -56,10 +58,6 @@ class RoutingOutput:
     retrieval_feat: np.ndarray  # N x M attention over the feature memory
 
 
-def _glorot(rng, shape):
-    return rng.normal(0.0, np.sqrt(2.0 / sum(shape)), size=shape)
-
-
 def _param_shapes(d, d_r, d_m, n_memory, n_experts):
     """Name -> shape of a router's parameters, in canonical order."""
     return {
@@ -82,7 +80,7 @@ def init_router(d, d_r, d_m, n_memory, n_experts, seed, use_memory=True) -> Rout
         elif name in ("mem_node", "mem_feat", "scale"):
             params[name] = rng.standard_normal(shape) / np.sqrt(d_m)
         else:
-            params[name] = _glorot(rng, shape)
+            params[name] = glorot(rng, shape)
     return RouterModel(params, (d, d_r, d_m, n_memory, n_experts), seed, use_memory)
 
 
@@ -93,9 +91,9 @@ def resize_router(model: RouterModel, new_d_r, seed) -> None:
         return
     rng = np.random.default_rng(seed)
     d, _, d_m, n_memory, n_experts = model.dims
-    model.params["proj_w"] = _glorot(rng, (new_d_r, d_m))
+    model.params["proj_w"] = glorot(rng, (new_d_r, d_m))
     model.params["proj_b"] = np.zeros(d_m)
-    model.params["noise_w"] = _glorot(rng, (new_d_r, n_experts))
+    model.params["noise_w"] = glorot(rng, (new_d_r, n_experts))
     model.dims = (d, new_d_r, d_m, n_memory, n_experts)
 
 
@@ -322,9 +320,7 @@ def _env_losses_t(lv, ctx, node_q, masks, noise_q, use_memory):
     hr = (ctx.hr[ctx.queries] * masks[:, None, :]).reshape(-1, d_r)
     out = feature_branch_t(lv, node_q, hr, np.tile(noise_q, (k, 1)), use_memory)
     cos = ad.gram_cosine_rows(ad.row_softmax(out["G"]), *ctx.gram)  # k x Nq
-    normal_term = ad.mul(ad.sub(1.0, cos), 1.0 - ctx.y_q)
-    anomaly_term = ad.mul(ad.maximum_scalar(cos, 0.0), ctx.y_q)
-    return ad.tmean(ad.add(normal_term, anomaly_term), axis=1)
+    return consistency_loss_t(cos, ctx.y_q, axis=1)
 
 
 def _combine_env_losses_t(vec, lam):
@@ -402,9 +398,7 @@ def save_router(model: RouterModel, path, feature_names):
 
 
 def load_router(path):
-    header, tensors = load_checkpoint(path)
-    if header.get("kind") != "router":
-        raise ValueError(f"{path} is not a router checkpoint")
+    header, tensors = load_checkpoint(path, "router")
     dims = tuple(header["dims"])
     check_tensors(path, tensors, _param_shapes(*dims))
     model = RouterModel(

@@ -12,6 +12,8 @@ from evofg.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
+from evofg.experts import init_expert, load_expert, save_expert
+from evofg.router import init_router, load_router, save_router
 
 
 def _write(path, blob):
@@ -26,14 +28,14 @@ def _fixed(hlen):
 
 def _rejected(path, reason):
     with pytest.raises(CheckpointError, match=re.escape(path)) as err:
-        load_checkpoint(path)
+        load_checkpoint(path, "test")
     assert reason in str(err.value)
 
 
 def test_round_trip(tmp_path):
     path = str(tmp_path / "ok.bin")
     save_checkpoint(path, {"kind": "test"}, {"t": np.arange(6.0).reshape(2, 3)})
-    header, tensors = load_checkpoint(path)
+    header, tensors = load_checkpoint(path, "test")
     assert header["kind"] == "test"
     assert np.array_equal(tensors["t"], np.arange(6.0).reshape(2, 3))
 
@@ -68,3 +70,15 @@ def test_header_length_past_the_end_rejected(tmp_path):
         data = fh.read()
     _write(path, _fixed(len(data)) + data[12:])
     _rejected(path, "runs past the end of the file")
+
+
+@pytest.mark.parametrize("saved,loader", [("expert", load_router), ("router", load_expert)])
+def test_a_file_of_another_kind_rejected(tmp_path, saved, loader):
+    path = str(tmp_path / f"{saved}.bin")
+    if saved == "expert":
+        save_expert(init_expert("GPR", 4, 5, 4, seed=1), path)
+    else:
+        save_router(init_router(4, 3, 4, 2, 4, seed=2), path, ["a", "b", "c"])
+    with pytest.raises(CheckpointError, match=re.escape(path)) as err:
+        loader(path)
+    assert f"is of kind {saved!r}, not " in str(err.value)

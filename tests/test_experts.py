@@ -270,7 +270,7 @@ class TestCheckpoint:
 
         path = str(tmp_path / "x.bin")
         save_checkpoint(path, {"kind": "other"}, {"t": np.zeros(2)})
-        with pytest.raises(ValueError):
+        with pytest.raises(CheckpointError, match="x.bin: is of kind 'other', not 'expert'"):
             load_expert(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):

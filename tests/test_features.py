@@ -295,6 +295,20 @@ def test_sweep_with_helper_matches_calling_thread_alone(case, g, monkeypatch):
     assert bc.tobytes() == want_bc.tobytes()
 
 
+def test_one_block_sweep_stays_on_the_calling_thread(monkeypatch):
+    g = gen_synthetic(60, 6, 0.08, structure_seed=1, planted_kind="mixed")
+    assert len(features._row_blocks(g.num_nodes, features._sweep_block(g.num_nodes))) == 1
+
+    def no_helper():
+        raise AssertionError("a one-block sweep asked for the helper")
+
+    monkeypatch.setattr(features, "_sweep_helper", no_helper)
+    dist, bc = features._level_sweep(_fresh(g))
+    want_dist, want_bc = two_pass_sweep(_fresh(g))
+    assert np.array_equal(dist, want_dist)
+    assert bc.tobytes() == want_bc.tobytes()
+
+
 @pytest.mark.parametrize("failing", ["calling", "helper"])
 def test_block_error_raised_after_helper_stops(failing, monkeypatch):
     if failing == "helper" and features._sweep_helper() is None:

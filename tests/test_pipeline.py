@@ -1,11 +1,14 @@
 import builtins
 import json
 import os
+import re
+import shutil
 
 import numpy as np
 import pytest
 
 from evofg import pipeline
+from evofg.checkpoint import CheckpointError
 from evofg.cli import main as cli_main
 from evofg.graph import Graph, gen_synthetic, load_graph_dir, save_graph
 from evofg.pipeline import (
@@ -101,6 +104,23 @@ class TestRunPipeline:
             reports.append(report_to_json(evaluate_scored(scored)).encode())
         assert reports[0] == reports[1]
 
+
+    def test_reset_final_changes_only_the_router(self, tmp_path, graphs):
+        train, _ = graphs
+        cache, runs = {}, []
+        for reset in (False, True, True):
+            out = str(tmp_path / f"run{len(runs)}")
+            run_pipeline(tiny_cfg(seed=9, reset_final=reset), train, cache).save(out)
+            runs.append({})
+            for name in os.listdir(out):
+                with open(os.path.join(out, name), "rb") as fh:
+                    runs[-1][name] = fh.read()
+        default, reset, again = runs
+        assert reset == again
+        assert sorted(reset) == sorted(default)
+        assert {n for n in default if default[n] != reset[n]} == {"router.bin", "config.json"}
+        ours, theirs = json.loads(default["config.json"]), json.loads(reset["config.json"])
+        assert {k for k in ours if ours[k] != theirs[k]} == {"reset_final"}
 
     def test_each_round_evaluates_subsets_on_its_own_frozen_router(self, graphs,
                                                                    monkeypatch):
@@ -260,6 +280,26 @@ class TestScoreGraph:
             json.dump(feats, fh)
         with pytest.raises(ValueError, match="router.bin"):
             RunArtifacts.load(out)
+
+    def test_load_rejects_a_router_file_as_the_key_cache(self, tmp_path, artifacts):
+        out = str(tmp_path / "artifacts")
+        artifacts.save(out)
+        keys = os.path.join(out, "keys.bin")
+        shutil.copyfile(os.path.join(out, "router.bin"), keys)
+        with pytest.raises(CheckpointError, match=re.escape(keys)) as err:
+            RunArtifacts.load(out)
+        assert "is of kind 'router', not 'keycache'" in str(err.value)
+
+    def test_no_content_digest_without_a_cache(self, artifacts, graphs, monkeypatch):
+        _, test = graphs
+        want, _, _ = score_graph(artifacts, test[0])
+
+        def no_digest(g):
+            raise AssertionError("digest computed without a cache")
+
+        monkeypatch.setattr(pipeline, "_content_digest", no_digest)
+        scores, _, _ = score_graph(artifacts, test[0])
+        assert np.array_equal(scores, want)
 
     def test_zero_shot_hygiene_label_file_never_opened(self, tmp_path, artifacts,
                                                        graphs, monkeypatch):
