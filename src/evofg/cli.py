@@ -4,7 +4,8 @@
 Each training command runs one stage and resumes from the artifacts
 directory: ``pretrain`` writes the config and the experts, ``warmup`` loads
 them and adds the router, ``evolve`` loads both and writes the full
-artifacts. A stage-wise run leaves the same bytes as ``run_pipeline``.
+artifacts, so only ``pretrain`` takes run settings. A stage-wise run leaves
+the same bytes as ``run_pipeline``.
 Determinism: with the chat backend disabled, (config, seed) fully determines
 every output byte.
 """
@@ -22,7 +23,6 @@ import sys
 from .features import compute_primitives
 from .graph import gen_synthetic, load_graph_dir, save_graph
 from .pipeline import (
-    CONFIG_FILE,
     ROUTER_FILE,
     STAGE_OUTPUTS,
     PipelineConfig,
@@ -49,11 +49,9 @@ from .pipeline import (
 )
 from .preprocess import align
 
-log = logging.getLogger(__name__)
 
-
-class ResumeError(RuntimeError):
-    """A stage command cannot resume the run in its artifacts directory."""
+class CommandError(RuntimeError):
+    """A command cannot run on the arguments or the artifacts it was given."""
 
 
 # the text reports `evofg eval` writes and `evofg report` prints
@@ -61,24 +59,37 @@ METRICS_TEXT = "metrics.txt"
 FREQUENCY_TEXT = "routing_frequency.txt"
 
 
+# the settings of a training run, dest -> (flag, type, help): `pretrain` and
+# `eval` take them all, `features` only --config. A bool is an on-switch. Each
+# but config and llm_fixtures overrides the PipelineConfig field of its name.
+RUN_SETTINGS = {
+    "config": ("--config", str, "JSON config mirroring PipelineConfig fields"),
+    "seed": ("--seed", int, None),
+    "llm_fixtures": ("--llm-fixtures", str, "recorded chat-response directory (fixture mode)"),
+    "no_select": ("--no-select", bool, "skip the selection rule (keep all generated features)"),
+    "random_backend": ("--random-backend", bool, "force the deterministic random composer"),
+    "no_memory": ("--no-memory", bool, "projection-only router (no memory retrieval)"),
+    "lam": ("--lambda", float, "variance-penalty weight override"),
+    "reset_final": ("--reset-final", bool, "reinitialize the router before the final retrain"),
+}
+
+
+def _add_settings(p, *dests):
+    """The run settings ``dests``, or all; each is left off ``args`` unless given."""
+    for dest in dests or RUN_SETTINGS:
+        flag, kind, text = RUN_SETTINGS[dest]
+        how = dict(action="store_true") if kind is bool else dict(type=kind)
+        p.add_argument(flag, dest=dest, default=argparse.SUPPRESS, help=text, **how)
+
+
 def _load_config(args) -> PipelineConfig:
-    cfg = PipelineConfig.from_json(args.config) if args.config else PipelineConfig()
-    overrides = {}
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "llm_fixtures", None):
-        llm = dataclasses.replace(
-            cfg.llm, fixtures_dir=args.llm_fixtures, enabled=True
-        )
-        overrides["llm"] = llm
-    for flag in ("no_select", "random_backend", "no_memory", "reset_final"):
-        if getattr(args, flag, False):
-            overrides[flag] = True
-    if getattr(args, "lam", None) is not None:
-        overrides["lam"] = args.lam
-    if overrides:
-        cfg = dataclasses.replace(cfg, **overrides)
-    return cfg
+    overrides = {dest: getattr(args, dest) for dest in RUN_SETTINGS if hasattr(args, dest)}
+    path = overrides.pop("config", None)
+    cfg = PipelineConfig.from_json(path) if path else PipelineConfig()
+    fixtures = overrides.pop("llm_fixtures", None)
+    if fixtures:
+        overrides["llm"] = dataclasses.replace(cfg.llm, fixtures_dir=fixtures, enabled=True)
+    return dataclasses.replace(cfg, **overrides)
 
 
 def _load_graphs(paths):
@@ -122,27 +133,18 @@ def cmd_features(args):
     print(f"wrote {len(table.names)} feature columns for {g.num_nodes} nodes -> {args.out}")
 
 
-def _resume(args, *earlier):
-    """The config and experts of the run in ``args.out``, once the
-    ``earlier`` stages' outputs are found there and the config given on the
-    command line equals the one the pretrain stage saved."""
-    cfg = _load_config(args)
-    for stage in earlier:
-        missing = [name for name in STAGE_OUTPUTS[stage]
-                   if not os.path.exists(os.path.join(args.out, name))]
+def _resume(out_dir, stage):
+    """The config and experts of the run in ``out_dir``, once the outputs of
+    the stages before ``stage`` (in ``STAGE_OUTPUTS`` order) are found there."""
+    stages = list(STAGE_OUTPUTS)
+    for earlier in stages[:stages.index(stage)]:
+        missing = [name for name in STAGE_OUTPUTS[earlier]
+                   if not os.path.exists(os.path.join(out_dir, name))]
         if missing:
-            raise ResumeError(
-                f"{args.out} has no {', '.join(missing)}: run `evofg {stage}` first"
+            raise CommandError(
+                f"{out_dir} has no {', '.join(missing)}: run `evofg {earlier}` first"
             )
-    saved, models = load_pretrained(args.out)
-    if saved != cfg:
-        ours, theirs = cfg.to_dict(), saved.to_dict()
-        changed = [k for k in ours if ours[k] != theirs[k]]
-        raise ResumeError(
-            f"the config differs from {args.out}/{CONFIG_FILE} in {', '.join(changed)}: "
-            "pass the --config and flags given to `evofg pretrain`, or run it again"
-        )
-    return cfg, models
+    return load_pretrained(out_dir)
 
 
 def _training_contexts(args, cfg, models):
@@ -151,11 +153,12 @@ def _training_contexts(args, cfg, models):
     return bundles, run_stage(cfg, "contexts", build_contexts, bundles, models, cfg)
 
 
-def _clear_outputs(out_dir, *later):
-    """Delete the outputs of the ``later`` stages, which a rerun stage makes
-    stale."""
-    for stage in later:
-        for pattern in STAGE_OUTPUTS[stage]:
+def _clear_outputs(out_dir, stage):
+    """Delete the outputs of the stages after ``stage`` (in ``STAGE_OUTPUTS``
+    order), which a rerun of ``stage`` makes stale."""
+    stages = list(STAGE_OUTPUTS)
+    for later in stages[stages.index(stage) + 1:]:
+        for pattern in STAGE_OUTPUTS[later]:
             for path in glob.glob(os.path.join(out_dir, pattern)):
                 os.remove(path)
 
@@ -165,25 +168,25 @@ def cmd_pretrain(args):
     bundles = run_stage(cfg, "prepare", prepare_graphs, _load_graphs(args.train), cfg.d)
     models = run_stage(cfg, "pretrain", pretrain_all_experts, bundles, cfg)
     save_pretrained(args.out, cfg, models)
-    _clear_outputs(args.out, "warmup", "evolve")
+    _clear_outputs(args.out, "pretrain")
     print(f"pretrained {len(models)} experts -> {args.out}")
 
 
 def cmd_warmup(args):
-    cfg, models = _resume(args, "pretrain")
+    cfg, models = _resume(args.out, "warmup")
     _, contexts = _training_contexts(args, cfg, models)
     router_model = run_stage(cfg, "warmup", warmup_router, contexts, cfg)
     save_router_file(args.out, router_model, contexts[0].names)
-    _clear_outputs(args.out, "evolve")
+    _clear_outputs(args.out, "warmup")
     print(f"warmed up router on {len(contexts[0].names)} features -> {args.out}")
 
 
 def cmd_evolve(args):
-    cfg, models = _resume(args, "pretrain", "warmup")
+    cfg, models = _resume(args.out, "evolve")
     router_model, names = load_router_file(args.out)
     bundles, contexts = _training_contexts(args, cfg, models)
     if names != contexts[0].names:
-        raise ResumeError(
+        raise CommandError(
             f"{args.out}/{ROUTER_FILE} routes on {len(names)} features, not on the "
             f"{len(contexts[0].names)} primitives: run `evofg warmup` first"
         )
@@ -211,15 +214,26 @@ def cmd_score(args):
 
 
 def cmd_eval(args):
-    cfg = _load_config(args)
-    test_graphs = _load_graphs(args.test)
-    out_dir = args.out or args.artifacts
+    """Train and evaluate (``--train``) or evaluate saved artifacts
+    (``--artifacts``); the arguments are checked before any graph is read."""
+    out_dir, runs = args.out or args.artifacts, getattr(args, "runs", 1)
+    unread = [flag for dest, (flag, _, _) in RUN_SETTINGS.items() if hasattr(args, dest)]
+    unread += ["--runs"] if hasattr(args, "runs") else []
+    if not (args.train or args.artifacts):
+        raise CommandError("needs --artifacts or --train")
+    if args.train and out_dir is None:
+        raise CommandError("--train needs --out, the directory for the metrics")
+    if runs < 1:
+        raise CommandError("--runs needs at least one run")
+    if not args.train and unread:
+        raise CommandError(f"--artifacts does not train, so it takes no {', '.join(unread)}")
     if args.train:
-        train_graphs = _load_graphs(args.train)
-        report = evaluate_runs(cfg, train_graphs, test_graphs, runs=args.runs)
+        cfg = _load_config(args)
+        report = evaluate_runs(cfg, _load_graphs(args.train), _load_graphs(args.test),
+                               runs=runs)
     else:
         artifacts = RunArtifacts.load(args.artifacts)
-        report = evaluate_scored(score_labeled(artifacts, test_graphs))
+        report = evaluate_scored(score_labeled(artifacts, _load_graphs(args.test)))
     text = report_to_text(report)
     outputs = {"metrics.json": report_to_json(report), METRICS_TEXT: text}
     freq = report_routing_frequency(report)
@@ -242,23 +256,6 @@ def cmd_report(args):
     for r, report in enumerate(load_round_reports(args.artifacts), start=1):
         texts.append(f"--- selection round {r} ---\n{report}")
     print("\n".join(texts) if texts else "no reports found; run `evofg eval` first")
-
-
-def _add_common(p):
-    p.add_argument("--config", help="JSON config mirroring PipelineConfig fields")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--llm-fixtures", dest="llm_fixtures",
-                   help="directory of recorded chat responses (enables fixture mode)")
-    p.add_argument("--no-select", dest="no_select", action="store_true",
-                   help="skip the selection rule (keep all generated features)")
-    p.add_argument("--random-backend", dest="random_backend", action="store_true",
-                   help="force the deterministic random composer")
-    p.add_argument("--no-memory", dest="no_memory", action="store_true",
-                   help="projection-only router (no memory retrieval)")
-    p.add_argument("--lambda", dest="lam", type=float, default=None,
-                   help="variance-penalty weight override")
-    p.add_argument("--reset-final", dest="reset_final", action="store_true",
-                   help="fresh router initialization before the final retrain")
 
 
 def build_parser():
@@ -293,25 +290,23 @@ def build_parser():
     p = sub.add_parser("features", help="export the router-feature table")
     p.add_argument("--graph", required=True)
     p.add_argument("--out", required=True)
-    _add_common(p)
+    _add_settings(p, "config")
     p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("pretrain", help="pretrain the four experts")
     p.add_argument("--train", nargs="+", required=True)
     p.add_argument("--out", required=True)
-    _add_common(p)
+    _add_settings(p)
     p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser("warmup", help="warm up the router on the primitives")
     p.add_argument("--train", nargs="+", required=True)
     p.add_argument("--out", required=True)
-    _add_common(p)
     p.set_defaults(func=cmd_warmup)
 
     p = sub.add_parser("evolve", help="run the generate/select/retrain rounds")
     p.add_argument("--train", nargs="+", required=True)
     p.add_argument("--out", required=True)
-    _add_common(p)
     p.set_defaults(func=cmd_evolve)
 
     p = sub.add_parser("score", help="score an unseen graph (labels unused)")
@@ -322,12 +317,13 @@ def build_parser():
 
     p = sub.add_parser("eval", help="evaluate on labeled test graphs")
     p.add_argument("--artifacts", default=None)
-    p.add_argument("--train", nargs="*", default=None,
+    p.add_argument("--train", nargs="+", default=None,
                    help="train graphs; triggers the full multi-run protocol")
     p.add_argument("--test", nargs="+", required=True)
-    p.add_argument("--runs", type=int, default=1)
+    p.add_argument("--runs", type=int, default=argparse.SUPPRESS,
+                   help="training runs, at seeds seed, seed+1, ... (default 1)")
     p.add_argument("--out", default=None)
-    _add_common(p)
+    _add_settings(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("report", help="print stored reports")
@@ -343,12 +339,9 @@ def main(argv=None):
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    if args.command == "eval" and not args.train and not args.artifacts:
-        print("eval needs --artifacts or --train", file=sys.stderr)
-        return 2
     try:
         args.func(args)
-    except ResumeError as exc:
+    except CommandError as exc:
         print(f"evofg {args.command}: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dsl, experts
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .experts import ARCHS, anomaly_scores, load_expert, pretrain_expert, save_expert
 from .features import compute_primitives, RouterFeatureTable
 from .graph import Graph
@@ -120,10 +120,13 @@ class PipelineConfig:
                 if value != len(ARCHS):
                     raise ValueError(f"{key}={value!r}: the experts are {', '.join(ARCHS)}")
                 continue
-            key = cls._ALIASES.get(key, key)
-            if key not in known:
+            name = cls._ALIASES.get(key, key)
+            if name not in known:
                 raise ValueError(f"unknown config field {key!r}")
-            kwargs[key] = value
+            if name in kwargs:
+                first = next(k for k in data if cls._ALIASES.get(k, k) == name)
+                raise ValueError(f"{first!r} and {key!r} both set {name}")
+            kwargs[name] = value
         return cls(**kwargs)
 
     @classmethod
@@ -282,7 +285,7 @@ class RunArtifacts:
         with open(os.path.join(out_dir, FEATURES_FILE), "r", encoding="utf-8") as fh:
             feats = json.load(fh)
         if router_names != feats["active"]:
-            raise ValueError(
+            raise CheckpointError(
                 f"{out_dir}: {ROUTER_FILE} routes on {len(router_names)} features that "
                 f"differ from the {len(feats['active'])} active in {FEATURES_FILE}"
             )

@@ -1,4 +1,5 @@
 import builtins
+import dataclasses
 import json
 import os
 import re
@@ -278,7 +279,7 @@ class TestScoreGraph:
         feats["active"] = feats["active"][1:]
         with open(path, "w") as fh:
             json.dump(feats, fh)
-        with pytest.raises(ValueError, match="router.bin"):
+        with pytest.raises(CheckpointError, match="router.bin"):
             RunArtifacts.load(out)
 
     def test_load_rejects_a_router_file_as_the_key_cache(self, tmp_path, artifacts):
@@ -391,6 +392,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown config"):
             PipelineConfig.from_dict({"bogus": 1})
 
+    @pytest.mark.parametrize("first, second", [("T", "shapley_iters"), ("shapley_iters", "T"),
+                                               ("lambda", "lam"), ("lam", "lambda")])
+    def test_field_given_under_two_spellings_rejected(self, first, second):
+        with pytest.raises(ValueError, match=f"'{first}' and '{second}' both set"):
+            PipelineConfig.from_dict({first: 1, second: 2})
+
     def test_saved_expert_count_of_four_is_dropped(self):
         assert PipelineConfig.from_dict({"n_experts": 4}) == PipelineConfig()
         assert PipelineConfig.from_dict({"E": 4, "seed": 2}) == PipelineConfig(seed=2)
@@ -464,8 +471,9 @@ class TestCLI:
 
         monkeypatch.setattr(pipeline_mod, "train_router", counting_train_router)
         staged = str(tmp_path / "staged")
-        for command in ("pretrain", "warmup", "evolve"):
-            self.run(command, "--train", *dirs, "--out", staged, "--config", cfg_path)
+        self.run("pretrain", "--train", *dirs, "--out", staged, "--config", cfg_path)
+        for command in ("warmup", "evolve"):
+            self.run(command, "--train", *dirs, "--out", staged)
         assert phases == ["warmup"] + ["main"] * (TINY["rounds"] + 1)
 
         assert sorted(os.listdir(staged)) == sorted(os.listdir(once))
@@ -484,38 +492,41 @@ class TestCLI:
         art = str(tmp_path / "artifacts")
         capsys.readouterr()
         for command in ("warmup", "evolve"):
-            assert cli_main([command, "--train", *dirs, "--out", art,
-                             "--config", cfg_path]) == 2
+            assert cli_main([command, "--train", *dirs, "--out", art]) == 2
             assert "run `evofg pretrain` first" in capsys.readouterr().err
         self.run("pretrain", "--train", *dirs, "--out", art, "--config", cfg_path)
-        assert cli_main(["evolve", "--train", *dirs, "--out", art,
-                         "--config", cfg_path]) == 2
+        assert cli_main(["evolve", "--train", *dirs, "--out", art]) == 2
         assert "run `evofg warmup` first" in capsys.readouterr().err
         assert not os.path.exists(os.path.join(art, "features.json"))
         # evolve resumes from the warmed-up router, which a finished run has replaced
-        self.run("warmup", "--train", *dirs, "--out", art, "--config", cfg_path)
-        self.run("evolve", "--train", *dirs, "--out", art, "--config", cfg_path)
+        self.run("warmup", "--train", *dirs, "--out", art)
+        self.run("evolve", "--train", *dirs, "--out", art)
         capsys.readouterr()
-        assert cli_main(["evolve", "--train", *dirs, "--out", art,
-                         "--config", cfg_path]) == 2
+        assert cli_main(["evolve", "--train", *dirs, "--out", art]) == 2
         assert "run `evofg warmup` first" in capsys.readouterr().err
 
-    def test_stage_commands_reject_a_different_config(self, tmp_path, capsys):
+    def test_stage_commands_resume_the_settings_pretrain_saved(self, tmp_path):
         dirs, cfg_path = self.write_run_inputs(tmp_path)
         art = str(tmp_path / "artifacts")
-        self.run("pretrain", "--train", *dirs, "--out", art, "--config", cfg_path)
-        capsys.readouterr()
-        reseeded = ["--train", *dirs, "--out", art, "--config", cfg_path, "--seed", "4"]
-        assert cli_main(["warmup", *reseeded]) == 2
-        assert not os.path.exists(os.path.join(art, "router.bin"))
-        errors = capsys.readouterr().err
-        self.run("warmup", "--train", *dirs, "--out", art, "--config", cfg_path)
-        assert cli_main(["evolve", *reseeded]) == 2
-        assert not os.path.exists(os.path.join(art, "features.json"))
-        errors = (errors + capsys.readouterr().err).splitlines()
-        assert len(errors) == 2
-        for err in errors:
-            assert "config differs" in err and "in seed:" in err
+        self.run("pretrain", "--train", *dirs, "--out", art, "--config", cfg_path,
+                 "--seed", "4")
+        saved = sorted(os.listdir(art))
+        for command in ("warmup", "evolve"):
+            with pytest.raises(SystemExit) as exit_:
+                cli_main([command, "--train", *dirs, "--out", art, "--seed", "4"])
+            assert exit_.value.code == 2
+            assert sorted(os.listdir(art)) == saved
+        self.run("warmup", "--train", *dirs, "--out", art)
+        self.run("evolve", "--train", *dirs, "--out", art)
+
+        once = str(tmp_path / "once")
+        cfg = dataclasses.replace(PipelineConfig.from_json(cfg_path), seed=4)
+        run_pipeline(cfg, [load_graph_dir(d) for d in dirs]).save(once)
+        assert sorted(os.listdir(art)) == sorted(os.listdir(once))
+        for name in os.listdir(once):
+            with open(os.path.join(once, name), "rb") as a, \
+                    open(os.path.join(art, name), "rb") as b:
+                assert a.read() == b.read(), name
 
     def test_full_stagewise_flow(self, tmp_path, capsys):
         gdir = {}
@@ -540,9 +551,9 @@ class TestCLI:
         art = str(tmp_path / "artifacts")
         self.run("pretrain", "--train", gdir["tr"], "--out", art, "--config", cfg_path)
         assert os.path.exists(os.path.join(art, "expert_GPR.bin"))
-        self.run("warmup", "--train", gdir["tr"], "--out", art, "--config", cfg_path)
+        self.run("warmup", "--train", gdir["tr"], "--out", art)
         assert os.path.exists(os.path.join(art, "router.bin"))
-        self.run("evolve", "--train", gdir["tr"], "--out", art, "--config", cfg_path)
+        self.run("evolve", "--train", gdir["tr"], "--out", art)
         assert os.path.exists(os.path.join(art, "shapley_round_1.txt"))
 
         scores_path = str(tmp_path / "scores.json")
@@ -559,6 +570,34 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "AUROC" in out and "selection round 1" in out
 
+    def test_eval_refuses_arguments_before_reading_a_graph(self, tmp_path, capsys,
+                                                            monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("eval trained")
+
+        monkeypatch.setattr("evofg.cli.evaluate_runs", no_training)
+        train, test = str(tmp_path / "no_train"), str(tmp_path / "no_test")
+        capsys.readouterr()
+        assert cli_main(["eval", "--test", test]) == 2
+        assert "evofg eval: needs --artifacts or --train" in capsys.readouterr().err
+        assert cli_main(["eval", "--train", train, "--test", test, "--seed", "2"]) == 2
+        assert "--train needs --out" in capsys.readouterr().err
+        assert cli_main(["eval", "--train", train, "--test", test, "--out", str(tmp_path),
+                         "--runs", "0"]) == 2
+        assert "--runs needs at least one run" in capsys.readouterr().err
+
+        art = tmp_path / "artifacts"
+        art.mkdir()
+        for flag in (["--config", "cfg.json"], ["--seed", "99"], ["--llm-fixtures", "fx"],
+                     ["--no-select"], ["--random-backend"], ["--no-memory"],
+                     ["--lambda", "5"], ["--reset-final"], ["--runs", "2"]):
+            assert cli_main(["eval", "--artifacts", str(art), "--test", test, *flag]) == 2
+            assert f"takes no {flag[0]}\n" in capsys.readouterr().err
+        assert cli_main(["eval", "--artifacts", str(art), "--test", test,
+                         "--seed", "99", "--no-memory", "--lambda", "5"]) == 2
+        assert "takes no --seed, --no-memory, --lambda" in capsys.readouterr().err
+        assert list(art.iterdir()) == []
+
     def test_save_roundtrip_subcommand(self, tmp_path):
         src = str(tmp_path / "src")
         dst = str(tmp_path / "dst")
@@ -573,7 +612,7 @@ class TestCLI:
         from evofg.cli import _load_config, build_parser
 
         args = build_parser().parse_args(
-            ["evolve", "--train", str(tmp_path / "g"), "--out", str(tmp_path / "a"),
+            ["pretrain", "--train", str(tmp_path / "g"), "--out", str(tmp_path / "a"),
              "--no-select", "--no-memory", "--lambda", "0",
              "--reset-final", "--random-backend", "--seed", "9"])
         cfg = _load_config(args)
