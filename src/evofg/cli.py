@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import glob
 import json
 import logging
@@ -204,12 +205,13 @@ def cmd_score(args):
     scores, routing, per_expert = score_graph(artifacts, g)
     payload = {
         "graph": g.name,
-        "scores": [float(s) for s in scores],
-        "weights": [[float(x) for x in row] for row in routing.weights],
-        "per_expert_scores": {a: [float(s) for s in v] for a, v in per_expert.items()},
+        "scores": scores.tolist(),
+        "weights": routing.weights.tolist(),
+        "per_expert_scores": {a: v.tolist() for a, v in per_expert.items()},
     }
+    # one line: without an indent, json.dumps uses its C encoder
     with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
+        fh.write(json.dumps(payload))
     print(f"scored {g.num_nodes} nodes of {g.name} -> {args.out}")
 
 
@@ -221,6 +223,8 @@ def cmd_eval(args):
     unread += ["--runs"] if hasattr(args, "runs") else []
     if not (args.train or args.artifacts):
         raise CommandError("needs --artifacts or --train")
+    if args.train and args.artifacts:
+        raise CommandError("--train trains a new run, so it takes no --artifacts")
     if args.train and out_dir is None:
         raise CommandError("--train needs --out, the directory for the metrics")
     if runs < 1:
@@ -258,7 +262,10 @@ def cmd_report(args):
     print("\n".join(texts) if texts else "no reports found; run `evofg eval` first")
 
 
+@functools.cache
 def build_parser():
+    """The one parser of the process; ``main`` finds each command's function
+    by name when it runs it, so the parser holds none."""
     parser = argparse.ArgumentParser(
         prog="evofg",
         description="Zero-shot graph anomaly detection with routed graph-encoder experts",
@@ -276,44 +283,36 @@ def build_parser():
     p.add_argument("--communities", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--name", default=None)
-    p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("save", help="re-export a graph in the three-file layout")
     p.add_argument("--graph", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_save)
 
     p = sub.add_parser("load", help="validate a graph directory and print stats")
     p.add_argument("--graph", required=True)
-    p.set_defaults(func=cmd_load)
 
     p = sub.add_parser("features", help="export the router-feature table")
     p.add_argument("--graph", required=True)
     p.add_argument("--out", required=True)
     _add_settings(p, "config")
-    p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("pretrain", help="pretrain the four experts")
     p.add_argument("--train", nargs="+", required=True)
     p.add_argument("--out", required=True)
     _add_settings(p)
-    p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser("warmup", help="warm up the router on the primitives")
     p.add_argument("--train", nargs="+", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_warmup)
 
     p = sub.add_parser("evolve", help="run the generate/select/retrain rounds")
     p.add_argument("--train", nargs="+", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_evolve)
 
     p = sub.add_parser("score", help="score an unseen graph (labels unused)")
     p.add_argument("--artifacts", required=True)
     p.add_argument("--graph", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("eval", help="evaluate on labeled test graphs")
     p.add_argument("--artifacts", default=None)
@@ -324,11 +323,9 @@ def build_parser():
                    help="training runs, at seeds seed, seed+1, ... (default 1)")
     p.add_argument("--out", default=None)
     _add_settings(p)
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("report", help="print stored reports")
     p.add_argument("--artifacts", required=True)
-    p.set_defaults(func=cmd_report)
 
     return parser
 
@@ -340,7 +337,7 @@ def main(argv=None):
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        args.func(args)
+        globals()[f"cmd_{args.command}"](args)
     except CommandError as exc:
         print(f"evofg {args.command}: {exc}", file=sys.stderr)
         return 2

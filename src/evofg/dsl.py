@@ -70,13 +70,14 @@ def _safe_den(d):
     return sign * np.maximum(np.abs(d), EPS)
 
 
-def eval_expr(expr: FeatureExpr, table: RouterFeatureTable) -> np.ndarray:
-    """Evaluate expr per node with domain guards; output is finite and
-    clamped to [-1e6, 1e6] for any finite input table."""
+def eval_expr(expr: FeatureExpr, columns) -> np.ndarray:
+    """Evaluate expr per node on ``columns`` (column name -> column, such as
+    ``RouterFeatureTable.column_map()``) with domain guards; output is finite
+    and clamped to [-1e6, 1e6] for any finite input columns."""
     for a in expr.args:
-        if not table.has_column(a):
+        if a not in columns:
             raise ExprValidationError(f"unknown column {a!r}")
-    cols = [table.column(a) for a in expr.args]
+    cols = [columns[a] for a in expr.args]
     op = expr.op
     if op == "LOG1P":
         out = np.log(np.maximum(1.0 + cols[0], EPS))
@@ -227,15 +228,22 @@ def expr_from_dict(d):
 def extend_table(table: RouterFeatureTable, exprs) -> RouterFeatureTable:
     """``table`` plus one active column per expression, evaluated in order
     (later ones may reference earlier ones)."""
-    for expr in exprs:
-        table = table.with_column(expr, eval_expr(expr, table))
-    return table
+    return _extended(table, exprs)
 
 
 def rebuild_columns(table: RouterFeatureTable, provenance, active_names) -> RouterFeatureTable:
     """A trained run's generated columns re-created on a fresh graph's
     primitive table, with the run's final active set."""
-    for p in provenance:
-        if p != "primitive" and not table.has_column(p.name):
-            table = table.with_column(p, eval_expr(p, table))
-    return table.with_active(active_names)
+    exprs = [p for p in provenance if p != "primitive" and not table.has_column(p.name)]
+    return _extended(table, exprs).with_active(active_names)
+
+
+def _extended(table, exprs):
+    # every column is evaluated before the one new table is built; shared by
+    # the two public functions so that neither calls (and is timed inside)
+    # the other
+    columns, values = table.column_map(), []
+    for expr in exprs:
+        values.append(eval_expr(expr, columns))
+        columns[expr.name] = values[-1]
+    return table.with_columns(exprs, values)

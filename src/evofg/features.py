@@ -352,7 +352,7 @@ class RouterFeatureTable:
     """Node-by-feature matrix with names, categories, an active mask, and
     per-column provenance ("primitive" or the expression that built it).
 
-    A table is a value: ``with_column`` and ``with_active`` return a new
+    A table is a value: ``with_columns`` and ``with_active`` return a new
     table and leave this one as it was. Columns 0..22 are always the
     primitives in their fixed order; generated columns are appended and
     never removed (deselection only clears the active flag, so earlier
@@ -379,17 +379,25 @@ class RouterFeatureTable:
     def has_column(self, name):
         return name in self.names
 
-    def with_column(self, expr, values):
-        """This table plus one active column, named and built by ``expr``."""
-        if expr.name in self.names:
-            raise ValueError(f"column {expr.name!r} already exists")
+    def with_columns(self, exprs, values):
+        """This table plus one active column per expression, named and built
+        by it, with the values in ``values``."""
+        names = list(self.names)
+        for expr in exprs:
+            if expr.name in names:
+                raise ValueError(f"column {expr.name!r} already exists")
+            names.append(expr.name)
         return RouterFeatureTable(
-            matrix=np.column_stack([self.matrix, np.asarray(values, np.float64)]),
-            names=self.names + [expr.name],
-            categories=self.categories + [expr.category],
-            provenance=self.provenance + [expr],
-            active=np.append(self.active, True),
+            matrix=np.column_stack([self.matrix, *values]),
+            names=names,
+            categories=self.categories + [e.category for e in exprs],
+            provenance=self.provenance + list(exprs),
+            active=np.concatenate([self.active, np.ones(len(exprs), dtype=bool)]),
         )
+
+    def column_map(self):
+        """Column name -> column (a view of the matrix)."""
+        return dict(zip(self.names, self.matrix.T))
 
     def active_names(self):
         return [n for n, a in zip(self.names, self.active) if a]

@@ -102,10 +102,14 @@ class Graph:
     def sym_norm_selfloops(self):
         """D^-1/2 (A+I) D^-1/2 with degrees counted after adding self-loops."""
         if "S_hat" not in self._ops:
-            a = self.adjacency() + sp.identity(self.num_nodes, format="csr")
-            d = np.asarray(a.sum(axis=1)).ravel()
-            dinv = 1.0 / np.sqrt(d)
-            self._ops["S_hat"] = sp.diags(dinv) @ a @ sp.diags(dinv)
+            n = self.num_nodes
+            rows = np.repeat(np.arange(n), self.degrees)
+            # each node's own column goes in at its sorted place in its row
+            below = np.bincount(rows[self.indices < rows], minlength=n)
+            indices = np.insert(self.indices, self.indptr[:-1] + below, np.arange(n))
+            dinv = 1.0 / np.sqrt(self.degrees + 1.0)
+            self._ops["S_hat"] = _diag_product(self.indptr + np.arange(n + 1), indices,
+                                               dinv, dinv)
         return self._ops["S_hat"]
 
     def sym_norm(self):
@@ -113,7 +117,7 @@ class Graph:
         if "P_sym" not in self._ops:
             d = self.degrees.astype(np.float64)
             dinv = np.divide(1.0, np.sqrt(d), out=np.zeros_like(d), where=d > 0)
-            self._ops["P_sym"] = sp.diags(dinv) @ self.adjacency() @ sp.diags(dinv)
+            self._ops["P_sym"] = _diag_product(self.indptr, self.indices, dinv, dinv)
         return self._ops["P_sym"]
 
     def neighbor_mean(self):
@@ -121,8 +125,25 @@ class Graph:
         if "D_inv_A" not in self._ops:
             d = self.degrees.astype(np.float64)
             dinv = np.divide(1.0, d, out=np.zeros_like(d), where=d > 0)
-            self._ops["D_inv_A"] = sp.diags(dinv) @ self.adjacency()
+            self._ops["D_inv_A"] = _diag_product(self.indptr, self.indices, dinv)
         return self._ops["D_inv_A"]
+
+
+def _diag_product(indptr, indices, left, right=None):
+    """``diags(left) @ M``, or ``diags(left) @ M @ diags(right)`` when
+    ``right`` is given, for the 0/1 CSR matrix M = (indptr, indices) with
+    sorted rows: the entries, their bits and their order within each row are
+    those of scipy's sparse products. Each product stores every row in
+    reverse, and ``spmm`` sums a row in its stored order, so one product
+    leaves the rows reversed and two restore them."""
+    n = len(indptr) - 1
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    if right is None:
+        pos = indptr[rows] + indptr[rows + 1] - 1 - np.arange(len(indices))
+        indices, data = indices[pos], left[rows]
+    else:
+        data = left[rows] * right[indices]  # (left_i * a_ij) * right_j, a_ij = 1
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
 # The feature and edge parsers read a whole file with numpy. When numpy

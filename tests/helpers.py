@@ -8,11 +8,14 @@ from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.sparse.csgraph import shortest_path
 
 from evofg import autodiff as ad
+from evofg.dsl import eval_expr
 from evofg.experts import anomaly_loss_t
-from evofg.graph import Graph
+from evofg.features import RouterFeatureTable
+from evofg.graph import Graph, gen_synthetic
 from evofg.router import (
     _combine_env_losses_t,
     _env_losses_t,
@@ -168,6 +171,62 @@ def degenerate_graphs(seed=0, d=8):
         ("one_attribute", random_graph(rng, 18, p=0.25, d=1)),
         ("fewer_nodes_than_d", path_graph(3, d=d, seed=seed, name="fewer_nodes_than_d")),
     ]
+
+
+def sweep_cases():
+    """The degenerate shapes plus larger graphs whose level sweep takes
+    several source blocks: (case name, graph)."""
+    cases = degenerate_graphs(seed=5)
+    for seed, n in ((1, 60), (2, 300), (3, 520)):
+        g = gen_synthetic(n, 6, 0.08, structure_seed=seed, planted_kind="mixed")
+        cases.append((f"synthetic_{n}", g))
+    # two components of different depth, plus isolated nodes; 530 nodes
+    # make three source blocks
+    a = gen_synthetic(300, 6, 0.08, structure_seed=4, planted_kind="structural")
+    b = gen_synthetic(220, 6, 0.08, structure_seed=5, planted_kind="attribute")
+    edges = np.vstack([a.edges, b.edges + a.num_nodes])
+    feats = np.vstack([a.features, b.features, np.ones((10, 6))])
+    cases.append(("synthetic_disconnected", Graph(530, edges, feats, None, "split")))
+    # a 24 x 25 grid: more than eight blocks of 64 sources (19 of 32), 47
+    # levels deep, many shortest paths per pair and many tied scores
+    rows, cols = 24, 25
+    node = np.arange(rows * cols).reshape(rows, cols)
+    grid = np.vstack([np.c_[node[:, :-1].ravel(), node[:, 1:].ravel()],
+                      np.c_[node[:-1].ravel(), node[1:].ravel()]])
+    feats = np.random.default_rng(6).normal(size=(rows * cols, 6))
+    cases.append(("grid_600", Graph(rows * cols, grid, feats, None, "grid")))
+    return cases
+
+
+def scipy_operators(g: Graph):
+    """The normalized operators as scipy's diagonal products build them: the
+    oracle for ``Graph.sym_norm_selfloops``, ``sym_norm`` and
+    ``neighbor_mean``, by method name."""
+    a = g.adjacency() + sp.identity(g.num_nodes, format="csr")
+    dinv = 1.0 / np.sqrt(np.asarray(a.sum(axis=1)).ravel())
+    ops = {"sym_norm_selfloops": sp.diags(dinv) @ a @ sp.diags(dinv)}
+    d = g.degrees.astype(np.float64)
+    dinv = np.divide(1.0, np.sqrt(d), out=np.zeros_like(d), where=d > 0)
+    ops["sym_norm"] = sp.diags(dinv) @ g.adjacency() @ sp.diags(dinv)
+    dinv = np.divide(1.0, d, out=np.zeros_like(d), where=d > 0)
+    ops["neighbor_mean"] = sp.diags(dinv) @ g.adjacency()
+    return ops
+
+
+def fold_extend(table, exprs):
+    """``table`` extended one column at a time, each expression evaluated on
+    the table built for the one before it: the oracle for
+    ``dsl.extend_table`` and ``dsl.rebuild_columns``."""
+    for expr in exprs:
+        values = eval_expr(expr, table.column_map())
+        table = RouterFeatureTable(
+            matrix=np.column_stack([table.matrix, values]),
+            names=table.names + [expr.name],
+            categories=table.categories + [expr.category],
+            provenance=table.provenance + [expr],
+            active=np.append(table.active, True),
+        )
+    return table
 
 
 class ProbeError(RuntimeError):

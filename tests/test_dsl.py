@@ -22,7 +22,7 @@ from evofg.dsl import (
     validate_decision,
 )
 from evofg.features import RouterFeatureTable, compute_primitives
-from helpers import path_graph, random_graph
+from helpers import fold_extend, path_graph, random_graph
 
 
 def make_table(n=5, seed=0):
@@ -43,40 +43,40 @@ class TestEval:
     def test_log1p_of_zero_column(self):
         t = small_table({"a": np.zeros(4)})
         e = FeatureExpr("LOG1P", ("a",), "PageRank")
-        assert np.allclose(eval_expr(e, t), 0.0)
+        assert np.allclose(eval_expr(e, t.column_map()), 0.0)
 
     def test_diff_over_sum_of_equal_columns(self):
         t = small_table({"a": np.full(4, 2.0), "b": np.full(4, 2.0)})
         e = FeatureExpr("BINARY_DIFF_OVER_SUM", ("a", "b"), "PageRank")
-        assert np.abs(eval_expr(e, t)).max() < 1e-8
+        assert np.abs(eval_expr(e, t.column_map())).max() < 1e-8
 
     def test_multi_var_population_variance(self):
         t = small_table(
             {"a": np.ones(3), "b": np.full(3, 2.0), "c": np.full(3, 3.0)}
         )
         e = FeatureExpr("MULTI_VAR", ("a", "b", "c"), "PageRank")
-        assert np.allclose(eval_expr(e, t), 2.0 / 3.0)
+        assert np.allclose(eval_expr(e, t.column_map()), 2.0 / 3.0)
 
     def test_log_guard_on_nonpositive(self):
         t = small_table({"a": np.array([-1.0, 0.0, 3.0])})
-        out = eval_expr(FeatureExpr("LOG", ("a",), "PageRank"), t)
+        out = eval_expr(FeatureExpr("LOG", ("a",), "PageRank"), t.column_map())
         assert np.isfinite(out).all()
 
     def test_reciprocal_guard_on_zero(self):
         t = small_table({"a": np.array([0.0, -2.0, 0.5])})
-        out = eval_expr(FeatureExpr("RECIPROCAL", ("a",), "PageRank"), t)
+        out = eval_expr(FeatureExpr("RECIPROCAL", ("a",), "PageRank"), t.column_map())
         assert np.isfinite(out).all()
         assert out.max() <= CLAMP
 
     def test_cube_clamped(self):
         t = small_table({"a": np.array([1e5, -1e5])})
-        out = eval_expr(FeatureExpr("CUBE", ("a",), "PageRank"), t)
+        out = eval_expr(FeatureExpr("CUBE", ("a",), "PageRank"), t.column_map())
         assert out.tolist() == [CLAMP, -CLAMP]
 
     def test_unknown_column_rejected(self):
         t = small_table({"a": np.ones(3)})
         with pytest.raises(ExprValidationError, match="ghost"):
-            eval_expr(FeatureExpr("LOG1P", ("ghost",), "PageRank"), t)
+            eval_expr(FeatureExpr("LOG1P", ("ghost",), "PageRank"), t.column_map())
 
     def test_never_nan_inf_on_random_tables_and_exprs(self):
         rng = np.random.default_rng(1)
@@ -88,7 +88,7 @@ class TestEval:
             t = dataclasses.replace(t, matrix=t.matrix * rng.choice([1.0, 1e6, 1e-9]))
             exprs = generate_candidates(backend, t, 6, rng)
             for e in exprs:
-                out = eval_expr(e, t)
+                out = eval_expr(e, t.column_map())
                 assert np.isfinite(out).all()
                 assert np.abs(out).max() <= CLAMP
 
@@ -231,3 +231,58 @@ class TestProvenance:
         assert np.array_equal(t.matrix, matrix)
         assert t.names == names and t.provenance == ["primitive"] * 23
         assert np.array_equal(t.active, active)
+
+
+def _two_rounds_of_exprs(table, seed):
+    """Generated expressions of two rounds, the second composed on the
+    first's columns, plus hand-made ones that read generated columns."""
+    rng = np.random.default_rng(seed)
+    first = generate_candidates(DeterministicBackend(), table, 8, rng)
+    grown = fold_extend(table, first)
+    second = generate_candidates(DeterministicBackend(), grown, 12, rng)
+    cat = first[0].category
+    chained = [FeatureExpr("SIGMOID", (first[0].name,), cat),
+               FeatureExpr("LOG1P", (f"SIGMOID({first[0].name})",), cat),
+               FeatureExpr("MULTI_VAR", (first[1].name, first[2].name, "Deg_t"),
+                           first[1].category)]
+    exprs = first + second + chained
+    assert any(set(e.args) & {x.name for x in first} for e in second)
+    return exprs
+
+
+def _assert_same_table(got, want):
+    assert got.names == want.names
+    assert got.categories == want.categories
+    assert got.provenance == want.provenance
+    assert got.active.dtype == want.active.dtype
+    assert np.array_equal(got.active, want.active)
+    assert got.matrix.shape == want.matrix.shape
+    assert got.matrix.tobytes() == want.matrix.tobytes()
+
+
+class TestColumnsInOneTable:
+    def test_extend_matches_one_column_at_a_time(self):
+        t = make_table(n=40, seed=12)
+        exprs = _two_rounds_of_exprs(t, seed=7)
+        _assert_same_table(extend_table(t, exprs), fold_extend(t, exprs))
+        _assert_same_table(extend_table(t, []), t)
+
+    def test_rebuild_matches_one_column_at_a_time(self):
+        trained = make_table(n=40, seed=13)
+        exprs = _two_rounds_of_exprs(trained, seed=8)
+        kept = trained.names[::4] + [e.name for e in exprs[1::3]]
+        provenance = fold_extend(trained, exprs).provenance
+        fresh = make_table(n=33, seed=14)
+        want = fold_extend(fresh, exprs).with_active(kept)
+        _assert_same_table(rebuild_columns(fresh, provenance, kept), want)
+        # columns the table already has are kept, not evaluated again
+        half = extend_table(fresh, exprs[:10])
+        _assert_same_table(rebuild_columns(half, provenance, kept), want)
+
+    def test_a_name_the_table_has_is_refused(self):
+        t = make_table(seed=15)
+        e = FeatureExpr("SQUARE", ("Deg_t",), "Topology")
+        with pytest.raises(ValueError, match="already exists"):
+            extend_table(extend_table(t, [e]), [e])
+        with pytest.raises(ValueError, match="already exists"):
+            extend_table(t, [e, e])

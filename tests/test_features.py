@@ -35,6 +35,7 @@ from helpers import (
     path_graph,
     random_graph,
     star_graph,
+    sweep_cases,
     two_pass_sweep,
 )
 
@@ -235,30 +236,7 @@ def test_degenerate_graph_primitives_match_oracles(case, g):
         assert np.abs(t.column(f"Sim_{k}hop") - want).max() < 1e-9
 
 
-def _sweep_cases():
-    cases = degenerate_graphs(seed=5)
-    for seed, n in ((1, 60), (2, 300), (3, 520)):
-        g = gen_synthetic(n, 6, 0.08, structure_seed=seed, planted_kind="mixed")
-        cases.append((f"synthetic_{n}", g))
-    # two components of different depth, plus isolated nodes; 530 nodes
-    # make three source blocks
-    a = gen_synthetic(300, 6, 0.08, structure_seed=4, planted_kind="structural")
-    b = gen_synthetic(220, 6, 0.08, structure_seed=5, planted_kind="attribute")
-    edges = np.vstack([a.edges, b.edges + a.num_nodes])
-    feats = np.vstack([a.features, b.features, np.ones((10, 6))])
-    cases.append(("synthetic_disconnected", Graph(530, edges, feats, None, "split")))
-    # a 24 x 25 grid: more than eight blocks of 64 sources (19 of 32), 47
-    # levels deep, many shortest paths per pair and many tied scores
-    rows, cols = 24, 25
-    node = np.arange(rows * cols).reshape(rows, cols)
-    grid = np.vstack([np.c_[node[:, :-1].ravel(), node[:, 1:].ravel()],
-                      np.c_[node[:-1].ravel(), node[1:].ravel()]])
-    feats = np.random.default_rng(6).normal(size=(rows * cols, 6))
-    cases.append(("grid_600", Graph(rows * cols, grid, feats, None, "grid")))
-    return cases
-
-
-@pytest.mark.parametrize("case,g", _sweep_cases(), ids=[c for c, _ in _sweep_cases()])
+@pytest.mark.parametrize("case,g", sweep_cases(), ids=[c for c, _ in sweep_cases()])
 def test_sweep_matches_two_pass_oracle(case, g, monkeypatch):
     """Every primitive column is bit-identical to the one built on separate
     Dijkstra distances and Brandes betweenness."""
@@ -287,7 +265,7 @@ def _inline_sweep(g, monkeypatch):
         return features._level_sweep(_fresh(g))
 
 
-@pytest.mark.parametrize("case,g", _sweep_cases(), ids=[c for c, _ in _sweep_cases()])
+@pytest.mark.parametrize("case,g", sweep_cases(), ids=[c for c, _ in sweep_cases()])
 def test_sweep_with_helper_matches_calling_thread_alone(case, g, monkeypatch):
     dist, bc = features._level_sweep(_fresh(g))
     want_dist, want_bc = _inline_sweep(g, monkeypatch)
@@ -313,7 +291,7 @@ def test_one_block_sweep_stays_on_the_calling_thread(monkeypatch):
 def test_block_error_raised_after_helper_stops(failing, monkeypatch):
     if failing == "helper" and features._sweep_helper() is None:
         pytest.skip("one usable CPU: the sweep runs without a helper thread")
-    g = _sweep_cases()[-1][1]
+    g = sweep_cases()[-1][1]
     size = features._sweep_block(g.num_nodes)
     blocks = len(features._row_blocks(g.num_nodes, size))
     caller = threading.current_thread()
@@ -350,7 +328,7 @@ def test_block_error_raised_after_helper_stops(failing, monkeypatch):
 def test_concurrent_sweeps_share_the_helper(monkeypatch):
     """Three threads sweep at once, all through the one helper, with thread
     switches forced often; each result equals its single-thread sweep."""
-    graphs = [g for _, g in _sweep_cases()[-5:]]
+    graphs = [g for _, g in sweep_cases()[-5:]]
     want = [_inline_sweep(g, monkeypatch) for g in graphs]
     got = {}
 
@@ -409,7 +387,7 @@ def test_new_helper_steps_off_its_creators_cpu_once(monkeypatch):
 def test_sweep_in_forked_child():
     """A child forked after the helper started inherits an executor without
     a thread; its sweep still finishes, on the calling thread, bit for bit."""
-    g = _sweep_cases()[-1][1]
+    g = sweep_cases()[-1][1]
     want_dist, want_bc = features._level_sweep(_fresh(g))
     read_end, write_end = os.pipe()
     with warnings.catch_warnings():

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from evofg import autodiff as ad
 from evofg.features import _ego_mask, _hop_distances
 from evofg.graph import (
     EGO_RADIUS,
@@ -21,7 +22,9 @@ from helpers import (
     neighbors,
     path_graph,
     random_graph,
+    scipy_operators,
     star_graph,
+    sweep_cases,
 )
 
 
@@ -272,3 +275,49 @@ def test_graph_arrays_immutable():
         g.features[0, 0] = 5.0
     with pytest.raises(ValueError):
         g.edges[0, 0] = 3
+
+
+def _operator_cases():
+    cases = sweep_cases()
+    for name in ("edgeless", "isolated_nodes"):
+        assert name in dict(cases)
+    return cases
+
+
+def _spmm_value_and_grad(op, x, upstream):
+    leaf = ad.param(x.copy())
+    out = ad.spmm(op, leaf)
+    ad.tsum(ad.mul(out, upstream)).backward()
+    return out.value, leaf.grad
+
+
+def _assert_operators_match_scipy_products(g):
+    rng = np.random.default_rng(g.num_nodes)
+    x, upstream = rng.normal(size=(2, g.num_nodes, 5))
+    for name, want in scipy_operators(g).items():
+        got = getattr(g, name)()
+        # indptr and indices in dtype and in the order within each row, and
+        # the bits of every entry
+        for part in ("indptr", "indices", "data"):
+            a, b = getattr(got, part), getattr(want, part)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (name, part)
+        value, grad = _spmm_value_and_grad(got, x, upstream)
+        want_value, want_grad = _spmm_value_and_grad(want, x, upstream)
+        assert value.tobytes() == want_value.tobytes(), name
+        assert grad.tobytes() == want_grad.tobytes(), name
+
+
+@pytest.mark.parametrize("case,g", _operator_cases(), ids=[c for c, _ in _operator_cases()])
+def test_operators_match_scipy_diagonal_products(case, g):
+    _assert_operators_match_scipy_products(g)
+
+
+def test_operators_after_dropped_self_loops(tmp_path):
+    n = 9
+    rng = np.random.default_rng(3)
+    edges = "0\t0\n0\t1\n1\t2\n2\t2\n3\t1\n4\t4\n5\t6\n6\t7\n7\t5\n"
+    feats = f"{n} 2\n" + "".join("%.17g %.17g\n" % tuple(r) for r in rng.normal(size=(n, 2)))
+    paths = write_graph_files(tmp_path, edges, feats, "0\n" * n)
+    g = load_graph(*paths)
+    assert g.num_edges == 6 and g.degrees[4] == 0 and g.degrees[8] == 0
+    _assert_operators_match_scipy_products(g)

@@ -570,6 +570,32 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "AUROC" in out and "selection round 1" in out
 
+    def test_score_file_reads_back_as_the_scores_bit_for_bit(self, tmp_path, artifacts,
+                                                             graphs):
+        art, graph_dir = str(tmp_path / "artifacts"), str(tmp_path / "te_a")
+        artifacts.save(art)
+        save_graph(graphs[1][0], graph_dir)
+        out = str(tmp_path / "scores.json")
+        self.run("score", "--artifacts", art, "--graph", graph_dir, "--out", out)
+        with open(out, encoding="utf-8") as fh:
+            text = fh.read()
+        assert text.count("\n") == 0
+        payload = json.loads(text)
+        assert list(payload) == ["graph", "scores", "weights", "per_expert_scores"]
+        scores, routing, per_expert = score_graph(
+            RunArtifacts.load(art), load_graph_dir(graph_dir, with_labels=False))
+        assert payload["graph"] == "te_a"
+
+        def same(values, want):
+            got = np.array(values, dtype=np.float64)
+            return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+        assert same(payload["scores"], scores)
+        assert same(payload["weights"], routing.weights)
+        assert list(payload["per_expert_scores"]) == list(per_expert)
+        for arch, want in per_expert.items():
+            assert same(payload["per_expert_scores"][arch], want), arch
+
     def test_eval_refuses_arguments_before_reading_a_graph(self, tmp_path, capsys,
                                                             monkeypatch):
         def no_training(*args, **kwargs):
@@ -588,6 +614,10 @@ class TestCLI:
 
         art = tmp_path / "artifacts"
         art.mkdir()
+        assert cli_main(["eval", "--train", train, "--artifacts", str(art),
+                         "--test", test]) == 2
+        assert "--train trains a new run, so it takes no --artifacts" in \
+            capsys.readouterr().err
         for flag in (["--config", "cfg.json"], ["--seed", "99"], ["--llm-fixtures", "fx"],
                      ["--no-select"], ["--random-backend"], ["--no-memory"],
                      ["--lambda", "5"], ["--reset-final"], ["--runs", "2"]):
