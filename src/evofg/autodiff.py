@@ -8,7 +8,7 @@ indexing, and the router's fused ops: ``gram_cosine_rows``, and
 ``affine``, ``key_softmax`` and ``memory_readout``, which compute what the
 chains they replace compute, in the same order, but keep only what their
 backward reads. Backward drops an inner node's gradient once it is used;
-leaves keep theirs.
+leaves keep theirs. ``fit`` is the AdamW loop every model trains through.
 """
 
 from __future__ import annotations
@@ -531,3 +531,27 @@ class AdamW:
             p -= self.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
             if self.wd:
                 p -= self.lr * self.wd * p
+
+
+class TrainingDivergedError(RuntimeError):
+    """A training loss became NaN or infinite."""
+
+
+def fit(params, epochs, epoch_losses, lr, wd, what):
+    """The training loop of every model: per epoch, one AdamW step on
+    ``params`` (updated in place) against the mean of the scalar losses that
+    ``epoch_losses(leaves)`` builds on leaves of them. Returns the loss trace;
+    a non-finite loss raises before its epoch's step, naming ``what``."""
+    opt = AdamW(params, lr=lr, weight_decay=wd)
+    trace = []
+    for epoch in range(epochs):
+        lv = leaves(params)
+        total = tmean(stack_scalars(epoch_losses(lv)))
+        if not np.isfinite(total.value):
+            raise TrainingDivergedError(
+                f"{what}: non-finite loss at epoch {epoch} (trace={trace})"
+            )
+        total.backward()
+        opt.step(grads(lv))
+        trace.append(float(total.value))
+    return trace

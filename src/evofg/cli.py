@@ -128,8 +128,7 @@ def cmd_load(args):
 def cmd_features(args):
     cfg = _load_config(args)
     g = load_graph_dir(args.graph)
-    aligned = align(g, cfg.d)
-    table = compute_primitives(g, aligned.matrix)
+    table = compute_primitives(g, align(g, cfg.d))
     table.export_text(args.out)
     print(f"wrote {len(table.names)} feature columns for {g.num_nodes} nodes -> {args.out}")
 
@@ -151,7 +150,7 @@ def _resume(out_dir, stage):
 def _training_contexts(args, cfg, models):
     """The prepare and contexts stages on the training graphs."""
     bundles = run_stage(cfg, "prepare", prepare_graphs, _load_graphs(args.train), cfg.d)
-    return bundles, run_stage(cfg, "contexts", build_contexts, bundles, models, cfg)
+    return run_stage(cfg, "contexts", build_contexts, bundles, models, cfg)
 
 
 def _clear_outputs(out_dir, stage):
@@ -175,7 +174,7 @@ def cmd_pretrain(args):
 
 def cmd_warmup(args):
     cfg, models = _resume(args.out, "warmup")
-    _, contexts = _training_contexts(args, cfg, models)
+    contexts = _training_contexts(args, cfg, models)
     router_model = run_stage(cfg, "warmup", warmup_router, contexts, cfg)
     save_router_file(args.out, router_model, contexts[0].names)
     _clear_outputs(args.out, "warmup")
@@ -185,13 +184,13 @@ def cmd_warmup(args):
 def cmd_evolve(args):
     cfg, models = _resume(args.out, "evolve")
     router_model, names = load_router_file(args.out)
-    bundles, contexts = _training_contexts(args, cfg, models)
+    contexts = _training_contexts(args, cfg, models)
     if names != contexts[0].names:
         raise CommandError(
             f"{args.out}/{ROUTER_FILE} routes on {len(names)} features, not on the "
             f"{len(contexts[0].names)} primitives: run `evofg warmup` first"
         )
-    artifacts = run_stage(cfg, "evolve", evolve, router_model, bundles, contexts, models, cfg)
+    artifacts = run_stage(cfg, "evolve", evolve, router_model, contexts, models, cfg)
     artifacts.save(args.out)
     print(
         f"evolved {cfg.rounds} round(s); final feature set has "

@@ -232,9 +232,16 @@ def extend_table(table: RouterFeatureTable, exprs) -> RouterFeatureTable:
 
 
 def rebuild_columns(table: RouterFeatureTable, provenance, active_names) -> RouterFeatureTable:
-    """A trained run's generated columns re-created on a fresh graph's
-    primitive table, with the run's final active set."""
+    """A trained run's final active set on a fresh graph's primitive table:
+    the active generated columns and the generated columns they read,
+    directly or not, re-created in provenance order. A deselected column no
+    active column reads is not evaluated."""
     exprs = [p for p in provenance if p != "primitive" and not table.has_column(p.name)]
+    needed = set(active_names)
+    for expr in reversed(exprs):  # an expression reads only earlier columns
+        if expr.name in needed:
+            needed.update(expr.args)
+    exprs = [e for e in exprs if e.name in needed]
     return _extended(table, exprs).with_active(active_names)
 
 

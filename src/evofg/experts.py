@@ -27,21 +27,20 @@ GPR_ALPHA = 0.1
 LEAKY_SLOPE = 0.2
 
 
-class TrainingDivergedError(RuntimeError):
-    pass
-
-
 class ExpertModel:
     """Trainable encoder (arch-specific) plus cross-attention projections."""
 
-    def __init__(self, arch, params, dims, seed=0, trained=False):
+    def __init__(self, arch, params):
         if arch not in ARCHS:
             raise ValueError(f"unknown architecture {arch!r}")
         self.arch = arch
         self.params = params  # dict name -> np.ndarray, canonical order
-        self.dims = dims  # (d, d_e, d_prime)
-        self.seed = seed
-        self.trained = trained
+
+    @property
+    def dims(self):
+        """(d, d_e, d_prime), read from the parameter shapes."""
+        d, d_e = self.params["cheb_w0" if self.arch == "CHEBY" else "w0"].shape
+        return d, d_e, self.params["wq"].shape[1]
 
 
 def glorot(rng, shape):
@@ -76,7 +75,7 @@ def init_expert(arch, d, d_e, d_prime, seed) -> ExpertModel:
             params[name] = GPR_ALPHA * (1.0 - GPR_ALPHA) ** np.arange(GPR_DEPTH + 1.0)
         else:
             params[name] = glorot(rng, shape)
-    return ExpertModel(arch, params, (d, d_e, d_prime), seed=seed)
+    return ExpertModel(arch, params)
 
 
 def _attention_edges(g: Graph):
@@ -230,28 +229,19 @@ def pretrain_expert(arch, graph_inputs, cfg, seed):
     mean loss over graphs. Returns (model, loss trace).
     """
     model = init_expert(arch, cfg.d, cfg.d_e, cfg.d_prime, seed)
-    epochs = cfg.expert_epochs[ARCHS.index(arch)]
-    opt = ad.AdamW(model.params, lr=cfg.lr, weight_decay=cfg.wd)
     rng = np.random.default_rng(seed + 1)
-    trace = []
-    for epoch in range(epochs):
-        lv = ad.leaves(model.params)
+
+    def epoch_losses(lv):
         losses = []
         for g, xt in graph_inputs:
             keys, queries = sample_key_split(g.labels, cfg.key_fraction, rng)
             losses.append(
                 expert_training_loss_t(arch, lv, xt, g, keys, queries, cfg.d_prime)
             )
-        total = ad.tmean(ad.stack_scalars(losses))
-        if not np.isfinite(total.value):
-            raise TrainingDivergedError(
-                f"{arch}: non-finite loss at epoch {epoch} (trace={trace})"
-            )
-        total.backward()
-        opt.step(ad.grads(lv))
-        trace.append(float(total.value))
-    model.trained = True
-    return model, trace
+        return losses
+
+    epochs = cfg.expert_epochs[ARCHS.index(arch)]
+    return model, ad.fit(model.params, epochs, epoch_losses, cfg.lr, cfg.wd, arch)
 
 
 def expert_correctness(scores_per_expert, y) -> np.ndarray:
@@ -272,24 +262,11 @@ def expert_correctness(scores_per_expert, y) -> np.ndarray:
 
 
 def save_expert(model: ExpertModel, path):
-    header = {
-        "kind": "expert",
-        "arch": model.arch,
-        "dims": list(model.dims),
-        "seed": model.seed,
-        "trained": model.trained,
-    }
+    header = {"kind": "expert", "arch": model.arch, "dims": list(model.dims)}
     save_checkpoint(path, header, model.params)
 
 
 def load_expert(path) -> ExpertModel:
     header, tensors = load_checkpoint(path, "expert")
-    dims = tuple(header["dims"])
-    check_tensors(path, tensors, _param_shapes(header["arch"], *dims))
-    return ExpertModel(
-        arch=header["arch"],
-        params=tensors,
-        dims=dims,
-        seed=header["seed"],
-        trained=header["trained"],
-    )
+    check_tensors(path, tensors, _param_shapes(header["arch"], *header["dims"]))
+    return ExpertModel(header["arch"], tensors)

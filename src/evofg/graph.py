@@ -40,7 +40,12 @@ class Graph:
 
     def __init__(self, num_nodes, edges, features, labels, name="graph"):
         self.num_nodes = int(num_nodes)
-        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        if self.num_nodes < 1:
+            raise GraphFormatError("a graph needs at least one node")
+        edges = np.asarray(edges)
+        if edges.size and edges.dtype.kind not in "iu":
+            raise GraphFormatError(f"edge endpoints must be integers, not {edges.dtype}")
+        edges = edges.astype(np.int64).reshape(-1, 2)
         self.edges = np.unique(np.sort(edges, axis=1), axis=0)
         self.features = np.asarray(features, dtype=np.float64)
         if self.features.shape[0] != self.num_nodes:
@@ -66,7 +71,7 @@ class Graph:
 
     def _build_adjacency(self):
         n = self.num_nodes
-        if self.edges.size and self.edges.max() >= n:
+        if self.edges.size and (self.edges.min() < 0 or self.edges.max() >= n):
             raise GraphFormatError("edge endpoint out of range")
         if self.edges.size and (self.edges[:, 0] == self.edges[:, 1]).any():
             raise GraphFormatError("self-loop in edge list")
@@ -162,6 +167,8 @@ def _parse_matrix_file(path):
             n, d = int(header[0]), int(header[1])
         except ValueError as exc:
             raise GraphFormatError(f"{path}:1: non-integer header") from exc
+        if n < 1 or d < 0:
+            raise GraphFormatError(f"{path}:1: needs N >= 1 nodes and d >= 0 features")
         lines = list(itertools.islice(fh, n))
     rows = None
     # numpy warns on input without data, and it skips blank lines, so that a

@@ -160,9 +160,8 @@ class GraphBundle:
 
 def prepare_graph(g: Graph, d: int) -> GraphBundle:
     """Alignment plus primitive features; pure in (graph, d), so cacheable."""
-    aligned = align(g, d)
-    table = compute_primitives(g, aligned.matrix)
-    return GraphBundle(graph=g, xtilde=aligned.matrix, table=table)
+    xtilde = align(g, d)
+    return GraphBundle(graph=g, xtilde=xtilde, table=compute_primitives(g, xtilde))
 
 
 def _content_digest(g: Graph) -> str:
@@ -350,19 +349,17 @@ def warmup_router(contexts, cfg: PipelineConfig):
     return router_model
 
 
-def evolve(router_model, bundles, contexts, models, cfg: PipelineConfig) -> RunArtifacts:
+def evolve(router_model, contexts, models, cfg: PipelineConfig) -> RunArtifacts:
     """The evolve stage on a warmed-up router (trained in place): rounds of
-    generate candidates, estimate contributions with the frozen router,
-    apply the retention rule and retrain, then the final retrain and the key
-    cache."""
+    generate candidates on the contexts' tables, estimate contributions with
+    the frozen router, apply the retention rule and retrain, then the final
+    retrain and the key cache."""
     backend = make_backend(cfg)
     gen_rng = derive_rng(cfg.seed, "generate")
-    tables = [b.table for b in bundles]
     reports = []
     for r in range(1, cfg.rounds + 1):
-        exprs = dsl.generate_candidates(backend, tables[0], cfg.gen_per_round, gen_rng)
-        tables = [dsl.extend_table(t, exprs) for t in tables]
-        contexts = [ctx.with_features(t) for ctx, t in zip(contexts, tables)]
+        exprs = dsl.generate_candidates(backend, contexts[0].table, cfg.gen_per_round, gen_rng)
+        contexts = [ctx.with_features(dsl.extend_table(ctx.table, exprs)) for ctx in contexts]
         active = contexts[0].names
         resize_router(
             router_model, len(active), derive_seed(cfg.seed, "resize-gen", r)
@@ -378,8 +375,7 @@ def evolve(router_model, bundles, contexts, models, cfg: PipelineConfig) -> RunA
         )
         kept = active if cfg.no_select else select_features(stats, cfg.z_crit)
         reports.append(format_stats(stats, kept))
-        tables = [t.with_active(kept) for t in tables]
-        contexts = [ctx.with_features(t) for ctx, t in zip(contexts, tables)]
+        contexts = [ctx.with_features(ctx.table.with_active(kept)) for ctx in contexts]
         resize_router(
             router_model, len(kept), derive_seed(cfg.seed, "resize-select", r)
         )
@@ -398,7 +394,7 @@ def evolve(router_model, bundles, contexts, models, cfg: PipelineConfig) -> RunA
         config=cfg,
         experts=models,
         router=router_model,
-        provenance=list(tables[0].provenance),
+        provenance=list(contexts[0].table.provenance),
         active_names=contexts[0].names,
         key_cache=build_key_cache(contexts),
         shapley_reports=reports,
@@ -421,7 +417,7 @@ def run_pipeline(cfg: PipelineConfig, train_graphs, prepared_cache=None) -> RunA
     models = run_stage(cfg, "pretrain", pretrain_all_experts, bundles, cfg)
     contexts = run_stage(cfg, "contexts", build_contexts, bundles, models, cfg)
     router_model = run_stage(cfg, "warmup", warmup_router, contexts, cfg)
-    return run_stage(cfg, "evolve", evolve, router_model, bundles, contexts, models, cfg)
+    return run_stage(cfg, "evolve", evolve, router_model, contexts, models, cfg)
 
 
 def score_graph(artifacts: RunArtifacts, g: Graph, prepared_cache=None):

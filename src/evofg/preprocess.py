@@ -4,19 +4,10 @@ channels come first on every graph."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .graph import Graph
 from .numeric import pca_project
-
-
-@dataclass
-class AlignedFeatures:
-    matrix: np.ndarray  # N x d, columns in ascending-smoothness order
-    smoothness: np.ndarray  # length d, non-decreasing
-    source: str
 
 
 def smoothness_scores(xhat: np.ndarray, g: Graph) -> np.ndarray:
@@ -32,10 +23,8 @@ def smoothness_scores(xhat: np.ndarray, g: Graph) -> np.ndarray:
     return -(diffs**2).mean(axis=0)
 
 
-def align(g: Graph, d: int) -> AlignedFeatures:
-    """PCA-project g's attributes to width d and sort columns by ascending
-    smoothness (ties broken by original column index)."""
+def align(g: Graph, d: int) -> np.ndarray:
+    """g's attributes PCA-projected to width d (N x d), columns sorted by
+    ascending smoothness (ties broken by original column index)."""
     xhat = pca_project(g.features, d)
-    s = smoothness_scores(xhat, g)
-    order = np.argsort(s, kind="stable")
-    return AlignedFeatures(matrix=xhat[:, order], smoothness=s[order], source=g.name)
+    return xhat[:, np.argsort(smoothness_scores(xhat, g), kind="stable")]

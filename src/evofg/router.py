@@ -31,23 +31,24 @@ from .experts import (
 log = logging.getLogger(__name__)
 
 
-class RouterTrainingError(RuntimeError):
-    pass
-
-
 class RouterModel:
     """Trainable routing parameters; ``use_memory=False`` degrades to the
     projection-only ablation router."""
 
-    def __init__(self, params, dims, seed=0, use_memory=True):
+    def __init__(self, params, use_memory):
         self.params = params
-        self.dims = dims  # (d, d_r, d_m, M, E)
-        self.seed = seed
         self.use_memory = use_memory
 
     @property
+    def dims(self):
+        """(d, d_r, d_m, M, E), read from the parameter shapes."""
+        d, d_m = self.params["gnn_w"].shape
+        n_memory = self.params["mem_node"].shape[0]
+        return d, self.d_r, d_m, n_memory, self.params["scale"].shape[0]
+
+    @property
     def d_r(self):
-        return self.dims[1]
+        return self.params["proj_w"].shape[0]
 
 
 @dataclass
@@ -81,7 +82,7 @@ def init_router(d, d_r, d_m, n_memory, n_experts, seed, use_memory=True) -> Rout
             params[name] = rng.standard_normal(shape) / np.sqrt(d_m)
         else:
             params[name] = glorot(rng, shape)
-    return RouterModel(params, (d, d_r, d_m, n_memory, n_experts), seed, use_memory)
+    return RouterModel(params, use_memory)
 
 
 def resize_router(model: RouterModel, new_d_r, seed) -> None:
@@ -90,11 +91,10 @@ def resize_router(model: RouterModel, new_d_r, seed) -> None:
     if new_d_r == model.d_r:
         return
     rng = np.random.default_rng(seed)
-    d, _, d_m, n_memory, n_experts = model.dims
+    _, _, d_m, _, n_experts = model.dims
     model.params["proj_w"] = glorot(rng, (new_d_r, d_m))
     model.params["proj_b"] = np.zeros(d_m)
     model.params["noise_w"] = glorot(rng, (new_d_r, n_experts))
-    model.dims = (d, new_d_r, d_m, n_memory, n_experts)
 
 
 def node_branch_t(lv, xtilde, g, use_memory=True):
@@ -229,8 +229,8 @@ class RoutingContext:
     """Frozen per-graph material for router training and utility evaluation:
     the canonical key/query split, expert embeddings and reconstructions on
     the queries and their per-row Gram blocks, the expert-correctness
-    targets, and the standardized matrix ``hr`` of a table's active columns
-    ``names``."""
+    targets, and the feature ``table`` it routes on with the standardized
+    matrix ``hr`` of that table's active columns ``names``."""
 
     def __init__(self, graph, xtilde, table, experts, key_fraction, rng):
         self.graph = graph
@@ -254,6 +254,10 @@ class RoutingContext:
             _gram_blocks(self.expert_recon, self.expert_recon),
             _gram_blocks(self.expert_hq, self.expert_hq),
         )
+        self._route_on(table)
+
+    def _route_on(self, table):
+        self.table = table
         self.names = table.active_names()
         self.hr = table.standardized_active()
 
@@ -261,8 +265,7 @@ class RoutingContext:
         """This context routed on ``table``'s active columns; the expert
         material is shared, not recomputed."""
         ctx = copy.copy(self)
-        ctx.names = table.active_names()
-        ctx.hr = table.standardized_active()
+        ctx._route_on(table)
         return ctx
 
 
@@ -340,13 +343,10 @@ def train_router(model, contexts, cfg, phase, seed):
     experts frozen; one step per epoch on the mean loss over graphs. The node
     branch runs on every node of a graph, the feature branch on its query
     rows only, which are all any loss reads."""
-    epochs = cfg.warmup_epochs if phase == "warmup" else cfg.router_epochs
-    opt = ad.AdamW(model.params, lr=cfg.lr, weight_decay=cfg.wd)
     rng = np.random.default_rng(seed)
-    trace = []
     n_experts = model.dims[4]
-    for epoch in range(epochs):
-        lv = ad.leaves(model.params)
+
+    def epoch_losses(lv):
         graph_losses = []
         for ctx in contexts:
             n = ctx.graph.num_nodes
@@ -369,15 +369,10 @@ def train_router(model, contexts, cfg, phase, seed):
                 out = feature_branch_t(lv, node_q, hr_q, clean_noise, model.use_memory)
                 l_moe = balance_loss_t(ad.row_softmax(out["G"]), out["G"])
                 graph_losses.append(ad.add(l_in, l_moe))
-        total = ad.tmean(ad.stack_scalars(graph_losses))
-        if not np.isfinite(total.value):
-            raise RouterTrainingError(
-                f"non-finite router loss at {phase} epoch {epoch} (trace={trace})"
-            )
-        total.backward()
-        opt.step(ad.grads(lv))
-        trace.append(float(total.value))
-    return trace
+        return graph_losses
+
+    epochs = cfg.warmup_epochs if phase == "warmup" else cfg.router_epochs
+    return ad.fit(model.params, epochs, epoch_losses, cfg.lr, cfg.wd, f"router {phase}")
 
 
 def routing_frequency(weights) -> np.ndarray:
@@ -390,7 +385,6 @@ def save_router(model: RouterModel, path, feature_names):
     header = {
         "kind": "router",
         "dims": list(model.dims),
-        "seed": model.seed,
         "use_memory": model.use_memory,
         "feature_names": list(feature_names),
     }
@@ -399,12 +393,5 @@ def save_router(model: RouterModel, path, feature_names):
 
 def load_router(path):
     header, tensors = load_checkpoint(path, "router")
-    dims = tuple(header["dims"])
-    check_tensors(path, tensors, _param_shapes(*dims))
-    model = RouterModel(
-        params=tensors,
-        dims=dims,
-        seed=header["seed"],
-        use_memory=header["use_memory"],
-    )
-    return model, header["feature_names"]
+    check_tensors(path, tensors, _param_shapes(*header["dims"]))
+    return RouterModel(tensors, header["use_memory"]), header["feature_names"]

@@ -409,7 +409,7 @@ def test_c10_ablation_harness(suite):
             aurocs = {}
             for vname, cfg in cfgs.items():
                 router = warmup_router(contexts, cfg)
-                art = evolve(router, bundles, contexts, experts, cfg)
+                art = evolve(router, contexts, experts, cfg)
                 aurocs[vname] = [
                     auroc(score_graph(art, g, prepared_cache=cache)[0], g.labels)
                     for g in test

@@ -114,6 +114,35 @@ def test_adamw_decreases_quadratic():
     assert np.abs(params["p"]).max() < 0.05
 
 
+def _quadratic_losses(nan_at=None):
+    """Per-epoch losses of a quadratic in ``w``; NaN at epoch ``nan_at``."""
+    epoch = []
+
+    def losses(lv):
+        epoch.append(len(epoch))
+        loss = ad.tmean(ad.mul(lv["w"], lv["w"]))
+        return [ad.mul(loss, np.nan) if epoch[-1] == nan_at else loss, loss]
+
+    return losses
+
+
+def test_fit_steps_once_per_epoch_on_the_mean_loss():
+    params = {"w": np.array([3.0, -2.0])}
+    trace = ad.fit(params, 200, _quadratic_losses(), 0.1, 0.0, "probe")
+    assert len(trace) == 200 and trace[0] == 6.5
+    assert np.abs(params["w"]).max() < 0.05
+
+
+def test_fit_raises_before_the_step_of_a_non_finite_epoch():
+    params = {"w": np.array([3.0, -2.0])}
+    with pytest.raises(ad.TrainingDivergedError) as err:
+        ad.fit(params, 5, _quadratic_losses(nan_at=2), 0.1, 1e-2, "probe")
+    reference = {"w": np.array([3.0, -2.0])}
+    trace = ad.fit(reference, 2, _quadratic_losses(), 0.1, 1e-2, "probe")
+    assert str(err.value) == f"probe: non-finite loss at epoch 2 (trace={trace})"
+    assert params["w"].tobytes() == reference["w"].tobytes()
+
+
 def test_grad_accumulates_over_shared_use():
     p = {"w": np.array([2.0])}
     lv = ad.leaves(p)

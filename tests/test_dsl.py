@@ -4,6 +4,7 @@ import logging
 import numpy as np
 import pytest
 
+from evofg import dsl
 from evofg.dsl import (
     BINARY_OPS,
     CLAMP,
@@ -217,8 +218,8 @@ class TestProvenance:
         t = t.with_active(kept)
 
         fresh = rebuild_columns(make_table(seed=10), t.provenance, kept)
-        assert fresh.names == t.names
         assert fresh.active_names() == t.active_names()
+        assert [n for n in t.names if n in fresh.names] == fresh.names
 
     def test_extension_and_activation_leave_the_input_table_as_it_was(self):
         # prepared caches and routing contexts share tables without copies
@@ -260,6 +261,16 @@ def _assert_same_table(got, want):
     assert got.matrix.tobytes() == want.matrix.tobytes()
 
 
+def _assert_same_active(got, want):
+    """The active columns of ``got`` and ``want`` agree in names, categories
+    and bytes, and so does the router input built from them."""
+    assert got.active_names() == want.active_names()
+    assert ([c for c, a in zip(got.categories, got.active) if a]
+            == [c for c, a in zip(want.categories, want.active) if a])
+    assert got.matrix[:, got.active].tobytes() == want.matrix[:, want.active].tobytes()
+    assert got.standardized_active().tobytes() == want.standardized_active().tobytes()
+
+
 class TestColumnsInOneTable:
     def test_extend_matches_one_column_at_a_time(self):
         t = make_table(n=40, seed=12)
@@ -274,10 +285,41 @@ class TestColumnsInOneTable:
         provenance = fold_extend(trained, exprs).provenance
         fresh = make_table(n=33, seed=14)
         want = fold_extend(fresh, exprs).with_active(kept)
-        _assert_same_table(rebuild_columns(fresh, provenance, kept), want)
+        _assert_same_active(rebuild_columns(fresh, provenance, kept), want)
         # columns the table already has are kept, not evaluated again
         half = extend_table(fresh, exprs[:10])
-        _assert_same_table(rebuild_columns(half, provenance, kept), want)
+        _assert_same_active(rebuild_columns(half, provenance, kept), want)
+
+    def test_rebuild_evaluates_only_what_the_active_columns_read(self, monkeypatch):
+        trained = make_table(n=40, seed=16)
+        exprs = _two_rounds_of_exprs(trained, seed=9)
+        provenance = fold_extend(trained, exprs).provenance
+        generated = {e.name: e for e in exprs}
+        # LOG1P(SIGMOID(x)) reads a generated column through another one
+        kept = trained.names[:5] + [e.name for e in (exprs[-1], exprs[-2], exprs[-4])]
+        # the closure of the kept generated columns under "reads", by fixpoint
+        needed = kept_generated = {n for n in kept if n in generated}
+        while True:
+            grown = needed | {a for n in needed for a in generated[n].args if a in generated}
+            if grown == needed:
+                break
+            needed = grown
+        assert len(kept_generated) + 2 <= len(needed) < len(exprs)
+        evaluated = []
+        real_eval = dsl.eval_expr
+
+        def recording_eval(expr, columns):
+            evaluated.append(expr.name)
+            return real_eval(expr, columns)
+
+        monkeypatch.setattr(dsl, "eval_expr", recording_eval)
+        fresh = make_table(n=33, seed=17)
+        rebuild_columns(fresh, provenance, kept)
+        assert evaluated == [e.name for e in exprs if e.name in needed]
+        half = extend_table(fresh, exprs[:10])
+        evaluated.clear()
+        rebuild_columns(half, provenance, kept)
+        assert evaluated == [e.name for e in exprs[10:] if e.name in needed]
 
     def test_a_name_the_table_has_is_refused(self):
         t = make_table(seed=15)

@@ -195,14 +195,15 @@ class TestGradients:
 
 
 class TestPretraining:
-    def test_trace_finite_and_model_flagged(self):
+    def test_trace_finite_and_params_moved(self):
         rng = np.random.default_rng(11)
         g = labeled_graph(rng, n=14)
         cfg = tiny_cfg()
         model, trace = pretrain_expert("LOWPASS", [(g, g.features)], cfg, seed=12)
         assert len(trace) == 3
         assert all(np.isfinite(v) for v in trace)
-        assert model.trained
+        start = init_expert("LOWPASS", 4, 5, 4, seed=12)
+        assert not np.array_equal(model.params["w0"], start.params["w0"])
 
     def test_zero_epochs_returns_initialization(self):
         rng = np.random.default_rng(12)
@@ -254,13 +255,11 @@ class TestCheckpoint:
     @pytest.mark.parametrize("arch", ARCHS)
     def test_roundtrip_bit_exact(self, tmp_path, arch):
         m = init_expert(arch, 4, 5, 4, seed=15)
-        m.trained = True
         path = str(tmp_path / f"{arch}.bin")
         save_expert(m, path)
         m2 = load_expert(path)
         assert m2.arch == arch
         assert m2.dims == (4, 5, 4)
-        assert m2.trained
         assert list(m2.params) == list(m.params)
         for k in m.params:
             assert np.array_equal(m.params[k], m2.params[k])

@@ -218,7 +218,7 @@ class TestComputePrimitives:
 @pytest.mark.parametrize("case,g", degenerate_graphs(seed=3),
                          ids=[case for case, _ in degenerate_graphs(seed=3)])
 def test_degenerate_graph_primitives_match_oracles(case, g):
-    xtilde = align(g, 5).matrix  # wider than some of these graphs: zero-padded
+    xtilde = align(g, 5)  # wider than some of these graphs: zero-padded
     t = compute_primitives(g, xtilde)
     assert np.isfinite(t.matrix).all()
     assert np.abs(t.column("BC_t") - brute_force_betweenness(g)).max() < 1e-9
@@ -240,7 +240,7 @@ def test_degenerate_graph_primitives_match_oracles(case, g):
 def test_sweep_matches_two_pass_oracle(case, g, monkeypatch):
     """Every primitive column is bit-identical to the one built on separate
     Dijkstra distances and Brandes betweenness."""
-    xtilde = align(g, 5).matrix
+    xtilde = align(g, 5)
     fresh = Graph(g.num_nodes, g.edges, g.features, None, g.name)
     dist, bc = features._level_sweep(fresh)
     want_dist, want_bc = two_pass_sweep(fresh)
@@ -421,7 +421,7 @@ def test_one_sweep_per_graph(monkeypatch):
 
     monkeypatch.setattr(features, "_level_sweep", counted)
     g = gen_synthetic(300, 6, 0.08, structure_seed=1, planted_kind="mixed")
-    compute_primitives(g, align(g, 5).matrix)
+    compute_primitives(g, align(g, 5))
     betweenness(g)
     khop_similarity(g, g.features, 2)
     assert calls == [g]

@@ -145,6 +145,12 @@ class TestLoading:
             with pytest.raises(GraphFormatError, match="edges.txt:2: non-integer endpoint"):
                 load_graph(*paths)
 
+    @pytest.mark.parametrize("header", ["-1 4", "3 -1", "0 4"])
+    def test_header_without_nodes_or_with_negative_width_rejected(self, tmp_path, header):
+        paths = write_graph_files(tmp_path, "0\t1\n", f"{header}\n1 2 3 4\n1 2 3 4\n", "0\n1\n")
+        with pytest.raises(GraphFormatError, match="features.txt:1: needs N >= 1"):
+            load_graph(*paths)
+
     def test_label_with_trailing_nul_rejected(self, tmp_path):
         paths = write_graph_files(tmp_path, "0\t1\n", "2 1\n0\n1\n", "0\n1\x00")
         with pytest.raises(GraphFormatError, match="labels.txt:2: label"):
@@ -267,6 +273,21 @@ class TestRoundTrip:
         g2 = load_graph_dir(str(tmp_path / "g"), with_labels=False)
         assert g2.labels is None
         assert np.array_equal(g2.features, g.features)
+
+
+def test_fractional_edge_endpoint_rejected():
+    with pytest.raises(GraphFormatError, match="endpoints must be integers, not float64"):
+        Graph(3, [[0, 1.5]], np.zeros((3, 2)), None)
+
+
+def test_graph_without_nodes_rejected():
+    with pytest.raises(GraphFormatError, match="at least one node"):
+        Graph(0, [], np.zeros((0, 4)), None)
+
+
+def test_negative_edge_endpoint_rejected():
+    with pytest.raises(GraphFormatError, match="edge endpoint out of range"):
+        Graph(3, [[0, -1]], np.zeros((3, 2)), None)
 
 
 def test_graph_arrays_immutable():

@@ -8,8 +8,9 @@ import shutil
 import numpy as np
 import pytest
 
-from evofg import pipeline
-from evofg.checkpoint import CheckpointError
+from evofg import autodiff as ad
+from evofg import experts, pipeline, router
+from evofg.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from evofg.cli import main as cli_main
 from evofg.graph import Graph, gen_synthetic, load_graph_dir, save_graph
 from evofg.pipeline import (
@@ -66,7 +67,6 @@ def artifacts(graphs):
 class TestRunPipeline:
     def test_artifacts_complete(self, artifacts):
         assert len(artifacts.experts) == 4
-        assert all(m.trained for m in artifacts.experts)
         assert len(artifacts.shapley_reports) == 2
         assert len(artifacts.active_names) == artifacts.router.d_r
         assert set(artifacts.key_cache) == {"LOWPASS", "ATTENTION", "CHEBY", "GPR"}
@@ -88,6 +88,29 @@ class TestRunPipeline:
             run_pipeline(tiny_cfg(seed=7), [bad])
         assert err.value.stage in ("prepare", "pretrain", "contexts")
         assert err.value.seed == 7
+
+    @pytest.mark.parametrize("stage,owner,loss", [
+        ("pretrain", experts, "expert_training_loss_t"),
+        ("warmup", router, "kl_router_loss_t"),
+    ])
+    def test_a_diverging_loss_fails_its_stage(self, graphs, monkeypatch, stage, owner, loss):
+        """A loss that turns NaN at epoch 1 stops training before that
+        epoch's step and reaches the caller as its stage's StageError."""
+        train, _ = graphs
+        real, calls = getattr(owner, loss), []
+
+        def nan_from_epoch_1(*args):
+            calls.append(None)  # one call per training graph and epoch
+            out = real(*args)
+            return ad.mul(out, np.nan) if len(calls) > len(train) else out
+
+        monkeypatch.setattr(owner, loss, nan_from_epoch_1)
+        with pytest.raises(StageError) as err:
+            run_pipeline(tiny_cfg(seed=13), train, prepared_cache={})
+        assert err.value.stage == stage and err.value.seed == 13
+        assert isinstance(err.value.__cause__, ad.TrainingDivergedError)
+        assert re.search(r"seed 13: .*: non-finite loss at epoch 1 \(trace=\[[^,]+\]\)$",
+                         str(err.value))
 
     def test_determinism_byte_identical_reports(self, graphs):
         train, test = graphs
@@ -151,7 +174,7 @@ class TestRunPipeline:
         real_freeze, real_utility = pipeline.freeze_node_branch, pipeline.routing_utility
         monkeypatch.setattr(pipeline, "freeze_node_branch", recording_freeze)
         monkeypatch.setattr(pipeline, "routing_utility", checking_utility)
-        evolve(router_model, bundles, contexts, models, cfg)
+        evolve(router_model, contexts, models, cfg)
 
         assert len(rounds) == cfg.rounds
         for r, (frozen, _, _) in enumerate(rounds):
@@ -268,6 +291,28 @@ class TestScoreGraph:
         s2, r2, _ = score_graph(loaded, test[0])
         assert np.array_equal(s1, s2)
         assert np.array_equal(r1.weights, r2.weights)
+
+    def test_checkpoints_saving_seed_and_trained_load_and_score(self, tmp_path, artifacts,
+                                                                 graphs):
+        # expert and router headers as written while the models kept a seed
+        # (and the experts a trained flag)
+        _, test = graphs
+        old, new = str(tmp_path / "old"), str(tmp_path / "new")
+        artifacts.save(old)
+        artifacts.save(new)
+        names = [f"expert_{m.arch}.bin" for m in artifacts.experts] + ["router.bin"]
+        for name in names:
+            path = os.path.join(old, name)
+            header, tensors = load_checkpoint(path, "router" if name == "router.bin" else "expert")
+            assert {"seed", "trained"}.isdisjoint(header)
+            extra = {"seed": 3} if name == "router.bin" else {"seed": 3, "trained": True}
+            save_checkpoint(path, {**header, **extra}, tensors)
+        results = []
+        for out in (old, new):
+            scores, routing, per_expert = score_graph(RunArtifacts.load(out), test[0])
+            results.append((scores.tobytes(), routing.weights.tobytes(),
+                            {a: v.tobytes() for a, v in per_expert.items()}))
+        assert results[0] == results[1]
 
     def test_load_rejects_router_features_other_than_the_active_set(self, tmp_path,
                                                                     artifacts):
