@@ -77,12 +77,18 @@ def load_checkpoint(path, kind):
     return header, tensors
 
 
-def check_tensors(path, tensors: dict, expected: dict):
-    """Reject a checkpoint whose tensor names or shapes differ from the
-    ``expected`` name -> shape map of the architecture it claims."""
-    got = {k: v.shape for k, v in tensors.items()}
+def check_tensors(path, model, param_shapes):
+    """``model``, built on a checkpoint's tensors, once they are exactly the
+    parameters that ``param_shapes(*model.dims)`` names, in those shapes.
+    The widths ``model.dims`` are read from the tensors themselves."""
+    got = {k: v.shape for k, v in model.params.items()}
+    try:
+        expected = param_shapes(*model.dims)
+    except (KeyError, IndexError, ValueError):  # a width tensor missing or of another rank
+        expected = None
     if got != expected:
         raise CheckpointError(
             f"{path}: tensors {sorted(got)} do not match the architecture's "
-            f"parameters {sorted(expected)} (or their shapes differ)"
+            f"parameters (or their shapes differ)"
         )
+    return model

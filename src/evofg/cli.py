@@ -37,10 +37,8 @@ from .pipeline import (
     load_router_file,
     prepare_graphs,
     pretrain_all_experts,
-    report_routing_frequency,
     report_to_json,
     report_to_text,
-    routing_frequency_table,
     run_stage,
     save_pretrained,
     save_router_file,
@@ -55,9 +53,8 @@ class CommandError(RuntimeError):
     """A command cannot run on the arguments or the artifacts it was given."""
 
 
-# the text reports `evofg eval` writes and `evofg report` prints
+# the text report `evofg eval` writes and `evofg report` prints
 METRICS_TEXT = "metrics.txt"
-FREQUENCY_TEXT = "routing_frequency.txt"
 
 
 # the settings of a training run, dest -> (flag, type, help): `pretrain` and
@@ -239,9 +236,6 @@ def cmd_eval(args):
         report = evaluate_scored(score_labeled(artifacts, _load_graphs(args.test)))
     text = report_to_text(report)
     outputs = {"metrics.json": report_to_json(report), METRICS_TEXT: text}
-    freq = report_routing_frequency(report)
-    if freq:
-        outputs[FREQUENCY_TEXT] = routing_frequency_table(freq)
     os.makedirs(out_dir, exist_ok=True)
     for name, content in outputs.items():
         with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
@@ -251,11 +245,10 @@ def cmd_eval(args):
 
 def cmd_report(args):
     texts = []
-    for name in (METRICS_TEXT, FREQUENCY_TEXT):
-        path = os.path.join(args.artifacts, name)
-        if os.path.exists(path):
-            with open(path, "r", encoding="utf-8") as fh:
-                texts.append(fh.read())
+    path = os.path.join(args.artifacts, METRICS_TEXT)
+    if os.path.exists(path):
+        with open(path, "r", encoding="utf-8") as fh:
+            texts.append(fh.read())
     for r, report in enumerate(load_round_reports(args.artifacts), start=1):
         texts.append(f"--- selection round {r} ---\n{report}")
     print("\n".join(texts) if texts else "no reports found; run `evofg eval` first")

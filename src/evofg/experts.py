@@ -10,12 +10,13 @@ residual before the nonlinearity; the GPR encoder does not.
 
 from __future__ import annotations
 
+import functools
 import logging
 
 import numpy as np
 
 from . import autodiff as ad
-from .checkpoint import check_tensors, load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, check_tensors, load_checkpoint, save_checkpoint
 from .graph import Graph
 
 log = logging.getLogger(__name__)
@@ -262,11 +263,13 @@ def expert_correctness(scores_per_expert, y) -> np.ndarray:
 
 
 def save_expert(model: ExpertModel, path):
-    header = {"kind": "expert", "arch": model.arch, "dims": list(model.dims)}
-    save_checkpoint(path, header, model.params)
+    save_checkpoint(path, {"kind": "expert", "arch": model.arch}, model.params)
 
 
 def load_expert(path) -> ExpertModel:
     header, tensors = load_checkpoint(path, "expert")
-    check_tensors(path, tensors, _param_shapes(header["arch"], *header["dims"]))
-    return ExpertModel(header["arch"], tensors)
+    arch = header.get("arch")
+    if arch not in ARCHS:
+        raise CheckpointError(f"{path}: architecture {arch!r} is none of {', '.join(ARCHS)}")
+    shapes = functools.partial(_param_shapes, arch)
+    return check_tensors(path, ExpertModel(arch, tensors), shapes)

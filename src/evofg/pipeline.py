@@ -107,7 +107,7 @@ class PipelineConfig:
             raise ValueError("lambda must be nonnegative")
         if not 0 < self.key_fraction < 1:
             raise ValueError("key_fraction must lie in (0, 1)")
-        for name in ("d", "d_e", "d_prime", "d_m", "n_memory"):
+        for name in ("d", "d_e", "d_prime", "d_m", "n_memory", "shapley_iters", "n_envs"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -289,7 +289,16 @@ class RunArtifacts:
                 f"differ from the {len(feats['active'])} active in {FEATURES_FILE}"
             )
         provenance = [dsl.expr_from_dict(p) for p in feats["provenance"]]
-        _, key_cache = load_checkpoint(os.path.join(out_dir, KEYS_FILE), "keycache")
+        keys_path = os.path.join(out_dir, KEYS_FILE)
+        _, key_cache = load_checkpoint(keys_path, "keycache")
+        widths = {m.arch: m.dims[1] for m in models}
+        if set(key_cache) != set(widths) or not all(
+            k.ndim == 2 and len(k) > 0 and k.shape[1] == widths[a] for a, k in key_cache.items()
+        ):
+            raise CheckpointError(
+                f"{keys_path}: needs one array per expert ({', '.join(ARCHS)}), "
+                f"each with at least one row and its expert's d_e columns"
+            )
         return cls(
             config=config,
             experts=models,
@@ -536,11 +545,6 @@ def report_to_json(report) -> str:
     return json.dumps(report, indent=2, sort_keys=True, default=float) + "\n"
 
 
-def report_routing_frequency(report):
-    """The routing frequencies a report shows: a multi-run report's last run's."""
-    return (report["runs"][-1] if report.get("runs") else report).get("routing_frequency", {})
-
-
 def report_to_text(report) -> str:
     """Aligned, human-readable metrics and routing-frequency tables."""
     lines = []
@@ -564,7 +568,8 @@ def report_to_text(report) -> str:
                 lines.append(f"{name:<28} {'undef':>8} {'undef':>8}")
             else:
                 lines.append(f"{name:<28} {row['auroc']:>8.4f} {row['auprc']:>8.4f}")
-    freq = report_routing_frequency(report)
+    # a multi-run report shows its last run's frequencies
+    freq = (report["runs"][-1] if report.get("runs") else report).get("routing_frequency")
     if freq:
         lines.append("")
         lines.append("soft routing frequency (rows sum to 1):")
@@ -573,9 +578,3 @@ def report_to_text(report) -> str:
             lines.append(f"{name:<28} " + " ".join(f"{x:>10.4f}" for x in row))
     return "\n".join(lines) + "\n"
 
-
-def routing_frequency_table(freqs: dict) -> str:
-    lines = ["graph\t" + "\t".join(ARCHS)]
-    for name, row in sorted(freqs.items()):
-        lines.append(name + "\t" + "\t".join("%.6f" % x for x in row))
-    return "\n".join(lines) + "\n"

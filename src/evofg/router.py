@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .checkpoint import check_tensors, load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, check_tensors, load_checkpoint, save_checkpoint
 from .experts import (
     anomaly_scores,
     consistency_loss_t,
@@ -55,8 +55,6 @@ class RouterModel:
 class RoutingOutput:
     logits: np.ndarray  # N x E
     weights: np.ndarray  # N x E rows on the simplex
-    retrieval_node: np.ndarray  # N x M attention over the node memory
-    retrieval_feat: np.ndarray  # N x M attention over the feature memory
 
 
 def _param_shapes(d, d_r, d_m, n_memory, n_experts):
@@ -99,23 +97,21 @@ def resize_router(model: RouterModel, new_d_r, seed) -> None:
 
 def node_branch_t(lv, xtilde, g, use_memory=True):
     """The mask-independent half of the forward: node queries propagated by
-    ``gnn_w`` and, with memory, their node-memory retrieval. Returns
-    (retrieved node embedding, node-memory attention or None)."""
+    ``gnn_w`` and, with memory, replaced by their node-memory retrieval.
+    Returns the node embedding."""
     hn_q = ad.tanh(
         ad.spmm(g.sym_norm_selfloops(), ad.matmul(ad.wrap(xtilde), lv["gnn_w"]))
     )
     if not use_memory:
-        return hn_q, None
-    s_n = ad.key_softmax(hn_q, lv["mem_node"])
-    return ad.matmul(s_n, lv["mem_node"]), s_n
+        return hn_q
+    return ad.matmul(ad.key_softmax(hn_q, lv["mem_node"]), lv["mem_node"])
 
 
 def feature_branch_t(lv, hn_m, hr, noise=None, use_memory=True):
     """The feature half of the forward on the rows of a node-branch output
-    ``hn_m``: logits and the feature-memory attention. ``hr`` may stack k
-    groups of ``hn_m``'s rows, which every group then shares. The routing
-    weights are ``ad.row_softmax`` of the logits, for the callers that need
-    them."""
+    ``hn_m``: the logits. ``hr`` may stack k groups of ``hn_m``'s rows, which
+    every group then shares. The routing weights are ``ad.row_softmax`` of
+    the logits, for the callers that need them."""
     if hr.shape[1] != lv["proj_w"].value.shape[0]:
         raise ValueError(
             f"feature width {hr.shape[1]} != router width {lv['proj_w'].value.shape[0]}"
@@ -125,43 +121,28 @@ def feature_branch_t(lv, hn_m, hr, noise=None, use_memory=True):
         s_r = ad.key_softmax(hr_q, lv["mem_feat"])
         logits = ad.memory_readout(s_r, lv["mem_feat"], hn_m, lv["scale"])
     else:
-        s_r = None
         logits = ad.memory_readout(hr_q, None, hn_m, lv["scale"])
     if noise is not None:
         logits = ad.add(
             logits,
             ad.mul(ad.wrap(noise), ad.softplus(ad.matmul(ad.wrap(hr), lv["noise_w"]))),
         )
-    return {"G": logits, "S_r": s_r}
+    return logits
 
 
 def route_t(lv, xtilde, g, hr, noise=None, use_memory=True):
-    """Tape forward, the node branch composed with the feature branch; hr is
-    the (possibly masked) standardized feature matrix and noise, when given,
-    is a fixed N x E standard-normal draw."""
-    hn_m, s_n = node_branch_t(lv, xtilde, g, use_memory)
-    out = feature_branch_t(lv, hn_m, hr, noise, use_memory)
-    return {**out, "P": ad.row_softmax(out["G"]), "S_n": s_n}
+    """Tape forward, the node branch composed with the feature branch: the
+    logits. hr is the (possibly masked) standardized feature matrix and
+    noise, when given, is a fixed N x E standard-normal draw."""
+    return feature_branch_t(lv, node_branch_t(lv, xtilde, g, use_memory), hr, noise, use_memory)
 
 
 def route(model: RouterModel, xtilde, g, hr):
     """Public routing call: the deterministic forward (no exploration noise)
     on the standardized feature matrix ``hr``."""
     hr = np.asarray(hr, dtype=np.float64)
-    out = route_t(ad.leaves(model.params), xtilde, g, hr, None, model.use_memory)
-    return _routing_output(out, model.dims[3])
-
-
-def _routing_output(out, n_memory):
-    """A ``route_t`` result as arrays; a router without memory attends
-    uniformly over its ``n_memory`` slots."""
-    ones = np.full((out["G"].shape[0], n_memory), 1.0 / n_memory)
-    return RoutingOutput(
-        logits=out["G"].value,
-        weights=out["P"].value,
-        retrieval_node=out["S_n"].value if out["S_n"] is not None else ones,
-        retrieval_feat=out["S_r"].value if out["S_r"] is not None else ones,
-    )
+    logits = route_t(ad.leaves(model.params), xtilde, g, hr, None, model.use_memory)
+    return RoutingOutput(logits.value, ad.row_softmax(logits).value)
 
 
 def aggregate(p, expert_h, expert_recon):
@@ -289,7 +270,7 @@ def freeze_node_branch(model: RouterModel, contexts):
     lv = ad.leaves(model.params)
     frozen = []
     for ctx in contexts:
-        node, _ = node_branch_t(lv, ctx.xtilde, ctx.graph, model.use_memory)
+        node = node_branch_t(lv, ctx.xtilde, ctx.graph, model.use_memory)
         frozen.append(FrozenNodeBranch(
             ctx.names, node.value[ctx.queries], ctx.hr[ctx.queries],
             *_kl_targets(ctx.q_matrix, model.dims[4]),
@@ -308,8 +289,8 @@ def routing_utility(model: RouterModel, subset, frozen) -> float:
     lv = ad.leaves(model.params)
     vals = []
     for f in frozen:
-        out = feature_branch_t(lv, ad.wrap(f.node_q), f.hr_q * mask, None, model.use_memory)
-        vals.append(float(_kl_loss_t(f.targets, f.entropy, out["G"]).value))
+        logits = feature_branch_t(lv, ad.wrap(f.node_q), f.hr_q * mask, None, model.use_memory)
+        vals.append(float(_kl_loss_t(f.targets, f.entropy, logits).value))
     return -float(np.mean(vals))
 
 
@@ -321,8 +302,8 @@ def _env_losses_t(lv, ctx, node_q, masks, noise_q, use_memory):
     query rows."""
     k, d_r = masks.shape
     hr = (ctx.hr[ctx.queries] * masks[:, None, :]).reshape(-1, d_r)
-    out = feature_branch_t(lv, node_q, hr, np.tile(noise_q, (k, 1)), use_memory)
-    cos = ad.gram_cosine_rows(ad.row_softmax(out["G"]), *ctx.gram)  # k x Nq
+    logits = feature_branch_t(lv, node_q, hr, np.tile(noise_q, (k, 1)), use_memory)
+    cos = ad.gram_cosine_rows(ad.row_softmax(logits), *ctx.gram)  # k x Nq
     return consistency_loss_t(cos, ctx.y_q, axis=1)
 
 
@@ -352,13 +333,13 @@ def train_router(model, contexts, cfg, phase, seed):
             n = ctx.graph.num_nodes
             # one node branch per graph and epoch; in the main phase the
             # environments and the clean balance pass share it
-            node, _ = node_branch_t(lv, ctx.xtilde, ctx.graph, model.use_memory)
+            node = node_branch_t(lv, ctx.xtilde, ctx.graph, model.use_memory)
             node_q = ad.gather_rows(node, ctx.queries)
             hr_q = ctx.hr[ctx.queries]
             if phase == "warmup":
                 noise = rng.standard_normal((n, n_experts))[ctx.queries]
-                out = feature_branch_t(lv, node_q, hr_q, noise, model.use_memory)
-                graph_losses.append(kl_router_loss_t(ctx.q_matrix, out["G"]))
+                logits = feature_branch_t(lv, node_q, hr_q, noise, model.use_memory)
+                graph_losses.append(kl_router_loss_t(ctx.q_matrix, logits))
             else:
                 draws = rng.random((cfg.n_envs, hr_q.shape[1]))
                 masks = (draws >= cfg.mask_rate).astype(float)
@@ -366,8 +347,8 @@ def train_router(model, contexts, cfg, phase, seed):
                 env = _env_losses_t(lv, ctx, node_q, masks, env_noise, model.use_memory)
                 l_in = _combine_env_losses_t(env, cfg.lam)
                 clean_noise = rng.standard_normal((n, n_experts))[ctx.queries]
-                out = feature_branch_t(lv, node_q, hr_q, clean_noise, model.use_memory)
-                l_moe = balance_loss_t(ad.row_softmax(out["G"]), out["G"])
+                logits = feature_branch_t(lv, node_q, hr_q, clean_noise, model.use_memory)
+                l_moe = balance_loss_t(ad.row_softmax(logits), logits)
                 graph_losses.append(ad.add(l_in, l_moe))
         return graph_losses
 
@@ -384,7 +365,6 @@ def routing_frequency(weights) -> np.ndarray:
 def save_router(model: RouterModel, path, feature_names):
     header = {
         "kind": "router",
-        "dims": list(model.dims),
         "use_memory": model.use_memory,
         "feature_names": list(feature_names),
     }
@@ -392,6 +372,18 @@ def save_router(model: RouterModel, path, feature_names):
 
 
 def load_router(path):
+    """(router, the feature names it routes on) saved by ``save_router``."""
     header, tensors = load_checkpoint(path, "router")
-    check_tensors(path, tensors, _param_shapes(*header["dims"]))
-    return RouterModel(tensors, header["use_memory"]), header["feature_names"]
+    use_memory, names = header.get("use_memory"), header.get("feature_names")
+    if not isinstance(use_memory, bool) or not (
+        isinstance(names, list) and all(isinstance(n, str) for n in names)
+    ):
+        raise CheckpointError(
+            f"{path}: header needs a boolean use_memory and a feature_names list of strings"
+        )
+    model = check_tensors(path, RouterModel(tensors, use_memory), _param_shapes)
+    if len(names) != model.d_r:
+        raise CheckpointError(
+            f"{path}: {len(names)} feature names for a router {model.d_r} features wide"
+        )
+    return model, names

@@ -17,9 +17,9 @@ from evofg.experts import anomaly_loss_t
 from evofg.features import RouterFeatureTable
 from evofg.graph import Graph, gen_synthetic
 from evofg.router import (
+    RoutingOutput,
     _combine_env_losses_t,
     _env_losses_t,
-    _routing_output,
     balance_loss_t,
     kl_router_loss_t,
     node_branch_t,
@@ -107,8 +107,8 @@ def route_noisy(model, xtilde, g, hr, train_mode=False, rng=None, mask=None):
     if rng is None:
         raise ValueError("train_mode routing draws noise and needs an rng")
     noise = rng.standard_normal((hr.shape[0], model.dims[4]))
-    out = route_t(ad.leaves(model.params), xtilde, g, hr, noise, model.use_memory)
-    return _routing_output(out, model.dims[3])
+    logits = route_t(ad.leaves(model.params), xtilde, g, hr, noise, model.use_memory)
+    return RoutingOutput(logits.value, ad.row_softmax(logits).value)
 
 
 def graph_from_edges(n, edges, d=3, labels=None, seed=0, name="toy"):
@@ -335,7 +335,7 @@ def invariant_loss(model, ctx, n_envs, lam, mask_rate, seed):
         raise ValueError("invariant loss needs at least 2 environments")
     masks, noise = invariant_env_draws(ctx, n_envs, mask_rate, seed)
     lv = ad.leaves(model.params)
-    node, _ = node_branch_t(lv, ctx.xtilde, ctx.graph, model.use_memory)
+    node = node_branch_t(lv, ctx.xtilde, ctx.graph, model.use_memory)
     node_q = ad.gather_rows(node, ctx.queries)
     losses = _env_losses_t(lv, ctx, node_q, masks, noise[ctx.queries], model.use_memory)
     total = _combine_env_losses_t(losses, lam)
@@ -348,8 +348,8 @@ def per_env_route_losses_t(lv, ctx, masks, noise, use_memory):
     expert mixtures and their direct cosine loss; a K-vector."""
     losses = []
     for mask in masks:
-        out = route_t(lv, ctx.xtilde, ctx.graph, ctx.hr * mask, noise, use_memory)
-        p_q = ad.gather_rows(out["P"], ctx.queries)
+        logits = route_t(lv, ctx.xtilde, ctx.graph, ctx.hr * mask, noise, use_memory)
+        p_q = ad.gather_rows(ad.row_softmax(logits), ctx.queries)
         hq = mix_rows(p_q, ctx.expert_hq)
         rec = mix_rows(p_q, ctx.expert_recon)
         losses.append(anomaly_loss_t(hq, rec, ctx.y_q))
@@ -375,10 +375,10 @@ def reference_train_main(model, contexts, cfg, seed):
             env_noise = rng.standard_normal((n, n_experts))
             env = per_env_route_losses_t(lv, ctx, masks, env_noise, model.use_memory)
             clean_noise = rng.standard_normal((n, n_experts))
-            out = route_t(lv, ctx.xtilde, ctx.graph, ctx.hr, clean_noise, model.use_memory)
+            logits = route_t(lv, ctx.xtilde, ctx.graph, ctx.hr, clean_noise, model.use_memory)
             l_moe = balance_loss_t(
-                ad.gather_rows(out["P"], ctx.queries),
-                ad.gather_rows(out["G"], ctx.queries),
+                ad.gather_rows(ad.row_softmax(logits), ctx.queries),
+                ad.gather_rows(logits, ctx.queries),
             )
             graph_losses.append(ad.add(_combine_env_losses_t(env, cfg.lam), l_moe))
         total = ad.tmean(ad.stack_scalars(graph_losses))
@@ -397,8 +397,8 @@ def full_forward_utility(model, subset, contexts):
     vals = []
     for ctx in contexts:
         lv = ad.leaves(model.params)
-        out = route_t(lv, ctx.xtilde, ctx.graph, ctx.hr * mask, None, model.use_memory)
-        vals.append(kl_router_loss(ctx.q_matrix, out["G"].value[ctx.queries]))
+        logits = route_t(lv, ctx.xtilde, ctx.graph, ctx.hr * mask, None, model.use_memory)
+        vals.append(kl_router_loss(ctx.q_matrix, logits.value[ctx.queries]))
     return -float(np.mean(vals))
 
 

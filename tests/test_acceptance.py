@@ -176,8 +176,8 @@ def test_c03_gradient_checks():
         model = init_router(cfg.d, ctx.hr.shape[1], cfg.d_m, cfg.n_memory, 4, seed=5)
 
         def build_kl(lv):
-            out = route_t(lv, ctx.xtilde, ctx.graph, ctx.hr, None, True)
-            return kl_router_loss_t(ctx.q_matrix, ad.gather_rows(out["G"], ctx.queries))
+            logits = route_t(lv, ctx.xtilde, ctx.graph, ctx.hr, None, True)
+            return kl_router_loss_t(ctx.q_matrix, ad.gather_rows(logits, ctx.queries))
 
         rep = finite_diff_check(*fd_adapters(build_kl, model.params))
         assert rep.max_rel_err < tol, f"kl: {rep.max_rel_err}"
@@ -185,7 +185,7 @@ def test_c03_gradient_checks():
         masks, noise = invariant_env_draws(ctx, 3, 0.3, 12)
 
         def build_inv(lv):
-            node, _ = node_branch_t(lv, ctx.xtilde, ctx.graph, True)
+            node = node_branch_t(lv, ctx.xtilde, ctx.graph, True)
             node_q = ad.gather_rows(node, ctx.queries)
             env = _env_losses_t(lv, ctx, node_q, masks, noise[ctx.queries], True)
             return _combine_env_losses_t(env, 0.8)
@@ -194,10 +194,10 @@ def test_c03_gradient_checks():
         assert rep.max_rel_err < tol, f"invariant: {rep.max_rel_err}"
 
         def build_bal(lv):
-            out = route_t(lv, ctx.xtilde, ctx.graph, ctx.hr, None, True)
+            logits = route_t(lv, ctx.xtilde, ctx.graph, ctx.hr, None, True)
             return balance_loss_t(
-                ad.gather_rows(out["P"], ctx.queries),
-                ad.gather_rows(out["G"], ctx.queries),
+                ad.gather_rows(ad.row_softmax(logits), ctx.queries),
+                ad.gather_rows(logits, ctx.queries),
             )
 
         rep = finite_diff_check(*fd_adapters(build_bal, model.params))

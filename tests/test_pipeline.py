@@ -295,17 +295,21 @@ class TestScoreGraph:
     def test_checkpoints_saving_seed_and_trained_load_and_score(self, tmp_path, artifacts,
                                                                  graphs):
         # expert and router headers as written while the models kept a seed
-        # (and the experts a trained flag)
+        # (and the experts a trained flag), and while headers repeated the
+        # widths as `dims`
         _, test = graphs
         old, new = str(tmp_path / "old"), str(tmp_path / "new")
         artifacts.save(old)
         artifacts.save(new)
-        names = [f"expert_{m.arch}.bin" for m in artifacts.experts] + ["router.bin"]
-        for name in names:
+        models = {f"expert_{m.arch}.bin": m for m in artifacts.experts}
+        models["router.bin"] = artifacts.router
+        for name, model in models.items():
             path = os.path.join(old, name)
             header, tensors = load_checkpoint(path, "router" if name == "router.bin" else "expert")
-            assert {"seed", "trained"}.isdisjoint(header)
-            extra = {"seed": 3} if name == "router.bin" else {"seed": 3, "trained": True}
+            assert {"seed", "trained", "dims"}.isdisjoint(header)
+            extra = {"seed": 3, "dims": list(model.dims)}
+            if name != "router.bin":
+                extra["trained"] = True
             save_checkpoint(path, {**header, **extra}, tensors)
         results = []
         for out in (old, new):
@@ -335,6 +339,28 @@ class TestScoreGraph:
         with pytest.raises(CheckpointError, match=re.escape(keys)) as err:
             RunArtifacts.load(out)
         assert "is of kind 'router', not 'keycache'" in str(err.value)
+
+    @pytest.mark.parametrize("defect", [
+        "GPR missing", "an array too many", "too narrow", "no rows", "rank 1", "rank 0",
+    ])
+    def test_load_rejects_a_key_cache_without_every_experts_keys(self, tmp_path, artifacts,
+                                                                 defect):
+        out = str(tmp_path / "artifacts")
+        artifacts.save(out)
+        keys = os.path.join(out, "keys.bin")
+        _, cache = load_checkpoint(keys, "keycache")
+        change = {
+            "GPR missing": lambda: cache.pop("GPR"),
+            "an array too many": lambda: cache.update(MLP=cache["GPR"]),
+            "too narrow": lambda: cache.update(GPR=cache["GPR"][:, 1:]),
+            "no rows": lambda: cache.update(GPR=cache["GPR"][:0]),
+            "rank 1": lambda: cache.update(GPR=cache["GPR"][0]),
+            "rank 0": lambda: cache.update(GPR=cache["GPR"][0, 0]),
+        }
+        change[defect]()
+        save_checkpoint(keys, {"kind": "keycache"}, cache)
+        with pytest.raises(CheckpointError, match=re.escape(keys)):
+            RunArtifacts.load(out)
 
     def test_no_content_digest_without_a_cache(self, artifacts, graphs, monkeypatch):
         _, test = graphs
@@ -474,6 +500,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             PipelineConfig(key_fraction=1.5)
 
+    @pytest.mark.parametrize("field", ["shapley_iters", "n_envs"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_sample_counts_below_one_rejected(self, field, value):
+        # the evolve stage draws this many samples; without the check a run
+        # fails only there, after pretraining and warm-up
+        with pytest.raises(ValueError, match=f"{field} must be positive"):
+            PipelineConfig(**{field: value})
+
     def test_derive_rng_stable_and_tag_sensitive(self):
         a = derive_rng(5, "stage", 1).integers(10**9)
         b = derive_rng(5, "stage", 1).integers(10**9)
@@ -610,10 +644,12 @@ class TestCLI:
 
         self.run("eval", "--artifacts", art, "--test", gdir["te"])
         assert os.path.exists(os.path.join(art, "metrics.json"))
-        assert os.path.exists(os.path.join(art, "routing_frequency.txt"))
+        assert not os.path.exists(os.path.join(art, "routing_frequency.txt"))
+        capsys.readouterr()
         self.run("report", "--artifacts", art)
         out = capsys.readouterr().out
         assert "AUROC" in out and "selection round 1" in out
+        assert out.count("LOWPASS") == 1  # the routing-frequency table, once
 
     def test_score_file_reads_back_as_the_scores_bit_for_bit(self, tmp_path, artifacts,
                                                              graphs):

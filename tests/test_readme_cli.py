@@ -1,8 +1,11 @@
 """Every `evofg` command line in README's shell examples parses with the real
-parser, and every subcommand has an example, so the documented CLI cannot
+parser, every subcommand has an example, and README's list of an artifacts
+directory's files is the list a run leaves, so the documented CLI cannot
 drift from the one in `evofg.cli`."""
 
 import argparse
+import json
+import os
 import re
 import shlex
 from pathlib import Path
@@ -10,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from evofg import cli
+from evofg.experts import ARCHS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -38,3 +42,35 @@ def test_readme_shows_every_subcommand():
     subparsers = next(a for a in cli.build_parser()._actions
                       if isinstance(a, argparse._SubParsersAction))
     assert {argv[0] for argv in COMMAND_LINES} == set(subparsers.choices)
+
+
+def readme_artifact_names(rounds):
+    """The files README's "An artifacts directory holds ..." paragraph
+    lists, with `<ARCH>` expanded over the experts and `<r>` over the rounds."""
+    paragraph = re.search(r"^An artifacts directory holds .*?\n\n", README.read_text(),
+                          re.M | re.S).group(0)
+    names = set()
+    for name in re.findall(r"`([^`]+\.(?:bin|json|txt))`", paragraph):
+        for arch in ARCHS if "<ARCH>" in name else [None]:
+            for r in range(1, rounds + 1) if "<r>" in name else [None]:
+                names.add(name.replace("<ARCH>", str(arch)).replace("<r>", str(r)))
+    return names
+
+
+def test_readme_lists_the_files_of_an_artifacts_directory(tmp_path):
+    config = dict(d=5, d_e=6, d_prime=5, d_m=6, n_memory=4, expert_epochs=[2, 2, 2, 2],
+                  warmup_epochs=2, router_epochs=2, shapley_iters=3, n_envs=3,
+                  gen_per_round=4, rounds=2, key_fraction=0.2)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    train, test, art = (str(tmp_path / name) for name in ("train", "test", "artifacts"))
+    for argv in (
+        ["gen", "--out", train, "--nodes", "40", "--features", "8", "--seed", "1"],
+        ["gen", "--out", test, "--nodes", "30", "--features", "8", "--seed", "2"],
+        ["pretrain", "--train", train, "--out", art, "--config", str(cfg_path)],
+        ["warmup", "--train", train, "--out", art],
+        ["evolve", "--train", train, "--out", art],
+        ["eval", "--artifacts", art, "--test", test],
+    ):
+        assert cli.main(argv) == 0
+    assert set(os.listdir(art)) == readme_artifact_names(config["rounds"])

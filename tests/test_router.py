@@ -77,8 +77,6 @@ class TestRoute:
         out = route(model, b.xtilde, b.graph, ctx.hr)
         assert np.abs(out.weights.sum(axis=1) - 1.0).max() < 1e-9
         assert (out.weights >= 0).all()
-        assert np.abs(out.retrieval_node.sum(axis=1) - 1.0).max() < 1e-9
-        assert np.abs(out.retrieval_feat.sum(axis=1) - 1.0).max() < 1e-9
 
     def test_deterministic_mode_idempotent(self, setup):
         cfg, b, ctx, model = setup
@@ -112,7 +110,6 @@ class TestRoute:
         model = init_router(cfg.d, ctx.hr.shape[1], cfg.d_m, 1, 4, seed=7)
         out = route(model, b.xtilde, b.graph, ctx.hr)
         assert np.abs(out.logits - out.logits[0]).max() < 1e-12
-        assert np.allclose(out.retrieval_node, 1.0)
 
     def test_softmax_shift_invariance_of_weights(self, setup):
         cfg, b, ctx, model = setup
@@ -141,6 +138,10 @@ class TestRoute:
         )
         out = route(model, b.xtilde, b.graph, ctx.hr)
         assert np.abs(out.weights.sum(axis=1) - 1.0).max() < 1e-9
+        model.params["mem_node"] += 1.0
+        model.params["mem_feat"] += 1.0
+        again = route(model, b.xtilde, b.graph, ctx.hr)
+        assert again.logits.tobytes() == out.logits.tobytes()
 
 
 class TestAggregate:
@@ -315,7 +316,7 @@ class TestInvariantLoss:
         masks, noise = invariant_env_draws(ctx, 5, 0.3, 25)
 
         def shared(lv):
-            node, _ = node_branch_t(lv, ctx.xtilde, ctx.graph, use_memory)
+            node = node_branch_t(lv, ctx.xtilde, ctx.graph, use_memory)
             node_q = ad.gather_rows(node, ctx.queries)
             return _env_losses_t(lv, ctx, node_q, masks, noise[ctx.queries], use_memory)
 
@@ -343,7 +344,7 @@ class TestRouterGradients:
         masks, noise = invariant_env_draws(ctx, 3, 0.3, 12)
 
         def build(lv):
-            node, _ = node_branch_t(lv, ctx.xtilde, ctx.graph, True)
+            node = node_branch_t(lv, ctx.xtilde, ctx.graph, True)
             node_q = ad.gather_rows(node, ctx.queries)
             env = _env_losses_t(lv, ctx, node_q, masks, noise[ctx.queries], True)
             return _combine_env_losses_t(env, 0.8)
@@ -355,8 +356,8 @@ class TestRouterGradients:
         cfg, b, ctx, model = setup
 
         def build(lv):
-            out = route_t(lv, ctx.xtilde, ctx.graph, ctx.hr, None, True)
-            return kl_router_loss_t(ctx.q_matrix, ad.gather_rows(out["G"], ctx.queries))
+            logits = route_t(lv, ctx.xtilde, ctx.graph, ctx.hr, None, True)
+            return kl_router_loss_t(ctx.q_matrix, ad.gather_rows(logits, ctx.queries))
 
         loss_fn, grad_fn, vec = fd_adapters(build, model.params)
         assert finite_diff_check(loss_fn, grad_fn, vec).max_rel_err < 1e-4
@@ -365,10 +366,10 @@ class TestRouterGradients:
         cfg, b, ctx, model = setup
 
         def build(lv):
-            out = route_t(lv, ctx.xtilde, ctx.graph, ctx.hr, None, True)
+            logits = route_t(lv, ctx.xtilde, ctx.graph, ctx.hr, None, True)
             return balance_loss_t(
-                ad.gather_rows(out["P"], ctx.queries),
-                ad.gather_rows(out["G"], ctx.queries),
+                ad.gather_rows(ad.row_softmax(logits), ctx.queries),
+                ad.gather_rows(logits, ctx.queries),
             )
 
         loss_fn, grad_fn, vec = fd_adapters(build, model.params)
