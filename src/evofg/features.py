@@ -420,7 +420,10 @@ class RouterFeatureTable:
         sub = self.matrix[:, self.active]
         mean = sub.mean(axis=0)
         std = sub.std(axis=0)
-        return np.divide(sub - mean, std, out=np.zeros_like(sub), where=std > 0)
+        # a constant's computed mean can be an ulp off, leaving a std of
+        # ~1e-17 and z-scores of +-1, so constancy is tested exactly
+        varies = (std > 0) & (sub != sub[:1]).any(axis=0)
+        return np.divide(sub - mean, std, out=np.zeros_like(sub), where=varies)
 
     def export_text(self, path):
         with open(path, "w", encoding="utf-8") as fh:

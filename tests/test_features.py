@@ -448,6 +448,25 @@ class TestRouterFeatureTable:
         assert np.abs(z.mean(axis=0)).max() < 1e-12
         assert np.allclose(z.std(axis=0)[live], 1.0)
 
+    @pytest.mark.parametrize("value", [0.1, 0.7])
+    def test_constant_column_standardizes_to_zeros(self, value):
+        # a float constant whose computed mean is off by an ulp has a std of
+        # about 1e-17; its z-scores would be +-1, with a sign set by rounding
+        n = 7
+        matrix = np.column_stack([np.full(n, value), np.arange(n, dtype=float)])
+        t = RouterFeatureTable(matrix, ["c", "x"], ["Topology"] * 2, ["primitive"] * 2)
+        z = t.standardized_active()
+        assert z[:, 0].tobytes() == np.zeros(n).tobytes()
+        assert np.allclose(z[:, 1].std(), 1.0)
+
+    def test_primitives_constant_per_graph_standardize_to_zeros(self):
+        g = gen_synthetic(60, 8, 0.1, structure_seed=4, planted_kind="mixed")
+        t = compute_primitives(g, g.features)
+        z = t.standardized_active()
+        constant = [i for i, n in enumerate(t.names) if np.unique(t.column(n)).size == 1]
+        assert "Sim_edge_avg" in [t.names[i] for i in constant]
+        assert not z[:, constant].any()
+
     def test_set_active_and_names(self):
         t = self.make_table().with_active(["PR_t", "Deg_t"])
         assert t.active_names() == ["PR_t", "Deg_t"]
