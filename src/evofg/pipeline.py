@@ -368,11 +368,10 @@ def evolve(router_model, contexts, models, cfg: PipelineConfig) -> RunArtifacts:
     reports = []
     for r in range(1, cfg.rounds + 1):
         exprs = dsl.generate_candidates(backend, contexts[0].table, cfg.gen_per_round, gen_rng)
+        read = contexts[0].names
         contexts = [ctx.with_features(dsl.extend_table(ctx.table, exprs)) for ctx in contexts]
         active = contexts[0].names
-        resize_router(
-            router_model, len(active), derive_seed(cfg.seed, "resize-gen", r)
-        )
+        resize_router(router_model, read, active, derive_seed(cfg.seed, "resize-gen", r))
         # the router is frozen until the retrain below: its node branch is
         # computed once for the round's utility calls
         frozen = freeze_node_branch(router_model, contexts)
@@ -385,9 +384,7 @@ def evolve(router_model, contexts, models, cfg: PipelineConfig) -> RunArtifacts:
         kept = active if cfg.no_select else select_features(stats, cfg.z_crit)
         reports.append(format_stats(stats, kept))
         contexts = [ctx.with_features(ctx.table.with_active(kept)) for ctx in contexts]
-        resize_router(
-            router_model, len(kept), derive_seed(cfg.seed, "resize-select", r)
-        )
+        resize_router(router_model, active, kept, derive_seed(cfg.seed, "resize-select", r))
         train_router(
             router_model, contexts, cfg, "main", derive_seed(cfg.seed, "round", r)
         )

@@ -83,16 +83,23 @@ def init_router(d, d_r, d_m, n_memory, n_experts, seed, use_memory=True) -> Rout
     return RouterModel(params, use_memory)
 
 
-def resize_router(model: RouterModel, new_d_r, seed) -> None:
-    """Reinitialize the feature projection and noise head for a new input
-    width; memories, the node encoder, and scale vectors persist."""
-    if new_d_r == model.d_r:
+def resize_router(model: RouterModel, old_names, new_names, seed) -> None:
+    """Move the feature projection and noise head from the input columns
+    ``old_names`` to ``new_names``: fresh Glorot rows at the new width, of
+    which a column the router already read takes back its trained rows, and
+    a zero bias. Memories, the node encoder, and scale vectors persist."""
+    if list(old_names) == list(new_names):
         return
     rng = np.random.default_rng(seed)
     _, _, d_m, _, n_experts = model.dims
-    model.params["proj_w"] = glorot(rng, (new_d_r, d_m))
-    model.params["proj_b"] = np.zeros(d_m)
-    model.params["noise_w"] = glorot(rng, (new_d_r, n_experts))
+    resized = {"proj_w": glorot(rng, (len(new_names), d_m)),
+               "noise_w": glorot(rng, (len(new_names), n_experts))}
+    row = {name: i for i, name in enumerate(old_names)}
+    for j, name in enumerate(new_names):
+        if name in row:
+            for key, w in resized.items():
+                w[j] = model.params[key][row[name]]
+    model.params.update(resized, proj_b=np.zeros(d_m))
 
 
 def node_branch_t(lv, xtilde, g, use_memory=True):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from evofg import autodiff as ad
-from evofg.experts import pretrain_expert, ARCHS
+from evofg.experts import ARCHS, glorot, pretrain_expert
 from evofg.pipeline import PipelineConfig, build_contexts, prepare_graph
 from evofg.router import (
     RoutingContext,
@@ -424,13 +424,43 @@ class TestTraining:
         cfg, b, ctx, _ = setup
         model = init_router(cfg.d, 23, cfg.d_m, cfg.n_memory, 4, seed=17)
         before = {k: v.tobytes() for k, v in model.params.items()}
-        resize_router(model, 30, seed=18)
+        resize_router(model, [f"f{i}" for i in range(23)], [f"g{i}" for i in range(30)],
+                      seed=18)
         assert model.params["proj_w"].shape == (30, cfg.d_m)
         assert model.params["noise_w"].shape == (30, 4)
         for k in ("mem_node", "mem_feat", "scale", "gnn_w"):
             assert model.params[k].tobytes() == before[k]
         for k in ("proj_w", "noise_w"):
             assert model.params[k].tobytes() != before[k]
+
+    @pytest.mark.parametrize("old,new", [
+        ("abcde", "abcdefgh"),  # a round's candidates appended
+        ("abcdefgh", "bdeg"),  # the retention rule's subset
+        ("abc", "xcyaz"),  # survivors moved among new columns
+    ])
+    def test_resize_keeps_the_rows_of_surviving_columns(self, setup, old, new):
+        cfg, *_ = setup
+        model = init_router(cfg.d, len(old), cfg.d_m, cfg.n_memory, 4, seed=20)
+        model.params["proj_b"] += 0.5  # as after training
+        trained = {k: model.params[k].copy() for k in ("proj_w", "noise_w")}
+        resize_router(model, list(old), list(new), seed=21)
+        rng = np.random.default_rng(21)  # the draws of a resize, in order
+        fresh = {"proj_w": glorot(rng, (len(new), cfg.d_m)),
+                 "noise_w": glorot(rng, (len(new), 4))}
+        for key, w in model.params.items():
+            if key in fresh:
+                for j, name in enumerate(new):
+                    want = trained[key][old.index(name)] if name in old else fresh[key][j]
+                    assert w[j].tobytes() == want.tobytes(), (key, name)
+        assert model.params["proj_b"].tobytes() == np.zeros(cfg.d_m).tobytes()
+
+    def test_resize_to_the_same_names_changes_nothing(self, setup):
+        cfg, *_ = setup
+        model = init_router(cfg.d, 3, cfg.d_m, cfg.n_memory, 4, seed=22)
+        model.params["proj_b"] += 0.5
+        before = {k: v.tobytes() for k, v in model.params.items()}
+        resize_router(model, ["a", "b", "c"], ("a", "b", "c"), seed=23)
+        assert {k: v.tobytes() for k, v in model.params.items()} == before
 
 
 class TestRouterCheckpoint:
