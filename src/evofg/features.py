@@ -1,12 +1,11 @@
-"""The 23 structural router-feature primitives and the node-by-feature table
-they live in: PageRank/betweenness/closeness at target, ego-mean, global-mean,
-ego-rank and global-rank scope, edge-average and 1..5-hop feature similarity,
-degree, and ego-graph size.
+"""The 19 structural router-feature primitives and the node-by-feature table
+they live in: PageRank/betweenness/closeness at target, ego-mean, ego-rank
+and global-rank scope, 1..5-hop feature similarity, degree, and ego-graph
+size.
 """
 
 from __future__ import annotations
 
-import logging
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -15,8 +14,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .graph import EGO_RADIUS, Graph
-
-log = logging.getLogger(__name__)
 
 # rows per block of khop_similarity, whose float temporaries stay at
 # _BLOCK x N; the shell sums are GEMMs, which may group their sums by row
@@ -31,22 +28,17 @@ PAGERANK_MAX_ITER = 200
 
 CATEGORIES = ("PageRank", "Betweenness", "Closeness", "Similarity", "Topology")
 
-_SCOPES = ("t", "ego_mean", "global_mean", "ego_rank", "global_rank")
+_SCOPES = ("t", "ego_mean", "ego_rank", "global_rank")
 
 PRIMITIVE_NAMES = (
-    [f"PR_{s}" for s in _SCOPES]
-    + [f"BC_{s}" for s in _SCOPES]
-    + [f"CC_{s}" for s in _SCOPES]
-    + ["Sim_edge_avg"]
+    [f"{stat}_{s}" for stat in ("PR", "BC", "CC") for s in _SCOPES]
     + [f"Sim_{k}hop" for k in range(1, 6)]
     + ["Deg_t", "Ego_size"]
 )
 
 PRIMITIVE_CATEGORIES = (
-    ["PageRank"] * 5
-    + ["Betweenness"] * 5
-    + ["Closeness"] * 5
-    + ["Similarity"] * 6
+    [c for c in ("PageRank", "Betweenness", "Closeness") for _ in _SCOPES]
+    + ["Similarity"] * 5
     + ["Topology"] * 2
 )
 
@@ -293,8 +285,8 @@ def closeness(g: Graph) -> np.ndarray:
 
 
 def scope_expand(values: np.ndarray, g: Graph):
-    """Expand a node statistic into the five scope columns
-    (target, ego_mean, global_mean, ego_rank, global_rank)."""
+    """Expand a node statistic into the four scope columns
+    (target, ego_mean, ego_rank, global_rank)."""
     values = np.asarray(values, dtype=np.float64)
     n = g.num_nodes
     ego = _ego_mask(_hop_distances(g))
@@ -304,15 +296,12 @@ def scope_expand(values: np.ndarray, g: Graph):
     less = np.count_nonzero(ego & (row < values[:, None]), axis=1)
     ties = np.count_nonzero(ego & (row == values[:, None]), axis=1) - 1  # not v itself
     ego_rank = np.divide(less + 0.5 * ties, size - 1, out=np.full(n, 0.5), where=size > 1)
-    global_mean = np.full(n, values.mean())
     sorted_vals = np.sort(values)
     left = np.searchsorted(sorted_vals, values, side="left")
     right = np.searchsorted(sorted_vals, values, side="right")
-    if n > 1:
-        global_rank = (left + 0.5 * (right - left - 1)) / (n - 1)
-    else:
-        global_rank = np.full(n, 0.5)
-    return values.copy(), ego_mean, global_mean, ego_rank, global_rank
+    global_rank = np.divide(left + 0.5 * (right - left - 1), n - 1, out=np.full(n, 0.5),
+                            where=n > 1)
+    return values.copy(), ego_mean, ego_rank, global_rank
 
 
 def _normalized_rows(x):
@@ -338,25 +327,16 @@ def khop_similarity(g: Graph, xtilde: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def edge_avg_similarity(g: Graph, xtilde: np.ndarray) -> float:
-    """Mean cosine similarity across undirected edges; 0 on edgeless graphs."""
-    if g.num_edges == 0:
-        log.warning("%s: edgeless graph, edge-average similarity set to 0", g.name)
-        return 0.0
-    xn = _normalized_rows(np.asarray(xtilde, dtype=np.float64))
-    return float((xn[g.edges[:, 0]] * xn[g.edges[:, 1]]).sum(axis=1).mean())
-
-
 @dataclass(frozen=True)
 class RouterFeatureTable:
     """Node-by-feature matrix with names, categories, an active mask, and
     per-column provenance ("primitive" or the expression that built it).
 
     A table is a value: ``with_columns`` and ``with_active`` return a new
-    table and leave this one as it was. Columns 0..22 are always the
-    primitives in their fixed order; generated columns are appended and
-    never removed (deselection only clears the active flag, so earlier
-    expressions stay evaluable on new graphs).
+    table and leave this one as it was. The first len(PRIMITIVE_NAMES)
+    columns are always the primitives in their fixed order; generated
+    columns are appended and never removed (deselection only clears the
+    active flag, so earlier expressions stay evaluable on new graphs).
     """
 
     matrix: np.ndarray
@@ -433,12 +413,11 @@ class RouterFeatureTable:
 
 
 def compute_primitives(g: Graph, xtilde: np.ndarray) -> RouterFeatureTable:
-    """Assemble the 23 primitive columns in their canonical order."""
+    """Assemble the primitive columns in their canonical order (PRIMITIVE_NAMES)."""
     cols = []
     # betweenness reads the sweep first, so the sweep runs (and is timed) in it
     for stat in (pagerank(g), betweenness(g), closeness(g)):
         cols.extend(scope_expand(stat, g))
-    cols.append(np.full(g.num_nodes, edge_avg_similarity(g, xtilde)))
     for k in range(1, 6):
         cols.append(khop_similarity(g, xtilde, k))
     cols.append(g.degrees.astype(np.float64))

@@ -360,9 +360,10 @@ def warmup_router(contexts, cfg: PipelineConfig):
 
 def evolve(router_model, contexts, models, cfg: PipelineConfig) -> RunArtifacts:
     """The evolve stage on a warmed-up router (trained in place): rounds of
-    generate candidates on the contexts' tables, estimate contributions with
-    the frozen router, apply the retention rule and retrain, then the final
-    retrain and the key cache."""
+    generate candidates on the contexts' tables, drop the columns constant
+    on every context, estimate contributions with the frozen router, apply
+    the retention rule and retrain, then the final retrain and the key
+    cache."""
     backend = make_backend(cfg)
     gen_rng = derive_rng(cfg.seed, "generate")
     reports = []
@@ -370,6 +371,7 @@ def evolve(router_model, contexts, models, cfg: PipelineConfig) -> RunArtifacts:
         exprs = dsl.generate_candidates(backend, contexts[0].table, cfg.gen_per_round, gen_rng)
         read = contexts[0].names
         contexts = [ctx.with_features(dsl.extend_table(ctx.table, exprs)) for ctx in contexts]
+        contexts, dropped = _without_constant_columns(contexts)
         active = contexts[0].names
         resize_router(router_model, read, active, derive_seed(cfg.seed, "resize-gen", r))
         # the router is frozen until the retrain below: its node branch is
@@ -382,16 +384,12 @@ def evolve(router_model, contexts, models, cfg: PipelineConfig) -> RunArtifacts:
             derive_seed(cfg.seed, "shapley", r),
         )
         kept = active if cfg.no_select else select_features(stats, cfg.z_crit)
-        reports.append(format_stats(stats, kept))
+        reports.append(format_stats(stats, kept, dropped))
         contexts = [ctx.with_features(ctx.table.with_active(kept)) for ctx in contexts]
         resize_router(router_model, active, kept, derive_seed(cfg.seed, "resize-select", r))
-        train_router(
-            router_model, contexts, cfg, "main", derive_seed(cfg.seed, "round", r)
-        )
-        log.info(
-            "round %d: generated %d, kept %d of %d active features",
-            r, len(exprs), len(kept), len(active),
-        )
+        train_router(router_model, contexts, cfg, "main", derive_seed(cfg.seed, "round", r))
+        log.info("round %d: generated %d, dropped %d constant, kept %d of %d active features",
+                 r, len(exprs), len(dropped), len(kept), len(active))
     if cfg.rounds > 0:
         if cfg.reset_final:
             router_model.params = _new_router(cfg, router_model.d_r, "final-init").params
@@ -405,6 +403,20 @@ def evolve(router_model, contexts, models, cfg: PipelineConfig) -> RunArtifacts:
         key_cache=build_key_cache(contexts),
         shapley_reports=reports,
     )
+
+
+def _without_constant_columns(contexts):
+    """The contexts without the active columns that are constant, and so
+    standardize to zeros, on every one of them, and those columns' names.
+    Nothing is dropped while fewer than two columns vary: a contribution
+    estimate needs two."""
+    names = contexts[0].names
+    varies = np.any([ctx.hr.any(axis=0) for ctx in contexts], axis=0)
+    if varies.all() or varies.sum() < 2:
+        return contexts, []
+    kept = [n for n, v in zip(names, varies) if v]
+    return ([ctx.with_features(ctx.table.with_active(kept)) for ctx in contexts],
+            [n for n, v in zip(names, varies) if not v])
 
 
 def build_key_cache(contexts):

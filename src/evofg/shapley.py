@@ -100,8 +100,9 @@ def select_features(stats: ShapleyStats, z_crit) -> list:
     return kept
 
 
-def format_stats(stats: ShapleyStats, kept) -> str:
-    """Aligned text table: feature, mean contribution, SE, z, kept flag."""
+def format_stats(stats: ShapleyStats, kept, dropped=()) -> str:
+    """Aligned text table: feature, mean contribution, SE, z, kept flag;
+    then the ``dropped`` columns, which were not estimated, if any."""
     kept_set = set(kept)
     width = max(len(f) for f in stats.features)
     lines = [f"{'feature':<{width}}  {'phi_hat':>12}  {'SE':>12}  {'z':>10}  kept"]
@@ -110,4 +111,6 @@ def format_stats(stats: ShapleyStats, kept) -> str:
             f"{f:<{width}}  {m:>12.6g}  {se:>12.6g}  {z:>10.4g}  "
             f"{'yes' if f in kept_set else 'no'}"
         )
+    if dropped:
+        lines.append("dropped, constant on every training graph: " + ", ".join(dropped))
     return "\n".join(lines) + "\n"

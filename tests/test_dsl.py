@@ -22,7 +22,7 @@ from evofg.dsl import (
     rebuild_columns,
     validate_decision,
 )
-from evofg.features import RouterFeatureTable, compute_primitives
+from evofg.features import PRIMITIVE_NAMES, RouterFeatureTable, compute_primitives
 from helpers import fold_extend, path_graph, random_graph
 
 
@@ -197,7 +197,7 @@ class TestGeneration:
         rng = np.random.default_rng(4)
         first = generate_candidates(DeterministicBackend(), t, 5, rng)
         t = extend_table(t, first)
-        assert t.matrix.shape[1] == 23 + 5
+        assert t.matrix.shape[1] == len(PRIMITIVE_NAMES) + 5
         second = generate_candidates(DeterministicBackend(), t, 20, rng)
         gen_names = {e.name for e in first}
         assert any(set(e.args) & gen_names for e in second)
@@ -214,7 +214,7 @@ class TestProvenance:
         rng = np.random.default_rng(5)
         exprs = generate_candidates(DeterministicBackend(), t, 8, rng)
         t = extend_table(t, exprs)
-        kept = t.names[:23:3] + [exprs[2].name, exprs[5].name]
+        kept = t.names[:len(PRIMITIVE_NAMES):3] + [exprs[2].name, exprs[5].name]
         t = t.with_active(kept)
 
         fresh = rebuild_columns(make_table(seed=10), t.provenance, kept)
@@ -228,9 +228,9 @@ class TestProvenance:
         exprs = generate_candidates(DeterministicBackend(), t, 4, np.random.default_rng(6))
         grown = extend_table(t, exprs).with_active(names[:5])
         rebuild_columns(t, grown.provenance, grown.active_names())
-        assert grown.matrix.shape[1] == 23 + 4
+        assert grown.matrix.shape[1] == len(PRIMITIVE_NAMES) + 4
         assert np.array_equal(t.matrix, matrix)
-        assert t.names == names and t.provenance == ["primitive"] * 23
+        assert t.names == names and t.provenance == ["primitive"] * len(PRIMITIVE_NAMES)
         assert np.array_equal(t.active, active)
 
 

@@ -17,7 +17,6 @@ from evofg.features import (
     betweenness,
     closeness,
     compute_primitives,
-    edge_avg_similarity,
     khop_similarity,
     pagerank,
     scope_expand,
@@ -113,8 +112,8 @@ class TestCloseness:
 class TestScopeExpand:
     def test_all_equal_values(self):
         g = complete_graph(4)
-        t, em, gm, er, gr = scope_expand(np.full(4, 2.5), g)
-        assert np.allclose(em, 2.5) and np.allclose(gm, 2.5)
+        t, em, er, gr = scope_expand(np.full(4, 2.5), g)
+        assert np.allclose(t, 2.5) and np.allclose(em, 2.5)
         assert np.allclose(er, 0.5) and np.allclose(gr, 0.5)
 
     def test_unique_max_global_rank_one(self):
@@ -125,7 +124,7 @@ class TestScopeExpand:
 
     def test_path3_betweenness_ego_rank(self):
         g = path_graph(3)
-        _, _, _, er, _ = scope_expand(np.array([0.0, 1.0, 0.0]), g)
+        _, _, er, _ = scope_expand(np.array([0.0, 1.0, 0.0]), g)
         assert er[1] == 1.0
 
     def test_rank_columns_bounded(self):
@@ -142,29 +141,16 @@ class TestSimilarities:
         g = path_graph(4)
         x = np.tile([1.0, 2.0], (4, 1))
         assert np.allclose(khop_similarity(g, x, 1), 1.0)
-        assert edge_avg_similarity(g, x) == pytest.approx(1.0)
 
     def test_orthogonal_edge(self):
         g = graph_from_edges(2, [(0, 1)])
         x = np.array([[1.0, 0.0], [0.0, 1.0]])
         assert np.allclose(khop_similarity(g, x, 1), 0.0)
-        assert edge_avg_similarity(g, x) == pytest.approx(0.0)
 
     def test_empty_shell_convention(self):
         g = complete_graph(3)  # diameter 1: every k>=2 shell is empty
         x = np.ones((3, 2))
         assert np.allclose(khop_similarity(g, x, 5), 0.0)
-
-    def test_two_edges_mean(self):
-        g = path_graph(3)
-        x = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        assert edge_avg_similarity(g, x) == pytest.approx(0.5)
-
-    def test_edgeless_graph_flagged_zero(self, caplog):
-        g = Graph(2, [], np.ones((2, 2)), None)
-        with caplog.at_level("WARNING"):
-            assert edge_avg_similarity(g, np.ones((2, 2))) == 0.0
-        assert any("edgeless" in r.message for r in caplog.records)
 
     def test_zero_vector_cosine_is_zero(self):
         g = graph_from_edges(2, [(0, 1)])
@@ -173,21 +159,29 @@ class TestSimilarities:
 
 
 class TestComputePrimitives:
-    def test_canonical_23_columns(self):
+    def test_canonical_columns(self):
         g = path_graph(5, d=3, seed=1)
         table = compute_primitives(g, g.features)
         assert table.names == list(PRIMITIVE_NAMES)
-        assert len(table.names) == 23
         assert table.categories == list(PRIMITIVE_CATEGORIES)
-        assert table.matrix.shape == (5, 23)
+        assert table.matrix.shape == (5, len(PRIMITIVE_NAMES))
         assert np.isfinite(table.matrix).all()
+
+    def test_every_primitive_varies_on_some_graph(self):
+        # a column constant on every graph standardizes to zeros everywhere
+        # and feeds the router nothing
+        graphs = [g for _, g in degenerate_graphs(seed=3)]
+        graphs.append(gen_synthetic(60, 8, 0.1, structure_seed=4, planted_kind="mixed"))
+        varies = np.zeros(len(PRIMITIVE_NAMES), dtype=bool)
+        for g in graphs:
+            varies |= compute_primitives(g, align(g, 5)).standardized_active().any(axis=0)
+        assert [n for n, v in zip(PRIMITIVE_NAMES, varies) if not v] == []
 
     def test_triangle_identical_features(self):
         g = complete_graph(3, d=2, seed=2)
         x = np.tile([1.0, 1.0], (3, 1))
         t = compute_primitives(g, x)
-        for name in ("Sim_edge_avg", "Sim_1hop"):
-            assert np.allclose(t.column(name), 1.0)
+        assert np.allclose(t.column("Sim_1hop"), 1.0)
         for name in ("PR_ego_rank", "PR_global_rank"):
             assert np.allclose(t.column(name), 0.5)
         assert np.allclose(t.column("Deg_t"), 2.0)
@@ -460,12 +454,15 @@ class TestRouterFeatureTable:
         assert np.allclose(z[:, 1].std(), 1.0)
 
     def test_primitives_constant_per_graph_standardize_to_zeros(self):
-        g = gen_synthetic(60, 8, 0.1, structure_seed=4, planted_kind="mixed")
+        # on a connected graph of diameter at most EGO_RADIUS every ego graph
+        # is the whole graph: Ego_size is N and each ego mean is the mean
+        g = gen_synthetic(60, 8, 0.1, structure_seed=2, planted_kind="mixed")
+        assert brute_force_distances(g).max() <= EGO_RADIUS
         t = compute_primitives(g, g.features)
+        constant = [n for n in t.names if np.unique(t.column(n)).size == 1]
+        assert constant == ["PR_ego_mean", "BC_ego_mean", "CC_ego_mean", "Ego_size"]
         z = t.standardized_active()
-        constant = [i for i, n in enumerate(t.names) if np.unique(t.column(n)).size == 1]
-        assert "Sim_edge_avg" in [t.names[i] for i in constant]
-        assert not z[:, constant].any()
+        assert z.any(axis=0).tolist() == [n not in constant for n in t.names]
 
     def test_set_active_and_names(self):
         t = self.make_table().with_active(["PR_t", "Deg_t"])

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from evofg import autodiff as ad
-from evofg import experts, pipeline, router
+from evofg import dsl, experts, pipeline, router
 from evofg.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from evofg.cli import main as cli_main
+from evofg.features import PRIMITIVE_NAMES
 from evofg.graph import Graph, gen_synthetic, load_graph_dir, save_graph
 from evofg.pipeline import (
     PipelineConfig,
@@ -79,7 +80,7 @@ class TestRunPipeline:
         train, _ = graphs
         art = run_pipeline(tiny_cfg(seed=6, rounds=0), train, prepared_cache={})
         assert all(p == "primitive" for p in art.provenance)
-        assert len(art.active_names) == 23
+        assert art.active_names == list(PRIMITIVE_NAMES)
         assert art.shapley_reports == []
 
     def test_stage_error_names_stage_and_seed(self):
@@ -181,6 +182,33 @@ class TestRunPipeline:
             assert calls.count(r) == cfg.shapley_iters * (len(frozen[0].names) + 2)
         # round 2 runs on a router the round-1 retrain changed in place
         assert not np.array_equal(rounds[0][2], rounds[1][2])
+
+    def test_columns_constant_on_every_training_graph_are_dropped(self, graphs,
+                                                                  monkeypatch):
+        train, _ = graphs
+        cfg = tiny_cfg(seed=14)
+        bundles = prepare_graphs(train, cfg.d, {})
+        models = pretrain_all_experts(bundles, cfg)
+        contexts = build_contexts(bundles, models, cfg)
+        estimated = []
+        real_estimate = pipeline.estimate_contributions
+
+        def recording(features, *args):
+            estimated.append(list(features))
+            return real_estimate(features, *args)
+
+        monkeypatch.setattr(pipeline, "estimate_contributions", recording)
+        art = evolve(warmup_router(contexts, cfg), contexts, models, cfg)
+        # both training graphs are connected with a diameter of at most 6
+        constant = ["PR_ego_mean", "BC_ego_mean", "CC_ego_mean", "Ego_size"]
+        line = next(ln for ln in art.shapley_reports[0].splitlines()
+                    if ln.startswith("dropped, constant on every training graph: "))
+        dropped = line.split(": ", 1)[1].split(", ")
+        assert dropped[:4] == constant
+        assert set(dropped).isdisjoint(estimated[0])
+        tables = [dsl.rebuild_columns(b.table, art.provenance, art.active_names)
+                  for b in bundles]
+        assert np.any([t.standardized_active().any(axis=0) for t in tables], axis=0).all()
 
 
 class TestScoreGraph:
