@@ -220,8 +220,13 @@ def expr_to_dict(p):
 
 
 def expr_from_dict(d):
+    """The inverse of ``expr_to_dict``; anything else raises
+    ExprValidationError."""
     if d == "primitive":
         return "primitive"
+    if not (isinstance(d, dict) and set(d) == {"op", "args", "category"}
+            and isinstance(d["args"], list) and all(isinstance(a, str) for a in d["args"])):
+        raise ExprValidationError(f'{d!r} is neither "primitive" nor {{op, args, category}}')
     return FeatureExpr(op=d["op"], args=tuple(d["args"]), category=d["category"])
 
 

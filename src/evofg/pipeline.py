@@ -19,7 +19,7 @@ import numpy as np
 from . import dsl, experts
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .experts import ARCHS, anomaly_scores, load_expert, pretrain_expert, save_expert
-from .features import compute_primitives, RouterFeatureTable
+from .features import PRIMITIVE_NAMES, RouterFeatureTable, compute_primitives
 from .graph import Graph
 from .llm import DEFAULT_MODEL, ChatCompletionClient, FixtureTransport, LLMBackend
 from .numeric import UndefinedMetricError, auprc, auroc
@@ -281,14 +281,12 @@ class RunArtifacts:
     def load(cls, out_dir):
         config, models = load_pretrained(out_dir)
         router, router_names = load_router_file(out_dir)
-        with open(os.path.join(out_dir, FEATURES_FILE), "r", encoding="utf-8") as fh:
-            feats = json.load(fh)
-        if router_names != feats["active"]:
+        provenance, active = load_features(os.path.join(out_dir, FEATURES_FILE))
+        if router_names != active:
             raise CheckpointError(
                 f"{out_dir}: {ROUTER_FILE} routes on {len(router_names)} features that "
-                f"differ from the {len(feats['active'])} active in {FEATURES_FILE}"
+                f"differ from the {len(active)} active in {FEATURES_FILE}"
             )
-        provenance = [dsl.expr_from_dict(p) for p in feats["provenance"]]
         keys_path = os.path.join(out_dir, KEYS_FILE)
         _, key_cache = load_checkpoint(keys_path, "keycache")
         widths = {m.arch: m.dims[1] for m in models}
@@ -304,10 +302,44 @@ class RunArtifacts:
             experts=models,
             router=router,
             provenance=provenance,
-            active_names=feats["active"],
+            active_names=active,
             key_cache=key_cache,
             shapley_reports=load_round_reports(out_dir),
         )
+
+
+def load_features(path):
+    """(provenance, active names) saved in a ``features.json``. Raises
+    CheckpointError, naming the file, unless it is an object whose list
+    ``provenance`` holds this version's primitives, then expressions that
+    read only earlier columns, and whose list ``active`` names columns."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            feats = json.load(fh)
+        if not (isinstance(feats, dict) and isinstance(feats.get("provenance"), list)
+                and isinstance(feats.get("active"), list)):
+            raise ValueError("needs an object with the lists provenance and active")
+        provenance = [dsl.expr_from_dict(p) for p in feats["provenance"]]
+        n = len(PRIMITIVE_NAMES)
+        if provenance[:n] != ["primitive"] * n or "primitive" in provenance[n:]:
+            raise ValueError(f"holds {provenance.count('primitive')} primitives; this "
+                             f"version reads its {n} ahead of every expression")
+        defined = list(PRIMITIVE_NAMES)
+        for expr in provenance[n:]:
+            _require_defined(expr.name, expr.args, defined)
+            if expr.name in defined:
+                raise ValueError(f"{expr.name} is defined twice")
+            defined.append(expr.name)
+        _require_defined("active", feats["active"], defined)
+    except ValueError as exc:  # ExprValidationError and JSON errors among them
+        raise CheckpointError(f"{path}: {exc}") from exc
+    return provenance, feats["active"]
+
+
+def _require_defined(reader, names, defined):
+    unknown = [a for a in names if a not in defined]
+    if unknown:
+        raise ValueError(f"{reader} names {unknown}, defined by no earlier column")
 
 
 def run_stage(cfg: PipelineConfig, name, fn, *args):

@@ -93,6 +93,17 @@ class TestPCA:
         with pytest.raises(ValueError):
             pca_project(np.zeros((5, 3)), 0)
 
+    @pytest.mark.parametrize("scale", [1e200, -1e300])
+    def test_huge_input_projects_as_scaled_below_one(self, scale):
+        # the covariance of 1e200-sized entries overflows; the input is
+        # scaled by a power of two first, which is exact
+        x = np.random.default_rng(6).normal(size=(30, 6)) * scale
+        proj = pca_project(x, 4)
+        assert np.isfinite(proj).all() and np.abs(proj).max() < 10
+        scaled = np.ldexp(x, -int(np.frexp(np.abs(x).max())[1]))
+        assert np.abs(scaled).max() < 1
+        assert np.array_equal(proj, pca_project(scaled, 4))
+
 
 class TestRankingMetrics:
     def test_auroc_perfect_separation(self):

@@ -250,6 +250,14 @@ class TestScoreGraph:
         again, _, _ = score_graph(artifacts, dict(degenerate_graphs())[case])
         assert np.array_equal(scores, again)
 
+    def test_attributes_near_1e200_score_finite(self, artifacts, graphs):
+        _, test = graphs
+        g = test[0]
+        huge = Graph(g.num_nodes, g.edges, g.features * 1e200, None, "huge")
+        scores, routing, per_expert = score_graph(artifacts, huge)
+        assert np.isfinite(scores).all() and np.isfinite(routing.weights).all()
+        assert all(np.isfinite(s).all() for s in per_expert.values())
+
     def test_prepared_cache_tells_apart_graphs_sharing_a_name(self, artifacts):
         same_size = [
             gen_synthetic(30, 8, 0.1, structure_seed=s, planted_kind="mixed", name="same")
@@ -357,6 +365,55 @@ class TestScoreGraph:
         with open(path, "w") as fh:
             json.dump(feats, fh)
         with pytest.raises(CheckpointError, match="router.bin"):
+            RunArtifacts.load(out)
+
+    @pytest.mark.parametrize("defect", [
+        "not JSON", "a list", "no provenance", "no active", "provenance not a list",
+        "active not a list", "an entry without args", "an entry with another key",
+        "a number entry", "an unknown operator", "23 primitives",
+        "a primitive after an expression", "an argument defined by no column",
+        "an argument defined later",
+        "a column defined twice", "an active name defined by no column",
+    ])
+    def test_load_rejects_a_malformed_features_file(self, tmp_path, artifacts, defect):
+        out = str(tmp_path / "artifacts")
+        artifacts.save(out)
+        path = os.path.join(out, "features.json")
+        with open(path) as fh:
+            feats = json.load(fh)
+        prov, active = feats["provenance"], feats["active"]
+        n = len(PRIMITIVE_NAMES)
+        entry = dict(prov[n])  # the first generated column
+        later = dsl.expr_from_dict(prov[n + 1]).name
+
+        def entry_with(**kw):
+            return {**feats, "provenance": prov[:n] + [{**entry, **kw}] + prov[n + 1:]}
+
+        change = {
+            "not JSON": lambda: "{oops",
+            "a list": lambda: [feats],
+            "no provenance": lambda: {"active": active},
+            "no active": lambda: {"provenance": prov},
+            "provenance not a list": lambda: {**feats, "provenance": dict(enumerate(prov))},
+            "active not a list": lambda: {**feats, "active": ",".join(active)},
+            "an entry without args": lambda: {
+                **feats, "provenance": prov[:n] + [{"op": "LOG", "category": "PageRank"}]},
+            "an entry with another key": lambda: entry_with(weight=1.0),
+            "a number entry": lambda: {**feats, "provenance": prov[:n] + [5] + prov[n + 1:]},
+            "an unknown operator": lambda: entry_with(op="EXP"),
+            "23 primitives": lambda: {**feats, "provenance": ["primitive"] * 4 + prov},
+            "a primitive after an expression": lambda: {
+                **feats, "provenance": prov + ["primitive"]},
+            "an argument defined by no column": lambda: entry_with(
+                args=["ghost"] + entry["args"][1:]),
+            "an argument defined later": lambda: entry_with(args=[later] + entry["args"][1:]),
+            "a column defined twice": lambda: {**feats, "provenance": prov + [entry]},
+            "an active name defined by no column": lambda: {
+                **feats, "active": active + ["ghost"]},
+        }[defect]()
+        with open(path, "w") as fh:
+            fh.write(change if isinstance(change, str) else json.dumps(change))
+        with pytest.raises(CheckpointError, match=re.escape(path)):
             RunArtifacts.load(out)
 
     def test_load_rejects_a_router_file_as_the_key_cache(self, tmp_path, artifacts):
