@@ -1,7 +1,8 @@
 """Every `evofg` command line in README's shell examples parses with the real
-parser, every subcommand has an example, and README's list of an artifacts
-directory's files is the list a run leaves, so the documented CLI cannot
-drift from the one in `evofg.cli`."""
+parser, every subcommand has an example, README's list of an artifacts
+directory's files is the list a run leaves, and README's list of primitives
+is `PRIMITIVE_NAMES`, so the documented CLI and features cannot drift from
+the ones in `evofg`."""
 
 import argparse
 import json
@@ -14,6 +15,7 @@ import pytest
 
 from evofg import cli
 from evofg.experts import ARCHS
+from evofg.features import PRIMITIVE_NAMES
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -74,3 +76,10 @@ def test_readme_lists_the_files_of_an_artifacts_directory(tmp_path):
     ):
         assert cli.main(argv) == 0
     assert set(os.listdir(art)) == readme_artifact_names(config["rounds"])
+
+
+def test_readme_lists_the_primitives_in_table_order():
+    found = re.search(r"^The router starts from (\d+) structural primitives per node, "
+                      r"in table order:\n(.*?)\n\n", README.read_text(), re.M | re.S)
+    assert int(found.group(1)) == len(PRIMITIVE_NAMES)
+    assert re.findall(r"`([^`]+)`", found.group(2)) == list(PRIMITIVE_NAMES)

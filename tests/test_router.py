@@ -447,11 +447,10 @@ class TestTraining:
         rng = np.random.default_rng(21)  # the draws of a resize, in order
         fresh = {"proj_w": glorot(rng, (len(new), cfg.d_m)),
                  "noise_w": glorot(rng, (len(new), 4))}
-        for key, w in model.params.items():
-            if key in fresh:
-                for j, name in enumerate(new):
-                    want = trained[key][old.index(name)] if name in old else fresh[key][j]
-                    assert w[j].tobytes() == want.tobytes(), (key, name)
+        for key, rows in fresh.items():
+            for j, name in enumerate(new):
+                want = trained[key][old.index(name)] if name in old else rows[j]
+                assert model.params[key][j].tobytes() == want.tobytes(), (key, name)
         assert model.params["proj_b"].tobytes() == np.zeros(cfg.d_m).tobytes()
 
     def test_resize_to_the_same_names_changes_nothing(self, setup):
