@@ -77,7 +77,6 @@ class PipelineConfig:
     lam: float = 0.8  # variance-penalty weight
     gen_per_round: int = 15
     rounds: int = 3
-    z_crit: float = 1.645
     mask_rate: float = 0.3
     key_fraction: float = 0.1
     seed: int = 0
@@ -119,6 +118,8 @@ class PipelineConfig:
             if key in ("n_experts", "E"):  # saved while the count was a field
                 if value != len(ARCHS):
                     raise ValueError(f"{key}={value!r}: the experts are {', '.join(ARCHS)}")
+                continue
+            if key == "z_crit":  # saved while the retention rule read it
                 continue
             name = cls._ALIASES.get(key, key)
             if name not in known:
@@ -415,7 +416,7 @@ def evolve(router_model, contexts, models, cfg: PipelineConfig) -> RunArtifacts:
             cfg.shapley_iters,
             derive_seed(cfg.seed, "shapley", r),
         )
-        kept = active if cfg.no_select else select_features(stats, cfg.z_crit)
+        kept = active if cfg.no_select else select_features(stats)
         reports.append(format_stats(stats, kept, dropped))
         contexts = [ctx.with_features(ctx.table.with_active(kept)) for ctx in contexts]
         resize_router(router_model, active, kept, derive_seed(cfg.seed, "resize-select", r))

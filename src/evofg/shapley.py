@@ -1,5 +1,6 @@
 """Marginal-contribution estimation by complementary subset sampling and
-the significance-based retention rule."""
+the retention rule, which keeps every feature of nonnegative estimated
+contribution."""
 
 from __future__ import annotations
 
@@ -83,14 +84,10 @@ def estimate_contributions(features, utility, iterations, seed) -> ShapleyStats:
     )
 
 
-def select_features(stats: ShapleyStats, z_crit) -> list:
-    """Keep features with nonnegative mean contribution or significant
-    positive z; never returns an empty set (falls back to the top-1 mean)."""
-    kept = [
-        f
-        for f, m, z in zip(stats.features, stats.mean, stats.z)
-        if m >= 0 or z >= z_crit
-    ]
+def select_features(stats: ShapleyStats) -> list:
+    """Keep every feature whose estimated contribution phi-hat is
+    nonnegative; never returns an empty set (falls back to the top-1 mean)."""
+    kept = [f for f, m in zip(stats.features, stats.mean) if m >= 0]
     if not kept:
         best = stats.features[int(np.argmax(stats.mean))]
         log.warning(

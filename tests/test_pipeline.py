@@ -558,6 +558,13 @@ class TestConfig:
         assert PipelineConfig.from_dict({"n_experts": 4}) == PipelineConfig()
         assert PipelineConfig.from_dict({"E": 4, "seed": 2}) == PipelineConfig(seed=2)
 
+    def test_saved_z_crit_is_ignored(self, tmp_path):
+        # config.json as written while the retention rule read a z threshold
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**PipelineConfig().to_dict(), "z_crit": 1.645},
+                                   indent=2, sort_keys=True))
+        assert PipelineConfig.from_json(str(path)) == PipelineConfig()
+
     @pytest.mark.parametrize("key", ["n_experts", "E"])
     @pytest.mark.parametrize("value", [3, 5])
     def test_other_expert_count_rejected_at_config_load(self, tmp_path, key, value):

@@ -130,26 +130,29 @@ class TestSelection:
 
     def test_rule_application(self):
         stats = self.make_stats([0.2, -0.1, 0.0], [10.0, 10.0, 10.0])
-        assert select_features(stats, 1.645) == ["f0", "f2"]
+        assert select_features(stats) == ["f0", "f2"]
 
     def test_significant_negative_removed(self):
         stats = self.make_stats([0.5, -0.01], [0.1, 1e-6])
-        assert select_features(stats, 1.645) == ["f0"]
+        assert select_features(stats) == ["f0"]
 
     def test_never_empty(self, caplog):
         stats = self.make_stats([-0.5, -0.1, -0.9], [0.01, 0.01, 0.01])
         with caplog.at_level("WARNING"):
-            kept = select_features(stats, 1.645)
+            kept = select_features(stats)
         assert kept == ["f1"]
         assert any("retaining top contributor" in r.message for r in caplog.records)
 
-    def test_lowering_z_crit_never_removes(self):
+    def test_kept_set_is_the_nonnegative_contributions(self):
         rng = np.random.default_rng(8)
-        for _ in range(20):
-            stats = self.make_stats(rng.normal(size=6), rng.random(6) * 0.5 + 0.01)
-            hi = set(select_features(stats, 2.5))
-            lo = set(select_features(stats, 0.5))
-            assert hi <= lo
+        for _ in range(200):
+            n = int(rng.integers(1, 8))
+            mean = rng.normal(size=n) - rng.choice([0.0, 3.0])
+            mean[rng.random(n) < 0.2] = 0.0
+            stats = self.make_stats(mean, rng.random(n) * 0.5 * rng.integers(0, 2, n))
+            nonnegative = [f for f, m in zip(stats.features, mean) if m >= 0]
+            expected = nonnegative or [stats.features[int(np.argmax(mean))]]
+            assert select_features(stats) == expected
 
     def test_format_stats_table(self):
         stats = self.make_stats([0.2, -0.3], [0.1, 0.1])
