@@ -160,56 +160,36 @@ class DeterministicBackend:
 def generate_candidates(backend, table: RouterFeatureTable, m: int, rng) -> list:
     """Produce m validated, mutually distinct expressions via the four-stage
     protocol. Duplicates of existing provenance are rejected and regenerated
-    (10 retries per slot); backend failures fall back to the deterministic
-    composer for the remaining slots."""
+    (10 retries per slot). A failing or invalid backend is replaced by the
+    deterministic composer, whose decisions always validate, for the
+    remaining slots; a failure of the composer itself is raised."""
     existing = {p.name for p in table.provenance if isinstance(p, FeatureExpr)}
-    fallback = DeterministicBackend()
+    fallback = backend if isinstance(backend, DeterministicBackend) else DeterministicBackend()
     out = []
     history = []
     active = backend
     for slot in range(m):
-        accepted = None
         for _ in range(10):
             try:
                 decision = active.propose(table, history, rng)
-            except ExprValidationError:
-                raise
-            except Exception as exc:
-                if active is not fallback:
-                    log.warning(
-                        "generation backend %r failed (%s); falling back to "
-                        "deterministic composer",
-                        getattr(active, "name", "?"),
-                        exc,
-                    )
-                    active = fallback
-                    continue
-                raise
-            try:
                 expr = validate_decision(decision, table)
-            except ExprValidationError as exc:
-                if active is not fallback:
-                    log.warning(
-                        "backend %r produced an invalid decision (%s); falling "
-                        "back to deterministic composer",
-                        getattr(active, "name", "?"),
-                        exc,
-                    )
-                    active = fallback
-                    continue
-                history.append(("rejected", decision, str(exc)))
+            except Exception as exc:
+                if active is fallback:
+                    raise
+                why = "invalid decision" if isinstance(exc, ExprValidationError) else "failure"
+                log.warning("backend %r: %s (%s); falling back to deterministic composer",
+                            getattr(active, "name", "?"), why, exc)
+                active = fallback
                 continue
-            if expr.name in existing:
-                history.append(("duplicate", decision, expr.name))
-                continue
-            accepted = expr
-            break
-        if accepted is None:
+            if expr.name not in existing:
+                break
+            history.append(("duplicate", decision, expr.name))
+        else:
             log.warning("candidate slot %d skipped after 10 retries", slot)
             continue
-        existing.add(accepted.name)
-        history.append(("accepted", None, accepted.name))
-        out.append(accepted)
+        existing.add(expr.name)
+        history.append(("accepted", None, expr.name))
+        out.append(expr)
     return out
 
 

@@ -192,6 +192,39 @@ class TestGeneration:
         assert len(exprs) == 5
         assert any("falling back" in r.message for r in caplog.records)
 
+    def test_every_composed_decision_validates(self):
+        # generate_candidates re-raises a failure of the fallback composer,
+        # which is sound only because the composer never makes an invalid
+        # decision
+        full = make_table(seed=12)
+        generated = extend_table(
+            full, generate_candidates(DeterministicBackend(), full, 10, np.random.default_rng(7))
+        )
+        tables = {
+            "all categories": full,
+            "one column": full.with_active(["CC_ego_rank"]),
+            "generated columns": generated.with_active(
+                generated.names[len(PRIMITIVE_NAMES):] + ["Deg_t"]
+            ),
+        }
+        backend = DeterministicBackend()
+        for name, table in tables.items():
+            for seed in range(200):
+                decision = backend.propose(table, [], np.random.default_rng(seed))
+                expr = validate_decision(decision, table)
+                assert set(expr.args) <= set(table.active_names()), name
+
+    def test_failure_of_the_deterministic_backend_is_raised(self):
+        class BrokenComposer(DeterministicBackend):
+            def propose(self, table, history, rng):
+                raise RuntimeError("boom")
+
+        with pytest.raises(RuntimeError, match="boom"):
+            generate_candidates(BrokenComposer(), make_table(), 3, np.random.default_rng(0))
+        empty = make_table().with_active([])
+        with pytest.raises(ExprValidationError, match="no active columns"):
+            generate_candidates(DeterministicBackend(), empty, 3, np.random.default_rng(0))
+
     def test_generated_columns_compose_in_later_rounds(self):
         t = make_table(seed=8)
         rng = np.random.default_rng(4)
