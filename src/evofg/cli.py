@@ -22,7 +22,7 @@ import os
 import sys
 
 from .features import compute_primitives
-from .graph import gen_synthetic, load_graph_dir, save_graph
+from .graph import LABEL_FILE, gen_synthetic, load_graph_dir, save_graph
 from .pipeline import (
     ROUTER_FILE,
     STAGE_OUTPUTS,
@@ -94,12 +94,17 @@ def _load_graphs(paths):
     return [load_graph_dir(p) for p in paths]
 
 
+def _load_graph_as_is(path):
+    """The graph in ``path``, with its labels only if it has a labels file."""
+    return load_graph_dir(path, with_labels=os.path.exists(os.path.join(path, LABEL_FILE)))
+
+
 def cmd_gen(args):
     g = gen_synthetic(
         n_nodes=args.nodes,
         n_features=args.features,
         anomaly_rate=args.rate,
-        structure_seed=args.seed if args.seed is not None else 0,
+        structure_seed=args.seed,
         planted_kind=args.kind,
         n_communities=args.communities,
         name=args.name,
@@ -110,21 +115,21 @@ def cmd_gen(args):
 
 
 def cmd_save(args):
-    g = load_graph_dir(args.graph)
+    g = _load_graph_as_is(args.graph)
     save_graph(g, args.out)
     print(f"re-exported {g.name} -> {args.out}")
 
 
 def cmd_load(args):
-    g = load_graph_dir(args.graph)
-    anomalies = int(g.labels.sum()) if g.labels is not None else 0
+    g = _load_graph_as_is(args.graph)
+    labels = "unlabeled" if g.labels is None else f"{int(g.labels.sum())} anomalies"
     print(f"{g.name}: {g.num_nodes} nodes, {g.num_edges} edges, "
-          f"{g.features.shape[1]} features, {anomalies} anomalies")
+          f"{g.features.shape[1]} features, {labels}")
 
 
 def cmd_features(args):
     cfg = _load_config(args)
-    g = load_graph_dir(args.graph)
+    g = load_graph_dir(args.graph, with_labels=False)
     table = compute_primitives(g, align(g, cfg.d))
     table.export_text(args.out)
     print(f"wrote {len(table.names)} feature columns for {g.num_nodes} nodes -> {args.out}")

@@ -31,7 +31,7 @@ from evofg.pipeline import (
     score_graph,
     warmup_router,
 )
-from helpers import degenerate_graphs, full_forward_utility, graph_equals
+from helpers import degenerate_graphs, full_forward_utility, graph_equals, path_graph
 
 TINY = dict(
     d=5, d_e=6, d_prime=5, d_m=6, n_memory=4,
@@ -810,6 +810,30 @@ class TestCLI:
         a = load_graph_dir(src)
         b = load_graph_dir(dst)
         assert graph_equals(a, b)
+
+    def unlabeled_graph_dir(self, tmp_path):
+        path = str(tmp_path / "unlabeled")
+        save_graph(path_graph(6), path)
+        assert not os.path.exists(os.path.join(path, "labels.txt"))
+        return path
+
+    def test_load_reports_a_graph_without_labels_as_unlabeled(self, tmp_path, capsys):
+        self.run("load", "--graph", self.unlabeled_graph_dir(tmp_path))
+        assert capsys.readouterr().out == "unlabeled: 6 nodes, 5 edges, 3 features, unlabeled\n"
+
+    def test_save_reexports_a_graph_without_labels(self, tmp_path):
+        src, dst = self.unlabeled_graph_dir(tmp_path), str(tmp_path / "dst")
+        self.run("save", "--graph", src, "--out", dst)
+        assert sorted(os.listdir(dst)) == ["edges.txt", "features.txt"]
+        assert graph_equals(load_graph_dir(src, with_labels=False),
+                            load_graph_dir(dst, with_labels=False))
+
+    def test_features_of_a_graph_without_labels(self, tmp_path):
+        out = str(tmp_path / "features.tsv")
+        self.run("features", "--graph", self.unlabeled_graph_dir(tmp_path), "--out", out)
+        with open(out) as fh:
+            assert fh.readline().rstrip("\n").split("\t") == list(PRIMITIVE_NAMES)
+            assert len(fh.readlines()) == 6
 
     def test_ablation_flags_reach_config(self, tmp_path):
         from evofg.cli import _load_config, build_parser
