@@ -1,8 +1,9 @@
 """Every `evofg` command line in README's shell examples parses with the real
 parser, every subcommand has an example, README's list of an artifacts
-directory's files is the list a run leaves, and README's list of primitives
-is `PRIMITIVE_NAMES`, so the documented CLI and features cannot drift from
-the ones in `evofg`."""
+directory's files is the list a run leaves, README's list of primitives is
+`PRIMITIVE_NAMES`, and README's configuration table is the fields, aliases
+and defaults of `PipelineConfig`, so the documented CLI, features and config
+cannot drift from the ones in `evofg`."""
 
 import argparse
 import json
@@ -16,6 +17,7 @@ import pytest
 from evofg import cli
 from evofg.experts import ARCHS
 from evofg.features import PRIMITIVE_NAMES
+from evofg.pipeline import PipelineConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -83,3 +85,18 @@ def test_readme_lists_the_primitives_in_table_order():
                       r"in table order:\n(.*?)\n\n", README.read_text(), re.M | re.S)
     assert int(found.group(1)) == len(PRIMITIVE_NAMES)
     assert re.findall(r"`([^`]+)`", found.group(2)) == list(PRIMITIVE_NAMES)
+
+
+def test_readme_config_table_is_the_config_defaults():
+    table = re.search(r"^\| field \| alias \| default \|.*\n\|[-| ]+\|\n(.*?)\n\n",
+                      README.read_text(), re.M | re.S)
+    rows = [[cell.strip().strip("`") for cell in line.strip("|").split("|")][:3]
+            for line in table.group(1).splitlines()]
+    defaults = {}  # field -> its default as config.json spells it
+    for name, value in PipelineConfig().to_dict().items():
+        if isinstance(value, dict):  # the llm settings, one row per key
+            defaults.update({f"{name}.{key}": json.dumps(v) for key, v in value.items()})
+        else:
+            defaults[name] = json.dumps(value)
+    assert [(name, default) for name, _, default in rows] == list(defaults.items())
+    assert {alias: name for name, alias, _ in rows if alias} == PipelineConfig._ALIASES
