@@ -123,10 +123,11 @@ def _sweep_block(n):
     """Sources per block of the level sweep: as many as keep an N x block
     float array within _SWEEP_BYTES, from 32 to 64. Every source's column is
     computed on its own, so the size moves no bit. The helper thread's malloc
-    arena keeps its largest block's temporaries after a sweep (about 1.2 MB
-    at N = 650 with 32 sources, 2.4-2.7 MB with 64). On graphs of a few
-    hundred nodes each block's Python work and hand-off between the threads
-    weigh more than its arithmetic, so blocks of 64 sweep faster there."""
+    arena keeps its largest block's temporaries after a sweep (glibc
+    ``malloc_stats``: 1.4 MB at N = 650 with 32 sources, 0.95 MB at N = 250
+    with 64). On graphs of a few hundred nodes each block's Python work and
+    hand-off between the threads weigh more than its arithmetic, so blocks
+    of 64 sweep faster there."""
     return min(64, max(32, _SWEEP_BYTES // (8 * n)))
 
 
@@ -224,14 +225,20 @@ def _leave_cpu(cpu):
 
 def _block_dependencies(a, rows, dist):
     """Fill ``dist[:, rows]`` and return the dependency of every node (rows)
-    on each source in ``rows`` (columns)."""
+    on each source in ``rows`` (columns). The level masks are products,
+    which relies on path counts and dependencies being finite and
+    nonnegative: a factor True keeps the value and False gives +0.0, the
+    bits of a masked divide and select."""
     d, sigma, depth = _forward_levels(a, rows, dist.dtype)
     dist[:, rows] = d
+    # unreachable nodes have no paths; dividing by 1 there keeps every
+    # quotient finite, and the level mask zeroes it
+    safe = sigma + (sigma == 0)
     # sources sit at level 0 and never receive a dependency
     delta = np.zeros(d.shape)
     for k in range(depth, 1, -1):
-        coeff = np.divide(1.0 + delta, sigma, out=np.zeros(d.shape), where=d == k)
-        delta += np.where(d == k - 1, sigma * (a @ coeff), 0.0)
+        coeff = (1.0 + delta) / safe * (d == k)
+        delta += sigma * (a @ coeff) * (d == k - 1)
     return delta
 
 
@@ -239,7 +246,10 @@ def _forward_levels(a, rows, dtype):
     """Hop levels (-1 where unreachable), shortest-path counts and depth of
     the BFS from each source in ``rows``, one column per source. A times the
     frontier's path counts gives the path counts into each node; its nonzero
-    entries at unvisited nodes are the next level."""
+    entries at unvisited nodes are the next level. The level mask is applied
+    as products: to the hop levels, and to the counts, where zeroing the
+    rest relies on their being finite and nonnegative (False times a count
+    is +0.0)."""
     n = a.shape[0]
     d = np.full((n, rows.stop - rows.start), -1, dtype=dtype)
     d[np.arange(rows.start, rows.stop), np.arange(d.shape[1])] = 0
@@ -252,8 +262,9 @@ def _forward_levels(a, rows, dtype):
         if not level.any():
             return d, sigma, depth
         depth += 1
-        d[level] = depth
-        np.copyto(reached, 0.0, where=~level)
+        # the level's entries hold -1, and the type holds -1 - depth >= -N
+        d -= level * d.dtype.type(-1 - depth)
+        reached *= level
         frontier = reached
         sigma += frontier
 

@@ -177,6 +177,9 @@ def sweep_cases():
     """The degenerate shapes plus larger graphs whose level sweep takes
     several source blocks: (case name, graph)."""
     cases = degenerate_graphs(seed=5)
+    # from its ends a path is N - 1 = 127 levels deep, the largest level of
+    # its int8 distances
+    cases.append(("path_128", path_graph(128, d=6, seed=5, name="path_128")))
     for seed, n in ((1, 60), (2, 300), (3, 520)):
         g = gen_synthetic(n, 6, 0.08, structure_seed=seed, planted_kind="mixed")
         cases.append((f"synthetic_{n}", g))

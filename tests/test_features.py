@@ -239,13 +239,13 @@ def test_sweep_matches_two_pass_oracle(case, g, monkeypatch):
     dist, bc = features._level_sweep(fresh)
     want_dist, want_bc = two_pass_sweep(fresh)
     assert dist.dtype == want_dist.dtype
-    assert np.array_equal(dist, want_dist)
-    assert np.array_equal(bc, want_bc)
+    assert dist.tobytes() == want_dist.tobytes()
+    assert bc.tobytes() == want_bc.tobytes()
     table = compute_primitives(fresh, xtilde)
     monkeypatch.setattr(features, "_level_sweep", two_pass_sweep)
     oracle = compute_primitives(Graph(g.num_nodes, g.edges, g.features, None, g.name), xtilde)
     for j, name in enumerate(PRIMITIVE_NAMES):
-        assert np.array_equal(table.matrix[:, j], oracle.matrix[:, j]), name
+        assert table.matrix[:, j].tobytes() == oracle.matrix[:, j].tobytes(), name
 
 
 def _fresh(g):
@@ -263,7 +263,8 @@ def _inline_sweep(g, monkeypatch):
 def test_sweep_with_helper_matches_calling_thread_alone(case, g, monkeypatch):
     dist, bc = features._level_sweep(_fresh(g))
     want_dist, want_bc = _inline_sweep(g, monkeypatch)
-    assert np.array_equal(dist, want_dist)
+    assert dist.dtype == want_dist.dtype
+    assert dist.tobytes() == want_dist.tobytes()
     assert bc.tobytes() == want_bc.tobytes()
 
 
@@ -315,7 +316,8 @@ def test_block_error_raised_after_helper_stops(failing, monkeypatch):
     monkeypatch.setattr(features, "_block_dependencies", real)
     dist, bc = features._level_sweep(_fresh(g))
     want_dist, want_bc = _inline_sweep(g, monkeypatch)
-    assert np.array_equal(dist, want_dist)
+    assert dist.dtype == want_dist.dtype
+    assert dist.tobytes() == want_dist.tobytes()
     assert bc.tobytes() == want_bc.tobytes()
 
 
