@@ -20,7 +20,7 @@ from .graph import EGO_RADIUS, Graph
 # count, so a change of this size can move bits
 _BLOCK = 256
 # bytes of one N x block float64 array of the level sweep (see _sweep_block)
-_SWEEP_BYTES = 128 * 1024
+_SWEEP_BYTES = 512 * 1024
 
 PAGERANK_DAMPING = 0.85
 PAGERANK_TOL = 1e-10  # L1 change between iterates
@@ -121,14 +121,16 @@ def _level_sweep(g: Graph):
 
 def _sweep_block(n):
     """Sources per block of the level sweep: as many as keep an N x block
-    float array within _SWEEP_BYTES, from 32 to 64. Every source's column is
-    computed on its own, so the size moves no bit. The helper thread's malloc
+    float array within _SWEEP_BYTES, from 32 to 128. Every source's column is
+    computed on its own, so the size moves no bit. Every level of a block
+    pays a fixed cost per call (Python, numpy and scipy dispatch, fresh
+    temporaries), which a wider block spreads over more sources: at N = 650,
+    blocks of 100 sweep faster than blocks of 32. From N = 2048 up a block
+    holds 32; wider ones were no faster there. The helper thread's malloc
     arena keeps its largest block's temporaries after a sweep (glibc
-    ``malloc_stats``: 1.4 MB at N = 650 with 32 sources, 0.95 MB at N = 250
-    with 64). On graphs of a few hundred nodes each block's Python work and
-    hand-off between the threads weigh more than its arithmetic, so blocks
-    of 64 sweep faster there."""
-    return min(64, max(32, _SWEEP_BYTES // (8 * n)))
+    ``malloc_stats``: 2.9-3.5 MB at N = 650 with 100 sources, 0.23 MB at
+    N = 250 with 128)."""
+    return min(128, max(32, _SWEEP_BYTES // (8 * n)))
 
 
 def _share_blocks(task, count, between):

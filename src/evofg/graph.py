@@ -31,6 +31,24 @@ class GraphFormatError(ValueError):
     """Malformed input file (carries the offending path/line)."""
 
 
+def _canonical_edges(edges, n):
+    """The distinct undirected pairs of an integer (k, 2) edge array as u <= v
+    rows in lexicographic order: int64, C order. Each pair is deduplicated as
+    the one key u * n + v, which the range check keeps unique to its pair.
+    An empty array of any shape is edgeless."""
+    if not edges.size:
+        return np.empty((0, 2), dtype=np.int64)
+    if edges.dtype.kind not in "iu":
+        raise GraphFormatError(f"edge endpoints must be integers, not {edges.dtype}")
+    if edges.ndim != 2 or edges.shape[1] != 2:
+        raise GraphFormatError(f"edges must have shape (k, 2), not {edges.shape}")
+    if edges.min() < 0 or edges.max() >= n:
+        raise GraphFormatError("edge endpoint out of range")
+    u, v = edges[:, 0].astype(np.int64), edges[:, 1].astype(np.int64)
+    keys = np.unique(np.minimum(u, v) * n + np.maximum(u, v))
+    return np.stack(np.divmod(keys, n), axis=1)
+
+
 class Graph:
     """Immutable undirected graph with node features and anomaly labels.
 
@@ -42,11 +60,7 @@ class Graph:
         self.num_nodes = int(num_nodes)
         if self.num_nodes < 1:
             raise GraphFormatError("a graph needs at least one node")
-        edges = np.asarray(edges)
-        if edges.size and edges.dtype.kind not in "iu":
-            raise GraphFormatError(f"edge endpoints must be integers, not {edges.dtype}")
-        edges = edges.astype(np.int64).reshape(-1, 2)
-        self.edges = np.unique(np.sort(edges, axis=1), axis=0)
+        self.edges = _canonical_edges(np.asarray(edges), self.num_nodes)
         self.features = np.asarray(features, dtype=np.float64)
         if self.features.shape[0] != self.num_nodes:
             raise GraphFormatError(
@@ -70,9 +84,6 @@ class Graph:
             self.labels.setflags(write=False)
 
     def _build_adjacency(self):
-        n = self.num_nodes
-        if self.edges.size and (self.edges.min() < 0 or self.edges.max() >= n):
-            raise GraphFormatError("edge endpoint out of range")
         if self.edges.size and (self.edges[:, 0] == self.edges[:, 1]).any():
             raise GraphFormatError("self-loop in edge list")
         a = self.adjacency()

@@ -184,14 +184,14 @@ def sweep_cases():
         g = gen_synthetic(n, 6, 0.08, structure_seed=seed, planted_kind="mixed")
         cases.append((f"synthetic_{n}", g))
     # two components of different depth, plus isolated nodes; 530 nodes
-    # make three source blocks
+    # make five source blocks (17 of 32)
     a = gen_synthetic(300, 6, 0.08, structure_seed=4, planted_kind="structural")
     b = gen_synthetic(220, 6, 0.08, structure_seed=5, planted_kind="attribute")
     edges = np.vstack([a.edges, b.edges + a.num_nodes])
     feats = np.vstack([a.features, b.features, np.ones((10, 6))])
     cases.append(("synthetic_disconnected", Graph(530, edges, feats, None, "split")))
-    # a 24 x 25 grid: more than eight blocks of 64 sources (19 of 32), 47
-    # levels deep, many shortest paths per pair and many tied scores
+    # a 24 x 25 grid: six blocks of 109 sources (19 of 32), 47 levels deep,
+    # many shortest paths per pair and many tied scores
     rows, cols = 24, 25
     node = np.arange(rows * cols).reshape(rows, cols)
     grid = np.vstack([np.c_[node[:, :-1].ravel(), node[:, 1:].ravel()],

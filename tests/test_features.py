@@ -268,18 +268,38 @@ def test_sweep_with_helper_matches_calling_thread_alone(case, g, monkeypatch):
     assert bc.tobytes() == want_bc.tobytes()
 
 
-def test_one_block_sweep_stays_on_the_calling_thread(monkeypatch):
-    g = gen_synthetic(60, 6, 0.08, structure_seed=1, planted_kind="mixed")
-    assert len(features._row_blocks(g.num_nodes, features._sweep_block(g.num_nodes))) == 1
+@pytest.mark.parametrize("case,g", sweep_cases(), ids=[c for c, _ in sweep_cases()])
+def test_sweep_bits_do_not_depend_on_block_size(case, g, monkeypatch):
+    n = g.num_nodes
+    results = []
+    for size in (32, 64, features._sweep_block(n), n):
+        monkeypatch.setattr(features, "_sweep_block", lambda _n, size=size: size)
+        results.append(features._level_sweep(_fresh(g)))
+    (dist, bc), rest = results[0], results[1:]
+    for other_dist, other_bc in rest:
+        assert other_dist.dtype == dist.dtype
+        assert other_dist.tobytes() == dist.tobytes()
+        assert other_bc.tobytes() == bc.tobytes()
 
+
+def test_sweep_block_bounds():
+    sizes = np.array([features._sweep_block(n) for n in range(1, 10**5 + 1)])
+    assert sizes.min() == 32 and sizes.max() == 128
+    assert (np.diff(sizes) <= 0).all()  # no wider block for a larger graph
+
+
+def test_one_block_sweep_stays_on_the_calling_thread(monkeypatch):
     def no_helper():
         raise AssertionError("a one-block sweep asked for the helper")
 
     monkeypatch.setattr(features, "_sweep_helper", no_helper)
-    dist, bc = features._level_sweep(_fresh(g))
-    want_dist, want_bc = two_pass_sweep(_fresh(g))
-    assert np.array_equal(dist, want_dist)
-    assert bc.tobytes() == want_bc.tobytes()
+    for n in (60, 128):  # 128 nodes: the largest graph of one block
+        g = gen_synthetic(n, 6, 0.08, structure_seed=1, planted_kind="mixed")
+        assert len(features._row_blocks(n, features._sweep_block(n))) == 1
+        dist, bc = features._level_sweep(_fresh(g))
+        want_dist, want_bc = two_pass_sweep(_fresh(g))
+        assert np.array_equal(dist, want_dist)
+        assert bc.tobytes() == want_bc.tobytes()
 
 
 @pytest.mark.parametrize("failing", ["calling", "helper"])
@@ -289,6 +309,8 @@ def test_block_error_raised_after_helper_stops(failing, monkeypatch):
     g = sweep_cases()[-1][1]
     size = features._sweep_block(g.num_nodes)
     blocks = len(features._row_blocks(g.num_nodes, size))
+    # the failing thread fails from the third block on
+    assert blocks >= 3, f"{g.name}: {blocks} sweep blocks, this test needs 3 or more"
     caller = threading.current_thread()
     real = features._block_dependencies
     running, started = [], []

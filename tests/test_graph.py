@@ -342,3 +342,50 @@ def test_operators_after_dropped_self_loops(tmp_path):
     g = load_graph(*paths)
     assert g.num_edges == 6 and g.degrees[4] == 0 and g.degrees[8] == 0
     _assert_operators_match_scipy_products(g)
+
+
+def test_edges_match_sorted_row_unique():
+    """Deduplicating by one key per pair gives the array that
+    np.unique(np.sort(edges, axis=1), axis=0) gives: values, dtype, C order
+    and row order."""
+    rng = np.random.default_rng(19)
+    for trial in range(50):
+        n = int(rng.integers(2, 40))
+        pairs = rng.integers(0, n, size=(int(rng.integers(1, 120)), 2))
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        # duplicates, reversed pairs and a narrower integer type
+        edges = np.vstack([pairs, pairs[::2, ::-1], pairs[::3]]).astype(
+            (np.int64, np.int32, np.uint16)[trial % 3])
+        want = np.unique(np.sort(edges.astype(np.int64), axis=1), axis=0)
+        got = Graph(n, edges, np.zeros((n, 2)), None).edges
+        assert got.dtype == np.int64 and got.flags.c_contiguous
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    got = Graph(3, np.empty((0, 2), dtype=np.int64), np.zeros((3, 2)), None).edges
+    assert got.dtype == np.int64 and got.shape == (0, 2)
+
+
+@pytest.mark.parametrize("edge", [[0, 3], [1, 3], [0, 5]])
+def test_out_of_range_endpoint_does_not_alias(edge):
+    # as a key u * 3 + v these would decode to the in-range pairs (1, 0),
+    # (2, 0) and (1, 2)
+    with pytest.raises(GraphFormatError, match="edge endpoint out of range"):
+        Graph(3, [edge], np.zeros((3, 2)), None)
+
+
+def test_edge_index_of_shape_2_by_e_rejected():
+    """A (2, E) edge_index, as PyTorch Geometric stores it, is not read as
+    rows of pairs."""
+    with pytest.raises(GraphFormatError, match=r"shape \(k, 2\), not \(2, 3\)"):
+        Graph(3, np.array([[0, 1, 2], [1, 2, 0]]), np.zeros((3, 2)), None)
+
+
+def test_flat_edge_array_rejected():
+    with pytest.raises(GraphFormatError, match=r"shape \(k, 2\), not \(4,\)"):
+        Graph(3, np.array([0, 1, 1, 2]), np.zeros((3, 2)), None)
+
+
+@pytest.mark.parametrize("edges", [[], np.empty((0, 3), dtype=np.int64), np.empty((2, 0))])
+def test_empty_edge_array_of_any_shape_is_edgeless(edges):
+    g = Graph(3, edges, np.zeros((3, 2)), None)
+    assert g.edges.shape == (0, 2) and g.edges.dtype == np.int64
+    assert g.num_edges == 0
