@@ -258,30 +258,44 @@ class RoutingContext:
 
 
 @dataclass(frozen=True)
-class FrozenNodeBranch:
+class FrozenContext:
     """A context's routing material for one round of contribution
-    estimation, during which the router does not change: the node branch's
-    rows at the queries, next to the queries' features, normalized targets
-    and target entropies."""
+    estimation, during which the router does not change, stored with the
+    query rows last so that each utility call reduces across rows: the query
+    features under a constant row of ones, ``hr_t`` ((F + 1) x Nq); with
+    memory, the projection folded into the memory keys, ``keys = mem_feat @
+    [proj_w; proj_b].T`` (M x (F + 1)), else None; ``readout[e, k, r]``
+    (E x K x Nq), which takes query r's weights over the K = M memories, or
+    over the F + 1 rows of ``hr_t``, to its logit for expert e; and the
+    normalized targets (E x Nq) and target entropies."""
 
     names: list
-    node_q: np.ndarray
-    hr_q: np.ndarray
-    targets: np.ndarray
+    keys: np.ndarray
+    hr_t: np.ndarray
+    readout: np.ndarray
+    targets_t: np.ndarray
     entropy: np.ndarray
 
 
 def freeze_node_branch(model: RouterModel, contexts):
-    """Each context's node branch under ``model`` as it is now; rebuild it
-    whenever the router's parameters change."""
-    lv = ad.leaves(model.params)
+    """Each context's routing material under ``model`` as it is now: all of
+    the forward that no feature mask changes, the node branch at the queries
+    folded with the scale vectors and the memories or the projection;
+    rebuild it whenever the router's parameters change."""
+    p = model.params
+    lv = ad.leaves(p)
+    n_experts = model.dims[4]
+    proj = np.vstack([p["proj_w"], p["proj_b"]])  # the bias weighs the row of ones
+    keys = p["mem_feat"] @ proj.T if model.use_memory else None
+    rows = p["mem_feat"] if model.use_memory else proj  # K x d_m
+    scaled = (p["scale"][:, None, :] * rows).reshape(-1, rows.shape[1])
     frozen = []
     for ctx in contexts:
-        node = node_branch_t(lv, ctx.xtilde, ctx.graph, model.use_memory)
-        frozen.append(FrozenNodeBranch(
-            ctx.names, node.value[ctx.queries], ctx.hr[ctx.queries],
-            *_kl_targets(ctx.q_matrix, model.dims[4]),
-        ))
+        node_q = node_branch_t(lv, ctx.xtilde, ctx.graph, model.use_memory).value[ctx.queries]
+        hr_t = np.vstack([ctx.hr[ctx.queries].T, np.ones(len(ctx.queries))])
+        readout = (scaled @ node_q.T).reshape(n_experts, rows.shape[0], -1)
+        targets, entropy = _kl_targets(ctx.q_matrix, n_experts)
+        frozen.append(FrozenContext(ctx.names, keys, hr_t, readout, targets.T.copy(), entropy))
     return frozen
 
 
@@ -289,15 +303,23 @@ def routing_utility(model: RouterModel, subset, frozen) -> float:
     """Alignment utility of a feature subset: minus the mean KL between the
     correctness targets and deterministic routing on the masked features
     (non-members zeroed at fixed width). Larger is better. ``frozen`` is
-    ``freeze_node_branch(model, contexts)``; only the feature branch runs."""
-    names = frozen[0].names
+    ``freeze_node_branch(model, contexts)``; each call computes its own
+    subset's value, in plain numpy."""
     member = set(subset)
-    mask = np.array([1.0 if n in member else 0.0 for n in names])
-    lv = ad.leaves(model.params)
+    mask = np.array([1.0 if n in member else 0.0 for n in frozen[0].names] + [1.0])
     vals = []
     for f in frozen:
-        logits = feature_branch_t(lv, ad.wrap(f.node_q), f.hr_q * mask, None, model.use_memory)
-        vals.append(float(_kl_loss_t(f.targets, f.entropy, logits).value))
+        if model.use_memory:  # each query's attention over the feature memories
+            att = (f.keys * mask) @ f.hr_t
+            att -= att.max(axis=0)
+            np.exp(att, out=att)
+            att /= att.sum(axis=0)
+        else:  # the masked features themselves
+            att = f.hr_t * mask[:, None]
+        z = np.einsum("ekr,kr->er", f.readout, att)  # logits, E x Nq
+        z -= z.max(axis=0)
+        z -= np.log(np.exp(z).sum(axis=0))
+        vals.append(float(np.mean(f.entropy - (z * f.targets_t).sum(axis=0))))
     return -float(np.mean(vals))
 
 

@@ -25,16 +25,10 @@ class ShapleyStats:
 
 
 def _z_scores(mean, std_err):
-    z = np.empty_like(mean)
-    for i, (m, se) in enumerate(zip(mean, std_err)):
-        if se > 0:
-            z[i] = m / se
-        elif m > 0:
-            z[i] = np.inf
-        elif m < 0:
-            z[i] = -np.inf
-        else:
-            z[i] = 0.0
+    """mean / std_err where std_err > 0; elsewhere +inf, -inf or 0 by the
+    sign of the mean."""
+    z = np.where(mean > 0, np.inf, np.where(mean < 0, -np.inf, 0.0))
+    np.divide(mean, std_err, out=z, where=std_err > 0)
     return z
 
 

@@ -20,7 +20,10 @@ from evofg.router import (
     RoutingOutput,
     _combine_env_losses_t,
     _env_losses_t,
+    _kl_loss_t,
+    _kl_targets,
     balance_loss_t,
+    feature_branch_t,
     kl_router_loss_t,
     node_branch_t,
     route,
@@ -402,6 +405,23 @@ def full_forward_utility(model, subset, contexts):
         lv = ad.leaves(model.params)
         logits = route_t(lv, ctx.xtilde, ctx.graph, ctx.hr * mask, None, model.use_memory)
         vals.append(kl_router_loss(ctx.q_matrix, logits.value[ctx.queries]))
+    return -float(np.mean(vals))
+
+
+def tape_routing_utility(model, subset, contexts):
+    """Reference for ``routing_utility`` on the tape: the node branch of each
+    context at its query rows, then the feature branch on the masked query
+    features and the KL loss, as ``routing_utility`` once computed them."""
+    member = set(subset)
+    mask = np.array([1.0 if n in member else 0.0 for n in contexts[0].names])
+    lv = ad.leaves(model.params)
+    vals = []
+    for ctx in contexts:
+        node = node_branch_t(lv, ctx.xtilde, ctx.graph, model.use_memory)
+        logits = feature_branch_t(lv, ad.wrap(node.value[ctx.queries]),
+                                  ctx.hr[ctx.queries] * mask, None, model.use_memory)
+        targets = _kl_targets(ctx.q_matrix, model.dims[4])
+        vals.append(float(_kl_loss_t(*targets, logits).value))
     return -float(np.mean(vals))
 
 

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,7 @@ from helpers import (
     per_env_route_losses_t,
     reference_train_main,
     route_noisy,
+    tape_routing_utility,
 )
 
 
@@ -270,6 +273,61 @@ class TestUtility:
             s = frozenset(n for n in ctx.names if rng.random() < 0.5)
             ref = full_forward_utility(model, s, [ctx, ctx2])
             assert routing_utility(model, s, frozen) == pytest.approx(ref, rel=1e-12)
+
+    @pytest.fixture(scope="class")
+    def two_contexts(self, setup, pretrained):
+        """The setup's context and one of another graph with fewer queries."""
+        cfg, _, ctx, _ = setup
+        other = prepare_graph(
+            gen_synthetic(20, 5, 0.15, structure_seed=4, planted_kind="mixed"), cfg.d
+        )
+        ctx2 = build_contexts([other], pretrained[2], cfg)[0]
+        assert len(ctx2.queries) != len(ctx.queries) and ctx2.names == ctx.names
+        return [ctx, ctx2]
+
+    @staticmethod
+    def biased_router(cfg, width, use_memory, seed):
+        """A fresh router whose projection bias is not zero."""
+        model = init_router(cfg.d, width, cfg.d_m, cfg.n_memory, 4, seed=seed,
+                            use_memory=use_memory)
+        model.params["proj_b"] = np.random.default_rng(seed).normal(size=cfg.d_m)
+        return model
+
+    @pytest.mark.parametrize("use_memory", [True, False])
+    def test_matches_the_tape_oracle(self, setup, two_contexts, use_memory):
+        cfg = setup[0]
+        names = two_contexts[0].names
+        model = self.biased_router(cfg, len(names), use_memory, seed=24)
+        frozen = freeze_node_branch(model, two_contexts)
+        rng = np.random.default_rng(25)
+        subsets = [frozenset(), frozenset(names)] + [frozenset([n]) for n in names]
+        subsets += [frozenset(n for n in names if rng.random() < 0.5) for _ in range(20)]
+        for s in subsets:
+            ref = tape_routing_utility(model, s, two_contexts)
+            assert routing_utility(model, s, frozen) == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("use_memory", [True, False])
+    def test_a_column_of_zeros_on_every_context_adds_exactly_nothing(
+            self, setup, two_contexts, use_memory):
+        cfg = setup[0]
+        names = two_contexts[0].names
+        model = self.biased_router(cfg, len(names), use_memory, seed=26)
+        j = 3
+        zeroed = []
+        for ctx in two_contexts:
+            z = copy.copy(ctx)
+            z.hr = ctx.hr.copy()
+            z.hr[:, j] = 0.0
+            zeroed.append(z)
+        frozen = freeze_node_branch(model, zeroed)
+        rng = np.random.default_rng(27)
+        others = [n for n in names if n != names[j]]
+        for _ in range(20):
+            s = frozenset(n for n in others if rng.random() < 0.5)
+            assert routing_utility(model, s | {names[j]}, frozen) == routing_utility(
+                model, s, frozen)
+            assert tape_routing_utility(model, s | {names[j]}, zeroed) == (
+                tape_routing_utility(model, s, zeroed))
 
     def test_frozen_branch_goes_stale_when_the_router_trains(self, setup):
         cfg, b, ctx, _ = setup

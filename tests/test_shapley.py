@@ -3,6 +3,7 @@ import pytest
 
 from evofg.shapley import (
     ShapleyStats,
+    _z_scores,
     estimate_contributions,
     format_stats,
     select_features,
@@ -61,6 +62,30 @@ class TestEstimator:
         assert stats.z[0] == np.inf
         assert stats.z[1] == -np.inf
         assert stats.z[2] == 0.0
+
+    def test_z_scores_match_the_per_feature_rule_bit_for_bit(self):
+        def per_feature(mean, std_err):
+            z = np.empty_like(mean)
+            for i, (m, se) in enumerate(zip(mean, std_err)):
+                if se > 0:
+                    z[i] = m / se
+                elif m > 0:
+                    z[i] = np.inf
+                elif m < 0:
+                    z[i] = -np.inf
+                else:
+                    z[i] = 0.0
+            return z
+
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            n = int(rng.integers(1, 30))
+            mean = rng.normal(size=n) * 10.0 ** rng.integers(-100, 100, size=n)
+            mean[rng.random(n) < 0.3] = 0.0
+            mean[rng.random(n) < 0.1] = -0.0
+            std_err = np.abs(rng.normal(size=n)) * 10.0 ** rng.integers(-100, 100, size=n)
+            std_err[rng.random(n) < 0.4] = 0.0
+            assert _z_scores(mean, std_err).tobytes() == per_feature(mean, std_err).tobytes()
 
     def test_unbiased_against_binomial_oracle(self):
         rng = np.random.default_rng(5)
