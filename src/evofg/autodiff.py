@@ -4,11 +4,11 @@ Every trainable loss in this package is built from the ops below and is
 verified against central finite differences (``finite_diff_check`` in
 ``tests/helpers.py``), so the op set stays deliberately small: dense/sparse
 matmul, elementwise nonlinearities, row/segment softmax, gather/scatter
-indexing, and the router's fused ops: ``gram_cosine_rows``, and
-``affine``, ``key_softmax`` and ``memory_readout``, which compute what the
-chains they replace compute, in the same order, but keep only what their
-backward reads. Backward drops an inner node's gradient once it is used;
-leaves keep theirs. ``fit`` is the AdamW loop every model trains through.
+indexing, and the router's ops: ``gram_cosine_rows``, ``key_softmax``, and
+the folded readout ``readout_table`` and ``table_readout``, whose forwards
+``table_value`` and ``readout_value`` the router's numpy callers share.
+Backward drops an inner node's gradient once it is used; leaves keep
+theirs. ``fit`` is the AdamW loop every model trains through.
 """
 
 from __future__ import annotations
@@ -175,25 +175,6 @@ def matmul(a, b):
     return out
 
 
-def affine(x, w, b):
-    """x @ w + b, the bias added in place, so the tape keeps one array."""
-    x, w, b = wrap(x), wrap(w), wrap(b)
-    y = x.value @ w.value
-    y += b.value
-    out = Tensor(y, (x, w, b))
-
-    def bw(g):
-        if x.requires_grad:
-            _acc(x, g @ w.value.T)
-        if w.requires_grad:
-            _acc(w, x.value.T @ g)
-        if b.requires_grad:
-            _acc(b, _unbroadcast(g, b.value.shape))
-
-    out._backward = bw
-    return out
-
-
 def matvec(a, v):
     """2-D tensor @ 1-D tensor -> 1-D tensor."""
     a, v = wrap(a), wrap(v)
@@ -299,14 +280,19 @@ def row_softmax(a):
     return out
 
 
+def softmax_rows_(x):
+    """Row softmax of the array x, computed in place; returns x."""
+    x -= x.max(axis=1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=1, keepdims=True)
+    return x
+
+
 def key_softmax(a, keys):
     """row_softmax(a @ keys.T): each row's attention over the rows of keys.
     The logits are not kept; backward needs only the attention."""
     a, keys = wrap(a), wrap(keys)
-    p = a.value @ keys.value.T
-    p -= p.max(axis=1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=1, keepdims=True)
+    p = softmax_rows_(a.value @ keys.value.T)
     out = Tensor(p, (a, keys))
 
     def bw(g):
@@ -401,40 +387,83 @@ def scale_rows(a, w):
     return out
 
 
-def memory_readout(s, mem, node, scale):
-    """((s @ mem) * node) @ scale.T: per-expert logits from memory readouts.
-    s stacks k groups of R rows ((k * R) x M) and the R node rows are
-    broadcast over the groups, not tiled; mem=None reads s itself as the
-    embedding (a router without memory). Backward recomputes s @ mem, so
-    the op keeps no intermediate."""
-    s, node, scale = wrap(s), wrap(node), wrap(scale)
-    if mem is not None:
-        mem = wrap(mem)
-    r, d = node.value.shape
-
-    def embed():  # s @ mem as k x R x d
-        h = s.value if mem is None else s.value @ mem.value
-        return h.reshape(-1, r, d)
-
-    prod = (embed() * node.value).reshape(-1, d)
-    parents = (s, node, scale) if mem is None else (s, mem, node, scale)
-    out = Tensor(prod @ scale.value.T, parents)
+def append_row(a, v):
+    """a (R x d) with the row v (d,) appended: (R + 1) x d."""
+    a, v = wrap(a), wrap(v)
+    out = Tensor(np.vstack([a.value, v.value]), (a, v))
 
     def bw(g):
-        h = embed()
-        g_h = (g @ scale.value).reshape(-1, r, d)
-        if scale.requires_grad:
-            _acc(scale, ((h * node.value).reshape(-1, d).T @ g).T)
+        _acc(a, g[:-1])
+        _acc(v, g[-1])
+
+    out._backward = bw
+    return out
+
+
+def _scaled_rows(scale, rows):
+    """w[e * M + m] = scale[e] * rows[m]: (E * M) x d."""
+    return (scale[:, None, :] * rows).reshape(-1, rows.shape[1])
+
+
+def table_value(node, scale, rows):
+    """t[r, e, m] = sum_d node[r, d] * scale[e, d] * rows[m, d] (R x E x M),
+    as one R x d by d x (E * M) product."""
+    return (node @ _scaled_rows(scale, rows).T).reshape(len(node), len(scale), len(rows))
+
+
+def _groups(a, r):
+    """The k groups of R rows of a (k * R) x c array as an R x k x c view."""
+    return a.reshape(-1, r, a.shape[1]).transpose(1, 0, 2)
+
+
+def _per_row(a, b):
+    """out[j * R + r] = a[j * R + r] @ b[r] for the k groups of R rows of a
+    ((k * R) x p) and the R matrices of b (R x p x q): one k x p by p x q
+    product per row, written straight into the (k * R) x q result."""
+    r, _, q = b.shape
+    out = np.empty((a.shape[0] // r, r, q))
+    np.matmul(_groups(a, r), b, out=out.transpose(1, 0, 2))
+    return out.reshape(-1, q)
+
+
+def readout_value(att, table):
+    """Each of the k groups of R rows of att ((k * R) x M) read through the
+    table (R x E x M) of its row: (k * R) x E logits."""
+    return _per_row(att, table.transpose(0, 2, 1))
+
+
+def readout_table(node, scale, rows):
+    """``table_value`` on the tape."""
+    node, scale, rows = wrap(node), wrap(scale), wrap(rows)
+    out = Tensor(table_value(node.value, scale.value, rows.value), (node, scale, rows))
+
+    def bw(g):
+        r, e, m = g.shape
+        g = g.reshape(r, e * m)
         if node.requires_grad:
-            _acc(node, (g_h * h).sum(axis=0))
-        g_h = (g_h * node.value).reshape(-1, d)
-        if mem is None:
-            _acc(s, g_h)
-            return
-        if s.requires_grad:
-            _acc(s, g_h @ mem.value.T)
-        if mem.requires_grad:
-            _acc(mem, s.value.T @ g_h)
+            _acc(node, g @ _scaled_rows(scale.value, rows.value))
+        g_w = (g.T @ node.value).reshape(e, m, -1)  # the gradient of _scaled_rows
+        if scale.requires_grad:
+            _acc(scale, (g_w * rows.value).sum(axis=1))
+        if rows.requires_grad:
+            _acc(rows, (g_w * scale.value[:, None, :]).sum(axis=0))
+
+    out._backward = bw
+    return out
+
+
+def table_readout(att, table):
+    """``readout_value`` on the tape: every group's gradient meets the table
+    in the one batched product per row."""
+    att, table = wrap(att), wrap(table)
+    r = table.value.shape[0]
+    out = Tensor(readout_value(att.value, table.value), (att, table))
+
+    def bw(g):
+        if att.requires_grad:
+            _acc(att, _per_row(g, table.value))
+        if table.requires_grad:
+            _acc(table, _groups(g, r).transpose(0, 2, 1) @ _groups(att.value, r))
 
     out._backward = bw
     return out

@@ -513,7 +513,8 @@ def score_labeled(artifacts: RunArtifacts, graphs, prepared_cache=None):
 
 
 def evaluate_scored(scored):
-    """Per-graph AUROC/AUPRC plus routing frequency for scored graphs.
+    """Per-graph AUROC/AUPRC, routing frequency, largest |w - 1/E| and mean
+    row entropy of the routing weights (``routing_entropy``) for scored graphs.
 
     ``scored`` maps graph name -> dict with scores, labels, weights, and
     optional per-expert score dicts.
@@ -544,6 +545,10 @@ def evaluate_scored(scored):
             report["routing_frequency"][name] = [
                 float(x) for x in routing_frequency(entry["weights"])
             ]
+            w = np.asarray(entry["weights"], dtype=np.float64)
+            logw = np.log(w, out=np.zeros_like(w), where=w > 0)
+            row["max_weight_deviation"] = float(np.abs(w - 1.0 / w.shape[1]).max())
+            row["routing_entropy"] = float(0.0 - (w * logw).sum(axis=1).mean())  # 0.0, not -0.0
     if aurocs:
         report["mean_auroc"] = float(np.mean(aurocs))
         report["mean_auprc"] = float(np.mean(auprcs))
@@ -611,12 +616,15 @@ def report_to_text(report) -> str:
             else:
                 lines.append(f"{name:<28} {row['auroc']:>8.4f} {row['auprc']:>8.4f}")
     # a multi-run report shows its last run's frequencies
-    freq = (report["runs"][-1] if report.get("runs") else report).get("routing_frequency")
+    last = report["runs"][-1] if report.get("runs") else report
+    freq = last.get("routing_frequency")
     if freq:
         lines.append("")
-        lines.append("soft routing frequency (rows sum to 1):")
-        lines.append(f"{'graph':<28} " + " ".join(f"{a:>10}" for a in ARCHS))
+        lines.append("soft routing frequency (rows sum to 1), largest |w - 1/E|, mean entropy:")
+        lines.append(f"{'graph':<28} " + " ".join(f"{a:>10}" for a in ARCHS + ("dev", "entropy")))
         for name, row in sorted(freq.items()):
-            lines.append(f"{name:<28} " + " ".join(f"{x:>10.4f}" for x in row))
+            g = last["per_graph"][name]
+            lines.append(f"{name:<28} " + " ".join(f"{x:>10.4f}" for x in row)
+                         + f" {g['max_weight_deviation']:>10.2e} {g['routing_entropy']:>10.4f}")
     return "\n".join(lines) + "\n"
 

@@ -114,42 +114,64 @@ def node_branch_t(lv, xtilde, g, use_memory=True):
     return ad.matmul(ad.key_softmax(hn_q, lv["mem_node"]), lv["mem_node"])
 
 
-def feature_branch_t(lv, hn_m, hr, noise=None, use_memory=True):
-    """The feature half of the forward on the rows of a node-branch output
-    ``hn_m``: the logits. ``hr`` may stack k groups of ``hn_m``'s rows, which
-    every group then shares. The routing weights are ``ad.row_softmax`` of
-    the logits, for the callers that need them."""
-    if hr.shape[1] != lv["proj_w"].value.shape[0]:
-        raise ValueError(
-            f"feature width {hr.shape[1]} != router width {lv['proj_w'].value.shape[0]}"
-        )
-    hr_q = ad.affine(hr, lv["proj_w"], lv["proj_b"])
-    if use_memory:
-        s_r = ad.key_softmax(hr_q, lv["mem_feat"])
-        logits = ad.memory_readout(s_r, lv["mem_feat"], hn_m, lv["scale"])
-    else:
-        logits = ad.memory_readout(hr_q, None, hn_m, lv["scale"])
+def fold_t(lv, node, use_memory=True):
+    """The feature side of the forward, folded on the rows of a node-branch
+    output ``node``: (keys, table). The keys ``mem_feat @ [proj_w; proj_b].T``
+    (M x (F + 1)) take features under a column of ones to their memory
+    attention; the table (R x E x M) takes a row's attention to its logits.
+    Without memory, keys is None and the table's rows are [proj_w; proj_b]."""
+    proj = ad.append_row(lv["proj_w"], lv["proj_b"])
+    if not use_memory:
+        return None, ad.readout_table(node, lv["scale"], proj)
+    keys = ad.matmul(lv["mem_feat"], ad.transpose(proj))
+    return keys, ad.readout_table(node, lv["scale"], lv["mem_feat"])
+
+
+def _folded(model, xtilde, g, rows=slice(None)):
+    """``fold_t`` on the rows ``rows`` of ``node_branch_t``, in plain numpy."""
+    p = model.params
+    node = np.tanh(g.sym_norm_selfloops() @ (xtilde @ p["gnn_w"]))
+    if model.use_memory:
+        node = ad.softmax_rows_(node @ p["mem_node"].T) @ p["mem_node"]
+    proj = np.vstack([p["proj_w"], p["proj_b"]])
+    if not model.use_memory:
+        return None, ad.table_value(node[rows], p["scale"], proj)
+    return p["mem_feat"] @ proj.T, ad.table_value(node[rows], p["scale"], p["mem_feat"])
+
+
+def with_ones(hr, masks=None):
+    """k copies of the rows of ``hr`` (R x F) under the k x F ``masks``
+    (default: one copy, unmasked), stacked by rows, each row followed by a
+    one: (k * R) x (F + 1)."""
+    masks = np.ones((1, hr.shape[1])) if masks is None else masks
+    out = np.ones((len(masks), hr.shape[0], hr.shape[1] + 1))
+    np.multiply(hr, masks[:, None, :], out=out[..., :-1])
+    return out.reshape(-1, hr.shape[1] + 1)
+
+
+def feature_branch_t(lv, folded, hr1, noise=None):
+    """The logits of the rows of ``hr1`` (``with_ones``) on ``folded =
+    fold_t(lv, node, ...)``; ``hr1`` may stack k groups of ``node``'s rows,
+    which all read the one table."""
+    keys, table = folded
+    att = hr1 if keys is None else ad.key_softmax(hr1, keys)
+    logits = ad.table_readout(att, table)
     if noise is not None:
-        logits = ad.add(
-            logits,
-            ad.mul(ad.wrap(noise), ad.softplus(ad.matmul(ad.wrap(hr), lv["noise_w"]))),
-        )
+        hr = ad.wrap(hr1[:, :-1])
+        logits = ad.add(logits, ad.mul(ad.wrap(noise), ad.softplus(ad.matmul(hr, lv["noise_w"]))))
     return logits
-
-
-def route_t(lv, xtilde, g, hr, noise=None, use_memory=True):
-    """Tape forward, the node branch composed with the feature branch: the
-    logits. hr is the (possibly masked) standardized feature matrix and
-    noise, when given, is a fixed N x E standard-normal draw."""
-    return feature_branch_t(lv, node_branch_t(lv, xtilde, g, use_memory), hr, noise, use_memory)
 
 
 def route(model: RouterModel, xtilde, g, hr):
     """Public routing call: the deterministic forward (no exploration noise)
-    on the standardized feature matrix ``hr``."""
+    on the standardized feature matrix ``hr``, in plain numpy."""
     hr = np.asarray(hr, dtype=np.float64)
-    logits = route_t(ad.leaves(model.params), xtilde, g, hr, None, model.use_memory)
-    return RoutingOutput(logits.value, ad.row_softmax(logits).value)
+    if hr.shape[1] != model.d_r:
+        raise ValueError(f"feature width {hr.shape[1]} != router width {model.d_r}")
+    keys, table = _folded(model, xtilde, g)
+    att = with_ones(hr) if keys is None else ad.softmax_rows_(with_ones(hr) @ keys.T)
+    logits = ad.readout_value(att, table)
+    return RoutingOutput(logits, ad.softmax_rows_(logits.copy()))
 
 
 def aggregate(p, expert_h, expert_recon):
@@ -183,13 +205,12 @@ def _kl_targets(q, n_experts):
     return qn, (qn * logq).sum(axis=1)
 
 
-def _kl_loss_t(qn, entropy, g_t):
+def kl_router_loss_t(targets, g_t):
+    """Mean row KL between the targets and softmax(g_t), from the pair
+    ``_kl_targets`` returns."""
+    qn, entropy = targets
     cross = ad.tsum(ad.mul(ad.row_log_softmax(g_t), qn), axis=1)
     return ad.tmean(ad.sub(entropy, cross))
-
-
-def kl_router_loss_t(q, g_t):
-    return _kl_loss_t(*_kl_targets(q, g_t.value.shape[1]), g_t)
 
 
 def _cv_squared_t(v):
@@ -244,6 +265,11 @@ class RoutingContext:
         )
         self._route_on(table)
 
+    @functools.cached_property
+    def kl_targets(self):
+        """``_kl_targets`` of the correctness targets, computed once."""
+        return _kl_targets(self.q_matrix, self.q_matrix.shape[1])
+
     def _route_on(self, table):
         self.table = table
         self.names = table.active_names()
@@ -260,14 +286,11 @@ class RoutingContext:
 @dataclass(frozen=True)
 class FrozenContext:
     """A context's routing material for one round of contribution
-    estimation, during which the router does not change, stored with the
-    query rows last so that each utility call reduces across rows: the query
-    features under a constant row of ones, ``hr_t`` ((F + 1) x Nq); with
-    memory, the projection folded into the memory keys, ``keys = mem_feat @
-    [proj_w; proj_b].T`` (M x (F + 1)), else None; ``readout[e, k, r]``
-    (E x K x Nq), which takes query r's weights over the K = M memories, or
-    over the F + 1 rows of ``hr_t``, to its logit for expert e; and the
-    normalized targets (E x Nq) and target entropies."""
+    estimation, during which the router does not change: ``fold_t``'s keys
+    and table at the queries, the query features under a row of ones and the
+    normalized targets, stored with the query rows last so that each utility
+    call reduces across rows (``hr_t`` (F + 1) x Nq, ``readout`` E x K x Nq,
+    ``targets_t`` E x Nq), and the target entropies."""
 
     names: list
     keys: np.ndarray
@@ -282,20 +305,13 @@ def freeze_node_branch(model: RouterModel, contexts):
     the forward that no feature mask changes, the node branch at the queries
     folded with the scale vectors and the memories or the projection;
     rebuild it whenever the router's parameters change."""
-    p = model.params
-    lv = ad.leaves(p)
-    n_experts = model.dims[4]
-    proj = np.vstack([p["proj_w"], p["proj_b"]])  # the bias weighs the row of ones
-    keys = p["mem_feat"] @ proj.T if model.use_memory else None
-    rows = p["mem_feat"] if model.use_memory else proj  # K x d_m
-    scaled = (p["scale"][:, None, :] * rows).reshape(-1, rows.shape[1])
     frozen = []
     for ctx in contexts:
-        node_q = node_branch_t(lv, ctx.xtilde, ctx.graph, model.use_memory).value[ctx.queries]
+        keys, table = _folded(model, ctx.xtilde, ctx.graph, ctx.queries)
         hr_t = np.vstack([ctx.hr[ctx.queries].T, np.ones(len(ctx.queries))])
-        readout = (scaled @ node_q.T).reshape(n_experts, rows.shape[0], -1)
-        targets, entropy = _kl_targets(ctx.q_matrix, n_experts)
-        frozen.append(FrozenContext(ctx.names, keys, hr_t, readout, targets.T.copy(), entropy))
+        targets, entropy = ctx.kl_targets
+        frozen.append(FrozenContext(ctx.names, keys, hr_t, table.transpose(1, 2, 0).copy(),
+                                    targets.T.copy(), entropy))
     return frozen
 
 
@@ -323,15 +339,14 @@ def routing_utility(model: RouterModel, subset, frozen) -> float:
     return -float(np.mean(vals))
 
 
-def _env_losses_t(lv, ctx, node_q, masks, noise_q, use_memory):
+def _env_losses_t(lv, ctx, folded, masks, noise_q):
     """The anomaly loss of every masked-feature environment, as one K-vector.
     The K masked copies of the query features are routed as one stacked
-    operand on the shared node-branch rows ``node_q`` with the query noise
-    rows ``noise_q``; each environment's loss is the mean over its own
+    operand on the query rows' ``folded = fold_t(...)``, with the query
+    noise rows ``noise_q``; each environment's loss is the mean over its own
     query rows."""
-    k, d_r = masks.shape
-    hr = (ctx.hr[ctx.queries] * masks[:, None, :]).reshape(-1, d_r)
-    logits = feature_branch_t(lv, node_q, hr, np.tile(noise_q, (k, 1)), use_memory)
+    hr1 = with_ones(ctx.hr[ctx.queries], masks)
+    logits = feature_branch_t(lv, folded, hr1, np.tile(noise_q, (len(masks), 1)))
     cos = ad.gram_cosine_rows(ad.row_softmax(logits), *ctx.gram)  # k x Nq
     return consistency_loss_t(cos, ctx.y_q, axis=1)
 
@@ -360,23 +375,23 @@ def train_router(model, contexts, cfg, phase, seed):
         graph_losses = []
         for ctx in contexts:
             n = ctx.graph.num_nodes
-            # one node branch per graph and epoch; in the main phase the
-            # environments and the clean balance pass share it
+            # one node branch and readout table per graph and epoch; in the
+            # main phase the environments and the clean balance pass share them
             node = node_branch_t(lv, ctx.xtilde, ctx.graph, model.use_memory)
-            node_q = ad.gather_rows(node, ctx.queries)
-            hr_q = ctx.hr[ctx.queries]
+            folded = fold_t(lv, ad.gather_rows(node, ctx.queries), model.use_memory)
+            hr1 = with_ones(ctx.hr[ctx.queries])
             if phase == "warmup":
                 noise = rng.standard_normal((n, n_experts))[ctx.queries]
-                logits = feature_branch_t(lv, node_q, hr_q, noise, model.use_memory)
-                graph_losses.append(kl_router_loss_t(ctx.q_matrix, logits))
+                logits = feature_branch_t(lv, folded, hr1, noise)
+                graph_losses.append(kl_router_loss_t(ctx.kl_targets, logits))
             else:
-                draws = rng.random((cfg.n_envs, hr_q.shape[1]))
+                draws = rng.random((cfg.n_envs, ctx.hr.shape[1]))
                 masks = (draws >= cfg.mask_rate).astype(float)
                 env_noise = rng.standard_normal((n, n_experts))[ctx.queries]
-                env = _env_losses_t(lv, ctx, node_q, masks, env_noise, model.use_memory)
+                env = _env_losses_t(lv, ctx, folded, masks, env_noise)
                 l_in = _combine_env_losses_t(env, cfg.lam)
                 clean_noise = rng.standard_normal((n, n_experts))[ctx.queries]
-                logits = feature_branch_t(lv, node_q, hr_q, clean_noise, model.use_memory)
+                logits = feature_branch_t(lv, folded, hr1, clean_noise)
                 l_moe = balance_loss_t(ad.row_softmax(logits), logits)
                 graph_losses.append(ad.add(l_in, l_moe))
         return graph_losses

@@ -20,14 +20,14 @@ from evofg.router import (
     RoutingOutput,
     _combine_env_losses_t,
     _env_losses_t,
-    _kl_loss_t,
     _kl_targets,
     balance_loss_t,
     feature_branch_t,
+    fold_t,
     kl_router_loss_t,
     node_branch_t,
     route,
-    route_t,
+    with_ones,
 )
 
 
@@ -78,7 +78,7 @@ def tile_rows(a, k):
 
 
 def unfused_affine(x, w, b):
-    """The tape chain ``ad.affine`` replaces."""
+    """x @ w + b as a chain of tape ops."""
     return ad.add(ad.matmul(ad.wrap(x), w), b)
 
 
@@ -88,8 +88,9 @@ def unfused_key_softmax(a, keys):
 
 
 def unfused_memory_readout(s, mem, node, scale):
-    """The tape chain ``ad.memory_readout`` replaces: the node rows tiled
-    over the k groups of s's rows, when there is more than one."""
+    """((s @ mem) * node) @ scale.T as a chain of tape ops: per-expert logits
+    from the memory readout s @ mem (s itself when mem is None), the node
+    rows tiled over the k groups of s's rows, when there is more than one."""
     h = s if mem is None else ad.matmul(s, mem)
     k = h.shape[0] // node.shape[0]
     if k > 1:
@@ -97,11 +98,48 @@ def unfused_memory_readout(s, mem, node, scale):
     return ad.matmul(ad.mul(h, node), ad.transpose(scale))
 
 
+def route_t(lv, xtilde, g, hr, noise=None, use_memory=True):
+    """The router's folded forward on the tape, on every node: the logits.
+    hr is the (possibly masked) standardized feature matrix and noise, when
+    given, a fixed N x E standard-normal draw."""
+    folded = fold_t(lv, node_branch_t(lv, xtilde, g, use_memory), use_memory)
+    return feature_branch_t(lv, folded, with_ones(hr), noise)
+
+
+def tape_feature_branch_t(lv, hn_m, hr, noise=None, use_memory=True):
+    """Oracle for the router's folded feature branch: the logits of the
+    unfolded chain on the rows of the node-branch output ``hn_m`` (``hr``
+    may stack k groups of them). The features are projected to the memory
+    width, attend over the feature memories (without memory, the projection
+    is the embedding), and the embedding times the node rows meets the
+    scale vectors; noise, when given, is modulated by softplus(hr @
+    noise_w)."""
+    hr_q = unfused_affine(hr, lv["proj_w"], lv["proj_b"])
+    if use_memory:
+        s = unfused_key_softmax(hr_q, lv["mem_feat"])
+        logits = unfused_memory_readout(s, lv["mem_feat"], hn_m, lv["scale"])
+    else:
+        logits = unfused_memory_readout(hr_q, None, hn_m, lv["scale"])
+    if noise is not None:
+        logits = ad.add(
+            logits,
+            ad.mul(ad.wrap(noise), ad.softplus(ad.matmul(ad.wrap(hr), lv["noise_w"]))),
+        )
+    return logits
+
+
+def tape_route_t(lv, xtilde, g, hr, noise=None, use_memory=True):
+    """Oracle for ``route_t``: the node branch, then the unfolded feature
+    branch on every node."""
+    node = node_branch_t(lv, xtilde, g, use_memory)
+    return tape_feature_branch_t(lv, node, hr, noise, use_memory)
+
+
 def route_noisy(model, xtilde, g, hr, train_mode=False, rng=None, mask=None):
     """``router.route`` with a feature mask and exploration noise: ``mask``
     zeroes feature columns at fixed width, and with ``train_mode`` Gaussian
     noise drawn from ``rng`` (required), modulated by softplus(H_r W), is
-    added to the logits."""
+    added to the logits of the unfolded forward (``tape_route_t``)."""
     hr = np.asarray(hr, dtype=np.float64)
     if mask is not None:
         hr = hr * np.asarray(mask, dtype=np.float64)
@@ -110,7 +148,7 @@ def route_noisy(model, xtilde, g, hr, train_mode=False, rng=None, mask=None):
     if rng is None:
         raise ValueError("train_mode routing draws noise and needs an rng")
     noise = rng.standard_normal((hr.shape[0], model.dims[4]))
-    logits = route_t(ad.leaves(model.params), xtilde, g, hr, noise, model.use_memory)
+    logits = tape_route_t(ad.leaves(model.params), xtilde, g, hr, noise, model.use_memory)
     return RoutingOutput(logits.value, ad.row_softmax(logits).value)
 
 
@@ -282,7 +320,8 @@ def anomaly_loss(hq, hq_recon, y) -> float:
 
 def kl_router_loss(q, g) -> float:
     """Mean row-wise KL(normalized targets || softmax(logits))."""
-    return float(kl_router_loss_t(q, ad.wrap(np.asarray(g, dtype=np.float64))).value)
+    g = np.asarray(g, dtype=np.float64)
+    return float(kl_router_loss_t(_kl_targets(q, g.shape[1]), ad.wrap(g)).value)
 
 
 def balance_loss(p, g) -> float:
@@ -342,19 +381,20 @@ def invariant_loss(model, ctx, n_envs, lam, mask_rate, seed):
     masks, noise = invariant_env_draws(ctx, n_envs, mask_rate, seed)
     lv = ad.leaves(model.params)
     node = node_branch_t(lv, ctx.xtilde, ctx.graph, model.use_memory)
-    node_q = ad.gather_rows(node, ctx.queries)
-    losses = _env_losses_t(lv, ctx, node_q, masks, noise[ctx.queries], model.use_memory)
+    folded = fold_t(lv, ad.gather_rows(node, ctx.queries), model.use_memory)
+    losses = _env_losses_t(lv, ctx, folded, masks, noise[ctx.queries])
     total = _combine_env_losses_t(losses, lam)
     return float(total.value), [float(v) for v in losses.value]
 
 
 def per_env_route_losses_t(lv, ctx, masks, noise, use_memory):
-    """Reference for ``_env_losses_t``: one full ``route_t`` forward, node
-    branch included, per environment, on every node, then the query rows'
-    expert mixtures and their direct cosine loss; a K-vector."""
+    """Reference for ``_env_losses_t``: one full unfolded forward
+    (``tape_route_t``), node branch included, per environment, on every
+    node, then the query rows' expert mixtures and their direct cosine loss;
+    a K-vector."""
     losses = []
     for mask in masks:
-        logits = route_t(lv, ctx.xtilde, ctx.graph, ctx.hr * mask, noise, use_memory)
+        logits = tape_route_t(lv, ctx.xtilde, ctx.graph, ctx.hr * mask, noise, use_memory)
         p_q = ad.gather_rows(ad.row_softmax(logits), ctx.queries)
         hq = mix_rows(p_q, ctx.expert_hq)
         rec = mix_rows(p_q, ctx.expert_recon)
@@ -364,7 +404,7 @@ def per_env_route_losses_t(lv, ctx, masks, noise, use_memory):
 
 def reference_train_main(model, contexts, cfg, seed):
     """Reference for the main phase of ``train_router``, with the same draws:
-    per environment a full ``route_t`` forward (``per_env_route_losses_t``)
+    per environment a full unfolded forward (``per_env_route_losses_t``)
     and a balance pass on every node, then the query rows. Trains ``model``
     in place and returns the loss trace."""
     opt = ad.AdamW(model.params, lr=cfg.lr, weight_decay=cfg.wd)
@@ -381,7 +421,8 @@ def reference_train_main(model, contexts, cfg, seed):
             env_noise = rng.standard_normal((n, n_experts))
             env = per_env_route_losses_t(lv, ctx, masks, env_noise, model.use_memory)
             clean_noise = rng.standard_normal((n, n_experts))
-            logits = route_t(lv, ctx.xtilde, ctx.graph, ctx.hr, clean_noise, model.use_memory)
+            logits = tape_route_t(lv, ctx.xtilde, ctx.graph, ctx.hr, clean_noise,
+                                  model.use_memory)
             l_moe = balance_loss_t(
                 ad.gather_rows(ad.row_softmax(logits), ctx.queries),
                 ad.gather_rows(logits, ctx.queries),
@@ -395,33 +436,33 @@ def reference_train_main(model, contexts, cfg, seed):
 
 
 def full_forward_utility(model, subset, contexts):
-    """Reference for ``routing_utility``: a full ``route_t`` forward on every
-    node of each context under the router as it is now, then the query
-    rows."""
+    """Reference for ``routing_utility``: a full unfolded forward
+    (``tape_route_t``) on every node of each context under the router as it
+    is now, then the query rows."""
     member = set(subset)
     mask = np.array([1.0 if n in member else 0.0 for n in contexts[0].names])
     vals = []
     for ctx in contexts:
         lv = ad.leaves(model.params)
-        logits = route_t(lv, ctx.xtilde, ctx.graph, ctx.hr * mask, None, model.use_memory)
+        logits = tape_route_t(lv, ctx.xtilde, ctx.graph, ctx.hr * mask, None, model.use_memory)
         vals.append(kl_router_loss(ctx.q_matrix, logits.value[ctx.queries]))
     return -float(np.mean(vals))
 
 
 def tape_routing_utility(model, subset, contexts):
     """Reference for ``routing_utility`` on the tape: the node branch of each
-    context at its query rows, then the feature branch on the masked query
-    features and the KL loss, as ``routing_utility`` once computed them."""
+    context at its query rows, then the unfolded feature branch on the masked
+    query features and the KL loss."""
     member = set(subset)
     mask = np.array([1.0 if n in member else 0.0 for n in contexts[0].names])
     lv = ad.leaves(model.params)
     vals = []
     for ctx in contexts:
         node = node_branch_t(lv, ctx.xtilde, ctx.graph, model.use_memory)
-        logits = feature_branch_t(lv, ad.wrap(node.value[ctx.queries]),
-                                  ctx.hr[ctx.queries] * mask, None, model.use_memory)
+        logits = tape_feature_branch_t(lv, ad.wrap(node.value[ctx.queries]),
+                                       ctx.hr[ctx.queries] * mask, None, model.use_memory)
         targets = _kl_targets(ctx.q_matrix, model.dims[4])
-        vals.append(float(_kl_loss_t(*targets, logits).value))
+        vals.append(float(kl_router_loss_t(targets, logits).value))
     return -float(np.mean(vals))
 
 

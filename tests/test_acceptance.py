@@ -41,12 +41,12 @@ from evofg.router import (
     _combine_env_losses_t,
     _env_losses_t,
     balance_loss_t,
+    fold_t,
     freeze_node_branch,
     init_router,
     kl_router_loss_t,
     node_branch_t,
     route,
-    route_t,
     routing_utility,
     train_router,
 )
@@ -64,6 +64,7 @@ from helpers import (
     mean_marginal_oracle,
     random_graph,
     route_noisy,
+    route_t,
 )
 
 
@@ -177,7 +178,7 @@ def test_c03_gradient_checks():
 
         def build_kl(lv):
             logits = route_t(lv, ctx.xtilde, ctx.graph, ctx.hr, None, True)
-            return kl_router_loss_t(ctx.q_matrix, ad.gather_rows(logits, ctx.queries))
+            return kl_router_loss_t(ctx.kl_targets, ad.gather_rows(logits, ctx.queries))
 
         rep = finite_diff_check(*fd_adapters(build_kl, model.params))
         assert rep.max_rel_err < tol, f"kl: {rep.max_rel_err}"
@@ -186,8 +187,8 @@ def test_c03_gradient_checks():
 
         def build_inv(lv):
             node = node_branch_t(lv, ctx.xtilde, ctx.graph, True)
-            node_q = ad.gather_rows(node, ctx.queries)
-            env = _env_losses_t(lv, ctx, node_q, masks, noise[ctx.queries], True)
+            folded = fold_t(lv, ad.gather_rows(node, ctx.queries), True)
+            env = _env_losses_t(lv, ctx, folded, masks, noise[ctx.queries])
             return _combine_env_losses_t(env, 0.8)
 
         rep = finite_diff_check(*fd_adapters(build_inv, model.params))

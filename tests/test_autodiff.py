@@ -289,7 +289,7 @@ def test_first_gradient_shared_by_two_inputs_stays_separate():
 
 def _chain_loss(lv, x, w):
     """A loss that reaches each leaf once: tanh(x @ W + b) weighted by w."""
-    h = ad.tanh(ad.affine(x, lv["w"], lv["b"]))
+    h = ad.tanh(unfused_affine(x, lv["w"], lv["b"]))
     return ad.tsum(ad.mul(h, w)), h
 
 
@@ -350,19 +350,6 @@ def _assert_fused_exact(build, params):
     assert finite_diff_check(loss_fn, grad_fn, vec).max_rel_err < 1e-6
 
 
-def test_affine_matches_the_chain_it_replaces():
-    rng = np.random.default_rng(12)
-    x, w = rng.normal(size=(9, 5)), rng.normal(size=(9, 4))
-    params = {"x": x, "w": rng.normal(size=(5, 4)), "b": rng.normal(size=4)}
-
-    def build(lv, fused):
-        op = ad.affine if fused else unfused_affine
-        h = op(ad.tanh(lv["x"]), lv["w"], lv["b"])
-        return ad.tsum(ad.mul(ad.tanh(h), w))
-
-    _assert_fused_exact(build, params)
-
-
 def test_key_softmax_matches_the_chain_it_replaces():
     rng = np.random.default_rng(13)
     w = rng.normal(size=(8, 6))
@@ -375,29 +362,65 @@ def test_key_softmax_matches_the_chain_it_replaces():
     _assert_fused_exact(build, params)
 
 
+def test_table_value_and_readout_value_match_their_sums():
+    rng = np.random.default_rng(14)
+    r, e, m, d, k = 5, 3, 4, 6, 3
+    node, scale, rows = (rng.normal(size=s) for s in ((r, d), (e, d), (m, d)))
+    table = ad.table_value(node, scale, rows)
+    assert np.allclose(table, np.einsum("rd,ed,md->rem", node, scale, rows),
+                       rtol=1e-13, atol=0)
+    att = rng.normal(size=(k * r, m))
+    want = np.stack([att[j * r + i] @ table[i].T for j in range(k) for i in range(r)])
+    assert np.allclose(ad.readout_value(att, table), want, rtol=1e-13, atol=0)
+
+
 @pytest.mark.parametrize("k", [1, 3])
 @pytest.mark.parametrize("with_memory", [True, False])
-def test_memory_readout_matches_the_chain_it_replaces(k, with_memory):
-    rng = np.random.default_rng(14)
-    r, m, d, e = 5, 4, 3, 2
+@pytest.mark.parametrize("m", [1, 4])
+def test_folded_readout_matches_the_unfolded_chain(k, with_memory, m):
+    """append_row, readout_table and table_readout in the router's shape
+    against the chain they fold: features projected by an affine map, their
+    attention over m memories (or, without memory, the projection itself)
+    read back and multiplied by the node rows, which the k groups share,
+    then met by the scale vectors. Values and every leaf gradient agree to
+    rel 1e-12 (the fold sums in another order), and the fold passes a
+    finite-difference check at 1e-5: its central differences carry about
+    1e-6 of rounding noise on the smallest gradient entries."""
+    rng = np.random.default_rng(15)
+    r, f, d, e = 5, 3, 4, 2
+    hr = rng.normal(size=(k * r, f))
     w = rng.normal(size=(k * r, e))
     params = {
-        "a": rng.normal(size=(k * r, d)),
+        "proj_w": rng.normal(size=(f, d)),
+        "proj_b": rng.normal(size=d),
         "mem": rng.normal(size=(m, d)),
         "node": rng.normal(size=(r, d)),
         "scale": rng.normal(size=(e, d)),
     }
 
-    def build(lv, fused):
-        # the feature branch's shape: the memory read twice, the node rows
-        # an inner node shared by the k groups
-        if with_memory:
-            s = (ad.key_softmax if fused else unfused_key_softmax)(lv["a"], lv["mem"])
-            mem = lv["mem"]
+    def build(lv, folded):
+        node = ad.tanh(lv["node"])  # an inner node, as the node branch's
+        if folded:
+            proj = ad.append_row(lv["proj_w"], lv["proj_b"])
+            hr1 = np.column_stack([hr, np.ones(k * r)])
+            if with_memory:
+                att = ad.key_softmax(hr1, ad.matmul(lv["mem"], ad.transpose(proj)))
+                rows = lv["mem"]
+            else:
+                att, rows = hr1, proj
+            logits = ad.table_readout(att, ad.readout_table(node, lv["scale"], rows))
         else:
-            s, mem = ad.tanh(lv["a"]), None
-        op = ad.memory_readout if fused else unfused_memory_readout
-        logits = op(s, mem, ad.tanh(lv["node"]), lv["scale"])
+            hr_q = unfused_affine(hr, lv["proj_w"], lv["proj_b"])
+            if with_memory:
+                s, mem = unfused_key_softmax(hr_q, lv["mem"]), lv["mem"]
+            else:
+                s, mem = hr_q, None
+            logits = unfused_memory_readout(s, mem, node, lv["scale"])
         return ad.add(ad.tsum(ad.mul(logits, w)), ad.tmean(ad.mul(lv["mem"], lv["mem"])))
 
-    _assert_fused_exact(build, params)
+    (v_f, g_f), (v_u, g_u) = _fused_and_unfused(build, params)
+    assert v_f == pytest.approx(v_u, rel=1e-12)
+    for name, g in g_u.items():
+        assert np.abs(g_f[name] - g).max() <= 1e-12 * np.abs(g).max(), name
+    loss_fn, grad_fn, vec = fd_adapters(lambda lv: build(lv, True), params)
+    assert finite_diff_check(loss_fn, grad_fn, vec).max_rel_err < 1e-5

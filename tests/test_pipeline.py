@@ -506,6 +506,22 @@ class TestEvaluate:
         assert sum(freq) == pytest.approx(1.0)
         assert len(freq) == 4
 
+    @pytest.mark.parametrize("kind", ["uniform", "one_hot"])
+    def test_weight_deviation_and_entropy(self, kind):
+        labels = np.array([0, 1, 0, 0, 1, 0])
+        weights = np.full((6, 4), 0.25)
+        if kind == "one_hot":
+            weights = np.eye(4)[[0, 1, 2, 3, 2, 1]]
+        rep = evaluate_scored({"g": {"scores": np.arange(6.0), "labels": labels,
+                                     "weights": weights}})
+        row = rep["per_graph"]["g"]
+        want = (0.0, np.log(4.0)) if kind == "uniform" else (0.75, 0.0)
+        assert row["max_weight_deviation"] == pytest.approx(want[0], abs=1e-15)
+        assert row["routing_entropy"] == pytest.approx(want[1], abs=1e-15)
+        text = report_to_text(rep).splitlines()
+        assert "entropy" in text[-2]
+        assert text[-1].split()[-2:] == [f"{want[0]:.2e}", f"{want[1]:.4f}"]
+
     def test_multi_run_aggregation(self, graphs):
         train, test = graphs
         cache = {}

@@ -10,7 +10,9 @@ from evofg.router import (
     RoutingContext,
     _combine_env_losses_t,
     aggregate,
+    _kl_targets,
     balance_loss_t,
+    fold_t,
     freeze_node_branch,
     init_router,
     kl_router_loss_t,
@@ -19,7 +21,6 @@ from evofg.router import (
     normalize_targets,
     resize_router,
     route,
-    route_t,
     routing_frequency,
     routing_utility,
     save_router,
@@ -40,6 +41,8 @@ from helpers import (
     per_env_route_losses_t,
     reference_train_main,
     route_noisy,
+    route_t,
+    tape_route_t,
     tape_routing_utility,
 )
 
@@ -133,6 +136,30 @@ class TestRoute:
         out = route_noisy(model, b.xtilde, b.graph, ctx.hr, mask=mask)
         manual = route(model, b.xtilde, b.graph, np.zeros_like(ctx.hr))
         assert np.array_equal(out.logits, manual.logits)
+
+    @pytest.mark.parametrize("use_memory", [True, False])
+    def test_route_is_the_tape_forward_in_numpy(self, setup, monkeypatch, use_memory):
+        """``route`` agrees with the folded tape forward and with the unfolded
+        chain to rel 1e-12, and builds no tape node."""
+        cfg, b, ctx, _ = setup
+        model = init_router(cfg.d, ctx.hr.shape[1], cfg.d_m, cfg.n_memory, 4, seed=9,
+                            use_memory=use_memory)
+        model.params["proj_b"] = np.random.default_rng(9).normal(size=cfg.d_m)
+        lv = ad.leaves(model.params)
+        folded = route_t(lv, b.xtilde, b.graph, ctx.hr, None, use_memory)
+        unfolded = tape_route_t(lv, b.xtilde, b.graph, ctx.hr, None, use_memory)
+
+        def no_tensor(*args, **kwargs):
+            raise AssertionError("route built a Tensor")
+
+        monkeypatch.setattr(ad.Tensor, "__init__", no_tensor)
+        out = route(model, b.xtilde, b.graph, ctx.hr)
+        monkeypatch.undo()
+        for ref in (folded, unfolded):
+            scale = np.abs(ref.value).max()
+            assert np.abs(out.logits - ref.value).max() <= 1e-12 * scale
+            assert np.abs(out.weights - ad.row_softmax(ref).value).max() <= 1e-12
+        assert np.array_equal(out.logits, folded.value)
 
     def test_no_memory_router_skips_retrieval(self, setup):
         cfg, b, ctx, _ = setup
@@ -375,8 +402,8 @@ class TestInvariantLoss:
 
         def shared(lv):
             node = node_branch_t(lv, ctx.xtilde, ctx.graph, use_memory)
-            node_q = ad.gather_rows(node, ctx.queries)
-            return _env_losses_t(lv, ctx, node_q, masks, noise[ctx.queries], use_memory)
+            folded = fold_t(lv, ad.gather_rows(node, ctx.queries), use_memory)
+            return _env_losses_t(lv, ctx, folded, masks, noise[ctx.queries])
 
         def reference(lv):
             return per_env_route_losses_t(lv, ctx, masks, noise, use_memory)
@@ -403,8 +430,8 @@ class TestRouterGradients:
 
         def build(lv):
             node = node_branch_t(lv, ctx.xtilde, ctx.graph, True)
-            node_q = ad.gather_rows(node, ctx.queries)
-            env = _env_losses_t(lv, ctx, node_q, masks, noise[ctx.queries], True)
+            folded = fold_t(lv, ad.gather_rows(node, ctx.queries), True)
+            env = _env_losses_t(lv, ctx, folded, masks, noise[ctx.queries])
             return _combine_env_losses_t(env, 0.8)
 
         loss_fn, grad_fn, vec = fd_adapters(build, model.params)
@@ -415,7 +442,7 @@ class TestRouterGradients:
 
         def build(lv):
             logits = route_t(lv, ctx.xtilde, ctx.graph, ctx.hr, None, True)
-            return kl_router_loss_t(ctx.q_matrix, ad.gather_rows(logits, ctx.queries))
+            return kl_router_loss_t(ctx.kl_targets, ad.gather_rows(logits, ctx.queries))
 
         loss_fn, grad_fn, vec = fd_adapters(build, model.params)
         assert finite_diff_check(loss_fn, grad_fn, vec).max_rel_err < 1e-4
@@ -442,6 +469,7 @@ class TestTraining:
         forced.__dict__.update(ctx.__dict__)
         forced.q_matrix = np.zeros_like(ctx.q_matrix)
         forced.q_matrix[:, 0] = 1
+        forced.kl_targets = _kl_targets(forced.q_matrix, 4)
         toy_cfg = tiny_cfg(lr=0.05, warmup_epochs=300)
         train_router(model, [forced], toy_cfg, "warmup", seed=14)
         out = route(model, b.xtilde, b.graph, ctx.hr)
@@ -477,6 +505,30 @@ class TestTraining:
         for name, p_ref in params_ref.items():
             err = np.abs(params[name] - p_ref).max()
             assert err <= 1e-12 * np.abs(p_ref).max(), name
+
+    @pytest.mark.parametrize("use_memory,bound", [(True, 77), (False, 69)])
+    def test_a_main_phase_epoch_keeps_a_small_tape(self, setup, monkeypatch,
+                                                    use_memory, bound):
+        """One main-phase epoch on one context builds at most ``bound`` tape
+        nodes that carry a gradient, whatever the number of environments:
+        the K environments and the balance pass share one node branch and
+        one readout table, and each op holds a whole array. A change that
+        brings back a chain of small ops per environment or per memory fails
+        here."""
+        cfg, b, ctx, _ = setup
+        sizes = []
+
+        def one_epoch(params, epochs, epoch_losses, lr, wd, what):
+            total = ad.tmean(ad.stack_scalars(epoch_losses(ad.leaves(params))))
+            sizes.append(len(ad._toposort(total)))
+            return [float(total.value)]
+
+        monkeypatch.setattr(ad, "fit", one_epoch)
+        for n_envs in (3, 20):
+            model = init_router(cfg.d, ctx.hr.shape[1], cfg.d_m, cfg.n_memory, 4, seed=31,
+                                use_memory=use_memory)
+            train_router(model, [ctx], tiny_cfg(n_envs=n_envs), "main", seed=32)
+        assert sizes[0] == sizes[1] <= bound, sizes
 
     def test_memory_persists_across_resize(self, setup):
         cfg, b, ctx, _ = setup
