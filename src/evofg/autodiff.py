@@ -5,8 +5,7 @@ verified against central finite differences (``finite_diff_check`` in
 ``tests/helpers.py``), so the op set stays deliberately small: dense/sparse
 matmul, elementwise nonlinearities, row/segment softmax, gather/scatter
 indexing, and the router's ops: ``gram_cosine_rows``, ``key_softmax``, and
-the folded readout ``readout_table`` and ``table_readout``, whose forwards
-``table_value`` and ``readout_value`` the router's numpy callers share.
+the folded readout ``readout_table`` and ``table_readout``.
 Backward drops an inner node's gradient once it is used; leaves keep
 theirs. ``fit`` is the AdamW loop every model trains through.
 """
@@ -280,19 +279,14 @@ def row_softmax(a):
     return out
 
 
-def softmax_rows_(x):
-    """Row softmax of the array x, computed in place; returns x."""
-    x -= x.max(axis=1, keepdims=True)
-    np.exp(x, out=x)
-    x /= x.sum(axis=1, keepdims=True)
-    return x
-
-
 def key_softmax(a, keys):
-    """row_softmax(a @ keys.T): each row's attention over the rows of keys.
-    The logits are not kept; backward needs only the attention."""
+    """row_softmax(a @ keys.T): each row's attention over the rows of keys,
+    computed in place of the logits, which backward does not need."""
     a, keys = wrap(a), wrap(keys)
-    p = softmax_rows_(a.value @ keys.value.T)
+    p = a.value @ keys.value.T
+    p -= p.max(axis=1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=1, keepdims=True)
     out = Tensor(p, (a, keys))
 
     def bw(g):
@@ -405,12 +399,6 @@ def _scaled_rows(scale, rows):
     return (scale[:, None, :] * rows).reshape(-1, rows.shape[1])
 
 
-def table_value(node, scale, rows):
-    """t[r, e, m] = sum_d node[r, d] * scale[e, d] * rows[m, d] (R x E x M),
-    as one R x d by d x (E * M) product."""
-    return (node @ _scaled_rows(scale, rows).T).reshape(len(node), len(scale), len(rows))
-
-
 def _groups(a, r):
     """The k groups of R rows of a (k * R) x c array as an R x k x c view."""
     return a.reshape(-1, r, a.shape[1]).transpose(1, 0, 2)
@@ -426,16 +414,13 @@ def _per_row(a, b):
     return out.reshape(-1, q)
 
 
-def readout_value(att, table):
-    """Each of the k groups of R rows of att ((k * R) x M) read through the
-    table (R x E x M) of its row: (k * R) x E logits."""
-    return _per_row(att, table.transpose(0, 2, 1))
-
-
 def readout_table(node, scale, rows):
-    """``table_value`` on the tape."""
+    """t[r, e, m] = sum_d node[r, d] * scale[e, d] * rows[m, d] (R x E x M),
+    as one R x d by d x (E * M) product."""
     node, scale, rows = wrap(node), wrap(scale), wrap(rows)
-    out = Tensor(table_value(node.value, scale.value, rows.value), (node, scale, rows))
+    t = node.value @ _scaled_rows(scale.value, rows.value).T
+    out = Tensor(t.reshape(len(node.value), len(scale.value), len(rows.value)),
+                 (node, scale, rows))
 
     def bw(g):
         r, e, m = g.shape
@@ -453,11 +438,12 @@ def readout_table(node, scale, rows):
 
 
 def table_readout(att, table):
-    """``readout_value`` on the tape: every group's gradient meets the table
-    in the one batched product per row."""
+    """Each of the k groups of R rows of att ((k * R) x M) read through the
+    table (R x E x M) of its row: (k * R) x E logits. Backward meets every
+    group's gradient with the table in the one batched product per row."""
     att, table = wrap(att), wrap(table)
     r = table.value.shape[0]
-    out = Tensor(readout_value(att.value, table.value), (att, table))
+    out = Tensor(_per_row(att.value, table.value.transpose(0, 2, 1)), (att, table))
 
     def bw(g):
         if att.requires_grad:

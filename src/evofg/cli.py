@@ -29,6 +29,7 @@ from .pipeline import (
     PipelineConfig,
     RunArtifacts,
     build_contexts,
+    check_unique_names,
     evaluate_runs,
     evaluate_scored,
     evolve,
@@ -232,6 +233,10 @@ def cmd_eval(args):
         raise CommandError("--runs needs at least one run")
     if not args.train and unread:
         raise CommandError(f"--artifacts does not train, so it takes no {', '.join(unread)}")
+    try:  # load_graph_dir names a graph after its directory
+        check_unique_names(os.path.basename(os.path.normpath(p)) for p in args.test)
+    except ValueError as exc:
+        raise CommandError(str(exc)) from None
     if args.train:
         cfg = _load_config(args)
         report = evaluate_runs(cfg, _load_graphs(args.train), _load_graphs(args.test),

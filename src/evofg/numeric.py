@@ -8,10 +8,12 @@ import numpy as np
 
 log = logging.getLogger(__name__)
 
-# inputs larger than this in magnitude are scaled by a power of two before
-# the covariance, whose products would overflow near 1e154; far above any
-# attribute scale in use, so no other input changes by a bit
+# inputs outside these magnitudes are scaled by a power of two before the
+# covariance, which would overflow near 1e154 or fall under the rank
+# tolerance's floor near 1e-15; both are far from any attribute scale in
+# use, so no other input changes by a bit
 PCA_SCALE_ABOVE = 2.0**256
+PCA_SCALE_BELOW = 2.0**-32
 
 
 class UndefinedMetricError(ValueError):
@@ -27,13 +29,13 @@ def pca_project(x: np.ndarray, d: int) -> np.ndarray:
     Directions beyond the numerical rank are zeroed, and columns beyond the
     input width are zero-padded up to width d. A rank below what the input's
     shape allows, min(N - 1, width, d), is logged as a warning. An input
-    beyond PCA_SCALE_ABOVE in magnitude is first scaled exactly, by a power
-    of two, to magnitudes below 1, and its projection is that of the scaled
-    input.
+    beyond PCA_SCALE_ABOVE in magnitude, or nonzero and below
+    PCA_SCALE_BELOW, is first scaled exactly, by a power of two, to
+    magnitudes in [1/2, 1), and its projection is that of the scaled input.
     """
     x = np.asarray(x, dtype=np.float64)
     top = np.abs(x).max(initial=0.0)
-    if top > PCA_SCALE_ABOVE:
+    if top > PCA_SCALE_ABOVE or 0 < top < PCA_SCALE_BELOW:
         x = np.ldexp(x, -int(np.frexp(top)[1]))
     n, d_ori = x.shape
     if d < 1:

@@ -178,8 +178,7 @@ def _content_digest(g: Graph) -> str:
 def prepare_graphs(graphs, d, cache=None):
     """The prepare stage: one bundle per graph. Bundles and their tables are
     values, so a cache hit is shared as is, bound to the graph passed in."""
-    if cache is None:
-        return [prepare_graph(g, d) for g in graphs]
+    cache = {} if cache is None else cache
     out = []
     for g in graphs:
         key = (_content_digest(g), d)
@@ -497,9 +496,19 @@ def score_graph(artifacts: RunArtifacts, g: Graph, prepared_cache=None):
     return scores, routing, per_expert_scores
 
 
+def check_unique_names(names):
+    """Raise ValueError on a graph name given twice: results are keyed by
+    graph name, so one of the two would be dropped."""
+    names = list(names)
+    for name in names:
+        if names.count(name) > 1:
+            raise ValueError(f"{names.count(name)} test graphs are named {name!r}")
+
+
 def score_labeled(artifacts: RunArtifacts, graphs, prepared_cache=None):
     """Zero-shot scores of labeled graphs in the form ``evaluate_scored``
-    reads, keyed by graph name."""
+    reads, keyed by graph name, which must be unique."""
+    check_unique_names(g.name for g in graphs)
     scored = {}
     for g in graphs:
         scores, routing, per_expert = score_graph(artifacts, g, prepared_cache)
@@ -559,6 +568,7 @@ def evaluate_runs(cfg: PipelineConfig, train_graphs, test_graphs, runs=1,
                   prepared_cache=None):
     """The multi-seed protocol: full pipelines at seeds seed..seed+runs-1,
     per-graph metrics aggregated as mean and standard deviation."""
+    check_unique_names(g.name for g in test_graphs)
     run_reports = []
     for i in range(runs):
         run_cfg = dataclasses.replace(cfg, seed=cfg.seed + i)

@@ -127,18 +127,6 @@ def fold_t(lv, node, use_memory=True):
     return keys, ad.readout_table(node, lv["scale"], lv["mem_feat"])
 
 
-def _folded(model, xtilde, g, rows=slice(None)):
-    """``fold_t`` on the rows ``rows`` of ``node_branch_t``, in plain numpy."""
-    p = model.params
-    node = np.tanh(g.sym_norm_selfloops() @ (xtilde @ p["gnn_w"]))
-    if model.use_memory:
-        node = ad.softmax_rows_(node @ p["mem_node"].T) @ p["mem_node"]
-    proj = np.vstack([p["proj_w"], p["proj_b"]])
-    if not model.use_memory:
-        return None, ad.table_value(node[rows], p["scale"], proj)
-    return p["mem_feat"] @ proj.T, ad.table_value(node[rows], p["scale"], p["mem_feat"])
-
-
 def with_ones(hr, masks=None):
     """k copies of the rows of ``hr`` (R x F) under the k x F ``masks``
     (default: one copy, unmasked), stacked by rows, each row followed by a
@@ -163,15 +151,16 @@ def feature_branch_t(lv, folded, hr1, noise=None):
 
 
 def route(model: RouterModel, xtilde, g, hr):
-    """Public routing call: the deterministic forward (no exploration noise)
-    on the standardized feature matrix ``hr``, in plain numpy."""
+    """Public routing call: the training forward on the router's parameters
+    as constants, without exploration noise, on the standardized feature
+    matrix ``hr``."""
     hr = np.asarray(hr, dtype=np.float64)
     if hr.shape[1] != model.d_r:
         raise ValueError(f"feature width {hr.shape[1]} != router width {model.d_r}")
-    keys, table = _folded(model, xtilde, g)
-    att = with_ones(hr) if keys is None else ad.softmax_rows_(with_ones(hr) @ keys.T)
-    logits = ad.readout_value(att, table)
-    return RoutingOutput(logits, ad.softmax_rows_(logits.copy()))
+    p, use_memory = model.params, model.use_memory
+    folded = fold_t(p, node_branch_t(p, xtilde, g, use_memory), use_memory)
+    logits = feature_branch_t(p, folded, with_ones(hr))
+    return RoutingOutput(logits.value, ad.row_softmax(logits).value)
 
 
 def aggregate(p, expert_h, expert_recon):
@@ -302,12 +291,15 @@ class FrozenContext:
 
 def freeze_node_branch(model: RouterModel, contexts):
     """Each context's routing material under ``model`` as it is now: all of
-    the forward that no feature mask changes, the node branch at the queries
-    folded with the scale vectors and the memories or the projection;
-    rebuild it whenever the router's parameters change."""
+    the training forward that no feature mask changes, the node branch at
+    the queries through ``fold_t``, on the parameters as constants; rebuild
+    it whenever the router's parameters change."""
+    p, use_memory = model.params, model.use_memory
     frozen = []
     for ctx in contexts:
-        keys, table = _folded(model, ctx.xtilde, ctx.graph, ctx.queries)
+        node = node_branch_t(p, ctx.xtilde, ctx.graph, use_memory)
+        folded = fold_t(p, ad.gather_rows(node, ctx.queries), use_memory)
+        keys, table = (None if t is None else t.value for t in folded)
         hr_t = np.vstack([ctx.hr[ctx.queries].T, np.ones(len(ctx.queries))])
         targets, entropy = ctx.kl_targets
         frozen.append(FrozenContext(ctx.names, keys, hr_t, table.transpose(1, 2, 0).copy(),

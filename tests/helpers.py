@@ -139,7 +139,7 @@ def route_noisy(model, xtilde, g, hr, train_mode=False, rng=None, mask=None):
     """``router.route`` with a feature mask and exploration noise: ``mask``
     zeroes feature columns at fixed width, and with ``train_mode`` Gaussian
     noise drawn from ``rng`` (required), modulated by softplus(H_r W), is
-    added to the logits of the unfolded forward (``tape_route_t``)."""
+    added to the logits of the router's own forward (``route_t``)."""
     hr = np.asarray(hr, dtype=np.float64)
     if mask is not None:
         hr = hr * np.asarray(mask, dtype=np.float64)
@@ -148,7 +148,7 @@ def route_noisy(model, xtilde, g, hr, train_mode=False, rng=None, mask=None):
     if rng is None:
         raise ValueError("train_mode routing draws noise and needs an rng")
     noise = rng.standard_normal((hr.shape[0], model.dims[4]))
-    logits = tape_route_t(ad.leaves(model.params), xtilde, g, hr, noise, model.use_memory)
+    logits = route_t(model.params, xtilde, g, hr, noise, model.use_memory)
     return RoutingOutput(logits.value, ad.row_softmax(logits).value)
 
 

@@ -65,6 +65,7 @@ from helpers import (
     random_graph,
     route_noisy,
     route_t,
+    tape_route_t,
 )
 
 
@@ -257,6 +258,13 @@ def test_c06_routing_invariants():
             assert (out.weights >= 0.0).all()
         g, model = graphs[0], models[0]
         hr = rng.normal(size=(g.num_nodes, 7))
+        for noisy_model in models[:2]:  # without and with memory
+            noisy = route_noisy(noisy_model, g.features, g, hr, train_mode=True,
+                                rng=np.random.default_rng(60))
+            noise = np.random.default_rng(60).standard_normal((g.num_nodes, 4))
+            oracle = tape_route_t(ad.leaves(noisy_model.params), g.features, g, hr, noise,
+                                  noisy_model.use_memory).value
+            assert np.abs(noisy.logits - oracle).max() <= 1e-12 * np.abs(oracle).max()
         o1 = route(model, g.features, g, hr)
         o2 = route(model, g.features, g, hr)
         assert np.array_equal(o1.weights, o2.weights)

@@ -362,16 +362,16 @@ def test_key_softmax_matches_the_chain_it_replaces():
     _assert_fused_exact(build, params)
 
 
-def test_table_value_and_readout_value_match_their_sums():
+def test_readout_table_and_table_readout_match_their_sums():
     rng = np.random.default_rng(14)
     r, e, m, d, k = 5, 3, 4, 6, 3
     node, scale, rows = (rng.normal(size=s) for s in ((r, d), (e, d), (m, d)))
-    table = ad.table_value(node, scale, rows)
+    table = ad.readout_table(node, scale, rows).value
     assert np.allclose(table, np.einsum("rd,ed,md->rem", node, scale, rows),
                        rtol=1e-13, atol=0)
     att = rng.normal(size=(k * r, m))
     want = np.stack([att[j * r + i] @ table[i].T for j in range(k) for i in range(r)])
-    assert np.allclose(ad.readout_value(att, table), want, rtol=1e-13, atol=0)
+    assert np.allclose(ad.table_readout(att, table).value, want, rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("k", [1, 3])

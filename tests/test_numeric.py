@@ -104,6 +104,25 @@ class TestPCA:
         assert np.abs(scaled).max() < 1
         assert np.array_equal(proj, pca_project(scaled, 4))
 
+    @pytest.mark.parametrize("scale", [1e-22, -1e-300])
+    def test_tiny_input_projects_as_scaled_below_one(self, scale):
+        # below the rank tolerance's absolute floor (and, near 1e-300, with
+        # an underflowing covariance) the input is scaled up by a power of
+        # two first, which is exact, so it keeps the rank of the unscaled
+        # table, spread spectrum included
+        x = np.random.default_rng(6).normal(size=(200, 16)) * np.logspace(0, -4, 16)
+        rank = np.abs(pca_project(x, 16)).max(axis=0) > 0
+        assert rank.all()
+        proj = pca_project(x * scale, 16)
+        assert np.array_equal(np.abs(proj).max(axis=0) > 0, rank)
+        scaled = np.ldexp(x * scale, -int(np.frexp(np.abs(x * scale).max())[1]))
+        assert 0.5 <= np.abs(scaled).max() < 1
+        assert np.array_equal(proj, pca_project(scaled, 16))
+
+    @pytest.mark.parametrize("value", [0.0, 1e-300])
+    def test_constant_tiny_input_has_rank_zero(self, value):
+        assert not pca_project(np.full((10, 3), value), 2).any()
+
 
 class TestRankingMetrics:
     def test_auroc_perfect_separation(self):

@@ -29,6 +29,7 @@ from evofg.pipeline import (
     report_to_text,
     run_pipeline,
     score_graph,
+    score_labeled,
     warmup_router,
 )
 from helpers import degenerate_graphs, full_forward_utility, graph_equals, path_graph
@@ -447,16 +448,25 @@ class TestScoreGraph:
         with pytest.raises(CheckpointError, match=re.escape(keys)):
             RunArtifacts.load(out)
 
-    def test_no_content_digest_without_a_cache(self, artifacts, graphs, monkeypatch):
+    def test_without_a_cache_prepares_as_with_one(self, artifacts, graphs, monkeypatch):
+        # prepare_graphs has one path: without a cache it fills a local one,
+        # so a call prepares each content once and scores as a cached call
         _, test = graphs
-        want, _, _ = score_graph(artifacts, test[0])
-
-        def no_digest(g):
-            raise AssertionError("digest computed without a cache")
-
-        monkeypatch.setattr(pipeline, "_content_digest", no_digest)
-        scores, _, _ = score_graph(artifacts, test[0])
+        g = test[0]
+        want, _, _ = score_graph(artifacts, g, prepared_cache={})
+        scores, _, _ = score_graph(artifacts, g)
         assert np.array_equal(scores, want)
+        prepared = []
+
+        def counting(graph, d, real=pipeline.prepare_graph):
+            prepared.append(graph.name)
+            return real(graph, d)
+
+        monkeypatch.setattr(pipeline, "prepare_graph", counting)
+        twin = Graph(g.num_nodes, g.edges, g.features, g.labels, "twin")
+        bundles = prepare_graphs([g, twin], artifacts.config.d)
+        assert prepared == [g.name]
+        assert [b.graph for b in bundles] == [g, twin]
 
     def test_zero_shot_hygiene_label_file_never_opened(self, tmp_path, artifacts,
                                                        graphs, monkeypatch):
@@ -532,6 +542,22 @@ class TestEvaluate:
         assert {"auroc_mean", "auroc_std", "auprc_mean", "auprc_std"} <= set(agg)
         text = report_to_text(rep)
         assert "AUROC" in text and test[0].name in text
+
+    def test_graphs_sharing_a_name_are_refused(self, artifacts, graphs, monkeypatch):
+        # results are keyed by graph name: a second graph of one name would
+        # replace the first and drop out of every mean
+        train, test = graphs
+        g = test[0]
+        twin = Graph(g.num_nodes, g.edges, g.features * 2.0, g.labels, g.name)
+        with pytest.raises(ValueError, match=re.escape(f"2 test graphs are named {g.name!r}")):
+            score_labeled(artifacts, [g, twin])
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("evaluate_runs trained")
+
+        monkeypatch.setattr(pipeline, "run_pipeline", no_training)
+        with pytest.raises(ValueError, match="2 test graphs are named"):
+            evaluate_runs(tiny_cfg(), train, [g, twin])
 
     def test_random_scores_near_half(self):
         rng = np.random.default_rng(12)
@@ -816,6 +842,24 @@ class TestCLI:
                          "--seed", "99", "--no-memory", "--lambda", "5"]) == 2
         assert "takes no --seed, --no-memory, --lambda" in capsys.readouterr().err
         assert list(art.iterdir()) == []
+
+    def test_eval_refuses_test_graphs_sharing_a_name(self, tmp_path, capsys, monkeypatch):
+        # load_graph_dir names a graph after its directory; neither graph
+        # exists, so the refusal comes before any graph is read
+        def no_training(*args, **kwargs):
+            raise AssertionError("eval trained")
+
+        monkeypatch.setattr("evofg.cli.evaluate_runs", no_training)
+        art = tmp_path / "artifacts"
+        art.mkdir()
+        tests = [str(tmp_path / "a" / "g"), str(tmp_path / "b" / "g") + os.sep]
+        capsys.readouterr()
+        assert cli_main(["eval", "--artifacts", str(art), "--test", *tests]) == 2
+        assert "evofg eval: 2 test graphs are named 'g'" in capsys.readouterr().err
+        assert cli_main(["eval", "--train", str(tmp_path / "no_train"), "--out",
+                         str(tmp_path / "out"), "--test", *tests]) == 2
+        assert "2 test graphs are named 'g'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_save_roundtrip_subcommand(self, tmp_path):
         src = str(tmp_path / "src")

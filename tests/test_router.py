@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from evofg import autodiff as ad
+from evofg import router
 from evofg.experts import ARCHS, glorot, pretrain_expert
 from evofg.pipeline import PipelineConfig, build_contexts, prepare_graph
 from evofg.router import (
@@ -138,9 +139,11 @@ class TestRoute:
         assert np.array_equal(out.logits, manual.logits)
 
     @pytest.mark.parametrize("use_memory", [True, False])
-    def test_route_is_the_tape_forward_in_numpy(self, setup, monkeypatch, use_memory):
-        """``route`` agrees with the folded tape forward and with the unfolded
-        chain to rel 1e-12, and builds no tape node."""
+    def test_route_is_the_training_forward(self, setup, monkeypatch, use_memory):
+        """``route`` runs the training forward: it calls the node branch, the
+        fold and the feature branch once each (``freeze_node_branch`` the
+        first two), its logits are those of the folded tape forward bit for
+        bit, and they agree with the unfolded chain to rel 1e-12."""
         cfg, b, ctx, _ = setup
         model = init_router(cfg.d, ctx.hr.shape[1], cfg.d_m, cfg.n_memory, 4, seed=9,
                             use_memory=use_memory)
@@ -148,13 +151,21 @@ class TestRoute:
         lv = ad.leaves(model.params)
         folded = route_t(lv, b.xtilde, b.graph, ctx.hr, None, use_memory)
         unfolded = tape_route_t(lv, b.xtilde, b.graph, ctx.hr, None, use_memory)
+        calls = []
 
-        def no_tensor(*args, **kwargs):
-            raise AssertionError("route built a Tensor")
+        def counting(name, real):
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return counted
 
-        monkeypatch.setattr(ad.Tensor, "__init__", no_tensor)
+        for name in ("node_branch_t", "fold_t", "feature_branch_t"):
+            monkeypatch.setattr(router, name, counting(name, getattr(router, name)))
         out = route(model, b.xtilde, b.graph, ctx.hr)
-        monkeypatch.undo()
+        assert calls == ["node_branch_t", "fold_t", "feature_branch_t"]
+        calls.clear()
+        freeze_node_branch(model, [ctx])
+        assert calls == ["node_branch_t", "fold_t"]
         for ref in (folded, unfolded):
             scale = np.abs(ref.value).max()
             assert np.abs(out.logits - ref.value).max() <= 1e-12 * scale
