@@ -4,8 +4,9 @@ Every trainable loss in this package is built from the ops below and is
 verified against central finite differences (``finite_diff_check`` in
 ``tests/helpers.py``), so the op set stays deliberately small: dense/sparse
 matmul, elementwise nonlinearities, row/segment softmax, gather/scatter
-indexing, and the router's ops: ``gram_cosine_rows``, ``key_softmax``, and
-the folded readout ``readout_table`` and ``table_readout``.
+indexing, GPR's ``weighted_sum``, and the router's ops:
+``gram_cosine_rows``, ``key_softmax``, and the folded readout
+``readout_table`` and ``table_readout``.
 Backward drops an inner node's gradient once it is used; leaves keep
 theirs. ``fit`` is the AdamW loop every model trains through.
 """
@@ -502,6 +503,17 @@ def index_scalar(a, i):
         _acc(a, acc)
 
     out._backward = bw
+    return out
+
+
+def weighted_sum(w, stack):
+    """sum_t w[t] * stack[t] of a 1-D tensor w (T,) over a constant stack
+    (T x ...). Backward is one product of the flattened stack with the
+    upstream gradient."""
+    w = wrap(w)
+    flat = stack.reshape(len(stack), -1)
+    out = Tensor((w.value @ flat).reshape(stack.shape[1:]), (w,))
+    out._backward = lambda g: _acc(w, flat @ g.ravel())
     return out
 
 

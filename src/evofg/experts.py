@@ -5,7 +5,10 @@ mechanism (low-pass, attention, Chebyshev filter, generalized-PageRank),
 reconstructs query embeddings from normal in-context keys via value-free
 cross-attention, and scores anomalies by reconstruction discrepancy. The
 low-pass/attention/Chebyshev encoders apply an ego-minus-neighbor-mean
-residual before the nonlinearity; the GPR encoder does not.
+residual before the nonlinearity; the GPR encoder does not. Every encoder
+is split in two: ``propagate``, its weight-free graph propagation, computed
+once per graph, and ``encode_t``, the weighted part, which runs on every
+training step.
 """
 
 from __future__ import annotations
@@ -93,19 +96,43 @@ def _attention_edges(g: Graph):
     return pair
 
 
-def _residual(h, g: Graph):
-    # deviation from the neighbor mean; degree-0 rows keep their own value
-    return ad.sub(h, ad.spmm(g.neighbor_mean(), h))
-
-
-def encode_t(arch, lv, xtilde, g: Graph):
-    """Tape forward of one expert encoder; lv maps param name -> leaf."""
-    x = ad.wrap(xtilde)
+def propagate(arch, xtilde, g: Graph):
+    """The weight-free part of an expert encoder on the aligned features:
+    computed once per graph, then read by ``encode_t`` under any weights.
+    LOWPASS: (I - D^-1 A) S_hat X. ATTENTION: X, whose propagation follows
+    its learned attention. CHEBY: the stack (I - D^-1 A) T_k X, k = 0..3.
+    GPR: the stack P^t X, t = 0..GPR_DEPTH. I - D^-1 A takes each row's
+    deviation from its neighbor mean; degree-0 rows keep their own value."""
+    x = np.asarray(xtilde, dtype=np.float64)
     if arch == "LOWPASS":
-        h = ad.spmm(g.sym_norm_selfloops(), ad.matmul(x, lv["w0"]))
-        return ad.tanh(_residual(h, g))
+        sx = g.sym_norm_selfloops() @ x
+        return sx - g.neighbor_mean() @ sx
     if arch == "ATTENTION":
-        z = ad.matmul(x, lv["w0"])
+        return x
+    if arch == "CHEBY":
+        # scaled Laplacian with lambda_max ~= 2 reduces to -sym_norm
+        lap = -g.sym_norm()
+        basis = [x, lap @ x]
+        for _ in range(2, CHEB_ORDER + 1):
+            basis.append(2.0 * (lap @ basis[-1]) - basis[-2])
+        wide = np.hstack(basis)  # one sparse product for every term's residual
+        return np.stack(np.hsplit(wide - g.neighbor_mean() @ wide, CHEB_ORDER + 1))
+    if arch == "GPR":
+        prop = g.sym_norm()
+        powers = [x]
+        for _ in range(GPR_DEPTH):
+            powers.append(prop @ powers[-1])
+        return np.stack(powers)
+    raise ValueError(f"unknown architecture {arch!r}")
+
+
+def encode_t(arch, lv, inputs, g: Graph):
+    """Tape forward of one expert encoder on ``inputs = propagate(arch,
+    xtilde, g)``; lv maps param name -> leaf. Only ATTENTION reads ``g``."""
+    if arch == "LOWPASS":
+        return ad.tanh(ad.matmul(ad.wrap(inputs), lv["w0"]))
+    if arch == "ATTENTION":
+        z = ad.matmul(ad.wrap(inputs), lv["w0"])
         src, dst = _attention_edges(g)
         part_self = ad.matvec(z, lv["att_self"])
         part_nbr = ad.matvec(z, lv["att_nbr"])
@@ -117,27 +144,14 @@ def encode_t(arch, lv, xtilde, g: Graph):
         h = ad.segment_sum_rows(
             ad.scale_rows(ad.gather_rows(z, src), alpha), dst, g.num_nodes
         )
-        return ad.tanh(_residual(h, g))
+        return ad.tanh(ad.sub(h, ad.spmm(g.neighbor_mean(), h)))
     if arch == "CHEBY":
-        # scaled Laplacian with lambda_max ~= 2 reduces to -sym_norm
-        lap = -g.sym_norm()
-        basis = [np.asarray(xtilde, dtype=np.float64)]
-        basis.append(lap @ basis[0])
-        for _ in range(2, CHEB_ORDER + 1):
-            basis.append(2.0 * (lap @ basis[-1]) - basis[-2])
-        h = ad.matmul(ad.wrap(basis[0]), lv["cheb_w0"])
+        h = ad.matmul(ad.wrap(inputs[0]), lv["cheb_w0"])
         for k in range(1, CHEB_ORDER + 1):
-            h = ad.add(h, ad.matmul(ad.wrap(basis[k]), lv[f"cheb_w{k}"]))
-        return ad.tanh(_residual(h, g))
+            h = ad.add(h, ad.matmul(ad.wrap(inputs[k]), lv[f"cheb_w{k}"]))
+        return ad.tanh(h)
     if arch == "GPR":
-        h0 = ad.matmul(x, lv["w0"])
-        prop = g.sym_norm()
-        cur = h0
-        acc = ad.mul(cur, ad.index_scalar(lv["gamma"], 0))
-        for t in range(1, GPR_DEPTH + 1):
-            cur = ad.spmm(prop, cur)
-            acc = ad.add(acc, ad.mul(cur, ad.index_scalar(lv["gamma"], t)))
-        return acc
+        return ad.matmul(ad.weighted_sum(lv["gamma"], inputs), lv["w0"])
     raise ValueError(f"unknown architecture {arch!r}")
 
 
@@ -146,7 +160,8 @@ def encode(model: ExpertModel, xtilde, g: Graph) -> np.ndarray:
         raise ValueError(
             f"input width {xtilde.shape[1]} != expert input dim {model.dims[0]}"
         )
-    return encode_t(model.arch, ad.leaves(model.params), xtilde, g).value
+    inputs = propagate(model.arch, xtilde, g)
+    return encode_t(model.arch, ad.leaves(model.params), inputs, g).value
 
 
 def cross_attention_t(wq, wk, hq, hk, d_prime):
@@ -215,8 +230,10 @@ def sample_key_split(y, key_fraction, rng):
     return keys, queries
 
 
-def expert_training_loss_t(arch, lv, xtilde, g, keys, queries, d_prime):
-    h = encode_t(arch, lv, xtilde, g)
+def expert_training_loss_t(arch, lv, inputs, g, keys, queries, d_prime):
+    """The anomaly loss of one graph's queries, encoded from ``inputs =
+    propagate(arch, xtilde, g)``."""
+    h = encode_t(arch, lv, inputs, g)
     hq = ad.gather_rows(h, queries)
     hk = ad.gather_rows(h, keys)
     recon = cross_attention_t(lv["wq"], lv["wk"], hq, hk, d_prime)
@@ -226,18 +243,20 @@ def expert_training_loss_t(arch, lv, xtilde, g, keys, queries, d_prime):
 def pretrain_expert(arch, graph_inputs, cfg, seed):
     """Train one expert on (graph, aligned-features) pairs.
 
-    Per epoch: fresh key/query split per graph, one optimizer step on the
-    mean loss over graphs. Returns (model, loss trace).
+    Each graph is propagated once. Per epoch: fresh key/query split per
+    graph, one optimizer step on the mean loss over graphs. Returns (model,
+    loss trace).
     """
     model = init_expert(arch, cfg.d, cfg.d_e, cfg.d_prime, seed)
     rng = np.random.default_rng(seed + 1)
+    propagated = [(g, propagate(arch, xt, g)) for g, xt in graph_inputs]
 
     def epoch_losses(lv):
         losses = []
-        for g, xt in graph_inputs:
+        for g, inputs in propagated:
             keys, queries = sample_key_split(g.labels, cfg.key_fraction, rng)
             losses.append(
-                expert_training_loss_t(arch, lv, xt, g, keys, queries, cfg.d_prime)
+                expert_training_loss_t(arch, lv, inputs, g, keys, queries, cfg.d_prime)
             )
         return losses
 

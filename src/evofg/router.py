@@ -102,13 +102,16 @@ def resize_router(model: RouterModel, old_names, new_names, seed) -> None:
     model.params.update(resized, proj_b=np.zeros(d_m))
 
 
-def node_branch_t(lv, xtilde, g, use_memory=True):
-    """The mask-independent half of the forward: node queries propagated by
-    ``gnn_w`` and, with memory, replaced by their node-memory retrieval.
-    Returns the node embedding."""
-    hn_q = ad.tanh(
-        ad.spmm(g.sym_norm_selfloops(), ad.matmul(ad.wrap(xtilde), lv["gnn_w"]))
-    )
+def propagate(xtilde, g):
+    """The node branch's weight-free part, S_hat X: computed once per graph."""
+    return g.sym_norm_selfloops() @ np.asarray(xtilde, dtype=np.float64)
+
+
+def node_branch_t(lv, sx, use_memory=True):
+    """The mask-independent half of the forward on ``sx = propagate(xtilde,
+    g)``: node queries tanh(sx @ gnn_w) and, with memory, their node-memory
+    retrieval in their place. Returns the node embedding."""
+    hn_q = ad.tanh(ad.matmul(ad.wrap(sx), lv["gnn_w"]))
     if not use_memory:
         return hn_q
     return ad.matmul(ad.key_softmax(hn_q, lv["mem_node"]), lv["mem_node"])
@@ -158,7 +161,7 @@ def route(model: RouterModel, xtilde, g, hr):
     if hr.shape[1] != model.d_r:
         raise ValueError(f"feature width {hr.shape[1]} != router width {model.d_r}")
     p, use_memory = model.params, model.use_memory
-    folded = fold_t(p, node_branch_t(p, xtilde, g, use_memory), use_memory)
+    folded = fold_t(p, node_branch_t(p, propagate(xtilde, g), use_memory), use_memory)
     logits = feature_branch_t(p, folded, with_ones(hr))
     return RoutingOutput(logits.value, ad.row_softmax(logits).value)
 
@@ -227,12 +230,14 @@ class RoutingContext:
     """Frozen per-graph material for router training and utility evaluation:
     the canonical key/query split, expert embeddings and reconstructions on
     the queries and their per-row Gram blocks, the expert-correctness
-    targets, and the feature ``table`` it routes on with the standardized
-    matrix ``hr`` of that table's active columns ``names``."""
+    targets, the node branch's propagated input ``sx``, and the feature
+    ``table`` it routes on with the standardized matrix ``hr`` of that
+    table's active columns ``names``."""
 
     def __init__(self, graph, xtilde, table, experts, key_fraction, rng):
         self.graph = graph
         self.xtilde = xtilde
+        self.sx = propagate(xtilde, graph)
         self.keys, self.queries = sample_key_split(graph.labels, key_fraction, rng)
         self.y_q = np.asarray(graph.labels)[self.queries]
         self.expert_h_full = [encode(m, xtilde, graph) for m in experts]
@@ -297,7 +302,7 @@ def freeze_node_branch(model: RouterModel, contexts):
     p, use_memory = model.params, model.use_memory
     frozen = []
     for ctx in contexts:
-        node = node_branch_t(p, ctx.xtilde, ctx.graph, use_memory)
+        node = node_branch_t(p, ctx.sx, use_memory)
         folded = fold_t(p, ad.gather_rows(node, ctx.queries), use_memory)
         keys, table = (None if t is None else t.value for t in folded)
         hr_t = np.vstack([ctx.hr[ctx.queries].T, np.ones(len(ctx.queries))])
@@ -369,7 +374,7 @@ def train_router(model, contexts, cfg, phase, seed):
             n = ctx.graph.num_nodes
             # one node branch and readout table per graph and epoch; in the
             # main phase the environments and the clean balance pass share them
-            node = node_branch_t(lv, ctx.xtilde, ctx.graph, model.use_memory)
+            node = node_branch_t(lv, ctx.sx, model.use_memory)
             folded = fold_t(lv, ad.gather_rows(node, ctx.queries), model.use_memory)
             hr1 = with_ones(ctx.hr[ctx.queries])
             if phase == "warmup":

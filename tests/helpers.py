@@ -13,7 +13,13 @@ from scipy.sparse.csgraph import shortest_path
 
 from evofg import autodiff as ad
 from evofg.dsl import eval_expr
-from evofg.experts import anomaly_loss_t
+from evofg.experts import (
+    CHEB_ORDER,
+    GPR_DEPTH,
+    LEAKY_SLOPE,
+    _attention_edges,
+    anomaly_loss_t,
+)
 from evofg.features import RouterFeatureTable
 from evofg.graph import Graph, gen_synthetic
 from evofg.router import (
@@ -26,9 +32,19 @@ from evofg.router import (
     fold_t,
     kl_router_loss_t,
     node_branch_t,
+    propagate,
     route,
     with_ones,
 )
+
+
+def counting(calls, name, real):
+    """``real``, appending ``name`` to ``calls`` on every call: a stand-in
+    for monkeypatching a function whose calls a test counts."""
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+    return counted
 
 
 def neighbors(g: Graph, v):
@@ -98,11 +114,73 @@ def unfused_memory_readout(s, mem, node, scale):
     return ad.matmul(ad.mul(h, node), ad.transpose(scale))
 
 
+def _unfolded_residual(h, g: Graph):
+    # deviation from the neighbor mean; degree-0 rows keep their own value
+    return ad.sub(h, ad.spmm(g.neighbor_mean(), h))
+
+
+def unfolded_encode_t(arch, lv, xtilde, g: Graph):
+    """Oracle for ``experts.encode_t`` on ``experts.propagate``: each encoder
+    with its propagation on the tape, applied after the weights, every time
+    it runs."""
+    x = ad.wrap(xtilde)
+    if arch == "LOWPASS":
+        h = ad.spmm(g.sym_norm_selfloops(), ad.matmul(x, lv["w0"]))
+        return ad.tanh(_unfolded_residual(h, g))
+    if arch == "ATTENTION":
+        z = ad.matmul(x, lv["w0"])
+        src, dst = _attention_edges(g)
+        part_self = ad.matvec(z, lv["att_self"])
+        part_nbr = ad.matvec(z, lv["att_nbr"])
+        logits = ad.leaky_relu(
+            ad.add(ad.gather_rows(part_self, dst), ad.gather_rows(part_nbr, src)),
+            slope=LEAKY_SLOPE,
+        )
+        alpha = ad.segment_softmax(logits, dst, g.num_nodes)
+        h = ad.segment_sum_rows(
+            ad.scale_rows(ad.gather_rows(z, src), alpha), dst, g.num_nodes
+        )
+        return ad.tanh(_unfolded_residual(h, g))
+    if arch == "CHEBY":
+        # scaled Laplacian with lambda_max ~= 2 reduces to -sym_norm
+        lap = -g.sym_norm()
+        basis = [np.asarray(xtilde, dtype=np.float64)]
+        basis.append(lap @ basis[0])
+        for _ in range(2, CHEB_ORDER + 1):
+            basis.append(2.0 * (lap @ basis[-1]) - basis[-2])
+        h = ad.matmul(ad.wrap(basis[0]), lv["cheb_w0"])
+        for k in range(1, CHEB_ORDER + 1):
+            h = ad.add(h, ad.matmul(ad.wrap(basis[k]), lv[f"cheb_w{k}"]))
+        return ad.tanh(_unfolded_residual(h, g))
+    if arch == "GPR":
+        h0 = ad.matmul(x, lv["w0"])
+        prop = g.sym_norm()
+        cur = h0
+        acc = ad.mul(cur, ad.index_scalar(lv["gamma"], 0))
+        for t in range(1, GPR_DEPTH + 1):
+            cur = ad.spmm(prop, cur)
+            acc = ad.add(acc, ad.mul(cur, ad.index_scalar(lv["gamma"], t)))
+        return acc
+    raise ValueError(f"unknown architecture {arch!r}")
+
+
+def unfolded_node_branch_t(lv, xtilde, g, use_memory=True):
+    """Oracle for ``router.node_branch_t`` on ``router.propagate``: the node
+    queries propagated on the tape after ``gnn_w``, then, with memory, their
+    node-memory retrieval."""
+    hn_q = ad.tanh(
+        ad.spmm(g.sym_norm_selfloops(), ad.matmul(ad.wrap(xtilde), lv["gnn_w"]))
+    )
+    if not use_memory:
+        return hn_q
+    return ad.matmul(ad.key_softmax(hn_q, lv["mem_node"]), lv["mem_node"])
+
+
 def route_t(lv, xtilde, g, hr, noise=None, use_memory=True):
     """The router's folded forward on the tape, on every node: the logits.
     hr is the (possibly masked) standardized feature matrix and noise, when
     given, a fixed N x E standard-normal draw."""
-    folded = fold_t(lv, node_branch_t(lv, xtilde, g, use_memory), use_memory)
+    folded = fold_t(lv, node_branch_t(lv, propagate(xtilde, g), use_memory), use_memory)
     return feature_branch_t(lv, folded, with_ones(hr), noise)
 
 
@@ -129,9 +207,9 @@ def tape_feature_branch_t(lv, hn_m, hr, noise=None, use_memory=True):
 
 
 def tape_route_t(lv, xtilde, g, hr, noise=None, use_memory=True):
-    """Oracle for ``route_t``: the node branch, then the unfolded feature
-    branch on every node."""
-    node = node_branch_t(lv, xtilde, g, use_memory)
+    """Oracle for ``route_t``: the unfolded node branch, then the unfolded
+    feature branch on every node."""
+    node = unfolded_node_branch_t(lv, xtilde, g, use_memory)
     return tape_feature_branch_t(lv, node, hr, noise, use_memory)
 
 
@@ -380,7 +458,7 @@ def invariant_loss(model, ctx, n_envs, lam, mask_rate, seed):
         raise ValueError("invariant loss needs at least 2 environments")
     masks, noise = invariant_env_draws(ctx, n_envs, mask_rate, seed)
     lv = ad.leaves(model.params)
-    node = node_branch_t(lv, ctx.xtilde, ctx.graph, model.use_memory)
+    node = node_branch_t(lv, ctx.sx, model.use_memory)
     folded = fold_t(lv, ad.gather_rows(node, ctx.queries), model.use_memory)
     losses = _env_losses_t(lv, ctx, folded, masks, noise[ctx.queries])
     total = _combine_env_losses_t(losses, lam)
@@ -458,7 +536,7 @@ def tape_routing_utility(model, subset, contexts):
     lv = ad.leaves(model.params)
     vals = []
     for ctx in contexts:
-        node = node_branch_t(lv, ctx.xtilde, ctx.graph, model.use_memory)
+        node = node_branch_t(lv, ctx.sx, model.use_memory)
         logits = tape_feature_branch_t(lv, ad.wrap(node.value[ctx.queries]),
                                        ctx.hr[ctx.queries] * mask, None, model.use_memory)
         targets = _kl_targets(ctx.q_matrix, model.dims[4])

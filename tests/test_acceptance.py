@@ -20,6 +20,7 @@ from evofg.experts import (
     ARCHS,
     expert_training_loss_t,
     init_expert,
+    propagate,
     sample_key_split,
 )
 from evofg.features import betweenness, closeness, pagerank
@@ -36,6 +37,7 @@ from evofg.pipeline import (
     score_graph,
     warmup_router,
 )
+from evofg.router import propagate as router_propagate
 from evofg.router import (
     RoutingContext,
     _combine_env_losses_t,
@@ -159,10 +161,8 @@ def test_c03_gradient_checks():
                 m.params["att_self"] = 0.3 * r2.normal(size=5)
                 m.params["att_nbr"] = 0.3 * r2.normal(size=5)
 
-            def build(lv, arch=arch):
-                return expert_training_loss_t(
-                    arch, lv, g.features, g, keys, queries, 4
-                )
+            def build(lv, arch=arch, inputs=propagate(arch, g.features, g)):
+                return expert_training_loss_t(arch, lv, inputs, g, keys, queries, 4)
 
             rep = finite_diff_check(*fd_adapters(build, m.params))
             assert rep.max_rel_err < tol, f"{arch}: {rep.max_rel_err}"
@@ -187,7 +187,7 @@ def test_c03_gradient_checks():
         masks, noise = invariant_env_draws(ctx, 3, 0.3, 12)
 
         def build_inv(lv):
-            node = node_branch_t(lv, ctx.xtilde, ctx.graph, True)
+            node = node_branch_t(lv, ctx.sx, True)
             folded = fold_t(lv, ad.gather_rows(node, ctx.queries), True)
             env = _env_losses_t(lv, ctx, folded, masks, noise[ctx.queries])
             return _combine_env_losses_t(env, 0.8)
@@ -308,6 +308,7 @@ def test_c08_planted_feature_utility_monotonicity():
         ctx = RoutingContext.__new__(RoutingContext)
         ctx.graph = g
         ctx.xtilde = g.features
+        ctx.sx = router_propagate(g.features, g)
         ctx.names = names
         ctx.hr = hr
         ctx.keys = np.array([], dtype=np.int64)

@@ -2,17 +2,20 @@ import numpy as np
 import pytest
 
 from evofg import autodiff as ad
+from evofg import experts
 from evofg.experts import (
     ARCHS,
     anomaly_scores,
     cross_attention_t,
     cross_attn_reconstruct,
     encode,
+    encode_t,
     expert_correctness,
     expert_training_loss_t,
     init_expert,
     load_expert,
     pretrain_expert,
+    propagate,
     sample_key_split,
     save_expert,
 )
@@ -21,10 +24,13 @@ from evofg.graph import Graph
 from evofg.pipeline import PipelineConfig
 from helpers import (
     anomaly_loss,
+    counting,
+    degenerate_graphs,
     fd_adapters,
     finite_diff_check,
     graph_from_edges,
     random_graph,
+    unfolded_encode_t,
 )
 
 
@@ -58,12 +64,43 @@ class TestEncode:
         out = encode(m, g.features, g)
         assert np.allclose(out, g.features @ m.params["w0"])
 
-    def test_dimension_mismatch_rejected(self):
+    def test_dimension_mismatch_rejected(self, monkeypatch):
+        """The width check comes before any propagation or sparse product."""
         rng = np.random.default_rng(2)
         g = random_graph(rng, 6, d=3)
         m = init_expert("LOWPASS", 4, 5, 4, seed=3)
+        calls = []
+        monkeypatch.setattr(experts, "propagate", counting(calls, "propagate", propagate))
+        monkeypatch.setattr(ad, "spmm", counting(calls, "spmm", ad.spmm))
         with pytest.raises(ValueError, match="width"):
             encode(m, g.features, g)
+        assert calls == []
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    @pytest.mark.parametrize("case", ["random", "isolated_nodes", "edgeless"])
+    def test_matches_the_unfolded_encoder(self, arch, case):
+        """``encode_t`` on the propagated inputs gives the values and the
+        gradients of the encoder that propagates after its weights, to rel
+        1e-12: only the order of the sums differs."""
+        rng = np.random.default_rng(7)
+        graphs = dict(degenerate_graphs(seed=7, d=6), random=random_graph(rng, 30, p=0.15, d=6))
+        g = graphs[case]
+        m = init_expert(arch, 6, 5, 4, seed=8)
+        if arch == "ATTENTION":
+            m.params["att_self"] = 0.3 * rng.normal(size=5)
+            m.params["att_nbr"] = 0.3 * rng.normal(size=5)
+        upstream = rng.normal(size=(g.num_nodes, 5))
+        runs = []
+        for forward in (lambda lv: encode_t(arch, lv, propagate(arch, g.features, g), g),
+                        lambda lv: unfolded_encode_t(arch, lv, g.features, g)):
+            lv = ad.leaves(m.params)
+            h = forward(lv)
+            ad.tsum(ad.mul(h, upstream)).backward()
+            runs.append((h.value, ad.grads(lv)))
+        (h, grads), (h_ref, grads_ref) = runs
+        assert np.abs(h - h_ref).max() <= 1e-12 * np.abs(h_ref).max()
+        for name, g_ref in grads_ref.items():
+            assert np.abs(grads[name] - g_ref).max() <= 1e-12 * np.abs(g_ref).max(), name
 
     @pytest.mark.parametrize("arch", ARCHS)
     def test_permutation_equivariance(self, arch):
@@ -185,9 +222,10 @@ class TestGradients:
             m.params["att_self"] = 0.3 * r2.normal(size=5)
             m.params["att_nbr"] = 0.3 * r2.normal(size=5)
         keys, queries = sample_key_split(g.labels, 0.2, rng)
+        inputs = propagate(arch, g.features, g)
 
         def build(lv):
-            return expert_training_loss_t(arch, lv, g.features, g, keys, queries, 4)
+            return expert_training_loss_t(arch, lv, inputs, g, keys, queries, 4)
 
         loss_fn, grad_fn, vec = fd_adapters(build, m.params)
         rep = finite_diff_check(loss_fn, grad_fn, vec)
@@ -214,6 +252,20 @@ class TestPretraining:
         assert trace == []
         for k in reference.params:
             assert np.array_equal(model.params[k], reference.params[k])
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_each_graph_is_propagated_once(self, arch, monkeypatch):
+        """Pretraining propagates each training graph once, before the first
+        epoch, whatever the number of epochs."""
+        rng = np.random.default_rng(14)
+        graphs = [labeled_graph(rng, n=12), labeled_graph(rng, n=10)]
+        calls = []
+        monkeypatch.setattr(experts, "propagate", counting(calls, "propagate", propagate))
+        for epochs in (1, 4):
+            calls.clear()
+            cfg = tiny_cfg(expert_epochs=(epochs,) * 4)
+            pretrain_expert(arch, [(g, g.features) for g in graphs], cfg, seed=15)
+            assert calls == ["propagate"] * len(graphs)
 
     def test_key_split_uses_normal_nodes_only(self):
         rng = np.random.default_rng(13)

@@ -20,6 +20,7 @@ from evofg.router import (
     load_router,
     node_branch_t,
     normalize_targets,
+    propagate,
     resize_router,
     route,
     routing_frequency,
@@ -32,6 +33,8 @@ from evofg.checkpoint import CheckpointError
 from evofg.graph import gen_synthetic
 from helpers import (
     balance_loss,
+    counting,
+    degenerate_graphs,
     fd_adapters,
     finite_diff_check,
     full_forward_utility,
@@ -41,10 +44,12 @@ from helpers import (
     mix_rows,
     per_env_route_losses_t,
     reference_train_main,
+    random_graph,
     route_noisy,
     route_t,
     tape_route_t,
     tape_routing_utility,
+    unfolded_node_branch_t,
 )
 
 
@@ -152,15 +157,8 @@ class TestRoute:
         folded = route_t(lv, b.xtilde, b.graph, ctx.hr, None, use_memory)
         unfolded = tape_route_t(lv, b.xtilde, b.graph, ctx.hr, None, use_memory)
         calls = []
-
-        def counting(name, real):
-            def counted(*args, **kwargs):
-                calls.append(name)
-                return real(*args, **kwargs)
-            return counted
-
         for name in ("node_branch_t", "fold_t", "feature_branch_t"):
-            monkeypatch.setattr(router, name, counting(name, getattr(router, name)))
+            monkeypatch.setattr(router, name, counting(calls, name, getattr(router, name)))
         out = route(model, b.xtilde, b.graph, ctx.hr)
         assert calls == ["node_branch_t", "fold_t", "feature_branch_t"]
         calls.clear()
@@ -171,6 +169,29 @@ class TestRoute:
             assert np.abs(out.logits - ref.value).max() <= 1e-12 * scale
             assert np.abs(out.weights - ad.row_softmax(ref).value).max() <= 1e-12
         assert np.array_equal(out.logits, folded.value)
+
+    @pytest.mark.parametrize("use_memory", [True, False])
+    @pytest.mark.parametrize("case", ["random", "isolated_nodes", "edgeless"])
+    def test_node_branch_matches_the_unfolded_branch(self, use_memory, case):
+        """The node branch on the propagated features gives the values and
+        the gradients of the branch that propagates after ``gnn_w``, to rel
+        1e-12."""
+        rng = np.random.default_rng(33)
+        graphs = dict(degenerate_graphs(seed=33, d=6), random=random_graph(rng, 30, p=0.15, d=6))
+        g = graphs[case]
+        model = init_router(6, 7, 5, 3, 4, seed=34, use_memory=use_memory)
+        upstream = rng.normal(size=(g.num_nodes, 5))
+        runs = []
+        for forward in (lambda lv: node_branch_t(lv, propagate(g.features, g), use_memory),
+                        lambda lv: unfolded_node_branch_t(lv, g.features, g, use_memory)):
+            lv = ad.leaves(model.params)
+            node = forward(lv)
+            ad.tsum(ad.mul(node, upstream)).backward()
+            runs.append((node.value, ad.grads(lv)))
+        (node, grads), (node_ref, grads_ref) = runs
+        assert np.abs(node - node_ref).max() <= 1e-12 * np.abs(node_ref).max()
+        for name, g_ref in grads_ref.items():
+            assert np.abs(grads[name] - g_ref).max() <= 1e-12 * np.abs(g_ref).max(), name
 
     def test_no_memory_router_skips_retrieval(self, setup):
         cfg, b, ctx, _ = setup
@@ -412,7 +433,7 @@ class TestInvariantLoss:
         masks, noise = invariant_env_draws(ctx, 5, 0.3, 25)
 
         def shared(lv):
-            node = node_branch_t(lv, ctx.xtilde, ctx.graph, use_memory)
+            node = node_branch_t(lv, ctx.sx, use_memory)
             folded = fold_t(lv, ad.gather_rows(node, ctx.queries), use_memory)
             return _env_losses_t(lv, ctx, folded, masks, noise[ctx.queries])
 
@@ -440,7 +461,7 @@ class TestRouterGradients:
         masks, noise = invariant_env_draws(ctx, 3, 0.3, 12)
 
         def build(lv):
-            node = node_branch_t(lv, ctx.xtilde, ctx.graph, True)
+            node = node_branch_t(lv, ctx.sx, True)
             folded = fold_t(lv, ad.gather_rows(node, ctx.queries), True)
             env = _env_losses_t(lv, ctx, folded, masks, noise[ctx.queries])
             return _combine_env_losses_t(env, 0.8)
@@ -485,6 +506,18 @@ class TestTraining:
         train_router(model, [forced], toy_cfg, "warmup", seed=14)
         out = route(model, b.xtilde, b.graph, ctx.hr)
         assert out.weights[forced.queries, 0].mean() > 0.9
+
+    def test_training_makes_no_sparse_product(self, setup, monkeypatch):
+        """Warm-up and main phase read the context's propagated node
+        features: neither propagates nor calls ``ad.spmm``."""
+        cfg, b, ctx, _ = setup
+        calls = []
+        monkeypatch.setattr(ad, "spmm", counting(calls, "spmm", ad.spmm))
+        monkeypatch.setattr(router, "propagate", counting(calls, "propagate", propagate))
+        model = init_router(cfg.d, ctx.hr.shape[1], cfg.d_m, cfg.n_memory, 4, seed=35)
+        for phase in ("warmup", "main"):
+            assert len(train_router(model, [ctx], tiny_cfg(), phase, seed=36)) > 0
+        assert calls == []
 
     def test_main_phase_runs_and_is_finite(self, setup):
         cfg, b, ctx, _ = setup
