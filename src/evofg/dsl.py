@@ -55,16 +55,6 @@ class FeatureExpr:
         return f"{self.op}({','.join(self.args)})"
 
 
-@dataclass
-class GenerationDecision:
-    """Raw backend output before validation; rationale is logged only."""
-
-    category: str
-    feature_names: list
-    operator: str
-    rationale: str = ""
-
-
 def _safe_den(d):
     sign = np.where(d >= 0, 1.0, -1.0)
     return sign * np.maximum(np.abs(d), EPS)
@@ -109,28 +99,19 @@ def eval_expr(expr: FeatureExpr, columns) -> np.ndarray:
     return np.clip(out, -CLAMP, CLAMP)
 
 
-def validate_decision(decision: GenerationDecision, table: RouterFeatureTable) -> FeatureExpr:
-    """Turn a backend decision into a FeatureExpr or raise ExprValidationError."""
-    if decision.category not in CATEGORIES:
-        raise ExprValidationError(f"unknown category {decision.category!r}")
-    if decision.operator not in ALL_OPS:
-        raise ExprValidationError(f"unknown operator {decision.operator!r}")
+def check_proposal(expr: FeatureExpr, table: RouterFeatureTable):
+    """Raise ExprValidationError, naming the column, unless every argument
+    of a proposed expression is an active column of ``table`` in the
+    expression's category (``FeatureExpr`` checks the rest)."""
     active = set(table.active_names())
-    for f in decision.feature_names:
+    for f in expr.args:
         if not table.has_column(f):
             raise ExprValidationError(f"unknown column {f!r}")
         if f not in active:
             raise ExprValidationError(f"column {f!r} is not active")
         cat = table.categories[table.names.index(f)]
-        if cat != decision.category:
-            raise ExprValidationError(
-                f"column {f!r} belongs to {cat}, not {decision.category}"
-            )
-    return FeatureExpr(
-        op=decision.operator,
-        args=tuple(decision.feature_names),
-        category=decision.category,
-    )
+        if cat != expr.category:
+            raise ExprValidationError(f"column {f!r} belongs to {cat}, not {expr.category}")
 
 
 class DeterministicBackend:
@@ -141,7 +122,7 @@ class DeterministicBackend:
 
     name = "deterministic"
 
-    def propose(self, table: RouterFeatureTable, history, rng) -> GenerationDecision:
+    def propose(self, table: RouterFeatureTable, history, rng) -> FeatureExpr:
         by_cat = {c: cols for c, cols in table.active_by_category().items() if cols}
         if not by_cat:
             raise ExprValidationError("no active columns to compose from")
@@ -151,18 +132,20 @@ class DeterministicBackend:
         ks = [k for k in (1, 2, 3) if k <= len(cols)]
         weights = np.array([0.4, 0.4, 0.2][: len(ks)])
         k = int(rng.choice(ks, p=weights / weights.sum()))
-        feats = [cols[i] for i in rng.choice(len(cols), size=k, replace=False)]
+        feats = tuple(cols[i] for i in rng.choice(len(cols), size=k, replace=False))
         pool = UNARY_OPS if k == 1 else BINARY_OPS if k == 2 else MULTI_OPS
-        op = pool[rng.integers(len(pool))]
-        return GenerationDecision(cat, feats, op, rationale="random composition")
+        return FeatureExpr(pool[rng.integers(len(pool))], feats, cat)
 
 
 def generate_candidates(backend, table: RouterFeatureTable, m: int, rng) -> list:
     """Produce m validated, mutually distinct expressions via the four-stage
-    protocol. Duplicates of existing provenance are rejected and regenerated
-    (10 retries per slot). A failing or invalid backend is replaced by the
-    deterministic composer, whose decisions always validate, for the
-    remaining slots; a failure of the composer itself is raised."""
+    protocol. ``backend.propose(table, history, rng)`` returns a FeatureExpr;
+    ``history`` holds the round's (kind, name) pairs, kind "accepted" or
+    "duplicate". Duplicates of existing provenance are rejected and
+    regenerated (10 retries per slot). A failing or invalid backend is
+    replaced by the deterministic composer, whose proposals always pass
+    ``check_proposal``, for the remaining slots; a failure of the composer
+    itself is raised."""
     existing = {p.name for p in table.provenance if isinstance(p, FeatureExpr)}
     fallback = backend if isinstance(backend, DeterministicBackend) else DeterministicBackend()
     out = []
@@ -171,8 +154,8 @@ def generate_candidates(backend, table: RouterFeatureTable, m: int, rng) -> list
     for slot in range(m):
         for _ in range(10):
             try:
-                decision = active.propose(table, history, rng)
-                expr = validate_decision(decision, table)
+                expr = active.propose(table, history, rng)
+                check_proposal(expr, table)
             except Exception as exc:
                 if active is fallback:
                     raise
@@ -183,12 +166,12 @@ def generate_candidates(backend, table: RouterFeatureTable, m: int, rng) -> list
                 continue
             if expr.name not in existing:
                 break
-            history.append(("duplicate", decision, expr.name))
+            history.append(("duplicate", expr.name))
         else:
             log.warning("candidate slot %d skipped after 10 retries", slot)
             continue
         existing.add(expr.name)
-        history.append(("accepted", None, expr.name))
+        history.append(("accepted", expr.name))
         out.append(expr)
     return out
 

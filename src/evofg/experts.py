@@ -128,7 +128,8 @@ def propagate(arch, xtilde, g: Graph):
 
 def encode_t(arch, lv, inputs, g: Graph):
     """Tape forward of one expert encoder on ``inputs = propagate(arch,
-    xtilde, g)``; lv maps param name -> leaf. Only ATTENTION reads ``g``."""
+    xtilde, g)``; lv maps param name -> leaf, or -> the parameter array
+    itself for a forward without gradients. Only ATTENTION reads ``g``."""
     if arch == "LOWPASS":
         return ad.tanh(ad.matmul(ad.wrap(inputs), lv["w0"]))
     if arch == "ATTENTION":
@@ -156,12 +157,13 @@ def encode_t(arch, lv, inputs, g: Graph):
 
 
 def encode(model: ExpertModel, xtilde, g: Graph) -> np.ndarray:
+    """The encoder's forward on the parameters as constants."""
     if xtilde.shape[1] != model.dims[0]:
         raise ValueError(
             f"input width {xtilde.shape[1]} != expert input dim {model.dims[0]}"
         )
     inputs = propagate(model.arch, xtilde, g)
-    return encode_t(model.arch, ad.leaves(model.params), inputs, g).value
+    return encode_t(model.arch, model.params, inputs, g).value
 
 
 def cross_attention_t(wq, wk, hq, hk, d_prime):
@@ -173,11 +175,10 @@ def cross_attention_t(wq, wk, hq, hk, d_prime):
 
 
 def reconstruct(model: ExpertModel, hq, hk) -> np.ndarray:
-    """Reconstruct the query embeddings hq from the key embeddings hk."""
-    lv = ad.leaves(model.params)
-    return cross_attention_t(
-        lv["wq"], lv["wk"], ad.wrap(hq), ad.wrap(hk), model.dims[2]
-    ).value
+    """Reconstruct the query embeddings hq from the key embeddings hk, on
+    the parameters as constants."""
+    p = model.params
+    return cross_attention_t(p["wq"], p["wk"], hq, hk, model.dims[2]).value
 
 
 def cross_attn_reconstruct(model: ExpertModel, h, keys, queries) -> np.ndarray:

@@ -10,7 +10,7 @@ import logging
 import os
 import time
 
-from .dsl import BINARY_OPS, MULTI_OPS, UNARY_OPS, GenerationDecision
+from .dsl import BINARY_OPS, MULTI_OPS, UNARY_OPS, FeatureExpr
 
 log = logging.getLogger(__name__)
 
@@ -134,14 +134,17 @@ def build_context(table, history):
             lines.append(f"- {cat}: {', '.join(cols)}")
     if history:
         lines.append("Recent generation history (avoid repeating accepted names):")
-        for kind, _, detail in history[-10:]:
-            lines.append(f"- {kind}: {detail}")
+        for kind, name in history[-10:]:
+            lines.append(f"- {kind}: {name}")
     lines.append("Propose one new feature now.")
     return "\n".join(lines)
 
 
-def parse_decision(content) -> GenerationDecision:
-    """Strictly parse the model's message content into a decision."""
+def parse_decision(content) -> FeatureExpr:
+    """Strictly parse the model's message content into a proposal, logging
+    its rationale. A reply of the wrong shape raises ResponseFormatError;
+    ``FeatureExpr`` raises ExprValidationError on its operator, arity,
+    arguments or category."""
     try:
         obj = json.loads(content)
     except (ValueError, TypeError) as exc:
@@ -154,30 +157,23 @@ def parse_decision(content) -> GenerationDecision:
     features = obj["features"]
     if not isinstance(features, list) or not all(isinstance(f, str) for f in features):
         raise ResponseFormatError("'features' must be a list of strings")
-    return GenerationDecision(
-        category=obj["category"],
-        feature_names=features,
-        operator=obj["operator"],
-        rationale=str(obj.get("rationale", "")),
-    )
+    # logged before FeatureExpr checks it, so a refused reply is logged too
+    log.info("chat backend proposed %s(%s): %s", obj["operator"], ",".join(features),
+             str(obj.get("rationale", ""))[:120])
+    return FeatureExpr(op=obj["operator"], args=tuple(features), category=obj["category"])
 
 
 class LLMBackend:
-    """Generation backend that asks the chat service for each decision."""
+    """Generation backend that asks the chat service for each proposal."""
 
     name = "llm"
 
     def __init__(self, client: ChatCompletionClient):
         self.client = client
 
-    def propose(self, table, history, rng) -> GenerationDecision:
+    def propose(self, table, history, rng) -> FeatureExpr:
         messages = [
             {"role": "system", "content": SYSTEM_PROMPT},
             {"role": "user", "content": build_context(table, history)},
         ]
-        content = self.client.complete(messages)
-        decision = parse_decision(content)
-        log.info("chat backend proposed %s(%s): %s",
-                 decision.operator, ",".join(decision.feature_names),
-                 decision.rationale[:120])
-        return decision
+        return parse_decision(self.client.complete(messages))

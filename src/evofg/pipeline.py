@@ -7,9 +7,12 @@ config seed, so a run with the chat backend disabled is fully reproducible.
 from __future__ import annotations
 
 import dataclasses
+import glob
 import hashlib
 import json
 import logging
+import math
+import numbers
 import os
 import zlib
 from dataclasses import dataclass, field
@@ -98,17 +101,29 @@ class PipelineConfig:
 
     def __post_init__(self):
         if isinstance(self.llm, dict):
+            unknown = sorted(set(self.llm) - {f.name for f in dataclasses.fields(LLMSettings)})
+            if unknown:
+                raise ValueError(f"unknown llm field {unknown[0]!r}")
             self.llm = LLMSettings(**self.llm)
+        if not isinstance(self.llm, LLMSettings):
+            raise ValueError(f"llm must be an object of chat settings, not {self.llm!r}")
         self.expert_epochs = tuple(self.expert_epochs)
         if len(self.expert_epochs) != len(ARCHS):
             raise ValueError(f"expert_epochs needs one entry per expert: {', '.join(ARCHS)}")
-        if self.lam < 0:
-            raise ValueError("lambda must be nonnegative")
-        if not 0 < self.key_fraction < 1:
-            raise ValueError("key_fraction must lie in (0, 1)")
         for name in ("d", "d_e", "d_prime", "d_m", "n_memory", "shapley_iters", "n_envs"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            _check_count(name, getattr(self, name), 1)
+        for name in ("warmup_epochs", "router_epochs", "gen_per_round", "rounds", "seed"):
+            _check_count(name, getattr(self, name), 0)
+        for epochs in self.expert_epochs:
+            _check_count("expert_epochs", epochs, 0)
+        for name in ("lr", "wd", "lam"):
+            value = getattr(self, name)
+            if not (_is_real(value) and 0 <= value < math.inf):
+                raise ValueError(f"{name} must be finite and nonnegative, not {value!r}")
+        if not (_is_real(self.mask_rate) and 0 <= self.mask_rate <= 1):
+            raise ValueError(f"mask_rate must lie in [0, 1], not {self.mask_rate!r}")
+        if not (_is_real(self.key_fraction) and 0 < self.key_fraction < 1):
+            raise ValueError("key_fraction must lie in (0, 1)")
 
     @classmethod
     def from_dict(cls, data):
@@ -139,6 +154,18 @@ class PipelineConfig:
         out = dataclasses.asdict(self)
         out["expert_epochs"] = list(self.expert_epochs)
         return out
+
+
+def _is_real(value):
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _check_count(name, value, low):
+    """Raise a ValueError naming ``name`` unless ``value`` is an integer
+    of at least ``low`` (0 or 1)."""
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low):
+        raise ValueError(f"{name} must be {'positive' if low else 'nonnegative'} "
+                         f"and an integer, not {value!r}")
 
 
 def derive_rng(seed, *tags):
@@ -272,6 +299,9 @@ class RunArtifacts:
         with open(os.path.join(out_dir, FEATURES_FILE), "w", encoding="utf-8") as fh:
             json.dump({"provenance": provenance, "active": self.active_names}, fh, indent=2)
         save_checkpoint(os.path.join(out_dir, KEYS_FILE), {"kind": "keycache"}, self.key_cache)
+        # an earlier run's reports would be loaded as rounds of this one
+        for path in glob.glob(os.path.join(out_dir, ROUND_FILE.format("*"))):
+            os.remove(path)
         for r, report in enumerate(self.shapley_reports, start=1):
             with open(os.path.join(out_dir, ROUND_FILE.format(r)), "w", encoding="utf-8") as fh:
                 fh.write(report)

@@ -11,16 +11,15 @@ from evofg.dsl import (
     DeterministicBackend,
     ExprValidationError,
     FeatureExpr,
-    GenerationDecision,
     MULTI_OPS,
     UNARY_OPS,
+    check_proposal,
     eval_expr,
     expr_from_dict,
     expr_to_dict,
     extend_table,
     generate_candidates,
     rebuild_columns,
-    validate_decision,
 )
 from evofg.features import PRIMITIVE_NAMES, RouterFeatureTable, compute_primitives
 from helpers import fold_extend, path_graph, random_graph
@@ -115,21 +114,21 @@ class TestExprValidation:
 
     def test_decision_category_membership_enforced(self):
         t = make_table()
-        d = GenerationDecision("PageRank", ["PR_t", "Deg_t"], "BINARY_DIV")
+        e = FeatureExpr("BINARY_DIV", ("PR_t", "Deg_t"), "PageRank")
         with pytest.raises(ExprValidationError, match="Deg_t"):
-            validate_decision(d, t)
+            check_proposal(e, t)
 
     def test_decision_inactive_column_rejected(self):
         t = make_table()
         t = t.with_active([n for n in t.names if n != "PR_t"])
-        d = GenerationDecision("PageRank", ["PR_t"], "LOG1P")
+        e = FeatureExpr("LOG1P", ("PR_t",), "PageRank")
         with pytest.raises(ExprValidationError, match="not active"):
-            validate_decision(d, t)
+            check_proposal(e, t)
 
     def test_valid_decision_roundtrip(self):
         t = make_table()
-        d = GenerationDecision("PageRank", ["PR_t", "PR_ego_mean"], "BINARY_DIV")
-        e = validate_decision(d, t)
+        e = FeatureExpr("BINARY_DIV", ("PR_t", "PR_ego_mean"), "PageRank")
+        check_proposal(e, t)
         assert e.name == "BINARY_DIV(PR_t,PR_ego_mean)"
         assert e.category == "PageRank"
 
@@ -141,6 +140,44 @@ class TestGeneration:
         e1 = generate_candidates(b, t1, 10, np.random.default_rng(42))
         e2 = generate_candidates(b, t2, 10, np.random.default_rng(42))
         assert [e.name for e in e1] == [e.name for e in e2]
+
+    def test_composer_draws_are_pinned(self):
+        # the composer's draws, in their order, name every generated feature
+        # of a run with the chat backend off; these names were recorded from
+        # an earlier version and pin its artifacts
+        t = make_table(n=9, seed=3)
+        first = generate_candidates(DeterministicBackend(), t, 12, np.random.default_rng(1))
+        assert [e.name for e in first] == [
+            "MULTI_MEAN(PR_ego_mean,PR_t,PR_global_rank)",
+            "BINARY_DIV(CC_global_rank,CC_t)",
+            "SIGMOID(Sim_3hop)",
+            "BINARY_DIFF_OVER_SUM(Sim_2hop,Sim_4hop)",
+            "BINARY_DIV(BC_global_rank,BC_t)",
+            "LOG(PR_ego_rank)",
+            "SQUARE(BC_global_rank)",
+            "MULTI_VAR(PR_ego_rank,PR_ego_mean,PR_t)",
+            "SQRT(Deg_t)",
+            "BINARY_DIV(Ego_size,Deg_t)",
+            "BINARY_DIV(PR_global_rank,PR_t)",
+            "BINARY_DIV(BC_global_rank,BC_ego_rank)",
+        ]
+        second = generate_candidates(
+            DeterministicBackend(), extend_table(t, first), 12, np.random.default_rng(101)
+        )
+        assert [e.name for e in second] == [
+            "LOG1P(BINARY_DIV(CC_global_rank,CC_t))",
+            "BINARY_DIFF_OVER_SUM(Sim_3hop,Sim_4hop)",
+            "LOG1P(BINARY_DIFF_OVER_SUM(Sim_2hop,Sim_4hop))",
+            "RECIPROCAL(BINARY_DIV(Ego_size,Deg_t))",
+            "BINARY_DIFF_OVER_SUM(BINARY_DIV(CC_global_rank,CC_t),CC_ego_rank)",
+            "BINARY_DIV(Ego_size,SQRT(Deg_t))",
+            "CUBE(LOG(PR_ego_rank))",
+            "LOG1P(PR_ego_rank)",
+            "MULTI_VAR(BC_ego_mean,BINARY_DIV(BC_global_rank,BC_ego_rank),SQUARE(BC_global_rank))",
+            "MULTI_VAR(PR_global_rank,LOG(PR_ego_rank),PR_ego_rank)",
+            "BINARY_DIFF_OVER_SUM(PR_ego_mean,MULTI_VAR(PR_ego_rank,PR_ego_mean,PR_t))",
+            "BINARY_DIFF_OVER_SUM(BINARY_DIV(PR_global_rank,PR_t),LOG(PR_ego_rank))",
+        ]
 
     def test_fifteen_distinct_wellformed(self):
         t = make_table(seed=4)
@@ -171,7 +208,7 @@ class TestGeneration:
             name = "stubborn"
 
             def propose(self, table, history, rng):
-                return GenerationDecision("PageRank", ["PR_t"], "LOG1P")
+                return FeatureExpr("LOG1P", ("PR_t",), "PageRank")
 
         t = make_table(seed=6)
         with caplog.at_level(logging.WARNING):
@@ -195,7 +232,7 @@ class TestGeneration:
     def test_every_composed_decision_validates(self):
         # generate_candidates re-raises a failure of the fallback composer,
         # which is sound only because the composer never makes an invalid
-        # decision
+        # proposal
         full = make_table(seed=12)
         generated = extend_table(
             full, generate_candidates(DeterministicBackend(), full, 10, np.random.default_rng(7))
@@ -210,8 +247,8 @@ class TestGeneration:
         backend = DeterministicBackend()
         for name, table in tables.items():
             for seed in range(200):
-                decision = backend.propose(table, [], np.random.default_rng(seed))
-                expr = validate_decision(decision, table)
+                expr = backend.propose(table, [], np.random.default_rng(seed))
+                check_proposal(expr, table)
                 assert set(expr.args) <= set(table.active_names()), name
 
     def test_failure_of_the_deterministic_backend_is_raised(self):

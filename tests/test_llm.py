@@ -3,8 +3,9 @@ import logging
 
 import numpy as np
 import pytest
+import requests
 
-from evofg.dsl import ExprValidationError, generate_candidates, validate_decision
+from evofg.dsl import ExprValidationError, FeatureExpr, check_proposal, generate_candidates
 from evofg.features import compute_primitives
 from evofg.llm import (
     API_KEY_ENV,
@@ -12,7 +13,9 @@ from evofg.llm import (
     FixtureTransport,
     LLMBackend,
     ResponseFormatError,
+    TIMEOUT_S,
     TransportError,
+    _http_post,
     build_context,
     parse_decision,
 )
@@ -85,15 +88,63 @@ class TestClient:
             client.complete([])
 
 
+class TestHttpPost:
+    """The transport that reaches a real endpoint, on a stubbed
+    ``requests.post``: no socket is opened."""
+
+    @staticmethod
+    def reply(status, content):
+        resp = requests.models.Response()
+        resp.status_code, resp._content = status, content
+        return resp
+
+    def stub(self, monkeypatch, outcome):
+        calls = []
+
+        def post(url, **kwargs):
+            calls.append((url, kwargs))
+            if isinstance(outcome, Exception):
+                raise outcome
+            return outcome
+
+        monkeypatch.setattr(requests, "post", post)
+        return calls
+
+    def test_a_2xx_json_body_is_returned_and_the_call_carries_body_and_timeout(
+            self, monkeypatch):
+        calls = self.stub(monkeypatch, self.reply(201, json.dumps(chat_response("hi")).encode()))
+        body = {"model": "m", "messages": []}
+        assert _http_post("http://svc/v1", {"X": "1"}, body) == chat_response("hi")
+        assert calls == [("http://svc/v1", {"headers": {"X": "1"}, "json": body,
+                                            "timeout": TIMEOUT_S})]
+
+    def test_a_non_2xx_status_is_a_transport_error(self, monkeypatch):
+        self.stub(monkeypatch, self.reply(503, b"busy"))
+        with pytest.raises(TransportError, match="HTTP 503"):
+            _http_post("http://svc", {}, {})
+
+    def test_a_request_exception_is_a_transport_error(self, monkeypatch):
+        self.stub(monkeypatch, requests.ConnectionError("refused"))
+        with pytest.raises(TransportError, match="refused"):
+            _http_post("http://svc", {}, {})
+
+    def test_a_body_that_is_not_json_is_a_format_error(self, monkeypatch):
+        self.stub(monkeypatch, self.reply(200, b"<html>"))
+        with pytest.raises(ResponseFormatError, match="not JSON"):
+            _http_post("http://svc", {}, {})
+
+
 class TestParse:
-    def test_valid_decision(self):
-        d = parse_decision(
-            '{"category":"PageRank","features":["PR_t","PR_ego_mean"],'
-            '"operator":"BINARY_DIV","rationale":"ratio of local to ego"}'
-        )
-        assert d.category == "PageRank"
-        assert d.feature_names == ["PR_t", "PR_ego_mean"]
-        assert d.operator == "BINARY_DIV"
+    def test_valid_decision(self, caplog):
+        with caplog.at_level(logging.INFO, logger="evofg.llm"):
+            e = parse_decision(
+                '{"category":"PageRank","features":["PR_t","PR_ego_mean"],'
+                '"operator":"BINARY_DIV","rationale":"ratio of local to ego"}'
+            )
+        assert e == FeatureExpr("BINARY_DIV", ("PR_t", "PR_ego_mean"), "PageRank")
+        assert [r.getMessage() for r in caplog.records] == [
+            "chat backend proposed BINARY_DIV(PR_t,PR_ego_mean): ratio of local to ego"
+        ]
 
     def test_malformed_json(self):
         with pytest.raises(ResponseFormatError):
@@ -122,8 +173,8 @@ class TestFixtureFlow:
         )
         backend = LLMBackend(fixture_client(tmp_path))
         table = make_table()
-        decision = backend.propose(table, [], np.random.default_rng(0))
-        expr = validate_decision(decision, table)
+        expr = backend.propose(table, [], np.random.default_rng(0))
+        check_proposal(expr, table)
         assert expr.name == "BINARY_DIV(PR_t,PR_ego_mean)"
 
     def test_arity_violation_detected(self, tmp_path):
@@ -136,10 +187,8 @@ class TestFixtureFlow:
             ),
         )
         backend = LLMBackend(fixture_client(tmp_path))
-        table = make_table()
-        decision = backend.propose(table, [], np.random.default_rng(0))
         with pytest.raises(ExprValidationError, match="MULTI_MEAN"):
-            validate_decision(decision, table)
+            backend.propose(make_table(), [], np.random.default_rng(0))
 
     def test_unknown_column_detected(self, tmp_path):
         write_fixture(
@@ -151,9 +200,9 @@ class TestFixtureFlow:
             ),
         )
         backend = LLMBackend(fixture_client(tmp_path))
-        decision = backend.propose(make_table(), [], np.random.default_rng(0))
+        expr = backend.propose(make_table(), [], np.random.default_rng(0))
         with pytest.raises(ExprValidationError, match="PR_magic"):
-            validate_decision(decision, make_table())
+            check_proposal(expr, make_table())
 
     def test_malformed_json_falls_back_and_completes(self, tmp_path, caplog):
         write_fixture(tmp_path, 0, chat_response("certainly! here is JSON: {"))
@@ -197,9 +246,47 @@ class TestFixtureFlow:
 
 def test_context_contains_schema_not_data():
     table = make_table()
-    ctx = build_context(table, [("accepted", None, "LOG1P(PR_t)")])
+    ctx = build_context(table, [("accepted", "LOG1P(PR_t)")])
     assert "PageRank" in ctx and "PR_t" in ctx
     assert "LOG1P(PR_t)" in ctx
     # no raw node values leak into the prompt
     for v in table.matrix[:, 0]:
         assert f"{v:.6f}" not in ctx
+
+
+def test_context_of_a_round_with_duplicates_is_pinned():
+    # the prompt text was recorded from an earlier version; the history
+    # generate_candidates keeps must still print the same lines
+    table = make_table()
+    table = table.with_active([n for n in table.names if n not in ("PR_global_rank", "Sim_2hop")])
+    proposals = [FeatureExpr("LOG1P", ("PR_t",), "PageRank"),
+                 FeatureExpr("LOG1P", ("PR_t",), "PageRank"),
+                 FeatureExpr("BINARY_SUB", ("BC_t", "BC_ego_mean"), "Betweenness"),
+                 FeatureExpr("LOG1P", ("PR_t",), "PageRank"),
+                 FeatureExpr("SQRT", ("Deg_t",), "Topology")]
+    contexts = []
+
+    class ScriptedBackend:
+        name = "scripted"
+
+        def propose(self, table, history, rng):
+            contexts.append(build_context(table, history))
+            return proposals[len(contexts) - 1]
+
+    exprs = generate_candidates(ScriptedBackend(), table, 3, np.random.default_rng(0))
+    assert [e.name for e in exprs] == ["LOG1P(PR_t)", "BINARY_SUB(BC_t,BC_ego_mean)",
+                                       "SQRT(Deg_t)"]
+    assert contexts[-1] == (
+        "Feature categories and their current columns:\n"
+        "- PageRank: PR_t, PR_ego_mean, PR_ego_rank\n"
+        "- Betweenness: BC_t, BC_ego_mean, BC_ego_rank, BC_global_rank\n"
+        "- Closeness: CC_t, CC_ego_mean, CC_ego_rank, CC_global_rank\n"
+        "- Similarity: Sim_1hop, Sim_3hop, Sim_4hop, Sim_5hop\n"
+        "- Topology: Deg_t, Ego_size\n"
+        "Recent generation history (avoid repeating accepted names):\n"
+        "- accepted: LOG1P(PR_t)\n"
+        "- duplicate: LOG1P(PR_t)\n"
+        "- accepted: BINARY_SUB(BC_t,BC_ego_mean)\n"
+        "- duplicate: LOG1P(PR_t)\n"
+        "Propose one new feature now."
+    )

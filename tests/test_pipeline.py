@@ -310,6 +310,20 @@ class TestScoreGraph:
         assert np.array_equal(s1, s2)
         assert np.array_equal(r1.weights, r2.weights)
 
+    def test_save_replaces_an_earlier_runs_round_reports(self, tmp_path, artifacts):
+        out = str(tmp_path / "artifacts")
+        artifacts.save(out)
+        assert len(RunArtifacts.load(out).shapley_reports) == artifacts.config.rounds == 2
+        one_round = dataclasses.replace(
+            artifacts, config=dataclasses.replace(artifacts.config, rounds=1),
+            shapley_reports=artifacts.shapley_reports[1:],
+        )
+        one_round.save(out)
+        assert RunArtifacts.load(out).shapley_reports == artifacts.shapley_reports[1:]
+        assert sorted(f for f in os.listdir(out) if f.startswith("shapley_round_")) == [
+            "shapley_round_1.txt"
+        ]
+
     def test_artifacts_saving_the_expert_count_load_and_score(self, tmp_path, artifacts,
                                                              graphs):
         # config.json as written while the expert count was a config field
@@ -641,6 +655,21 @@ class TestConfig:
         # fails only there, after pretraining and warm-up
         with pytest.raises(ValueError, match=f"{field} must be positive"):
             PipelineConfig(**{field: value})
+
+    @pytest.mark.parametrize("key, value, named", [
+        ("seed", -1, "seed"), ("seed", 1.5, "seed"),
+        ("rounds", -2, "rounds"), ("gen_per_round", -1, "gen_per_round"),
+        ("router_epochs", -1, "router_epochs"), ("warmup_epochs", 1.5, "warmup_epochs"),
+        ("expert_epochs", [10, -1, 10, 40], "expert_epochs"),
+        ("lr", -1.0, "lr"), ("wd", -1.0, "wd"), ("lam", float("nan"), "lam"),
+        ("mask_rate", 2.0, "mask_rate"), ("mask_rate", -0.1, "mask_rate"),
+        ("llm", "x", "llm"), ("llm", {"foo": 1}, "llm field 'foo'"),
+    ])
+    def test_values_no_stage_can_run_rejected(self, key, value, named):
+        # without the check, each fails inside a stage (a negative or
+        # fractional seed in derive_seed, say) or trains on nonsense
+        with pytest.raises(ValueError, match=re.escape(named)):
+            PipelineConfig.from_dict({key: value})
 
     def test_derive_rng_stable_and_tag_sensitive(self):
         a = derive_rng(5, "stage", 1).integers(10**9)
