@@ -80,7 +80,8 @@ def load_checkpoint(path, kind):
 def check_tensors(path, model, param_shapes):
     """``model``, built on a checkpoint's tensors, once they are exactly the
     parameters that ``param_shapes(*model.dims)`` names, in those shapes.
-    The widths ``model.dims`` are read from the tensors themselves."""
+    The widths ``model.dims`` are read from the model: from the tensors
+    themselves, and a router's input width from its feature names."""
     got = {k: v.shape for k, v in model.params.items()}
     try:
         expected = param_shapes(*model.dims)

@@ -108,7 +108,6 @@ def cmd_gen(args):
         structure_seed=args.seed,
         planted_kind=args.kind,
         n_communities=args.communities,
-        name=args.name,
     )
     save_graph(g, args.out)
     print(f"wrote {g.name}: {g.num_nodes} nodes, {g.num_edges} edges, "
@@ -179,18 +178,18 @@ def cmd_warmup(args):
     cfg, models = _resume(args.out, "warmup")
     contexts = _training_contexts(args, cfg, models)
     router_model = run_stage(cfg, "warmup", warmup_router, contexts, cfg)
-    save_router_file(args.out, router_model, contexts[0].names)
+    save_router_file(args.out, router_model)
     _clear_outputs(args.out, "warmup")
-    print(f"warmed up router on {len(contexts[0].names)} features -> {args.out}")
+    print(f"warmed up router on {router_model.d_r} features -> {args.out}")
 
 
 def cmd_evolve(args):
     cfg, models = _resume(args.out, "evolve")
-    router_model, names = load_router_file(args.out)
+    router_model = load_router_file(args.out)
     contexts = _training_contexts(args, cfg, models)
-    if names != contexts[0].names:
+    if router_model.names != contexts[0].names:
         raise CommandError(
-            f"{args.out}/{ROUTER_FILE} routes on {len(names)} features, not on the "
+            f"{args.out}/{ROUTER_FILE} routes on {router_model.d_r} features, not on the "
             f"{len(contexts[0].names)} primitives: run `evofg warmup` first"
         )
     artifacts = run_stage(cfg, "evolve", evolve, router_model, contexts, models, cfg)
@@ -284,7 +283,6 @@ def build_parser():
                    default="mixed")
     p.add_argument("--communities", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--name", default=None)
 
     p = sub.add_parser("save", help="re-export a graph in the three-file layout")
     p.add_argument("--graph", required=True)

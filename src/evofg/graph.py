@@ -62,18 +62,19 @@ class Graph:
             raise GraphFormatError("a graph needs at least one node")
         self.edges = _canonical_edges(np.asarray(edges), self.num_nodes)
         self.features = np.asarray(features, dtype=np.float64)
-        if self.features.shape[0] != self.num_nodes:
+        if self.features.ndim != 2 or self.features.shape[0] != self.num_nodes:
             raise GraphFormatError(
-                f"feature rows {self.features.shape[0]} != num_nodes {self.num_nodes}"
+                f"features of shape {self.features.shape} are not {self.num_nodes} rows"
             )
         if not np.isfinite(self.features).all():
             raise GraphFormatError("features contain NaN/Inf")
         if labels is not None:
-            labels = np.asarray(labels, dtype=np.int64)
+            labels = np.asarray(labels)
             if labels.shape != (self.num_nodes,):
                 raise GraphFormatError("label count != num_nodes")
             if not np.isin(labels, (0, 1)).all():
                 raise GraphFormatError("labels must be 0/1")
+            labels = labels.astype(np.int64)
         self.labels = labels
         self.name = name
         self._ops = {}
@@ -181,16 +182,17 @@ def _parse_matrix_file(path):
         if n < 1 or d < 0:
             raise GraphFormatError(f"{path}:1: needs N >= 1 nodes and d >= 0 features")
         lines = list(itertools.islice(fh, n))
-    rows = None
-    # numpy warns on input without data, and it skips blank lines, so that a
-    # blank row shows as a short shape; the per-line parser rejects both
-    if d > 0 and len(lines) == n > 0 and lines[0].strip():
-        try:
-            rows = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
-        except ValueError:
-            pass
-    if rows is None or rows.shape != (n, d):
-        rows = _matrix_rows_by_line(path, lines, n, d)
+        rows = None
+        # numpy warns on input without data, and it skips blank lines, so that
+        # a blank row shows as a short shape; the per-line parser rejects both
+        if d > 0 and len(lines) == n > 0 and lines[0].strip():
+            try:
+                rows = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
+            except ValueError:
+                pass
+        if rows is None or rows.shape != (n, d):
+            rows = _matrix_rows_by_line(path, lines, n, d)
+        _reject_extra_lines(fh, path, n + 1, f"{n} feature rows")
     return rows
 
 
@@ -271,7 +273,16 @@ def _parse_labels(path, num_nodes):
             if token not in ("0", "1"):
                 raise GraphFormatError(f"{path}:{i + 1}: label must be 0 or 1")
             labels[i] = int(token)
+        _reject_extra_lines(fh, path, num_nodes, f"{num_nodes} labels")
     return labels
+
+
+def _reject_extra_lines(fh, path, last, what):
+    """Raise at the first line of ``fh`` after line ``last``, the end of
+    ``what``, that is not blank: blank lines may trail the data."""
+    for ln, line in enumerate(fh, start=last + 1):
+        if line.strip():
+            raise GraphFormatError(f"{path}:{ln}: a line after the {what}")
 
 
 def load_graph(edge_path, feature_path, label_path=None, name="graph") -> Graph:

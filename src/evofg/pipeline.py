@@ -99,6 +99,10 @@ class PipelineConfig:
         "M": "n_memory",
     }
 
+    # the integer fields that each step needs at least one of; every other
+    # integer field may be zero
+    _POSITIVE = ("d", "d_e", "d_prime", "d_m", "n_memory", "shapley_iters", "n_envs")
+
     def __post_init__(self):
         if isinstance(self.llm, dict):
             unknown = sorted(set(self.llm) - {f.name for f in dataclasses.fields(LLMSettings)})
@@ -107,22 +111,19 @@ class PipelineConfig:
             self.llm = LLMSettings(**self.llm)
         if not isinstance(self.llm, LLMSettings):
             raise ValueError(f"llm must be an object of chat settings, not {self.llm!r}")
-        self.expert_epochs = tuple(self.expert_epochs)
-        if len(self.expert_epochs) != len(ARCHS):
+        if not (isinstance(self.expert_epochs, (list, tuple))
+                and len(self.expert_epochs) == len(ARCHS)):
             raise ValueError(f"expert_epochs needs one entry per expert: {', '.join(ARCHS)}")
-        for name in ("d", "d_e", "d_prime", "d_m", "n_memory", "shapley_iters", "n_envs"):
-            _check_count(name, getattr(self, name), 1)
-        for name in ("warmup_epochs", "router_epochs", "gen_per_round", "rounds", "seed"):
-            _check_count(name, getattr(self, name), 0)
+        self.expert_epochs = tuple(self.expert_epochs)
         for epochs in self.expert_epochs:
-            _check_count("expert_epochs", epochs, 0)
-        for name in ("lr", "wd", "lam"):
-            value = getattr(self, name)
-            if not (_is_real(value) and 0 <= value < math.inf):
-                raise ValueError(f"{name} must be finite and nonnegative, not {value!r}")
-        if not (_is_real(self.mask_rate) and 0 <= self.mask_rate <= 1):
+            _check_field("expert_epochs", "int", epochs)
+        for obj, prefix in ((self, ""), (self.llm, "llm.")):
+            for f in dataclasses.fields(obj):
+                _check_field(prefix + f.name, f.type, getattr(obj, f.name),
+                             f.name in self._POSITIVE)
+        if not self.mask_rate <= 1:
             raise ValueError(f"mask_rate must lie in [0, 1], not {self.mask_rate!r}")
-        if not (_is_real(self.key_fraction) and 0 < self.key_fraction < 1):
+        if not 0 < self.key_fraction < 1:
             raise ValueError("key_fraction must lie in (0, 1)")
 
     @classmethod
@@ -156,16 +157,19 @@ class PipelineConfig:
         return out
 
 
-def _is_real(value):
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _check_count(name, value, low):
-    """Raise a ValueError naming ``name`` unless ``value`` is an integer
-    of at least ``low`` (0 or 1)."""
-    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low):
-        raise ValueError(f"{name} must be {'positive' if low else 'nonnegative'} "
+def _check_field(name, kind, value, positive=False):
+    """Raise a ValueError naming ``name`` unless ``value`` fits the declared
+    type ``kind`` of its field: an int is a count, at least 1 if
+    ``positive``; a float is finite and nonnegative; a bool or a str is one."""
+    number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if kind == "int" and not (number and isinstance(value, numbers.Integral)
+                              and value >= (1 if positive else 0)):
+        raise ValueError(f"{name} must be {'positive' if positive else 'nonnegative'} "
                          f"and an integer, not {value!r}")
+    if kind == "float" and not (number and 0 <= value < math.inf):
+        raise ValueError(f"{name} must be finite and nonnegative, not {value!r}")
+    if kind in ("bool", "str") and not isinstance(value, {"bool": bool, "str": str}[kind]):
+        raise ValueError(f"{name} must be a {kind}, not {value!r}")
 
 
 def derive_rng(seed, *tags):
@@ -261,13 +265,13 @@ def load_pretrained(out_dir):
     return config, models
 
 
-def save_router_file(out_dir, router_model, feature_names):
+def save_router_file(out_dir, router_model):
     """The warm-up stage's router, which the evolve stage replaces."""
-    save_router(router_model, os.path.join(out_dir, ROUTER_FILE), feature_names)
+    save_router(router_model, os.path.join(out_dir, ROUTER_FILE))
 
 
 def load_router_file(out_dir):
-    """(router, feature names) saved by ``save_router_file``."""
+    """The router saved by ``save_router_file``."""
     return load_router(os.path.join(out_dir, ROUTER_FILE))
 
 
@@ -288,13 +292,17 @@ class RunArtifacts:
     experts: list
     router: object
     provenance: list  # per-column "primitive" or FeatureExpr, table order
-    active_names: list
     key_cache: dict  # arch -> stacked key embeddings from training graphs
     shapley_reports: list = field(default_factory=list)
 
+    @property
+    def active_names(self):
+        """The kept feature columns: those the router reads."""
+        return self.router.names
+
     def save(self, out_dir):
         save_pretrained(out_dir, self.config, self.experts)
-        save_router_file(out_dir, self.router, self.active_names)
+        save_router_file(out_dir, self.router)
         provenance = [dsl.expr_to_dict(p) for p in self.provenance]
         with open(os.path.join(out_dir, FEATURES_FILE), "w", encoding="utf-8") as fh:
             json.dump({"provenance": provenance, "active": self.active_names}, fh, indent=2)
@@ -310,11 +318,11 @@ class RunArtifacts:
     @classmethod
     def load(cls, out_dir):
         config, models = load_pretrained(out_dir)
-        router, router_names = load_router_file(out_dir)
+        router = load_router_file(out_dir)
         provenance, active = load_features(os.path.join(out_dir, FEATURES_FILE))
-        if router_names != active:
+        if router.names != active:
             raise CheckpointError(
-                f"{out_dir}: {ROUTER_FILE} routes on {len(router_names)} features that "
+                f"{out_dir}: {ROUTER_FILE} routes on {len(router.names)} features that "
                 f"differ from the {len(active)} active in {FEATURES_FILE}"
             )
         keys_path = os.path.join(out_dir, KEYS_FILE)
@@ -332,7 +340,6 @@ class RunArtifacts:
             experts=models,
             router=router,
             provenance=provenance,
-            active_names=active,
             key_cache=key_cache,
             shapley_reports=load_round_reports(out_dir),
         )
@@ -405,9 +412,9 @@ def build_contexts(bundles, models, cfg: PipelineConfig):
     ]
 
 
-def _new_router(cfg: PipelineConfig, d_r, tag):
+def _new_router(cfg: PipelineConfig, names, tag):
     return init_router(
-        cfg.d, d_r, cfg.d_m, cfg.n_memory, len(ARCHS), derive_seed(cfg.seed, tag),
+        cfg.d, names, cfg.d_m, cfg.n_memory, len(ARCHS), derive_seed(cfg.seed, tag),
         use_memory=not cfg.no_memory,
     )
 
@@ -415,7 +422,7 @@ def _new_router(cfg: PipelineConfig, d_r, tag):
 def warmup_router(contexts, cfg: PipelineConfig):
     """The warm-up stage: a fresh router aligned with the experts'
     correctness targets on the contexts' features."""
-    router_model = _new_router(cfg, len(contexts[0].names), "router-init")
+    router_model = _new_router(cfg, contexts[0].names, "router-init")
     train_router(router_model, contexts, cfg, "warmup", derive_seed(cfg.seed, "warmup"))
     return router_model
 
@@ -431,11 +438,10 @@ def evolve(router_model, contexts, models, cfg: PipelineConfig) -> RunArtifacts:
     reports = []
     for r in range(1, cfg.rounds + 1):
         exprs = dsl.generate_candidates(backend, contexts[0].table, cfg.gen_per_round, gen_rng)
-        read = contexts[0].names
         contexts = [ctx.with_features(dsl.extend_table(ctx.table, exprs)) for ctx in contexts]
         contexts, dropped = _without_constant_columns(contexts)
         active = contexts[0].names
-        resize_router(router_model, read, active, derive_seed(cfg.seed, "resize-gen", r))
+        resize_router(router_model, active, derive_seed(cfg.seed, "resize-gen", r))
         # the router is frozen until the retrain below: its node branch is
         # computed once for the round's utility calls
         frozen = freeze_node_branch(router_model, contexts)
@@ -448,20 +454,19 @@ def evolve(router_model, contexts, models, cfg: PipelineConfig) -> RunArtifacts:
         kept = active if cfg.no_select else select_features(stats)
         reports.append(format_stats(stats, kept, dropped))
         contexts = [ctx.with_features(ctx.table.with_active(kept)) for ctx in contexts]
-        resize_router(router_model, active, kept, derive_seed(cfg.seed, "resize-select", r))
+        resize_router(router_model, kept, derive_seed(cfg.seed, "resize-select", r))
         train_router(router_model, contexts, cfg, "main", derive_seed(cfg.seed, "round", r))
         log.info("round %d: generated %d, dropped %d constant, kept %d of %d active features",
                  r, len(exprs), len(dropped), len(kept), len(active))
     if cfg.rounds > 0:
         if cfg.reset_final:
-            router_model.params = _new_router(cfg, router_model.d_r, "final-init").params
+            router_model.params = _new_router(cfg, router_model.names, "final-init").params
         train_router(router_model, contexts, cfg, "main", derive_seed(cfg.seed, "final"))
     return RunArtifacts(
         config=cfg,
         experts=models,
         router=router_model,
         provenance=list(contexts[0].table.provenance),
-        active_names=contexts[0].names,
         key_cache=build_key_cache(contexts),
         shapley_reports=reports,
     )

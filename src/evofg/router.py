@@ -32,23 +32,25 @@ log = logging.getLogger(__name__)
 
 
 class RouterModel:
-    """Trainable routing parameters; ``use_memory=False`` degrades to the
+    """Trainable routing parameters and the names of the feature columns
+    they read, in order; ``use_memory=False`` degrades to the
     projection-only ablation router."""
 
-    def __init__(self, params, use_memory):
+    def __init__(self, params, names, use_memory):
         self.params = params
+        self.names = list(names)
         self.use_memory = use_memory
 
     @property
     def dims(self):
-        """(d, d_r, d_m, M, E), read from the parameter shapes."""
+        """(d, d_r, d_m, M, E): d_r counts the names, the rest are shapes."""
         d, d_m = self.params["gnn_w"].shape
         n_memory = self.params["mem_node"].shape[0]
         return d, self.d_r, d_m, n_memory, self.params["scale"].shape[0]
 
     @property
     def d_r(self):
-        return self.params["proj_w"].shape[0]
+        return len(self.names)
 
 
 @dataclass
@@ -70,36 +72,38 @@ def _param_shapes(d, d_r, d_m, n_memory, n_experts):
     }
 
 
-def init_router(d, d_r, d_m, n_memory, n_experts, seed, use_memory=True) -> RouterModel:
+def init_router(d, names, d_m, n_memory, n_experts, seed, use_memory=True) -> RouterModel:
+    """A fresh router reading the feature columns ``names``."""
     rng = np.random.default_rng(seed)
     params = {}
-    for name, shape in _param_shapes(d, d_r, d_m, n_memory, n_experts).items():
+    for name, shape in _param_shapes(d, len(names), d_m, n_memory, n_experts).items():
         if name == "proj_b":
             params[name] = np.zeros(shape)
         elif name in ("mem_node", "mem_feat", "scale"):
             params[name] = rng.standard_normal(shape) / np.sqrt(d_m)
         else:
             params[name] = glorot(rng, shape)
-    return RouterModel(params, use_memory)
+    return RouterModel(params, names, use_memory)
 
 
-def resize_router(model: RouterModel, old_names, new_names, seed) -> None:
-    """Move the feature projection and noise head from the input columns
-    ``old_names`` to ``new_names``: fresh Glorot rows at the new width, of
+def resize_router(model: RouterModel, new_names, seed) -> None:
+    """Move the feature projection and noise head from the columns the
+    router reads to ``new_names``: fresh Glorot rows at the new width, of
     which a column the router already read takes back its trained rows, and
     a zero bias. Memories, the node encoder, and scale vectors persist."""
-    if list(old_names) == list(new_names):
+    if model.names == list(new_names):
         return
     rng = np.random.default_rng(seed)
     _, _, d_m, _, n_experts = model.dims
     resized = {"proj_w": glorot(rng, (len(new_names), d_m)),
                "noise_w": glorot(rng, (len(new_names), n_experts))}
-    row = {name: i for i, name in enumerate(old_names)}
+    row = {name: i for i, name in enumerate(model.names)}
     for j, name in enumerate(new_names):
         if name in row:
             for key, w in resized.items():
                 w[j] = model.params[key][row[name]]
     model.params.update(resized, proj_b=np.zeros(d_m))
+    model.names = list(new_names)
 
 
 def propagate(xtilde, g):
@@ -286,7 +290,6 @@ class FrozenContext:
     call reduces across rows (``hr_t`` (F + 1) x Nq, ``readout`` E x K x Nq,
     ``targets_t`` E x Nq), and the target entropies."""
 
-    names: list
     keys: np.ndarray
     hr_t: np.ndarray
     readout: np.ndarray
@@ -298,16 +301,19 @@ def freeze_node_branch(model: RouterModel, contexts):
     """Each context's routing material under ``model`` as it is now: all of
     the training forward that no feature mask changes, the node branch at
     the queries through ``fold_t``, on the parameters as constants; rebuild
-    it whenever the router's parameters change."""
+    it whenever the router's parameters change. Each context must route on
+    the columns the router reads, whose names ``routing_utility`` masks."""
     p, use_memory = model.params, model.use_memory
     frozen = []
     for ctx in contexts:
+        if ctx.names != model.names:
+            raise ValueError("a context routes on columns other than those the router reads")
         node = node_branch_t(p, ctx.sx, use_memory)
         folded = fold_t(p, ad.gather_rows(node, ctx.queries), use_memory)
         keys, table = (None if t is None else t.value for t in folded)
         hr_t = np.vstack([ctx.hr[ctx.queries].T, np.ones(len(ctx.queries))])
         targets, entropy = ctx.kl_targets
-        frozen.append(FrozenContext(ctx.names, keys, hr_t, table.transpose(1, 2, 0).copy(),
+        frozen.append(FrozenContext(keys, hr_t, table.transpose(1, 2, 0).copy(),
                                     targets.T.copy(), entropy))
     return frozen
 
@@ -319,7 +325,7 @@ def routing_utility(model: RouterModel, subset, frozen) -> float:
     ``freeze_node_branch(model, contexts)``; each call computes its own
     subset's value, in plain numpy."""
     member = set(subset)
-    mask = np.array([1.0 if n in member else 0.0 for n in frozen[0].names] + [1.0])
+    mask = np.array([1.0 if n in member else 0.0 for n in model.names] + [1.0])
     vals = []
     for f in frozen:
         if model.use_memory:  # each query's attention over the feature memories
@@ -403,17 +409,13 @@ def routing_frequency(weights) -> np.ndarray:
     return mass / mass.sum()
 
 
-def save_router(model: RouterModel, path, feature_names):
-    header = {
-        "kind": "router",
-        "use_memory": model.use_memory,
-        "feature_names": list(feature_names),
-    }
+def save_router(model: RouterModel, path):
+    header = {"kind": "router", "use_memory": model.use_memory, "feature_names": model.names}
     save_checkpoint(path, header, model.params)
 
 
-def load_router(path):
-    """(router, the feature names it routes on) saved by ``save_router``."""
+def load_router(path) -> RouterModel:
+    """The router saved by ``save_router``."""
     header, tensors = load_checkpoint(path, "router")
     use_memory, names = header.get("use_memory"), header.get("feature_names")
     if not isinstance(use_memory, bool) or not (
@@ -422,9 +424,4 @@ def load_router(path):
         raise CheckpointError(
             f"{path}: header needs a boolean use_memory and a feature_names list of strings"
         )
-    model = check_tensors(path, RouterModel(tensors, use_memory), _param_shapes)
-    if len(names) != model.d_r:
-        raise CheckpointError(
-            f"{path}: {len(names)} feature names for a router {model.d_r} features wide"
-        )
-    return model, names
+    return check_tensors(path, RouterModel(tensors, names, use_memory), _param_shapes)

@@ -230,6 +230,29 @@ def route_noisy(model, xtilde, g, hr, train_mode=False, rng=None, mask=None):
     return RoutingOutput(logits.value, ad.row_softmax(logits).value)
 
 
+def toy_names(k):
+    """Names for the k feature columns of a toy router."""
+    return [f"f{i}" for i in range(k)]
+
+
+def acceptance_suite():
+    """The acceptance suite's labeled training graphs and shifted held-out
+    graphs; tools/exactness.py writes the same four for its acc-* cases."""
+    train = [
+        gen_synthetic(400, 48, 0.06, structure_seed=101,
+                      planted_kind="structural", name="train_structural"),
+        gen_synthetic(360, 48, 0.08, structure_seed=202,
+                      planted_kind="attribute", name="train_attribute"),
+    ]
+    test = [
+        gen_synthetic(320, 48, 0.07, structure_seed=303, planted_kind="mixed",
+                      n_communities=6, name="test_shifted_a"),
+        gen_synthetic(340, 48, 0.05, structure_seed=404, planted_kind="mixed",
+                      n_communities=6, name="test_shifted_b"),
+    ]
+    return train, test
+
+
 def graph_from_edges(n, edges, d=3, labels=None, seed=0, name="toy"):
     rng = np.random.default_rng(seed)
     feats = rng.normal(size=(n, d))

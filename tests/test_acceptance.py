@@ -54,6 +54,7 @@ from evofg.router import (
 )
 from evofg.shapley import estimate_contributions
 from helpers import (
+    acceptance_suite,
     brute_force_auprc,
     brute_force_auroc,
     brute_force_betweenness,
@@ -68,6 +69,7 @@ from helpers import (
     route_noisy,
     route_t,
     tape_route_t,
+    toy_names,
 )
 
 
@@ -85,18 +87,7 @@ def criterion(num, desc):
 @pytest.fixture(scope="module")
 def suite():
     """The shared synthetic zero-shot suite and its feature cache."""
-    train = [
-        gen_synthetic(400, 48, 0.06, structure_seed=101,
-                      planted_kind="structural", name="train_structural"),
-        gen_synthetic(360, 48, 0.08, structure_seed=202,
-                      planted_kind="attribute", name="train_attribute"),
-    ]
-    test = [
-        gen_synthetic(320, 48, 0.07, structure_seed=303, planted_kind="mixed",
-                      n_communities=6, name="test_shifted_a"),
-        gen_synthetic(340, 48, 0.05, structure_seed=404, planted_kind="mixed",
-                      n_communities=6, name="test_shifted_b"),
-    ]
+    train, test = acceptance_suite()
     return train, test, {}
 
 
@@ -175,7 +166,7 @@ def test_c03_gradient_checks():
         bundle = prepare_graphs([rg], cfg.d, None)[0]
         experts = pretrain_all_experts([bundle], cfg)
         ctx = build_contexts([bundle], experts, cfg)[0]
-        model = init_router(cfg.d, ctx.hr.shape[1], cfg.d_m, cfg.n_memory, 4, seed=5)
+        model = init_router(cfg.d, ctx.names, cfg.d_m, cfg.n_memory, 4, seed=5)
 
         def build_kl(lv):
             logits = route_t(lv, ctx.xtilde, ctx.graph, ctx.hr, None, True)
@@ -245,7 +236,7 @@ def test_c06_routing_invariants():
         graphs = [random_graph(rng, int(rng.integers(4, 14)), p=0.4, d=3)
                   for _ in range(8)]
         models = [
-            init_router(3, 7, 5, 3, 4, seed=s, use_memory=bool(s % 2))
+            init_router(3, toy_names(7), 5, 3, 4, seed=s, use_memory=bool(s % 2))
             for s in range(8)
         ]
         for i in range(10_000):
@@ -284,7 +275,7 @@ def test_c07_invariant_learning_degeneracy():
         bundle = prepare_graphs([g], cfg.d, None)[0]
         experts = pretrain_all_experts([bundle], cfg)
         ctx = build_contexts([bundle], experts, cfg)[0]
-        model = init_router(cfg.d, ctx.hr.shape[1], cfg.d_m, cfg.n_memory, 4, seed=8)
+        model = init_router(cfg.d, ctx.names, cfg.d_m, cfg.n_memory, 4, seed=8)
         for n_envs in (2, 5, 20):
             val, trace = invariant_loss(
                 model, ctx, n_envs, lam=0.8, mask_rate=0.0, seed=9
@@ -315,7 +306,7 @@ def test_c08_planted_feature_utility_monotonicity():
         ctx.queries = np.arange(n)
         ctx.q_matrix = q
 
-        model = init_router(4, len(names), 8, 6, 4, seed=11)
+        model = init_router(4, names, 8, 6, 4, seed=11)
         warm_cfg = PipelineConfig(
             d=4, d_m=8, n_memory=6, lr=0.05, warmup_epochs=300
         )

@@ -78,7 +78,7 @@ def test_a_file_of_another_kind_rejected(tmp_path, saved, loader):
     if saved == "expert":
         save_expert(init_expert("GPR", 4, 5, 4, seed=1), path)
     else:
-        save_router(init_router(4, 3, 4, 2, 4, seed=2), path, ["a", "b", "c"])
+        save_router(init_router(4, ["a", "b", "c"], 4, 2, 4, seed=2), path)
     with pytest.raises(CheckpointError, match=re.escape(path)) as err:
         loader(path)
     assert f"is of kind {saved!r}, not " in str(err.value)
@@ -140,7 +140,7 @@ def test_a_malformed_expert_file_rejected(tmp_path, defect):
 @pytest.mark.parametrize("defect", ROUTER_DEFECTS)
 def test_a_malformed_router_file_rejected(tmp_path, defect):
     path = str(tmp_path / "router.bin")
-    save_router(init_router(4, 3, 5, 2, 4, seed=4), path, ["a", "b", "c"])
+    save_router(init_router(4, ["a", "b", "c"], 5, 2, 4, seed=4), path)
     _resaved(path, "router", *ROUTER_DEFECTS[defect])
     with pytest.raises(CheckpointError, match=re.escape(path)):
         load_router(path)
@@ -150,11 +150,10 @@ def test_a_malformed_router_file_rejected(tmp_path, defect):
 def test_widths_are_read_from_the_tensors(tmp_path, arch):
     expert_path, router_path = str(tmp_path / "expert.bin"), str(tmp_path / "router.bin")
     save_expert(init_expert(arch, 4, 5, 3, seed=5), expert_path)
-    save_router(init_router(4, 3, 5, 2, 4, seed=6, use_memory=False), router_path,
-                ["a", "b", "c"])
+    save_router(init_router(4, ["a", "b", "c"], 5, 2, 4, seed=6, use_memory=False), router_path)
     for path, kind in ((expert_path, "expert"), (router_path, "router")):
         header, _ = load_checkpoint(path, kind)
         assert "dims" not in header
     assert load_expert(expert_path).dims == (4, 5, 3)
-    model, names = load_router(router_path)
-    assert (model.dims, model.use_memory, names) == ((4, 3, 5, 2, 4), False, ["a", "b", "c"])
+    model = load_router(router_path)
+    assert (model.dims, model.use_memory, model.names) == ((4, 3, 5, 2, 4), False, ["a", "b", "c"])

@@ -1,0 +1,42 @@
+"""tools/exactness.py runs a case end to end and prints a digest of every
+file the run leaves and of every held-out graph's scores and weights."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+from evofg.experts import ARCHS
+from evofg.graph import gen_synthetic
+from helpers import acceptance_suite, graph_equals
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "exactness.py"
+
+
+def test_one_case_prints_a_digest_of_every_output():
+    out = subprocess.run([sys.executable, str(TOOL), "--case", "acc-s1-nomem1"],
+                         check=True, capture_output=True, text=True).stdout
+    (name, case), = json.loads(out).items()
+    assert name == "acc-s1-nomem1"
+    assert set(case["files"]) == (
+        {"config.json", "router.bin", "features.json", "keys.bin"}
+        | {f"expert_{arch}.bin" for arch in ARCHS}
+        | {f"shapley_round_{r}.txt" for r in (1, 2, 3)}
+    )
+    assert set(case["scores"]) == set(case["weights"]) == {"test_shifted_a", "test_shifted_b"}
+    digests = list(case["files"].values()) + list(case["scores"].values())
+    assert all(len(d) == 64 for d in digests)
+    assert case["kept"] >= 1
+
+
+def test_acceptance_cases_write_the_acceptance_suite():
+    # the tool keeps its own copy of the specs, so that it also runs in a
+    # checkout of an older commit; this keeps the copy in step
+    code = ("import json, runpy; t = runpy.run_path(%r); "
+            "print(json.dumps([t['ACCEPTANCE_TRAIN'], t['ACCEPTANCE_TEST']]))" % str(TOOL))
+    out = subprocess.run([sys.executable, "-c", code],
+                         check=True, capture_output=True, text=True).stdout
+    for specs, suite in zip(json.loads(out), acceptance_suite()):
+        tool = [gen_synthetic(**spec) for spec in specs]
+        assert [g.name for g in tool] == [g.name for g in suite]
+        assert all(graph_equals(a, b) for a, b in zip(tool, suite, strict=True))

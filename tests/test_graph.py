@@ -106,6 +106,9 @@ class TestLoading:
         ("3 2\n0 1\n2 x\n4 5\n", "features.txt:3: bad real"),
         ("3 2\n0 1\n2 3 4\n", "features.txt:3: expected 2"),
         ("3 2\n0 1\n2 3\n", "expected 3 feature rows, got 2"),
+        ("3 2\n0 1\n2 3\n4 5\n6 7\n8 9\n", "features.txt:5: a line after the 3 feature rows"),
+        ("3 2\n0 1\n2 3\n4 5\n\n \n6 7\n", "features.txt:7: a line after the 3 feature rows"),
+        ("3 2\n0 1\n\n4 5\n6 7\n", "features.txt:3: expected 2"),
     ])
     def test_feature_error_names_line(self, tmp_path, feat_text, where):
         paths = write_graph_files(tmp_path, "0\t1\n", feat_text, "0\n1\n0\n")
@@ -116,6 +119,8 @@ class TestLoading:
         ("0\n1\n2\n", "labels.txt:3: label"),
         ("0\n\n1\n", "labels.txt:2: label"),
         ("0\n1\n", "expected 3 labels, got 2"),
+        ("0\n1\n0\n1\n1\n", "labels.txt:4: a line after the 3 labels"),
+        ("0\n1\n0\n\n1\n", "labels.txt:5: a line after the 3 labels"),
     ])
     def test_label_error_names_line(self, tmp_path, label_text, where):
         paths = write_graph_files(tmp_path, "0\t1\n", "3 1\n0\n1\n2\n", label_text)
@@ -162,6 +167,12 @@ class TestLoading:
         )
         g = load_graph(*paths)
         assert g.edges.tolist() == [[0, 1], [1, 2]]
+        assert g.labels.tolist() == [1, 0, 1]
+
+    def test_blank_lines_after_the_rows_and_labels_accepted(self, tmp_path):
+        paths = write_graph_files(tmp_path, "0\t1\n", "3 1\n0\n1\n2\n\n \n", "1\n0\n1\n\n \n")
+        g = load_graph(*paths)
+        assert g.features.ravel().tolist() == [0, 1, 2]
         assert g.labels.tolist() == [1, 0, 1]
 
 
@@ -278,6 +289,17 @@ class TestRoundTrip:
 def test_fractional_edge_endpoint_rejected():
     with pytest.raises(GraphFormatError, match="endpoints must be integers, not float64"):
         Graph(3, [[0, 1.5]], np.zeros((3, 2)), None)
+
+
+def test_features_not_a_matrix_rejected():
+    # a vector of N values would be accepted as N rows and fail in `align`
+    with pytest.raises(GraphFormatError, match=r"features of shape \(5,\) are not 5 rows"):
+        Graph(5, [(0, 1)], np.zeros(5), None)
+
+
+def test_fractional_labels_rejected():
+    with pytest.raises(GraphFormatError, match="labels must be 0/1"):
+        Graph(2, [(0, 1)], np.zeros((2, 1)), [0.5, 1.0])
 
 
 def test_graph_without_nodes_rejected():

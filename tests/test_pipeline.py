@@ -179,8 +179,8 @@ class TestRunPipeline:
         evolve(router_model, contexts, models, cfg)
 
         assert len(rounds) == cfg.rounds
-        for r, (frozen, _, _) in enumerate(rounds):
-            assert calls.count(r) == cfg.shapley_iters * (len(frozen[0].names) + 2)
+        for r, (_, ctxs, _) in enumerate(rounds):
+            assert calls.count(r) == cfg.shapley_iters * (len(ctxs[0].names) + 2)
         # round 2 runs on a router the round-1 retrain changed in place
         assert not np.array_equal(rounds[0][2], rounds[1][2])
 
@@ -664,10 +664,16 @@ class TestConfig:
         ("lr", -1.0, "lr"), ("wd", -1.0, "wd"), ("lam", float("nan"), "lam"),
         ("mask_rate", 2.0, "mask_rate"), ("mask_rate", -0.1, "mask_rate"),
         ("llm", "x", "llm"), ("llm", {"foo": 1}, "llm field 'foo'"),
+        ("no_memory", "false", "no_memory"), ("no_select", 0, "no_select"),
+        ("random_backend", None, "random_backend"), ("reset_final", 1, "reset_final"),
+        ("llm", {"enabled": "no"}, "llm.enabled"), ("llm", {"base_url": 5}, "llm.base_url"),
+        ("llm", {"fixtures_dir": 3}, "llm.fixtures_dir"), ("llm", {"model": None}, "llm.model"),
+        ("expert_epochs", 5, "expert_epochs"),
     ])
     def test_values_no_stage_can_run_rejected(self, key, value, named):
         # without the check, each fails inside a stage (a negative or
-        # fractional seed in derive_seed, say) or trains on nonsense
+        # fractional seed in derive_seed, say) or trains on nonsense: a
+        # quoted boolean read by truth would silently run an ablation
         with pytest.raises(ValueError, match=re.escape(named)):
             PipelineConfig.from_dict({key: value})
 

@@ -49,6 +49,7 @@ from helpers import (
     route_t,
     tape_route_t,
     tape_routing_utility,
+    toy_names,
     unfolded_node_branch_t,
 )
 
@@ -79,7 +80,7 @@ def pretrained():
 def setup(pretrained):
     cfg, bundle, experts = pretrained
     ctx = build_contexts([bundle], experts, cfg)[0]
-    model = init_router(cfg.d, ctx.hr.shape[1], cfg.d_m, cfg.n_memory, 4, seed=5)
+    model = init_router(cfg.d, ctx.names, cfg.d_m, cfg.n_memory, 4, seed=5)
     return cfg, bundle, ctx, model
 
 
@@ -112,14 +113,14 @@ class TestRoute:
 
     def test_identical_scale_vectors_give_uniform_weights(self, setup):
         cfg, b, ctx, _ = setup
-        model = init_router(cfg.d, ctx.hr.shape[1], cfg.d_m, cfg.n_memory, 4, seed=6)
+        model = init_router(cfg.d, ctx.names, cfg.d_m, cfg.n_memory, 4, seed=6)
         model.params["scale"][:] = model.params["scale"][0]
         out = route(model, b.xtilde, b.graph, ctx.hr)
         assert np.abs(out.weights - 0.25).max() < 1e-12
 
     def test_single_memory_slot_gives_node_constant_logits(self, setup):
         cfg, b, ctx, _ = setup
-        model = init_router(cfg.d, ctx.hr.shape[1], cfg.d_m, 1, 4, seed=7)
+        model = init_router(cfg.d, ctx.names, cfg.d_m, 1, 4, seed=7)
         out = route(model, b.xtilde, b.graph, ctx.hr)
         assert np.abs(out.logits - out.logits[0]).max() < 1e-12
 
@@ -150,7 +151,7 @@ class TestRoute:
         first two), its logits are those of the folded tape forward bit for
         bit, and they agree with the unfolded chain to rel 1e-12."""
         cfg, b, ctx, _ = setup
-        model = init_router(cfg.d, ctx.hr.shape[1], cfg.d_m, cfg.n_memory, 4, seed=9,
+        model = init_router(cfg.d, ctx.names, cfg.d_m, cfg.n_memory, 4, seed=9,
                             use_memory=use_memory)
         model.params["proj_b"] = np.random.default_rng(9).normal(size=cfg.d_m)
         lv = ad.leaves(model.params)
@@ -179,7 +180,7 @@ class TestRoute:
         rng = np.random.default_rng(33)
         graphs = dict(degenerate_graphs(seed=33, d=6), random=random_graph(rng, 30, p=0.15, d=6))
         g = graphs[case]
-        model = init_router(6, 7, 5, 3, 4, seed=34, use_memory=use_memory)
+        model = init_router(6, toy_names(7), 5, 3, 4, seed=34, use_memory=use_memory)
         upstream = rng.normal(size=(g.num_nodes, 5))
         runs = []
         for forward in (lambda lv: node_branch_t(lv, propagate(g.features, g), use_memory),
@@ -196,7 +197,7 @@ class TestRoute:
     def test_no_memory_router_skips_retrieval(self, setup):
         cfg, b, ctx, _ = setup
         model = init_router(
-            cfg.d, ctx.hr.shape[1], cfg.d_m, cfg.n_memory, 4, seed=8, use_memory=False
+            cfg.d, ctx.names, cfg.d_m, cfg.n_memory, 4, seed=8, use_memory=False
         )
         out = route(model, b.xtilde, b.graph, ctx.hr)
         assert np.abs(out.weights.sum(axis=1) - 1.0).max() < 1e-9
@@ -316,11 +317,21 @@ class TestUtility:
         frozen = freeze_node_branch(model, [ctx])
         assert routing_utility(model, s, frozen) == routing_utility(model, s, frozen)
 
+    def test_freezing_a_context_on_other_columns_is_refused(self, setup):
+        """The utility masks the router's columns by name, so a context whose
+        columns are the same count under other names or in another order is
+        refused, not routed."""
+        cfg, b, ctx, model = setup
+        for names in (ctx.names[::-1], toy_names(len(ctx.names))):
+            other = init_router(cfg.d, names, cfg.d_m, cfg.n_memory, 4, seed=5)
+            with pytest.raises(ValueError, match="other than those the router reads"):
+                freeze_node_branch(other, [ctx])
+
     @pytest.mark.parametrize("use_memory", [True, False])
     def test_frozen_branch_matches_full_forward(self, setup, pretrained, use_memory):
         cfg, b, ctx, _ = setup
         experts = pretrained[2]
-        model = init_router(cfg.d, ctx.hr.shape[1], cfg.d_m, cfg.n_memory, 4, seed=20,
+        model = init_router(cfg.d, ctx.names, cfg.d_m, cfg.n_memory, 4, seed=20,
                             use_memory=use_memory)
         other = prepare_graph(
             gen_synthetic(20, 5, 0.15, structure_seed=4, planted_kind="mixed"), cfg.d
@@ -345,9 +356,9 @@ class TestUtility:
         return [ctx, ctx2]
 
     @staticmethod
-    def biased_router(cfg, width, use_memory, seed):
+    def biased_router(cfg, names, use_memory, seed):
         """A fresh router whose projection bias is not zero."""
-        model = init_router(cfg.d, width, cfg.d_m, cfg.n_memory, 4, seed=seed,
+        model = init_router(cfg.d, names, cfg.d_m, cfg.n_memory, 4, seed=seed,
                             use_memory=use_memory)
         model.params["proj_b"] = np.random.default_rng(seed).normal(size=cfg.d_m)
         return model
@@ -356,7 +367,7 @@ class TestUtility:
     def test_matches_the_tape_oracle(self, setup, two_contexts, use_memory):
         cfg = setup[0]
         names = two_contexts[0].names
-        model = self.biased_router(cfg, len(names), use_memory, seed=24)
+        model = self.biased_router(cfg, names, use_memory, seed=24)
         frozen = freeze_node_branch(model, two_contexts)
         rng = np.random.default_rng(25)
         subsets = [frozenset(), frozenset(names)] + [frozenset([n]) for n in names]
@@ -370,7 +381,7 @@ class TestUtility:
             self, setup, two_contexts, use_memory):
         cfg = setup[0]
         names = two_contexts[0].names
-        model = self.biased_router(cfg, len(names), use_memory, seed=26)
+        model = self.biased_router(cfg, names, use_memory, seed=26)
         j = 3
         zeroed = []
         for ctx in two_contexts:
@@ -390,7 +401,7 @@ class TestUtility:
 
     def test_frozen_branch_goes_stale_when_the_router_trains(self, setup):
         cfg, b, ctx, _ = setup
-        model = init_router(cfg.d, ctx.hr.shape[1], cfg.d_m, cfg.n_memory, 4, seed=22)
+        model = init_router(cfg.d, ctx.names, cfg.d_m, cfg.n_memory, 4, seed=22)
         s = frozenset(ctx.names[::2])
         frozen = freeze_node_branch(model, [ctx])
         before = routing_utility(model, s, frozen)
@@ -428,7 +439,7 @@ class TestInvariantLoss:
     @pytest.mark.parametrize("use_memory", [True, False])
     def test_shared_node_branch_matches_per_environment_forward(self, setup, use_memory):
         cfg, b, ctx, _ = setup
-        model = init_router(cfg.d, ctx.hr.shape[1], cfg.d_m, cfg.n_memory, 4, seed=24,
+        model = init_router(cfg.d, ctx.names, cfg.d_m, cfg.n_memory, 4, seed=24,
                             use_memory=use_memory)
         masks, noise = invariant_env_draws(ctx, 5, 0.3, 25)
 
@@ -496,7 +507,7 @@ class TestRouterGradients:
 class TestTraining:
     def test_warmup_concentrates_on_always_correct_expert(self, setup):
         cfg, b, ctx, _ = setup
-        model = init_router(cfg.d, ctx.hr.shape[1], cfg.d_m, cfg.n_memory, 4, seed=13)
+        model = init_router(cfg.d, ctx.names, cfg.d_m, cfg.n_memory, 4, seed=13)
         forced = RoutingContext.__new__(RoutingContext)
         forced.__dict__.update(ctx.__dict__)
         forced.q_matrix = np.zeros_like(ctx.q_matrix)
@@ -514,14 +525,14 @@ class TestTraining:
         calls = []
         monkeypatch.setattr(ad, "spmm", counting(calls, "spmm", ad.spmm))
         monkeypatch.setattr(router, "propagate", counting(calls, "propagate", propagate))
-        model = init_router(cfg.d, ctx.hr.shape[1], cfg.d_m, cfg.n_memory, 4, seed=35)
+        model = init_router(cfg.d, ctx.names, cfg.d_m, cfg.n_memory, 4, seed=35)
         for phase in ("warmup", "main"):
             assert len(train_router(model, [ctx], tiny_cfg(), phase, seed=36)) > 0
         assert calls == []
 
     def test_main_phase_runs_and_is_finite(self, setup):
         cfg, b, ctx, _ = setup
-        model = init_router(cfg.d, ctx.hr.shape[1], cfg.d_m, cfg.n_memory, 4, seed=15)
+        model = init_router(cfg.d, ctx.names, cfg.d_m, cfg.n_memory, 4, seed=15)
         trace = train_router(model, [ctx], tiny_cfg(lr=1e-3), "main", seed=16)
         assert len(trace) == 2
         assert all(np.isfinite(v) for v in trace)
@@ -537,7 +548,7 @@ class TestTraining:
         main_cfg = tiny_cfg(lr=0.05, router_epochs=2, n_envs=4)
 
         def trained(train):
-            model = init_router(cfg.d, ctx.hr.shape[1], cfg.d_m, cfg.n_memory, 4,
+            model = init_router(cfg.d, ctx.names, cfg.d_m, cfg.n_memory, 4,
                                 seed=26, use_memory=use_memory)
             return train(model), model.params
 
@@ -569,17 +580,16 @@ class TestTraining:
 
         monkeypatch.setattr(ad, "fit", one_epoch)
         for n_envs in (3, 20):
-            model = init_router(cfg.d, ctx.hr.shape[1], cfg.d_m, cfg.n_memory, 4, seed=31,
+            model = init_router(cfg.d, ctx.names, cfg.d_m, cfg.n_memory, 4, seed=31,
                                 use_memory=use_memory)
             train_router(model, [ctx], tiny_cfg(n_envs=n_envs), "main", seed=32)
         assert sizes[0] == sizes[1] <= bound, sizes
 
     def test_memory_persists_across_resize(self, setup):
         cfg, b, ctx, _ = setup
-        model = init_router(cfg.d, 23, cfg.d_m, cfg.n_memory, 4, seed=17)
+        model = init_router(cfg.d, toy_names(23), cfg.d_m, cfg.n_memory, 4, seed=17)
         before = {k: v.tobytes() for k, v in model.params.items()}
-        resize_router(model, [f"f{i}" for i in range(23)], [f"g{i}" for i in range(30)],
-                      seed=18)
+        resize_router(model, [f"g{i}" for i in range(30)], seed=18)
         assert model.params["proj_w"].shape == (30, cfg.d_m)
         assert model.params["noise_w"].shape == (30, 4)
         for k in ("mem_node", "mem_feat", "scale", "gnn_w"):
@@ -594,10 +604,10 @@ class TestTraining:
     ])
     def test_resize_keeps_the_rows_of_surviving_columns(self, setup, old, new):
         cfg, *_ = setup
-        model = init_router(cfg.d, len(old), cfg.d_m, cfg.n_memory, 4, seed=20)
+        model = init_router(cfg.d, list(old), cfg.d_m, cfg.n_memory, 4, seed=20)
         model.params["proj_b"] += 0.5  # as after training
         trained = {k: model.params[k].copy() for k in ("proj_w", "noise_w")}
-        resize_router(model, list(old), list(new), seed=21)
+        resize_router(model, list(new), seed=21)
         rng = np.random.default_rng(21)  # the draws of a resize, in order
         fresh = {"proj_w": glorot(rng, (len(new), cfg.d_m)),
                  "noise_w": glorot(rng, (len(new), 4))}
@@ -607,12 +617,21 @@ class TestTraining:
                 assert model.params[key][j].tobytes() == want.tobytes(), (key, name)
         assert model.params["proj_b"].tobytes() == np.zeros(cfg.d_m).tobytes()
 
+    def test_resize_moves_the_names_the_router_reads(self, tmp_path, setup):
+        cfg, *_ = setup
+        model = init_router(cfg.d, ["a", "b", "c"], cfg.d_m, cfg.n_memory, 4, seed=22)
+        resize_router(model, ("c", "x"), seed=23)
+        assert model.names == ["c", "x"] and model.dims[1] == 2
+        path = str(tmp_path / "router.bin")
+        save_router(model, path)
+        assert load_router(path).names == ["c", "x"]
+
     def test_resize_to_the_same_names_changes_nothing(self, setup):
         cfg, *_ = setup
-        model = init_router(cfg.d, 3, cfg.d_m, cfg.n_memory, 4, seed=22)
+        model = init_router(cfg.d, ["a", "b", "c"], cfg.d_m, cfg.n_memory, 4, seed=22)
         model.params["proj_b"] += 0.5
         before = {k: v.tobytes() for k, v in model.params.items()}
-        resize_router(model, ["a", "b", "c"], ("a", "b", "c"), seed=23)
+        resize_router(model, ("a", "b", "c"), seed=23)
         assert {k: v.tobytes() for k, v in model.params.items()} == before
 
 
@@ -621,9 +640,9 @@ class TestRouterCheckpoint:
         cfg, b, ctx, model = setup
         names = ctx.names
         path = str(tmp_path / "router.bin")
-        save_router(model, path, names)
-        m2, names2 = load_router(path)
-        assert names2 == names
+        save_router(model, path)
+        m2 = load_router(path)
+        assert m2.names == names
         assert m2.dims == model.dims
         assert m2.use_memory == model.use_memory
         for k in model.params:
@@ -632,9 +651,9 @@ class TestRouterCheckpoint:
     def test_tensors_must_match_the_architecture(self, tmp_path, setup):
         cfg, b, ctx, model = setup
         path = str(tmp_path / "router.bin")
-        broken = init_router(cfg.d, 3, cfg.d_m, cfg.n_memory, 4, seed=19)
+        broken = init_router(cfg.d, ["a", "b", "c"], cfg.d_m, cfg.n_memory, 4, seed=19)
         del broken.params["noise_w"]
-        save_router(broken, path, ["a", "b", "c"])
+        save_router(broken, path)
         with pytest.raises(CheckpointError, match="do not match"):
             load_router(path)
 

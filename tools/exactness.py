@@ -1,0 +1,135 @@
+"""Exactness check: train, save, reload and score a fixed set of cases, and
+print digests of everything a run leaves, so that two checkouts can be
+compared byte for byte.
+
+    python3 tools/exactness.py > change.json
+    python3 /path/to/other/checkout/tools/exactness.py > parent.json
+    diff parent.json change.json
+
+Each case trains with ``run_pipeline``, saves the run with ``RunArtifacts``,
+loads it back and scores its held-out graphs with ``score_graph``. The output
+is one sorted JSON object: per case, the sha256 of each artifact file, the
+sha256 of each held-out graph's score and routing-weight arrays, and the
+number of kept features. The cases are
+
+  acc-s{0,1,2}-nomem{0,1}  the acceptance suite (tests/test_acceptance.py) at
+                           config seeds 0-2, with and without no_memory;
+  suite-train-s{1,2,3}     the benchmark's suite-train workload at seeds 1-3;
+  reference                the zero-shot reference model, scored on the
+                           held-out graphs of zero-shot-large at seed 1.
+
+Every graph is written to and loaded from a directory named after it, as the
+benchmark does: a training graph's key/query split is seeded by its name.
+The benchmark's graphs and configs are read from benchmark/run.py and
+benchmark/inputs.py of the same checkout, whose src/ is the one imported.
+"""
+
+from __future__ import annotations
+
+import argparse
+import glob
+import hashlib
+import json
+import os
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "benchmark"))
+
+import numpy as np  # noqa: E402
+
+import run as bench  # noqa: E402  (puts this checkout's src/ first on sys.path)
+from evofg import graph, pipeline  # noqa: E402
+
+ACCEPTANCE_TRAIN = (
+    dict(n_nodes=400, n_features=48, anomaly_rate=0.06, structure_seed=101,
+         planted_kind="structural", name="train_structural"),
+    dict(n_nodes=360, n_features=48, anomaly_rate=0.08, structure_seed=202,
+         planted_kind="attribute", name="train_attribute"),
+)
+ACCEPTANCE_TEST = (
+    dict(n_nodes=320, n_features=48, anomaly_rate=0.07, structure_seed=303,
+         planted_kind="mixed", n_communities=6, name="test_shifted_a"),
+    dict(n_nodes=340, n_features=48, anomaly_rate=0.05, structure_seed=404,
+         planted_kind="mixed", n_communities=6, name="test_shifted_b"),
+)
+
+
+def _sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def _array_digest(arr):
+    return _sha256(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
+
+
+def _acceptance_case(seed, no_memory):
+    def set_up(workdir):
+        dirs = [graph.save_graph(graph.gen_synthetic(**spec), os.path.join(workdir, spec["name"]))
+                for spec in ACCEPTANCE_TRAIN + ACCEPTANCE_TEST]
+        k = len(ACCEPTANCE_TRAIN)
+        return [graph.load_graph_dir(d) for d in dirs[:k]], None, dirs[k:]
+
+    return pipeline.PipelineConfig(seed=seed, no_memory=no_memory), set_up
+
+
+def _benchmark_case(workload, seed):
+    wl = bench.WORKLOAD_DEFS[workload]
+    cfg = pipeline.PipelineConfig(seed=wl.training_seed(seed), **wl.config)
+
+    def set_up(workdir):
+        setup = bench.set_up(wl, seed, cfg, workdir)
+        return setup.train, setup.cache, [d for d, _ in setup.tests]
+
+    return cfg, set_up
+
+
+def cases():
+    """Case name -> (config, set_up); ``set_up(workdir)`` writes the case's
+    graphs and returns (training graphs, prepared_cache, held-out dirs)."""
+    out = {}
+    for seed in (0, 1, 2):
+        for no_memory in (False, True):
+            out[f"acc-s{seed}-nomem{int(no_memory)}"] = _acceptance_case(seed, no_memory)
+    for seed in (1, 2, 3):
+        out[f"suite-train-s{seed}"] = _benchmark_case("suite-train", seed)
+    out["reference"] = _benchmark_case("zero-shot-large", 1)
+    return out
+
+
+def run_case(cfg, set_up, workdir):
+    train, cache, test_dirs = set_up(os.path.join(workdir, "graphs"))
+    art_dir = os.path.join(workdir, "artifacts")
+    pipeline.run_pipeline(cfg, train, prepared_cache=cache).save(art_dir)
+    artifacts = pipeline.RunArtifacts.load(art_dir)
+    files = {}
+    for path in sorted(glob.glob(os.path.join(art_dir, "*"))):
+        with open(path, "rb") as fh:
+            files[os.path.basename(path)] = _sha256(fh.read())
+    scores, weights = {}, {}
+    for path in test_dirs:
+        g = graph.load_graph_dir(path, with_labels=False)
+        s, routing, _ = pipeline.score_graph(artifacts, g)
+        scores[g.name], weights[g.name] = _array_digest(s), _array_digest(routing.weights)
+    return {"files": files, "scores": scores, "weights": weights,
+            "kept": len(artifacts.active_names)}
+
+
+def main(argv=None):
+    all_cases = cases()
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--case", action="append", choices=sorted(all_cases),
+                        help="run only this case (repeatable; default: all)")
+    args = parser.parse_args(argv)
+    result = {}
+    for name in args.case or all_cases:
+        with tempfile.TemporaryDirectory(prefix=f"exactness-{name}-") as workdir:
+            result[name] = run_case(*all_cases[name], workdir)
+        print(f"{name}: kept {result[name]['kept']}", file=sys.stderr)
+    print(json.dumps(result, indent=1, sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
