@@ -112,7 +112,7 @@ def _level_sweep(g: Graph):
             score = np.cumsum(np.vstack([score, done.pop(added).T]), axis=0)[-1]
             added += 1
 
-    _share_blocks(compute, len(blocks), add_done)
+    share_tasks([lambda i=i: compute(i) for i in range(len(blocks))], add_done)
     if n < 3:
         return dist, score
     # each unordered pair was counted from both endpoints
@@ -133,37 +133,56 @@ def _sweep_block(n):
     return min(128, max(32, _SWEEP_BYTES // (8 * n)))
 
 
-def _share_blocks(task, count, between):
-    """Run ``task(i)`` for every i in range(count) on the calling thread and,
-    given two tasks or more and a second CPU, the sweep's helper thread;
-    each claims the next index in turn. The calling thread also runs
-    ``between()`` after each of its tasks and once at the end. An exception
-    in either thread stops both from claiming more, and is raised here once
-    the helper has stopped."""
-    indices = iter(range(count))
+def sharing_pays(n):
+    """Whether the work on an n-node graph after its sweep (the primitive
+    columns, the expert branch of scoring) is shared with the helper:
+    from more than one _BLOCK of rows on. Sharing it on graphs of 60-150
+    nodes scored about 10% fewer nodes per second (2 vCPUs, BLAS on one
+    thread): the handoffs cost more than the halves save. The sweep keeps
+    its own rule, two source blocks or more."""
+    return n > _BLOCK
+
+
+def share_tasks(tasks, between=lambda: None, share=True):
+    """Run every callable of ``tasks`` and return their results in order.
+    The calling thread runs the first; given two tasks or more, ``share``
+    and a second CPU, the helper thread joins in, and each thread claims the
+    next task in turn. The calling thread also runs ``between()`` after each
+    of its tasks and once at the end. An exception in either thread stops
+    both from claiming more, and is raised here once the helper has stopped.
+
+    A task that the helper runs must not share tasks itself: the helper
+    would queue behind its own work. The helper's tasks here (sweep blocks,
+    scope columns, the expert branch of scoring) share nothing; a caller's
+    own sharing inside its first task queues behind the helper's task and
+    is joined by the helper once that ends."""
+    results = [None] * len(tasks)
+    indices = iter(range(len(tasks)))
     lock = threading.Lock()
 
-    def claim_and_run(after):
-        while True:
-            with lock:
-                i = next(indices, None)
-            if i is None:
-                return
-            try:
-                task(i)
-                after()
-            except BaseException:
-                with lock:
-                    for _ in indices:  # leave nothing for the other thread
-                        pass
-                raise
+    def claim():
+        with lock:
+            return next(indices, None)
 
-    helper = _sweep_helper() if count > 1 else None
-    pending = None if helper is None else helper.submit(claim_and_run, lambda: None)
-    # a helper that has not started (busy with another caller's sweep, or
-    # not yet woken) is cancelled rather than waited for
+    def run(i, after):
+        try:
+            while i is not None:
+                results[i] = tasks[i]()
+                after()
+                i = claim()
+        except BaseException:
+            with lock:
+                for _ in indices:  # leave nothing for the other thread
+                    pass
+            raise
+
+    first = claim()  # the calling thread's, so the helper starts at the second
+    helper = _sweep_helper() if share and len(tasks) > 1 else None
+    pending = None if helper is None else helper.submit(lambda: run(claim(), lambda: None))
+    # a helper that has not started (busy with another task, or not yet
+    # woken) is cancelled rather than waited for
     try:
-        claim_and_run(between)
+        run(first, between)
     except BaseException:
         if pending is not None and not pending.cancel():
             pending.exception()  # wait for the helper; this thread's error wins
@@ -171,6 +190,7 @@ def _share_blocks(task, count, between):
     if pending is not None and not pending.cancel():
         pending.result()
     between()
+    return results
 
 
 _helper = None
@@ -178,11 +198,11 @@ _helper_lock = threading.Lock()
 
 
 def _sweep_helper():
-    """The one-thread executor that shares ``_level_sweep`` with the calling
-    thread, started on first use; None with a single usable CPU. One helper,
-    not more: each thread brings its own malloc arena, so every helper adds
-    to the peak memory. (In a forked child the inherited executor has no
-    thread; its task is cancelled and the calling thread sweeps alone.)"""
+    """The one-thread executor that ``share_tasks`` shares work with, started
+    on first use; None with a single usable CPU. One helper, not more: each
+    thread brings its own malloc arena, so every helper adds to the peak
+    memory. (In a forked child the inherited executor has no thread; its
+    task is cancelled and the calling thread runs every task alone.)"""
     global _helper
     with _helper_lock:
         if _helper is None and _usable_cpus() > 1:
@@ -426,13 +446,21 @@ class RouterFeatureTable:
 
 
 def compute_primitives(g: Graph, xtilde: np.ndarray) -> RouterFeatureTable:
-    """Assemble the primitive columns in their canonical order (PRIMITIVE_NAMES)."""
-    cols = []
-    # betweenness reads the sweep first, so the sweep runs (and is timed) in it
-    for stat in (pagerank(g), betweenness(g), closeness(g)):
-        cols.extend(scope_expand(stat, g))
-    for k in range(1, 6):
-        cols.append(khop_similarity(g, xtilde, k))
+    """Assemble the primitive columns in their canonical order
+    (PRIMITIVE_NAMES). The sweep runs first, in ``betweenness``, which times
+    it. The columns after it read only the sweep's cache and ``xtilde``, and
+    are shared with the helper where that pays, in two tasks: the k-hop
+    similarities, whose GEMMs call BLAS, on the calling thread, and the
+    scope columns, which call none, on the helper. With BLAS on two threads,
+    k-hop tasks on both threads made the columns slower than on one."""
+    bc = betweenness(g)
+    sims, scopes = share_tasks(
+        [lambda: [khop_similarity(g, xtilde, k) for k in range(1, 6)],
+         lambda: [col for stat in (pagerank(g), bc, closeness(g))
+                  for col in scope_expand(stat, g)]],
+        share=sharing_pays(g.num_nodes),
+    )
+    cols = scopes + sims
     cols.append(g.degrees.astype(np.float64))
     cols.append(np.count_nonzero(_ego_mask(_hop_distances(g)), axis=1).astype(np.float64))
     return RouterFeatureTable(

@@ -22,7 +22,13 @@ import numpy as np
 from . import dsl, experts
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .experts import ARCHS, anomaly_scores, load_expert, pretrain_expert, save_expert
-from .features import PRIMITIVE_NAMES, RouterFeatureTable, compute_primitives
+from .features import (
+    PRIMITIVE_NAMES,
+    RouterFeatureTable,
+    compute_primitives,
+    share_tasks,
+    sharing_pays,
+)
 from .graph import Graph
 from .llm import DEFAULT_MODEL, ChatCompletionClient, FixtureTransport, LLMBackend
 from .numeric import UndefinedMetricError, auprc, auroc
@@ -190,9 +196,10 @@ class GraphBundle:
     table: RouterFeatureTable
 
 
-def prepare_graph(g: Graph, d: int) -> GraphBundle:
-    """Alignment plus primitive features; pure in (graph, d), so cacheable."""
-    xtilde = align(g, d)
+def prepare_graph(g: Graph, d: int, xtilde=None) -> GraphBundle:
+    """Alignment (unless ``xtilde`` holds it already) plus primitive
+    features; pure in (graph, d), so cacheable."""
+    xtilde = align(g, d) if xtilde is None else xtilde
     return GraphBundle(graph=g, xtilde=xtilde, table=compute_primitives(g, xtilde))
 
 
@@ -206,15 +213,21 @@ def _content_digest(g: Graph) -> str:
     return h.hexdigest()
 
 
-def prepare_graphs(graphs, d, cache=None):
+def _cache_key(g: Graph, d: int):
+    return (_content_digest(g), d)
+
+
+def prepare_graphs(graphs, d, cache=None, aligned=None):
     """The prepare stage: one bundle per graph. Bundles and their tables are
-    values, so a cache hit is shared as is, bound to the graph passed in."""
+    values, so a cache hit is shared as is, bound to the graph passed in.
+    ``aligned``, if given, holds each graph's alignment, already made."""
     cache = {} if cache is None else cache
     out = []
-    for g in graphs:
-        key = (_content_digest(g), d)
+    for i, g in enumerate(graphs):
+        key = _cache_key(g, d)
         if key not in cache:
-            cache[key] = prepare_graph(g, d)
+            cache[key] = (prepare_graph(g, d) if aligned is None
+                          else prepare_graph(g, d, aligned[i]))
         out.append(dataclasses.replace(cache[key], graph=g))
     return out
 
@@ -510,22 +523,33 @@ def score_graph(artifacts: RunArtifacts, g: Graph, prepared_cache=None):
     its primitives, route deterministically, aggregate, and score. Labels are
     never consulted; every node is a query.
 
+    After the alignment two independent branches run, shared between two
+    threads where that pays (``features.sharing_pays``): the features (the
+    prepare stage on the aligned graph, which finds the primitives in
+    ``prepared_cache`` or adds them there, the rebuilt columns and the
+    routing) and the experts (each one's encoding and reconstruction).
+
     Returns (scores, routing_output, per_expert_scores).
     """
-    bundle = prepare_graphs([g], artifacts.config.d, prepared_cache)[0]
-    table = dsl.rebuild_columns(bundle.table, artifacts.provenance, artifacts.active_names)
+    d = artifacts.config.d
+    cache = {} if prepared_cache is None else prepared_cache
+    hit = cache.get(_cache_key(g, d))
+    xtilde = align(g, d) if hit is None else hit.xtilde
 
-    expert_h = []
-    expert_recon = []
-    per_expert_scores = {}
-    for model in artifacts.experts:
-        h = experts.encode(model, bundle.xtilde, g)
-        recon = experts.reconstruct(model, h, artifacts.key_cache[model.arch])
-        expert_h.append(h)
-        expert_recon.append(recon)
-        per_expert_scores[model.arch] = anomaly_scores(h, recon)
+    def feature_branch():
+        (bundle,) = prepare_graphs([g], d, cache, [xtilde])
+        table = dsl.rebuild_columns(bundle.table, artifacts.provenance, artifacts.active_names)
+        return route(artifacts.router, xtilde, g, table.standardized_active())
 
-    routing = route(artifacts.router, bundle.xtilde, g, table.standardized_active())
+    def expert_branch():
+        expert_h = [experts.encode(model, xtilde, g) for model in artifacts.experts]
+        return expert_h, [experts.reconstruct(model, h, artifacts.key_cache[model.arch])
+                          for model, h in zip(artifacts.experts, expert_h)]
+
+    routing, (expert_h, expert_recon) = share_tasks(
+        [feature_branch, expert_branch], share=sharing_pays(g.num_nodes))
+    per_expert_scores = {model.arch: anomaly_scores(h, recon)
+                         for model, h, recon in zip(artifacts.experts, expert_h, expert_recon)}
     h_final, recon_final = aggregate(routing.weights, expert_h, expert_recon)
     scores = anomaly_scores(h_final, recon_final)
     return scores, routing, per_expert_scores

@@ -24,6 +24,7 @@ from evofg.features import (
 from evofg.graph import EGO_RADIUS, Graph, gen_synthetic
 from evofg.preprocess import align
 from helpers import (
+    acceptance_suite,
     brute_force_betweenness,
     brute_force_closeness,
     brute_force_distances,
@@ -259,13 +260,28 @@ def _inline_sweep(g, monkeypatch):
         return features._level_sweep(_fresh(g))
 
 
-@pytest.mark.parametrize("case,g", sweep_cases(), ids=[c for c, _ in sweep_cases()])
+def _helper_cases():
+    """``sweep_cases`` plus the four acceptance-suite graphs (320-400 nodes)."""
+    train, test = acceptance_suite()
+    return sweep_cases() + [(g.name, g) for g in train + test]
+
+
+@pytest.mark.parametrize("case,g", _helper_cases(), ids=[c for c, _ in _helper_cases()])
 def test_sweep_with_helper_matches_calling_thread_alone(case, g, monkeypatch):
+    """The sweep and every primitive column (the columns are shared from
+    N > 256 on) are byte-identical with the helper and without it."""
     dist, bc = features._level_sweep(_fresh(g))
     want_dist, want_bc = _inline_sweep(g, monkeypatch)
     assert dist.dtype == want_dist.dtype
     assert dist.tobytes() == want_dist.tobytes()
     assert bc.tobytes() == want_bc.tobytes()
+    xtilde = align(g, 5)
+    table = compute_primitives(_fresh(g), xtilde)
+    with monkeypatch.context() as m:
+        m.setattr(features, "_sweep_helper", lambda: None)
+        want = compute_primitives(_fresh(g), xtilde)
+    for j, name in enumerate(PRIMITIVE_NAMES):
+        assert table.matrix[:, j].tobytes() == want.matrix[:, j].tobytes(), name
 
 
 @pytest.mark.parametrize("case,g", sweep_cases(), ids=[c for c, _ in sweep_cases()])
@@ -300,6 +316,69 @@ def test_one_block_sweep_stays_on_the_calling_thread(monkeypatch):
         want_dist, want_bc = two_pass_sweep(_fresh(g))
         assert np.array_equal(dist, want_dist)
         assert bc.tobytes() == want_bc.tobytes()
+
+
+@pytest.mark.parametrize("n", [60, 150, 256])
+def test_graph_within_one_column_block_shares_only_its_sweep(n, monkeypatch):
+    """At N <= 256 the columns are built on the calling thread: past the
+    sweep (of two blocks from N = 129 on) the helper is never asked for."""
+    assert not features.sharing_pays(n) and features.sharing_pays(257)
+    g = gen_synthetic(n, 6, 0.08, structure_seed=1, planted_kind="mixed")
+    xtilde = align(g, 5)
+    want = compute_primitives(_fresh(g), xtilde)
+    fresh = _fresh(g)
+    features._sweep(fresh)
+
+    def no_helper():
+        raise AssertionError("columns at N <= 256 asked for the helper")
+
+    monkeypatch.setattr(features, "_sweep_helper", no_helper)
+    table = compute_primitives(fresh, xtilde)
+    assert table.matrix.tobytes() == want.matrix.tobytes()
+
+
+@pytest.mark.parametrize("failing", ["calling", "helper"])
+def test_column_error_raised_after_helper_stops(failing, monkeypatch):
+    """A column that fails stops both threads from claiming more tasks, and
+    its error is raised once the other thread's columns have ended."""
+    if failing == "helper" and features._sweep_helper() is None:
+        pytest.skip("one usable CPU: the columns are built without a helper thread")
+    g = _fresh(sweep_cases()[-1][1])
+    xtilde = align(g, 5)
+    features._sweep(g)
+    caller = threading.current_thread()
+    running, started = [], []
+
+    def flaky(real):
+        def column(*args):
+            failing_thread = (threading.current_thread() is caller) == (failing == "calling")
+            own = [t for t in started if t is threading.current_thread()]
+            started.append(threading.current_thread())
+            running.append(column)
+            try:
+                if not failing_thread:
+                    time.sleep(0.02)  # still busy when the other thread fails
+                elif own:  # the failing thread fails from its second column on
+                    raise RuntimeError("column failed")
+                return real(*args)
+            finally:
+                running.remove(column)
+        return column
+
+    monkeypatch.setattr(features, "scope_expand", flaky(features.scope_expand))
+    monkeypatch.setattr(features, "khop_similarity", flaky(features.khop_similarity))
+    with pytest.raises(RuntimeError, match="column failed"):
+        compute_primitives(g, xtilde)
+    assert running == []  # the helper had stopped
+    claimed = len(started)
+    time.sleep(0.05)
+    assert len(started) == claimed < 8  # and builds no more columns
+    monkeypatch.undo()
+    table = compute_primitives(g, xtilde)
+    with monkeypatch.context() as m:
+        m.setattr(features, "_sweep_helper", lambda: None)
+        want = compute_primitives(_fresh(g), xtilde)
+    assert table.matrix.tobytes() == want.matrix.tobytes()
 
 
 @pytest.mark.parametrize("failing", ["calling", "helper"])

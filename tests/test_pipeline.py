@@ -4,12 +4,15 @@ import json
 import os
 import re
 import shutil
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from evofg import autodiff as ad
-from evofg import dsl, experts, pipeline, router
+from evofg import dsl, experts, features, pipeline, router
 from evofg.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from evofg.cli import main as cli_main
 from evofg.features import PRIMITIVE_NAMES
@@ -212,7 +215,98 @@ class TestRunPipeline:
         assert np.any([t.standardized_active().any(axis=0) for t in tables], axis=0).all()
 
 
+def _big_graphs():
+    """Two test graphs past one 256-row block, where scoring shares its
+    columns and its expert branch with the helper."""
+    return [gen_synthetic(n, 8, 0.1, structure_seed=s, planted_kind="mixed",
+                          n_communities=3, name=f"big_{n}")
+            for s, n in ((21, 300), (22, 420))]
+
+
+def _score_bytes(artifacts, g):
+    """The bytes of every output of scoring a fresh copy of ``g`` (no cached
+    sweep): scores, routing weights and each expert's scores."""
+    fresh = Graph(g.num_nodes, g.edges, g.features, None, g.name)
+    scores, routing, per_expert = score_graph(artifacts, fresh)
+    return ([scores.tobytes(), routing.weights.tobytes()]
+            + [per_expert[arch].tobytes() for arch in experts.ARCHS])
+
+
 class TestScoreGraph:
+    def test_scores_with_the_helper_match_the_calling_thread_alone(self, artifacts,
+                                                                   monkeypatch):
+        """Every output is byte-identical with the helper and without it,
+        also while two threads score at once, with thread switches forced
+        often."""
+        big = _big_graphs()
+        with monkeypatch.context() as m:
+            m.setattr(features, "_sweep_helper", lambda: None)
+            want = [_score_bytes(artifacts, g) for g in big]
+        asked, real = [], features._sweep_helper
+        monkeypatch.setattr(features, "_sweep_helper", lambda: asked.append(1) or real())
+        assert [_score_bytes(artifacts, g) for g in big] == want
+        assert len(asked) == 3 * len(big)  # the sweep, the columns, the branches
+        got = {}
+
+        def score_all(t):
+            for j, g in enumerate(big):
+                got[t, j] = _score_bytes(artifacts, g)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=score_all, args=(t,)) for t in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == {(t, j): want[j] for t in range(2) for j in range(len(big))}
+
+    @pytest.mark.parametrize("n", [150, 256])
+    def test_graph_within_one_block_scores_without_the_helper(self, artifacts,
+                                                              monkeypatch, n):
+        """At N <= 256 only the sweep (of two blocks from N = 129 on) may
+        ask for the helper; with the sweep cached, scoring never does."""
+        g = gen_synthetic(n, 8, 0.1, structure_seed=23, planted_kind="mixed")
+        want, _, _ = score_graph(artifacts, g)
+
+        def no_helper():
+            raise AssertionError("scoring at N <= 256 asked for the helper")
+
+        monkeypatch.setattr(features, "_sweep_helper", no_helper)
+        scores, _, _ = score_graph(artifacts, g)
+        assert scores.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("failing", ["features", "experts"])
+    def test_branch_error_raised_after_the_other_branch_ends(self, artifacts,
+                                                             monkeypatch, failing):
+        g = _big_graphs()[0]
+        want = _score_bytes(artifacts, g)
+        running = []
+
+        def tracked(name, real):
+            def run(*args):
+                running.append(name)
+                try:
+                    if name == failing:
+                        raise RuntimeError(f"{name} branch failed")
+                    time.sleep(0.02)  # still busy when the other branch fails
+                    return real(*args)
+                finally:
+                    running.remove(name)
+            return run
+
+        monkeypatch.setattr(pipeline, "route", tracked("features", pipeline.route))
+        monkeypatch.setattr(experts, "encode", tracked("experts", experts.encode))
+        with pytest.raises(RuntimeError, match=f"{failing} branch failed"):
+            _score_bytes(artifacts, g)
+        assert running == []  # the other branch had ended
+        monkeypatch.undo()
+        assert _score_bytes(artifacts, g) == want
+
     def test_scores_cover_all_nodes(self, artifacts, graphs):
         _, test = graphs
         scores, routing, per_expert = score_graph(artifacts, test[0])
@@ -461,6 +555,27 @@ class TestScoreGraph:
         save_checkpoint(keys, {"kind": "keycache"}, cache)
         with pytest.raises(CheckpointError, match=re.escape(keys)):
             RunArtifacts.load(out)
+
+    def test_scoring_prepares_in_the_prepare_stage(self, artifacts, monkeypatch):
+        """A scored graph is aligned once and its primitives are computed in
+        ``prepare_graphs``, the stage the benchmark's tracer times; a second
+        scoring with the same cache finds them there."""
+        g = _big_graphs()[0]
+        calls = []
+
+        def counting(name):
+            real = getattr(pipeline, name)
+            return lambda *args: calls.append(name) or real(*args)
+
+        for name in ("align", "prepare_graphs", "compute_primitives"):
+            monkeypatch.setattr(pipeline, name, counting(name))
+        cache = {}
+        want, _, _ = score_graph(artifacts, g, cache)
+        assert sorted(calls) == ["align", "compute_primitives", "prepare_graphs"]
+        assert len(cache) == 1
+        scores, _, _ = score_graph(artifacts, g, cache)
+        assert calls[3:] == ["prepare_graphs"]
+        assert scores.tobytes() == want.tobytes()
 
     def test_without_a_cache_prepares_as_with_one(self, artifacts, graphs, monkeypatch):
         # prepare_graphs has one path: without a cache it fills a local one,
