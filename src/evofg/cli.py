@@ -21,7 +21,7 @@ import logging
 import os
 import sys
 
-from .features import compute_primitives
+from .features import PRIMITIVE_NAMES, compute_primitives
 from .graph import LABEL_FILE, gen_synthetic, load_graph_dir, save_graph
 from .pipeline import (
     ROUTER_FILE,
@@ -186,12 +186,12 @@ def cmd_warmup(args):
 def cmd_evolve(args):
     cfg, models = _resume(args.out, "evolve")
     router_model = load_router_file(args.out)
-    contexts = _training_contexts(args, cfg, models)
-    if router_model.names != contexts[0].names:
+    if router_model.names != list(PRIMITIVE_NAMES):
         raise CommandError(
             f"{args.out}/{ROUTER_FILE} routes on {router_model.d_r} features, not on the "
-            f"{len(contexts[0].names)} primitives: run `evofg warmup` first"
+            f"{len(PRIMITIVE_NAMES)} primitives: run `evofg warmup` first"
         )
+    contexts = _training_contexts(args, cfg, models)
     artifacts = run_stage(cfg, "evolve", evolve, router_model, contexts, models, cfg)
     artifacts.save(args.out)
     print(

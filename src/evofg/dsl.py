@@ -99,15 +99,14 @@ def eval_expr(expr: FeatureExpr, columns) -> np.ndarray:
     return np.clip(out, -CLAMP, CLAMP)
 
 
-def check_proposal(expr: FeatureExpr, table: RouterFeatureTable):
+def check_proposal(expr: FeatureExpr, table: RouterFeatureTable, names):
     """Raise ExprValidationError, naming the column, unless every argument
-    of a proposed expression is an active column of ``table`` in the
-    expression's category (``FeatureExpr`` checks the rest)."""
-    active = set(table.active_names())
+    of a proposed expression is one of the router's ``names`` (its active
+    columns) of ``table`` in its category (``FeatureExpr`` checks the rest)."""
     for f in expr.args:
         if not table.has_column(f):
             raise ExprValidationError(f"unknown column {f!r}")
-        if f not in active:
+        if f not in names:
             raise ExprValidationError(f"column {f!r} is not active")
         cat = table.categories[table.names.index(f)]
         if cat != expr.category:
@@ -115,15 +114,15 @@ def check_proposal(expr: FeatureExpr, table: RouterFeatureTable):
 
 
 class DeterministicBackend:
-    """Seedless random composer driven by the caller's RNG: uniform category
-    (among categories with at least one active column), k in {1,2,3} with
-    weights 0.4/0.4/0.2 (restricted to the category size), operator uniform
-    within the arity class."""
+    """Seedless random composer over ``RouterFeatureTable.by_category`` of
+    the active columns, driven by the caller's RNG: uniform category (among
+    those with an active column), k in {1,2,3} with weights 0.4/0.4/0.2
+    (restricted to the category size), operator uniform within the arity."""
 
     name = "deterministic"
 
-    def propose(self, table: RouterFeatureTable, history, rng) -> FeatureExpr:
-        by_cat = {c: cols for c, cols in table.active_by_category().items() if cols}
+    def propose(self, by_category, history, rng) -> FeatureExpr:
+        by_cat = {c: cols for c, cols in by_category.items() if cols}
         if not by_cat:
             raise ExprValidationError("no active columns to compose from")
         cats = sorted(by_cat)
@@ -137,15 +136,17 @@ class DeterministicBackend:
         return FeatureExpr(pool[rng.integers(len(pool))], feats, cat)
 
 
-def generate_candidates(backend, table: RouterFeatureTable, m: int, rng) -> list:
-    """Produce m validated, mutually distinct expressions via the four-stage
-    protocol. ``backend.propose(table, history, rng)`` returns a FeatureExpr;
-    ``history`` holds the round's (kind, name) pairs, kind "accepted" or
-    "duplicate". Duplicates of existing provenance are rejected and
-    regenerated (10 retries per slot). A failing or invalid backend is
+def generate_candidates(backend, table: RouterFeatureTable, names, m: int, rng) -> list:
+    """Produce m validated, mutually distinct expressions on the router's
+    columns ``names`` of ``table`` via the four-stage protocol.
+    ``backend.propose(table.by_category(names), history, rng)`` returns a
+    FeatureExpr; ``history`` holds the round's (kind, name) pairs, kind
+    "accepted" or "duplicate". Duplicates of existing provenance are
+    rejected and regenerated (10 retries per slot). A failing or invalid backend is
     replaced by the deterministic composer, whose proposals always pass
     ``check_proposal``, for the remaining slots; a failure of the composer
     itself is raised."""
+    by_cat = table.by_category(names)
     existing = {p.name for p in table.provenance if isinstance(p, FeatureExpr)}
     fallback = backend if isinstance(backend, DeterministicBackend) else DeterministicBackend()
     out = []
@@ -154,8 +155,8 @@ def generate_candidates(backend, table: RouterFeatureTable, m: int, rng) -> list
     for slot in range(m):
         for _ in range(10):
             try:
-                expr = active.propose(table, history, rng)
-                check_proposal(expr, table)
+                expr = active.propose(by_cat, history, rng)
+                check_proposal(expr, table, names)
             except Exception as exc:
                 if active is fallback:
                     raise
@@ -194,23 +195,23 @@ def expr_from_dict(d):
 
 
 def extend_table(table: RouterFeatureTable, exprs) -> RouterFeatureTable:
-    """``table`` plus one active column per expression, evaluated in order
-    (later ones may reference earlier ones)."""
+    """``table`` plus one column per expression, evaluated in order (later
+    ones may reference earlier ones)."""
     return _extended(table, exprs)
 
 
 def rebuild_columns(table: RouterFeatureTable, provenance, active_names) -> RouterFeatureTable:
-    """A trained run's final active set on a fresh graph's primitive table:
-    the active generated columns and the generated columns they read,
-    directly or not, re-created in provenance order. A deselected column no
-    active column reads is not evaluated."""
+    """A fresh graph's primitive table plus what a trained run's router
+    reads, ``active_names``: the generated columns among them and the
+    generated columns they read, directly or not, re-created in provenance
+    order. A deselected column that none of them reads is not evaluated."""
     exprs = [p for p in provenance if p != "primitive" and not table.has_column(p.name)]
     needed = set(active_names)
     for expr in reversed(exprs):  # an expression reads only earlier columns
         if expr.name in needed:
             needed.update(expr.args)
     exprs = [e for e in exprs if e.name in needed]
-    return _extended(table, exprs).with_active(active_names)
+    return _extended(table, exprs)
 
 
 def _extended(table, exprs):

@@ -9,7 +9,7 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -362,25 +362,22 @@ def khop_similarity(g: Graph, xtilde: np.ndarray, k: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RouterFeatureTable:
-    """Node-by-feature matrix with names, categories, an active mask, and
-    per-column provenance ("primitive" or the expression that built it).
+    """Node-by-feature matrix with names, categories and per-column
+    provenance ("primitive" or the expression that built it).
 
-    A table is a value: ``with_columns`` and ``with_active`` return a new
-    table and leave this one as it was. The first len(PRIMITIVE_NAMES)
-    columns are always the primitives in their fixed order; generated
-    columns are appended and never removed (deselection only clears the
-    active flag, so earlier expressions stay evaluable on new graphs).
+    A table is a value: ``with_columns`` returns a new table and leaves this
+    one as it was. The first len(PRIMITIVE_NAMES) columns are always the
+    primitives in their fixed order; generated columns are appended and
+    never removed, so earlier expressions stay evaluable on new graphs.
+    Which columns a router reads is its list of names, not the table's.
     """
 
     matrix: np.ndarray
     names: list[str]
     categories: list[str]
     provenance: list = field(default_factory=list)
-    active: np.ndarray = None
 
     def __post_init__(self):
-        if self.active is None:
-            object.__setattr__(self, "active", np.ones(len(self.names), dtype=bool))
         if len(set(self.names)) != len(self.names):
             raise ValueError("duplicate column names")
         if self.matrix.shape[1] != len(self.names):
@@ -393,8 +390,8 @@ class RouterFeatureTable:
         return name in self.names
 
     def with_columns(self, exprs, values):
-        """This table plus one active column per expression, named and built
-        by it, with the values in ``values``."""
+        """This table plus one column per expression, named and built by
+        it, with the values in ``values``."""
         names = list(self.names)
         for expr in exprs:
             if expr.name in names:
@@ -405,32 +402,31 @@ class RouterFeatureTable:
             names=names,
             categories=self.categories + [e.category for e in exprs],
             provenance=self.provenance + list(exprs),
-            active=np.concatenate([self.active, np.ones(len(exprs), dtype=bool)]),
         )
 
     def column_map(self):
         """Column name -> column (a view of the matrix)."""
         return dict(zip(self.names, self.matrix.T))
 
-    def active_names(self):
-        return [n for n, a in zip(self.names, self.active) if a]
+    def _indices(self, names):
+        unknown = [n for n in names if n not in self.names]
+        if unknown:
+            raise ValueError(f"the table has no column {unknown[0]!r}")
+        return [self.names.index(n) for n in names]
 
-    def with_active(self, kept_names):
-        """This table with exactly the columns in ``kept_names`` active."""
-        kept = set(kept_names)
-        return replace(self, active=np.array([n in kept for n in self.names]))
-
-    def active_by_category(self):
+    def by_category(self, names):
+        """Category -> the columns of ``names`` in it, in the order of
+        ``names``; every category is a key."""
         out = {c: [] for c in CATEGORIES}
-        for name, cat, act in zip(self.names, self.categories, self.active):
-            if act:
-                out[cat].append(name)
+        for name, i in zip(names, self._indices(names)):
+            out[self.categories[i]].append(name)
         return out
 
-    def standardized_active(self) -> np.ndarray:
-        """Active columns z-scored per column over nodes (constant columns
-        become zeros); this is the router's input representation."""
-        sub = self.matrix[:, self.active]
+    def standardized(self, names) -> np.ndarray:
+        """The columns ``names``, in that order, z-scored per column over
+        nodes (constant columns become zeros); this is the router's input
+        representation."""
+        sub = self.matrix[:, self._indices(names)]
         mean = sub.mean(axis=0)
         std = sub.std(axis=0)
         # a constant's computed mean can be an ulp off, leaving a std of

@@ -1,7 +1,8 @@
 """Chat-completion backend for feature generation: an OpenAI-style HTTP
 client plus a fixture transport that replays recorded response bodies for
-offline tests. The model only ever sees the table schema (category -> column
-names), arity rules, and recent generation history -- never node data."""
+offline tests. The model only ever sees the router's columns by category
+(category -> column names), arity rules, and recent generation history --
+never node data."""
 
 from __future__ import annotations
 
@@ -126,10 +127,11 @@ class ChatCompletionClient:
             raise ResponseFormatError("missing choices[0].message.content") from exc
 
 
-def build_context(table, history):
-    """Serialize what the model is allowed to see: schema and history only."""
+def build_context(by_category, history):
+    """Serialize what the model is allowed to see: the router's columns
+    ``by_category`` (``RouterFeatureTable.by_category``) and history only."""
     lines = ["Feature categories and their current columns:"]
-    for cat, cols in table.active_by_category().items():
+    for cat, cols in by_category.items():
         if cols:
             lines.append(f"- {cat}: {', '.join(cols)}")
     if history:
@@ -171,9 +173,9 @@ class LLMBackend:
     def __init__(self, client: ChatCompletionClient):
         self.client = client
 
-    def propose(self, table, history, rng) -> FeatureExpr:
+    def propose(self, by_category, history, rng) -> FeatureExpr:
         messages = [
             {"role": "system", "content": SYSTEM_PROMPT},
-            {"role": "user", "content": build_context(table, history)},
+            {"role": "user", "content": build_context(by_category, history)},
         ]
         return parse_decision(self.client.complete(messages))

@@ -214,7 +214,11 @@ def _content_digest(g: Graph) -> str:
 
 
 def _cache_key(g: Graph, d: int):
-    return (_content_digest(g), d)
+    # a graph's arrays are read-only, so its digest is kept beside its
+    # other derived operators
+    if "digest" not in g._ops:
+        g._ops["digest"] = _content_digest(g)
+    return (g._ops["digest"], d)
 
 
 def prepare_graphs(graphs, d, cache=None, aligned=None):
@@ -410,8 +414,8 @@ def pretrain_all_experts(bundles, cfg: PipelineConfig):
 
 
 def build_contexts(bundles, models, cfg: PipelineConfig):
-    """The contexts stage: routing material per training graph, on the
-    active columns of its table."""
+    """The contexts stage: routing material per training graph, with its
+    primitive table."""
     return [
         RoutingContext(
             b.graph,
@@ -434,43 +438,43 @@ def _new_router(cfg: PipelineConfig, names, tag):
 
 def warmup_router(contexts, cfg: PipelineConfig):
     """The warm-up stage: a fresh router aligned with the experts'
-    correctness targets on the contexts' features."""
-    router_model = _new_router(cfg, contexts[0].names, "router-init")
+    correctness targets on every column of the contexts' tables."""
+    router_model = _new_router(cfg, contexts[0].table.names, "router-init")
     train_router(router_model, contexts, cfg, "warmup", derive_seed(cfg.seed, "warmup"))
     return router_model
 
 
 def evolve(router_model, contexts, models, cfg: PipelineConfig) -> RunArtifacts:
     """The evolve stage on a warmed-up router (trained in place): rounds of
-    generate candidates on the contexts' tables, drop the columns constant
-    on every context, estimate contributions with the frozen router, apply
-    the retention rule and retrain, then the final retrain and the key
-    cache."""
+    generate candidates from the columns the router reads (its names), drop
+    those constant on every context, estimate contributions with the frozen
+    router, apply the retention rule and retrain, then the final retrain
+    and the key cache."""
     backend = make_backend(cfg)
     gen_rng = derive_rng(cfg.seed, "generate")
     reports = []
     for r in range(1, cfg.rounds + 1):
-        exprs = dsl.generate_candidates(backend, contexts[0].table, cfg.gen_per_round, gen_rng)
+        exprs = dsl.generate_candidates(backend, contexts[0].table, router_model.names,
+                                        cfg.gen_per_round, gen_rng)
         contexts = [ctx.with_features(dsl.extend_table(ctx.table, exprs)) for ctx in contexts]
-        contexts, dropped = _without_constant_columns(contexts)
-        active = contexts[0].names
-        resize_router(router_model, active, derive_seed(cfg.seed, "resize-gen", r))
+        candidates, dropped = _without_constant_columns(
+            contexts, router_model.names + [e.name for e in exprs])
+        resize_router(router_model, candidates, derive_seed(cfg.seed, "resize-gen", r))
         # the router is frozen until the retrain below: its node branch is
         # computed once for the round's utility calls
         frozen = freeze_node_branch(router_model, contexts)
         stats = estimate_contributions(
-            active,
+            candidates,
             lambda s: routing_utility(router_model, s, frozen),
             cfg.shapley_iters,
             derive_seed(cfg.seed, "shapley", r),
         )
-        kept = active if cfg.no_select else select_features(stats)
+        kept = candidates if cfg.no_select else select_features(stats)
         reports.append(format_stats(stats, kept, dropped))
-        contexts = [ctx.with_features(ctx.table.with_active(kept)) for ctx in contexts]
         resize_router(router_model, kept, derive_seed(cfg.seed, "resize-select", r))
         train_router(router_model, contexts, cfg, "main", derive_seed(cfg.seed, "round", r))
-        log.info("round %d: generated %d, dropped %d constant, kept %d of %d active features",
-                 r, len(exprs), len(dropped), len(kept), len(active))
+        log.info("round %d: generated %d, dropped %d constant, kept %d of %d candidates",
+                 r, len(exprs), len(dropped), len(kept), len(candidates))
     if cfg.rounds > 0:
         if cfg.reset_final:
             router_model.params = _new_router(cfg, router_model.names, "final-init").params
@@ -485,17 +489,15 @@ def evolve(router_model, contexts, models, cfg: PipelineConfig) -> RunArtifacts:
     )
 
 
-def _without_constant_columns(contexts):
-    """The contexts without the active columns that are constant, and so
-    standardize to zeros, on every one of them, and those columns' names.
-    Nothing is dropped while fewer than two columns vary: a contribution
-    estimate needs two."""
-    names = contexts[0].names
-    varies = np.any([ctx.hr.any(axis=0) for ctx in contexts], axis=0)
-    if varies.all() or varies.sum() < 2:
-        return contexts, []
-    kept = [n for n, v in zip(names, varies) if v]
-    return ([ctx.with_features(ctx.table.with_active(kept)) for ctx in contexts],
+def _without_constant_columns(contexts, names):
+    """(kept, dropped): ``names`` split into the columns that vary on some
+    context and those that are constant, and so standardize to zeros, on
+    every one of them. Nothing is dropped when no column varies: a
+    contribution estimate needs a column."""
+    varies = np.any([ctx.table.standardized(names).any(axis=0) for ctx in contexts], axis=0)
+    if not varies.any():
+        return names, []
+    return ([n for n, v in zip(names, varies) if v],
             [n for n, v in zip(names, varies) if not v])
 
 
@@ -538,8 +540,9 @@ def score_graph(artifacts: RunArtifacts, g: Graph, prepared_cache=None):
 
     def feature_branch():
         (bundle,) = prepare_graphs([g], d, cache, [xtilde])
-        table = dsl.rebuild_columns(bundle.table, artifacts.provenance, artifacts.active_names)
-        return route(artifacts.router, xtilde, g, table.standardized_active())
+        names = artifacts.router.names
+        table = dsl.rebuild_columns(bundle.table, artifacts.provenance, names)
+        return route(artifacts.router, xtilde, g, table.standardized(names))
 
     def expert_branch():
         expert_h = [experts.encode(model, xtilde, g) for model in artifacts.experts]

@@ -234,9 +234,8 @@ class RoutingContext:
     """Frozen per-graph material for router training and utility evaluation:
     the canonical key/query split, expert embeddings and reconstructions on
     the queries and their per-row Gram blocks, the expert-correctness
-    targets, the node branch's propagated input ``sx``, and the feature
-    ``table`` it routes on with the standardized matrix ``hr`` of that
-    table's active columns ``names``."""
+    targets, the node branch's propagated input ``sx``, and the graph's
+    feature ``table``, which is routed on the router's names."""
 
     def __init__(self, graph, xtilde, table, experts, key_fraction, rng):
         self.graph = graph
@@ -261,23 +260,18 @@ class RoutingContext:
             _gram_blocks(self.expert_recon, self.expert_recon),
             _gram_blocks(self.expert_hq, self.expert_hq),
         )
-        self._route_on(table)
+        self.table = table
 
     @functools.cached_property
     def kl_targets(self):
         """``_kl_targets`` of the correctness targets, computed once."""
         return _kl_targets(self.q_matrix, self.q_matrix.shape[1])
 
-    def _route_on(self, table):
-        self.table = table
-        self.names = table.active_names()
-        self.hr = table.standardized_active()
-
     def with_features(self, table):
-        """This context routed on ``table``'s active columns; the expert
-        material is shared, not recomputed."""
+        """This context on the feature table ``table``; the expert material
+        is shared, not recomputed."""
         ctx = copy.copy(self)
-        ctx._route_on(table)
+        ctx.table = table
         return ctx
 
 
@@ -301,17 +295,16 @@ def freeze_node_branch(model: RouterModel, contexts):
     """Each context's routing material under ``model`` as it is now: all of
     the training forward that no feature mask changes, the node branch at
     the queries through ``fold_t``, on the parameters as constants; rebuild
-    it whenever the router's parameters change. Each context must route on
-    the columns the router reads, whose names ``routing_utility`` masks."""
+    it whenever the router's parameters change. Each context's table is
+    standardized on the columns the router reads, in its order."""
     p, use_memory = model.params, model.use_memory
     frozen = []
     for ctx in contexts:
-        if ctx.names != model.names:
-            raise ValueError("a context routes on columns other than those the router reads")
         node = node_branch_t(p, ctx.sx, use_memory)
         folded = fold_t(p, ad.gather_rows(node, ctx.queries), use_memory)
         keys, table = (None if t is None else t.value for t in folded)
-        hr_t = np.vstack([ctx.hr[ctx.queries].T, np.ones(len(ctx.queries))])
+        hr_q = ctx.table.standardized(model.names)[ctx.queries]
+        hr_t = np.vstack([hr_q.T, np.ones(len(ctx.queries))])
         targets, entropy = ctx.kl_targets
         frozen.append(FrozenContext(keys, hr_t, table.transpose(1, 2, 0).copy(),
                                     targets.T.copy(), entropy))
@@ -342,13 +335,13 @@ def routing_utility(model: RouterModel, subset, frozen) -> float:
     return -float(np.mean(vals))
 
 
-def _env_losses_t(lv, ctx, folded, masks, noise_q):
+def _env_losses_t(lv, ctx, hr_q, folded, masks, noise_q):
     """The anomaly loss of every masked-feature environment, as one K-vector.
-    The K masked copies of the query features are routed as one stacked
-    operand on the query rows' ``folded = fold_t(...)``, with the query
-    noise rows ``noise_q``; each environment's loss is the mean over its own
-    query rows."""
-    hr1 = with_ones(ctx.hr[ctx.queries], masks)
+    The K masked copies of the query features ``hr_q`` are routed as one
+    stacked operand on the query rows' ``folded = fold_t(...)``, with the
+    query noise rows ``noise_q``; each environment's loss is the mean over
+    its own query rows."""
+    hr1 = with_ones(hr_q, masks)
     logits = feature_branch_t(lv, folded, hr1, np.tile(noise_q, (len(masks), 1)))
     cos = ad.gram_cosine_rows(ad.row_softmax(logits), *ctx.gram)  # k x Nq
     return consistency_loss_t(cos, ctx.y_q, axis=1)
@@ -370,28 +363,30 @@ def train_router(model, contexts, cfg, phase, seed):
     """Warm-up (KL alignment) or main (invariant + balance) optimization with
     experts frozen; one step per epoch on the mean loss over graphs. The node
     branch runs on every node of a graph, the feature branch on its query
-    rows only, which are all any loss reads."""
+    rows only, which are all any loss reads: each context's table
+    standardized on the router's names, at the queries, once per call."""
     rng = np.random.default_rng(seed)
     n_experts = model.dims[4]
+    hr_qs = [ctx.table.standardized(model.names)[ctx.queries] for ctx in contexts]
 
     def epoch_losses(lv):
         graph_losses = []
-        for ctx in contexts:
+        for ctx, hr_q in zip(contexts, hr_qs):
             n = ctx.graph.num_nodes
             # one node branch and readout table per graph and epoch; in the
             # main phase the environments and the clean balance pass share them
             node = node_branch_t(lv, ctx.sx, model.use_memory)
             folded = fold_t(lv, ad.gather_rows(node, ctx.queries), model.use_memory)
-            hr1 = with_ones(ctx.hr[ctx.queries])
+            hr1 = with_ones(hr_q)
             if phase == "warmup":
                 noise = rng.standard_normal((n, n_experts))[ctx.queries]
                 logits = feature_branch_t(lv, folded, hr1, noise)
                 graph_losses.append(kl_router_loss_t(ctx.kl_targets, logits))
             else:
-                draws = rng.random((cfg.n_envs, ctx.hr.shape[1]))
+                draws = rng.random((cfg.n_envs, hr_q.shape[1]))
                 masks = (draws >= cfg.mask_rate).astype(float)
                 env_noise = rng.standard_normal((n, n_experts))[ctx.queries]
-                env = _env_losses_t(lv, ctx, folded, masks, env_noise)
+                env = _env_losses_t(lv, ctx, hr_q, folded, masks, env_noise)
                 l_in = _combine_env_losses_t(env, cfg.lam)
                 clean_noise = rng.standard_normal((n, n_experts))[ctx.queries]
                 logits = feature_branch_t(lv, folded, hr1, clean_noise)

@@ -36,11 +36,12 @@ def estimate_contributions(features, utility, iterations, seed) -> ShapleyStats:
     """Complementary-subset sampler: each iteration splits the feature set by
     fair coins into S1/S2, evaluates both halves once, then scores every
     feature against the opposite half. Exactly one sample per feature per
-    iteration and |F| + 2 utility calls per iteration."""
+    iteration and |F| + 2 utility calls per iteration. With one feature f,
+    every sample is v({f}) - v(empty set)."""
     features = list(features)
     n = len(features)
-    if n < 2:
-        raise ValueError("need at least 2 features")
+    if n < 1:
+        raise ValueError("need at least 1 feature")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     rng = np.random.default_rng(seed)

@@ -213,6 +213,12 @@ def tape_route_t(lv, xtilde, g, hr, noise=None, use_memory=True):
     return tape_feature_branch_t(lv, node, hr, noise, use_memory)
 
 
+def standardized_all(ctx):
+    """A context's table standardized on every one of its columns: what a
+    router that reads them all routes on."""
+    return ctx.table.standardized(ctx.table.names)
+
+
 def route_noisy(model, xtilde, g, hr, train_mode=False, rng=None, mask=None):
     """``router.route`` with a feature mask and exploration noise: ``mask``
     zeroes feature columns at fixed width, and with ``train_mode`` Gaussian
@@ -369,7 +375,6 @@ def fold_extend(table, exprs):
             names=table.names + [expr.name],
             categories=table.categories + [expr.category],
             provenance=table.provenance + [expr],
-            active=np.append(table.active, True),
         )
     return table
 
@@ -463,11 +468,12 @@ def fd_adapters(build_loss, params):
     return loss_fn, grad_fn, flatten_params(params, names)
 
 
-def invariant_env_draws(ctx, n_envs, mask_rate, seed):
-    """Masks (one per environment) plus a single noise draw shared by all
-    environments, so identical masks give identical environments."""
+def invariant_env_draws(model, ctx, n_envs, mask_rate, seed):
+    """Masks (one per environment, over the router's columns) plus a single
+    noise draw shared by all environments, so identical masks give
+    identical environments."""
     rng = np.random.default_rng(seed)
-    d_r = ctx.hr.shape[1]
+    d_r = model.d_r
     masks = (rng.random((n_envs, d_r)) >= mask_rate).astype(np.float64)
     noise = rng.standard_normal((ctx.graph.num_nodes, ctx.q_matrix.shape[1]))
     return masks, noise
@@ -479,23 +485,24 @@ def invariant_loss(model, ctx, n_envs, lam, mask_rate, seed):
     per-environment trace)."""
     if n_envs < 2:
         raise ValueError("invariant loss needs at least 2 environments")
-    masks, noise = invariant_env_draws(ctx, n_envs, mask_rate, seed)
+    masks, noise = invariant_env_draws(model, ctx, n_envs, mask_rate, seed)
     lv = ad.leaves(model.params)
     node = node_branch_t(lv, ctx.sx, model.use_memory)
     folded = fold_t(lv, ad.gather_rows(node, ctx.queries), model.use_memory)
-    losses = _env_losses_t(lv, ctx, folded, masks, noise[ctx.queries])
+    hr_q = ctx.table.standardized(model.names)[ctx.queries]
+    losses = _env_losses_t(lv, ctx, hr_q, folded, masks, noise[ctx.queries])
     total = _combine_env_losses_t(losses, lam)
     return float(total.value), [float(v) for v in losses.value]
 
 
-def per_env_route_losses_t(lv, ctx, masks, noise, use_memory):
+def per_env_route_losses_t(lv, ctx, hr, masks, noise, use_memory):
     """Reference for ``_env_losses_t``: one full unfolded forward
-    (``tape_route_t``), node branch included, per environment, on every
-    node, then the query rows' expert mixtures and their direct cosine loss;
-    a K-vector."""
+    (``tape_route_t``) on the standardized features ``hr``, node branch
+    included, per environment, on every node, then the query rows' expert
+    mixtures and their direct cosine loss; a K-vector."""
     losses = []
     for mask in masks:
-        logits = tape_route_t(lv, ctx.xtilde, ctx.graph, ctx.hr * mask, noise, use_memory)
+        logits = tape_route_t(lv, ctx.xtilde, ctx.graph, hr * mask, noise, use_memory)
         p_q = ad.gather_rows(ad.row_softmax(logits), ctx.queries)
         hq = mix_rows(p_q, ctx.expert_hq)
         rec = mix_rows(p_q, ctx.expert_recon)
@@ -517,12 +524,13 @@ def reference_train_main(model, contexts, cfg, seed):
         graph_losses = []
         for ctx in contexts:
             n = ctx.graph.num_nodes
-            draws = rng.random((cfg.n_envs, ctx.hr.shape[1]))
+            hr = ctx.table.standardized(model.names)
+            draws = rng.random((cfg.n_envs, hr.shape[1]))
             masks = (draws >= cfg.mask_rate).astype(float)
             env_noise = rng.standard_normal((n, n_experts))
-            env = per_env_route_losses_t(lv, ctx, masks, env_noise, model.use_memory)
+            env = per_env_route_losses_t(lv, ctx, hr, masks, env_noise, model.use_memory)
             clean_noise = rng.standard_normal((n, n_experts))
-            logits = tape_route_t(lv, ctx.xtilde, ctx.graph, ctx.hr, clean_noise,
+            logits = tape_route_t(lv, ctx.xtilde, ctx.graph, hr, clean_noise,
                                   model.use_memory)
             l_moe = balance_loss_t(
                 ad.gather_rows(ad.row_softmax(logits), ctx.queries),
@@ -541,11 +549,12 @@ def full_forward_utility(model, subset, contexts):
     (``tape_route_t``) on every node of each context under the router as it
     is now, then the query rows."""
     member = set(subset)
-    mask = np.array([1.0 if n in member else 0.0 for n in contexts[0].names])
+    mask = np.array([1.0 if n in member else 0.0 for n in model.names])
     vals = []
     for ctx in contexts:
         lv = ad.leaves(model.params)
-        logits = tape_route_t(lv, ctx.xtilde, ctx.graph, ctx.hr * mask, None, model.use_memory)
+        hr = ctx.table.standardized(model.names)
+        logits = tape_route_t(lv, ctx.xtilde, ctx.graph, hr * mask, None, model.use_memory)
         vals.append(kl_router_loss(ctx.q_matrix, logits.value[ctx.queries]))
     return -float(np.mean(vals))
 
@@ -555,13 +564,14 @@ def tape_routing_utility(model, subset, contexts):
     context at its query rows, then the unfolded feature branch on the masked
     query features and the KL loss."""
     member = set(subset)
-    mask = np.array([1.0 if n in member else 0.0 for n in contexts[0].names])
+    mask = np.array([1.0 if n in member else 0.0 for n in model.names])
     lv = ad.leaves(model.params)
     vals = []
     for ctx in contexts:
         node = node_branch_t(lv, ctx.sx, model.use_memory)
+        hr_q = ctx.table.standardized(model.names)[ctx.queries]
         logits = tape_feature_branch_t(lv, ad.wrap(node.value[ctx.queries]),
-                                       ctx.hr[ctx.queries] * mask, None, model.use_memory)
+                                       hr_q * mask, None, model.use_memory)
         targets = _kl_targets(ctx.q_matrix, model.dims[4])
         vals.append(float(kl_router_loss_t(targets, logits).value))
     return -float(np.mean(vals))

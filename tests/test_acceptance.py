@@ -23,7 +23,7 @@ from evofg.experts import (
     propagate,
     sample_key_split,
 )
-from evofg.features import betweenness, closeness, pagerank
+from evofg.features import RouterFeatureTable, betweenness, closeness, pagerank
 from evofg.graph import gen_synthetic
 from evofg.numeric import auprc, auroc
 from evofg.pipeline import (
@@ -68,6 +68,7 @@ from helpers import (
     random_graph,
     route_noisy,
     route_t,
+    standardized_all,
     tape_route_t,
     toy_names,
 )
@@ -166,28 +167,29 @@ def test_c03_gradient_checks():
         bundle = prepare_graphs([rg], cfg.d, None)[0]
         experts = pretrain_all_experts([bundle], cfg)
         ctx = build_contexts([bundle], experts, cfg)[0]
-        model = init_router(cfg.d, ctx.names, cfg.d_m, cfg.n_memory, 4, seed=5)
+        model = init_router(cfg.d, ctx.table.names, cfg.d_m, cfg.n_memory, 4, seed=5)
 
         def build_kl(lv):
-            logits = route_t(lv, ctx.xtilde, ctx.graph, ctx.hr, None, True)
+            logits = route_t(lv, ctx.xtilde, ctx.graph, standardized_all(ctx), None, True)
             return kl_router_loss_t(ctx.kl_targets, ad.gather_rows(logits, ctx.queries))
 
         rep = finite_diff_check(*fd_adapters(build_kl, model.params))
         assert rep.max_rel_err < tol, f"kl: {rep.max_rel_err}"
 
-        masks, noise = invariant_env_draws(ctx, 3, 0.3, 12)
+        masks, noise = invariant_env_draws(model, ctx, 3, 0.3, 12)
 
         def build_inv(lv):
             node = node_branch_t(lv, ctx.sx, True)
             folded = fold_t(lv, ad.gather_rows(node, ctx.queries), True)
-            env = _env_losses_t(lv, ctx, folded, masks, noise[ctx.queries])
+            env = _env_losses_t(lv, ctx, standardized_all(ctx)[ctx.queries], folded, masks,
+                                 noise[ctx.queries])
             return _combine_env_losses_t(env, 0.8)
 
         rep = finite_diff_check(*fd_adapters(build_inv, model.params))
         assert rep.max_rel_err < tol, f"invariant: {rep.max_rel_err}"
 
         def build_bal(lv):
-            logits = route_t(lv, ctx.xtilde, ctx.graph, ctx.hr, None, True)
+            logits = route_t(lv, ctx.xtilde, ctx.graph, standardized_all(ctx), None, True)
             return balance_loss_t(
                 ad.gather_rows(ad.row_softmax(logits), ctx.queries),
                 ad.gather_rows(logits, ctx.queries),
@@ -275,7 +277,7 @@ def test_c07_invariant_learning_degeneracy():
         bundle = prepare_graphs([g], cfg.d, None)[0]
         experts = pretrain_all_experts([bundle], cfg)
         ctx = build_contexts([bundle], experts, cfg)[0]
-        model = init_router(cfg.d, ctx.names, cfg.d_m, cfg.n_memory, 4, seed=8)
+        model = init_router(cfg.d, ctx.table.names, cfg.d_m, cfg.n_memory, 4, seed=8)
         for n_envs in (2, 5, 20):
             val, trace = invariant_loss(
                 model, ctx, n_envs, lam=0.8, mask_rate=0.0, seed=9
@@ -300,8 +302,7 @@ def test_c08_planted_feature_utility_monotonicity():
         ctx.graph = g
         ctx.xtilde = g.features
         ctx.sx = router_propagate(g.features, g)
-        ctx.names = names
-        ctx.hr = hr
+        ctx.table = RouterFeatureTable(hr, names, ["Topology"] * len(names))
         ctx.keys = np.array([], dtype=np.int64)
         ctx.queries = np.arange(n)
         ctx.q_matrix = q

@@ -86,7 +86,7 @@ class TestEval:
             t = compute_primitives(g, g.features)
             # exercise huge/degenerate magnitudes too
             t = dataclasses.replace(t, matrix=t.matrix * rng.choice([1.0, 1e6, 1e-9]))
-            exprs = generate_candidates(backend, t, 6, rng)
+            exprs = generate_candidates(backend, t, t.names, 6, rng)
             for e in exprs:
                 out = eval_expr(e, t.column_map())
                 assert np.isfinite(out).all()
@@ -116,19 +116,19 @@ class TestExprValidation:
         t = make_table()
         e = FeatureExpr("BINARY_DIV", ("PR_t", "Deg_t"), "PageRank")
         with pytest.raises(ExprValidationError, match="Deg_t"):
-            check_proposal(e, t)
+            check_proposal(e, t, t.names)
 
     def test_decision_inactive_column_rejected(self):
         t = make_table()
-        t = t.with_active([n for n in t.names if n != "PR_t"])
+        names = [n for n in t.names if n != "PR_t"]
         e = FeatureExpr("LOG1P", ("PR_t",), "PageRank")
         with pytest.raises(ExprValidationError, match="not active"):
-            check_proposal(e, t)
+            check_proposal(e, t, names)
 
     def test_valid_decision_roundtrip(self):
         t = make_table()
         e = FeatureExpr("BINARY_DIV", ("PR_t", "PR_ego_mean"), "PageRank")
-        check_proposal(e, t)
+        check_proposal(e, t, t.names)
         assert e.name == "BINARY_DIV(PR_t,PR_ego_mean)"
         assert e.category == "PageRank"
 
@@ -137,8 +137,8 @@ class TestGeneration:
     def test_deterministic_given_seed(self):
         t1, t2 = make_table(seed=3), make_table(seed=3)
         b = DeterministicBackend()
-        e1 = generate_candidates(b, t1, 10, np.random.default_rng(42))
-        e2 = generate_candidates(b, t2, 10, np.random.default_rng(42))
+        e1 = generate_candidates(b, t1, t1.names, 10, np.random.default_rng(42))
+        e2 = generate_candidates(b, t2, t2.names, 10, np.random.default_rng(42))
         assert [e.name for e in e1] == [e.name for e in e2]
 
     def test_composer_draws_are_pinned(self):
@@ -146,7 +146,8 @@ class TestGeneration:
         # of a run with the chat backend off; these names were recorded from
         # an earlier version and pin its artifacts
         t = make_table(n=9, seed=3)
-        first = generate_candidates(DeterministicBackend(), t, 12, np.random.default_rng(1))
+        first = generate_candidates(DeterministicBackend(), t, t.names, 12,
+                                    np.random.default_rng(1))
         assert [e.name for e in first] == [
             "MULTI_MEAN(PR_ego_mean,PR_t,PR_global_rank)",
             "BINARY_DIV(CC_global_rank,CC_t)",
@@ -161,8 +162,9 @@ class TestGeneration:
             "BINARY_DIV(PR_global_rank,PR_t)",
             "BINARY_DIV(BC_global_rank,BC_ego_rank)",
         ]
+        grown = extend_table(t, first)
         second = generate_candidates(
-            DeterministicBackend(), extend_table(t, first), 12, np.random.default_rng(101)
+            DeterministicBackend(), grown, grown.names, 12, np.random.default_rng(101)
         )
         assert [e.name for e in second] == [
             "LOG1P(BINARY_DIV(CC_global_rank,CC_t))",
@@ -182,7 +184,7 @@ class TestGeneration:
     def test_fifteen_distinct_wellformed(self):
         t = make_table(seed=4)
         exprs = generate_candidates(
-            DeterministicBackend(), t, 15, np.random.default_rng(0)
+            DeterministicBackend(), t, t.names, 15, np.random.default_rng(0)
         )
         assert len(exprs) == 15
         names = [e.name for e in exprs]
@@ -197,7 +199,7 @@ class TestGeneration:
     def test_multi_arity_gets_multi_operator(self):
         t = make_table(seed=5)
         exprs = generate_candidates(
-            DeterministicBackend(), t, 40, np.random.default_rng(1)
+            DeterministicBackend(), t, t.names, 40, np.random.default_rng(1)
         )
         multis = [e for e in exprs if len(e.args) >= 3]
         assert multis, "expected at least one multi-arity draw in 40 candidates"
@@ -207,12 +209,13 @@ class TestGeneration:
         class StubbornBackend:
             name = "stubborn"
 
-            def propose(self, table, history, rng):
+            def propose(self, by_category, history, rng):
                 return FeatureExpr("LOG1P", ("PR_t",), "PageRank")
 
         t = make_table(seed=6)
         with caplog.at_level(logging.WARNING):
-            exprs = generate_candidates(StubbornBackend(), t, 3, np.random.default_rng(2))
+            exprs = generate_candidates(StubbornBackend(), t, t.names, 3,
+                                        np.random.default_rng(2))
         assert [e.name for e in exprs] == ["LOG1P(PR_t)"]
         assert any("skipped" in r.message for r in caplog.records)
 
@@ -220,12 +223,13 @@ class TestGeneration:
         class FailingBackend:
             name = "failing"
 
-            def propose(self, table, history, rng):
+            def propose(self, by_category, history, rng):
                 raise RuntimeError("boom")
 
         t = make_table(seed=7)
         with caplog.at_level(logging.WARNING):
-            exprs = generate_candidates(FailingBackend(), t, 5, np.random.default_rng(3))
+            exprs = generate_candidates(FailingBackend(), t, t.names, 5,
+                                        np.random.default_rng(3))
         assert len(exprs) == 5
         assert any("falling back" in r.message for r in caplog.records)
 
@@ -234,41 +238,40 @@ class TestGeneration:
         # which is sound only because the composer never makes an invalid
         # proposal
         full = make_table(seed=12)
-        generated = extend_table(
-            full, generate_candidates(DeterministicBackend(), full, 10, np.random.default_rng(7))
-        )
+        generated = extend_table(full, generate_candidates(
+            DeterministicBackend(), full, full.names, 10, np.random.default_rng(7)))
         tables = {
-            "all categories": full,
-            "one column": full.with_active(["CC_ego_rank"]),
-            "generated columns": generated.with_active(
-                generated.names[len(PRIMITIVE_NAMES):] + ["Deg_t"]
-            ),
+            "all categories": (full, full.names),
+            "one column": (full, ["CC_ego_rank"]),
+            "generated columns": (generated,
+                                  generated.names[len(PRIMITIVE_NAMES):] + ["Deg_t"]),
         }
         backend = DeterministicBackend()
-        for name, table in tables.items():
+        for name, (table, names) in tables.items():
             for seed in range(200):
-                expr = backend.propose(table, [], np.random.default_rng(seed))
-                check_proposal(expr, table)
-                assert set(expr.args) <= set(table.active_names()), name
+                expr = backend.propose(table.by_category(names), [],
+                                       np.random.default_rng(seed))
+                check_proposal(expr, table, names)
+                assert set(expr.args) <= set(names), name
 
     def test_failure_of_the_deterministic_backend_is_raised(self):
         class BrokenComposer(DeterministicBackend):
-            def propose(self, table, history, rng):
+            def propose(self, by_category, history, rng):
                 raise RuntimeError("boom")
 
+        t = make_table()
         with pytest.raises(RuntimeError, match="boom"):
-            generate_candidates(BrokenComposer(), make_table(), 3, np.random.default_rng(0))
-        empty = make_table().with_active([])
+            generate_candidates(BrokenComposer(), t, t.names, 3, np.random.default_rng(0))
         with pytest.raises(ExprValidationError, match="no active columns"):
-            generate_candidates(DeterministicBackend(), empty, 3, np.random.default_rng(0))
+            generate_candidates(DeterministicBackend(), t, [], 3, np.random.default_rng(0))
 
     def test_generated_columns_compose_in_later_rounds(self):
         t = make_table(seed=8)
         rng = np.random.default_rng(4)
-        first = generate_candidates(DeterministicBackend(), t, 5, rng)
+        first = generate_candidates(DeterministicBackend(), t, t.names, 5, rng)
         t = extend_table(t, first)
         assert t.matrix.shape[1] == len(PRIMITIVE_NAMES) + 5
-        second = generate_candidates(DeterministicBackend(), t, 20, rng)
+        second = generate_candidates(DeterministicBackend(), t, t.names, 20, rng)
         gen_names = {e.name for e in first}
         assert any(set(e.args) & gen_names for e in second)
 
@@ -282,35 +285,34 @@ class TestProvenance:
     def test_rebuild_columns_on_fresh_graph(self):
         t = make_table(seed=9)
         rng = np.random.default_rng(5)
-        exprs = generate_candidates(DeterministicBackend(), t, 8, rng)
+        exprs = generate_candidates(DeterministicBackend(), t, t.names, 8, rng)
         t = extend_table(t, exprs)
         kept = t.names[:len(PRIMITIVE_NAMES):3] + [exprs[2].name, exprs[5].name]
-        t = t.with_active(kept)
 
         fresh = rebuild_columns(make_table(seed=10), t.provenance, kept)
-        assert fresh.active_names() == t.active_names()
+        assert [n for n in fresh.names if n in kept] == [n for n in t.names if n in kept]
         assert [n for n in t.names if n in fresh.names] == fresh.names
 
     def test_extension_and_activation_leave_the_input_table_as_it_was(self):
         # prepared caches and routing contexts share tables without copies
         t = make_table(seed=11)
-        matrix, names, active = t.matrix.copy(), list(t.names), t.active.copy()
-        exprs = generate_candidates(DeterministicBackend(), t, 4, np.random.default_rng(6))
-        grown = extend_table(t, exprs).with_active(names[:5])
-        rebuild_columns(t, grown.provenance, grown.active_names())
+        matrix, names = t.matrix.copy(), list(t.names)
+        exprs = generate_candidates(DeterministicBackend(), t, t.names, 4,
+                                    np.random.default_rng(6))
+        grown = extend_table(t, exprs)
+        rebuild_columns(t, grown.provenance, names[:5] + [exprs[0].name])
         assert grown.matrix.shape[1] == len(PRIMITIVE_NAMES) + 4
         assert np.array_equal(t.matrix, matrix)
         assert t.names == names and t.provenance == ["primitive"] * len(PRIMITIVE_NAMES)
-        assert np.array_equal(t.active, active)
 
 
 def _two_rounds_of_exprs(table, seed):
     """Generated expressions of two rounds, the second composed on the
     first's columns, plus hand-made ones that read generated columns."""
     rng = np.random.default_rng(seed)
-    first = generate_candidates(DeterministicBackend(), table, 8, rng)
+    first = generate_candidates(DeterministicBackend(), table, table.names, 8, rng)
     grown = fold_extend(table, first)
-    second = generate_candidates(DeterministicBackend(), grown, 12, rng)
+    second = generate_candidates(DeterministicBackend(), grown, grown.names, 12, rng)
     cat = first[0].category
     chained = [FeatureExpr("SIGMOID", (first[0].name,), cat),
                FeatureExpr("LOG1P", (f"SIGMOID({first[0].name})",), cat),
@@ -325,20 +327,17 @@ def _assert_same_table(got, want):
     assert got.names == want.names
     assert got.categories == want.categories
     assert got.provenance == want.provenance
-    assert got.active.dtype == want.active.dtype
-    assert np.array_equal(got.active, want.active)
     assert got.matrix.shape == want.matrix.shape
     assert got.matrix.tobytes() == want.matrix.tobytes()
 
 
-def _assert_same_active(got, want):
-    """The active columns of ``got`` and ``want`` agree in names, categories
-    and bytes, and so does the router input built from them."""
-    assert got.active_names() == want.active_names()
-    assert ([c for c, a in zip(got.categories, got.active) if a]
-            == [c for c, a in zip(want.categories, want.active) if a])
-    assert got.matrix[:, got.active].tobytes() == want.matrix[:, want.active].tobytes()
-    assert got.standardized_active().tobytes() == want.standardized_active().tobytes()
+def _assert_same_active(got, want, names):
+    """The columns ``names`` of ``got`` and ``want`` agree in categories and
+    bytes, and so does the router input built from them."""
+    assert got.by_category(names) == want.by_category(names)
+    assert (got.matrix[:, [got.names.index(n) for n in names]].tobytes()
+            == want.matrix[:, [want.names.index(n) for n in names]].tobytes())
+    assert got.standardized(names).tobytes() == want.standardized(names).tobytes()
 
 
 class TestColumnsInOneTable:
@@ -354,11 +353,11 @@ class TestColumnsInOneTable:
         kept = trained.names[::4] + [e.name for e in exprs[1::3]]
         provenance = fold_extend(trained, exprs).provenance
         fresh = make_table(n=33, seed=14)
-        want = fold_extend(fresh, exprs).with_active(kept)
-        _assert_same_active(rebuild_columns(fresh, provenance, kept), want)
+        want = fold_extend(fresh, exprs)
+        _assert_same_active(rebuild_columns(fresh, provenance, kept), want, kept)
         # columns the table already has are kept, not evaluated again
         half = extend_table(fresh, exprs[:10])
-        _assert_same_active(rebuild_columns(half, provenance, kept), want)
+        _assert_same_active(rebuild_columns(half, provenance, kept), want, kept)
 
     def test_rebuild_evaluates_only_what_the_active_columns_read(self, monkeypatch):
         trained = make_table(n=40, seed=16)

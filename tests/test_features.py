@@ -11,6 +11,7 @@ import pytest
 
 from evofg import features
 from evofg.features import (
+    CATEGORIES,
     PRIMITIVE_CATEGORIES,
     PRIMITIVE_NAMES,
     RouterFeatureTable,
@@ -175,7 +176,8 @@ class TestComputePrimitives:
         graphs.append(gen_synthetic(60, 8, 0.1, structure_seed=4, planted_kind="mixed"))
         varies = np.zeros(len(PRIMITIVE_NAMES), dtype=bool)
         for g in graphs:
-            varies |= compute_primitives(g, align(g, 5)).standardized_active().any(axis=0)
+            table = compute_primitives(g, align(g, 5))
+            varies |= table.standardized(PRIMITIVE_NAMES).any(axis=0)
         assert [n for n, v in zip(PRIMITIVE_NAMES, varies) if not v] == []
 
     def test_triangle_identical_features(self):
@@ -540,7 +542,7 @@ class TestRouterFeatureTable:
 
     def test_standardized_active_zero_mean_unit_std(self):
         t = self.make_table()
-        z = t.standardized_active()
+        z = t.standardized(t.names)
         live = z.std(axis=0) > 0
         assert np.abs(z.mean(axis=0)).max() < 1e-12
         assert np.allclose(z.std(axis=0)[live], 1.0)
@@ -552,7 +554,7 @@ class TestRouterFeatureTable:
         n = 7
         matrix = np.column_stack([np.full(n, value), np.arange(n, dtype=float)])
         t = RouterFeatureTable(matrix, ["c", "x"], ["Topology"] * 2, ["primitive"] * 2)
-        z = t.standardized_active()
+        z = t.standardized(t.names)
         assert z[:, 0].tobytes() == np.zeros(n).tobytes()
         assert np.allclose(z[:, 1].std(), 1.0)
 
@@ -564,13 +566,28 @@ class TestRouterFeatureTable:
         t = compute_primitives(g, g.features)
         constant = [n for n in t.names if np.unique(t.column(n)).size == 1]
         assert constant == ["PR_ego_mean", "BC_ego_mean", "CC_ego_mean", "Ego_size"]
-        z = t.standardized_active()
+        z = t.standardized(t.names)
         assert z.any(axis=0).tolist() == [n not in constant for n in t.names]
 
     def test_set_active_and_names(self):
-        t = self.make_table().with_active(["PR_t", "Deg_t"])
-        assert t.active_names() == ["PR_t", "Deg_t"]
-        assert t.standardized_active().shape == (4, 2)
+        """``standardized`` and ``by_category`` read the given columns in the
+        order of their names."""
+        t = self.make_table()
+        assert t.standardized(["PR_t", "Deg_t"]).shape == (4, 2)
+        names = ["Deg_t", "Sim_2hop", "PR_t", "Sim_1hop", "PR_ego_rank"]
+        z = t.standardized(names)
+        whole = t.standardized(t.names)
+        assert z.tobytes() == whole[:, [t.names.index(n) for n in names]].tobytes()
+        assert t.by_category(names) == {
+            "PageRank": ["PR_t", "PR_ego_rank"], "Betweenness": [], "Closeness": [],
+            "Similarity": ["Sim_2hop", "Sim_1hop"], "Topology": ["Deg_t"]}
+        assert list(t.by_category(names)) == list(CATEGORIES)
+
+    @pytest.mark.parametrize("read", ["standardized", "by_category"])
+    def test_an_unknown_name_is_refused_by_name(self, read):
+        t = self.make_table()
+        with pytest.raises(ValueError, match="'ghost'"):
+            getattr(t, read)(["PR_t", "ghost"])
 
     def test_export_text(self, tmp_path):
         t = self.make_table()

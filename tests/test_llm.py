@@ -173,8 +173,8 @@ class TestFixtureFlow:
         )
         backend = LLMBackend(fixture_client(tmp_path))
         table = make_table()
-        expr = backend.propose(table, [], np.random.default_rng(0))
-        check_proposal(expr, table)
+        expr = backend.propose(table.by_category(table.names), [], np.random.default_rng(0))
+        check_proposal(expr, table, table.names)
         assert expr.name == "BINARY_DIV(PR_t,PR_ego_mean)"
 
     def test_arity_violation_detected(self, tmp_path):
@@ -187,8 +187,9 @@ class TestFixtureFlow:
             ),
         )
         backend = LLMBackend(fixture_client(tmp_path))
+        table = make_table()
         with pytest.raises(ExprValidationError, match="MULTI_MEAN"):
-            backend.propose(make_table(), [], np.random.default_rng(0))
+            backend.propose(table.by_category(table.names), [], np.random.default_rng(0))
 
     def test_unknown_column_detected(self, tmp_path):
         write_fixture(
@@ -200,16 +201,17 @@ class TestFixtureFlow:
             ),
         )
         backend = LLMBackend(fixture_client(tmp_path))
-        expr = backend.propose(make_table(), [], np.random.default_rng(0))
+        table = make_table()
+        expr = backend.propose(table.by_category(table.names), [], np.random.default_rng(0))
         with pytest.raises(ExprValidationError, match="PR_magic"):
-            check_proposal(expr, make_table())
+            check_proposal(expr, table, table.names)
 
     def test_malformed_json_falls_back_and_completes(self, tmp_path, caplog):
         write_fixture(tmp_path, 0, chat_response("certainly! here is JSON: {"))
         backend = LLMBackend(fixture_client(tmp_path))
         table = make_table()
         with caplog.at_level(logging.WARNING):
-            exprs = generate_candidates(backend, table, 4, np.random.default_rng(1))
+            exprs = generate_candidates(backend, table, table.names, 4, np.random.default_rng(1))
         assert len(exprs) == 4  # fallback composer filled every slot
         assert any("falling back" in r.message for r in caplog.records)
 
@@ -225,7 +227,7 @@ class TestFixtureFlow:
         backend = LLMBackend(fixture_client(tmp_path))
         table = make_table()
         with caplog.at_level(logging.WARNING):
-            exprs = generate_candidates(backend, table, 3, np.random.default_rng(2))
+            exprs = generate_candidates(backend, table, table.names, 3, np.random.default_rng(2))
         assert len(exprs) == 3
         assert any("invalid decision" in r.message for r in caplog.records)
 
@@ -246,7 +248,7 @@ class TestFixtureFlow:
 
 def test_context_contains_schema_not_data():
     table = make_table()
-    ctx = build_context(table, [("accepted", "LOG1P(PR_t)")])
+    ctx = build_context(table.by_category(table.names), [("accepted", "LOG1P(PR_t)")])
     assert "PageRank" in ctx and "PR_t" in ctx
     assert "LOG1P(PR_t)" in ctx
     # no raw node values leak into the prompt
@@ -258,7 +260,7 @@ def test_context_of_a_round_with_duplicates_is_pinned():
     # the prompt text was recorded from an earlier version; the history
     # generate_candidates keeps must still print the same lines
     table = make_table()
-    table = table.with_active([n for n in table.names if n not in ("PR_global_rank", "Sim_2hop")])
+    names = [n for n in table.names if n not in ("PR_global_rank", "Sim_2hop")]
     proposals = [FeatureExpr("LOG1P", ("PR_t",), "PageRank"),
                  FeatureExpr("LOG1P", ("PR_t",), "PageRank"),
                  FeatureExpr("BINARY_SUB", ("BC_t", "BC_ego_mean"), "Betweenness"),
@@ -269,11 +271,11 @@ def test_context_of_a_round_with_duplicates_is_pinned():
     class ScriptedBackend:
         name = "scripted"
 
-        def propose(self, table, history, rng):
-            contexts.append(build_context(table, history))
+        def propose(self, by_category, history, rng):
+            contexts.append(build_context(by_category, history))
             return proposals[len(contexts) - 1]
 
-    exprs = generate_candidates(ScriptedBackend(), table, 3, np.random.default_rng(0))
+    exprs = generate_candidates(ScriptedBackend(), table, names, 3, np.random.default_rng(0))
     assert [e.name for e in exprs] == ["LOG1P(PR_t)", "BINARY_SUB(BC_t,BC_ego_mean)",
                                        "SQRT(Deg_t)"]
     assert contexts[-1] == (

@@ -87,6 +87,21 @@ class TestRunPipeline:
         assert art.active_names == list(PRIMITIVE_NAMES)
         assert art.shapley_reports == []
 
+    @pytest.mark.parametrize("seed", [15, 23])
+    def test_selection_may_narrow_the_router_to_one_column(self, seed):
+        """Once selection keeps a single column, the next rounds estimate
+        that column alone, and the run completes."""
+        train = [gen_synthetic(120, 8, 0.08, 1, "structural", name="a"),
+                 gen_synthetic(110, 8, 0.08, 2, "attribute", name="b")]
+        cfg = PipelineConfig(seed=seed, rounds=12, gen_per_round=0,
+                             expert_epochs=(1, 1, 1, 1), warmup_epochs=2, router_epochs=2,
+                             shapley_iters=1, n_envs=2, lr=1e-2)
+        art = run_pipeline(cfg, train)
+        assert len(art.shapley_reports) == cfg.rounds
+        assert art.router.d_r == 1
+        # a report holds a header and one line per estimated column
+        assert art.shapley_reports[-1].count("\n") == 2
+
     def test_stage_error_names_stage_and_seed(self):
         bad = Graph(4, [(0, 1)], np.zeros((4, 2)), np.array([1, 1, 1, 1]))
         with pytest.raises(StageError) as err:
@@ -159,16 +174,17 @@ class TestRunPipeline:
         models = pretrain_all_experts(bundles, cfg)
         contexts = build_contexts(bundles, models, cfg)
         router_model = warmup_router(contexts, cfg)
-        rounds = []  # (frozen material, contexts it was built from, gnn_w then)
+        # (frozen material, contexts it was built from, gnn_w and width then)
+        rounds = []
         calls = []
 
         def recording_freeze(model, ctxs):
             frozen = real_freeze(model, ctxs)
-            rounds.append((frozen, ctxs, model.params["gnn_w"].copy()))
+            rounds.append((frozen, ctxs, model.params["gnn_w"].copy(), model.d_r))
             return frozen
 
         def checking_utility(model, subset, frozen):
-            r = next(i for i, (f, _, _) in enumerate(rounds) if f is frozen)
+            r = next(i for i, (f, *_) in enumerate(rounds) if f is frozen)
             assert r == len(rounds) - 1  # the current round's material
             value = real_utility(model, subset, frozen)
             ref = full_forward_utility(model, subset, rounds[r][1])
@@ -182,8 +198,8 @@ class TestRunPipeline:
         evolve(router_model, contexts, models, cfg)
 
         assert len(rounds) == cfg.rounds
-        for r, (_, ctxs, _) in enumerate(rounds):
-            assert calls.count(r) == cfg.shapley_iters * (len(ctxs[0].names) + 2)
+        for r, (*_, d_r) in enumerate(rounds):
+            assert calls.count(r) == cfg.shapley_iters * (d_r + 2)
         # round 2 runs on a router the round-1 retrain changed in place
         assert not np.array_equal(rounds[0][2], rounds[1][2])
 
@@ -212,7 +228,8 @@ class TestRunPipeline:
         assert set(dropped).isdisjoint(estimated[0])
         tables = [dsl.rebuild_columns(b.table, art.provenance, art.active_names)
                   for b in bundles]
-        assert np.any([t.standardized_active().any(axis=0) for t in tables], axis=0).all()
+        assert np.any([t.standardized(art.active_names).any(axis=0) for t in tables],
+                      axis=0).all()
 
 
 def _big_graphs():
@@ -385,7 +402,7 @@ class TestScoreGraph:
         table = dsl.rebuild_columns(bundle.table, art.provenance, art.active_names)
         ctx = build_contexts([bundle], art.experts, cfg)[0]
         routing = route(art.router, bundle.xtilde, bundle.graph,
-                        table.standardized_active())
+                        table.standardized(art.active_names))
         p_q = routing.weights[ctx.queries]
         h_mix = sum(p_q[:, e:e + 1] * ctx.expert_hq[e] for e in range(4))
         r_mix = sum(p_q[:, e:e + 1] * ctx.expert_recon[e] for e in range(4))
@@ -576,6 +593,24 @@ class TestScoreGraph:
         scores, _, _ = score_graph(artifacts, g, cache)
         assert calls[3:] == ["prepare_graphs"]
         assert scores.tobytes() == want.tobytes()
+
+    def test_scoring_hashes_a_graph_once(self, artifacts, graphs, monkeypatch):
+        """A scoring call computes a graph's content digest once, not once for
+        its cache lookup and again in ``prepare_graphs``; a later call on
+        the same graph reuses it."""
+        _, test = graphs
+        fresh = [Graph(test[0].num_nodes, test[0].edges, test[0].features, None, name)
+                 for name in ("one", "two")]
+        hashed = []
+        real = pipeline._content_digest
+        monkeypatch.setattr(pipeline, "_content_digest",
+                            lambda g: hashed.append(g.name) or real(g))
+        score_graph(artifacts, fresh[0])
+        assert hashed == ["one"]
+        cache = {}
+        for _ in range(2):
+            score_graph(artifacts, fresh[1], cache)
+        assert hashed == ["one", "two"]
 
     def test_without_a_cache_prepares_as_with_one(self, artifacts, graphs, monkeypatch):
         # prepare_graphs has one path: without a cache it fills a local one,

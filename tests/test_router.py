@@ -1,4 +1,4 @@
-import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -30,6 +30,7 @@ from evofg.router import (
     _env_losses_t,
 )
 from evofg.checkpoint import CheckpointError
+from evofg.features import RouterFeatureTable
 from evofg.graph import gen_synthetic
 from helpers import (
     balance_loss,
@@ -47,6 +48,7 @@ from helpers import (
     random_graph,
     route_noisy,
     route_t,
+    standardized_all,
     tape_route_t,
     tape_routing_utility,
     toy_names,
@@ -80,53 +82,53 @@ def pretrained():
 def setup(pretrained):
     cfg, bundle, experts = pretrained
     ctx = build_contexts([bundle], experts, cfg)[0]
-    model = init_router(cfg.d, ctx.names, cfg.d_m, cfg.n_memory, 4, seed=5)
+    model = init_router(cfg.d, ctx.table.names, cfg.d_m, cfg.n_memory, 4, seed=5)
     return cfg, bundle, ctx, model
 
 
 class TestRoute:
     def test_rows_are_probability_vectors(self, setup):
         cfg, b, ctx, model = setup
-        out = route(model, b.xtilde, b.graph, ctx.hr)
+        out = route(model, b.xtilde, b.graph, standardized_all(ctx))
         assert np.abs(out.weights.sum(axis=1) - 1.0).max() < 1e-9
         assert (out.weights >= 0).all()
 
     def test_deterministic_mode_idempotent(self, setup):
         cfg, b, ctx, model = setup
-        o1 = route(model, b.xtilde, b.graph, ctx.hr)
-        o2 = route(model, b.xtilde, b.graph, ctx.hr)
+        o1 = route(model, b.xtilde, b.graph, standardized_all(ctx))
+        o2 = route(model, b.xtilde, b.graph, standardized_all(ctx))
         assert np.array_equal(o1.weights, o2.weights)
         assert np.array_equal(o1.logits, o2.logits)
 
     def test_train_mode_adds_noise(self, setup):
         cfg, b, ctx, model = setup
-        o1 = route_noisy(model, b.xtilde, b.graph, ctx.hr, train_mode=True,
+        o1 = route_noisy(model, b.xtilde, b.graph, standardized_all(ctx), train_mode=True,
                          rng=np.random.default_rng(0))
-        o2 = route_noisy(model, b.xtilde, b.graph, ctx.hr, train_mode=True,
+        o2 = route_noisy(model, b.xtilde, b.graph, standardized_all(ctx), train_mode=True,
                          rng=np.random.default_rng(1))
         assert not np.array_equal(o1.logits, o2.logits)
 
     def test_train_mode_needs_an_rng(self, setup):
         cfg, b, ctx, model = setup
         with pytest.raises(ValueError, match="rng"):
-            route_noisy(model, b.xtilde, b.graph, ctx.hr, train_mode=True)
+            route_noisy(model, b.xtilde, b.graph, standardized_all(ctx), train_mode=True)
 
     def test_identical_scale_vectors_give_uniform_weights(self, setup):
         cfg, b, ctx, _ = setup
-        model = init_router(cfg.d, ctx.names, cfg.d_m, cfg.n_memory, 4, seed=6)
+        model = init_router(cfg.d, ctx.table.names, cfg.d_m, cfg.n_memory, 4, seed=6)
         model.params["scale"][:] = model.params["scale"][0]
-        out = route(model, b.xtilde, b.graph, ctx.hr)
+        out = route(model, b.xtilde, b.graph, standardized_all(ctx))
         assert np.abs(out.weights - 0.25).max() < 1e-12
 
     def test_single_memory_slot_gives_node_constant_logits(self, setup):
         cfg, b, ctx, _ = setup
-        model = init_router(cfg.d, ctx.names, cfg.d_m, 1, 4, seed=7)
-        out = route(model, b.xtilde, b.graph, ctx.hr)
+        model = init_router(cfg.d, ctx.table.names, cfg.d_m, 1, 4, seed=7)
+        out = route(model, b.xtilde, b.graph, standardized_all(ctx))
         assert np.abs(out.logits - out.logits[0]).max() < 1e-12
 
     def test_softmax_shift_invariance_of_weights(self, setup):
         cfg, b, ctx, model = setup
-        out = route(model, b.xtilde, b.graph, ctx.hr)
+        out = route(model, b.xtilde, b.graph, standardized_all(ctx))
         row_shift = np.random.default_rng(0).normal(size=(out.logits.shape[0], 1))
         shifted = out.logits + 5.0 * row_shift
         ex = np.exp(shifted - shifted.max(axis=1, keepdims=True))
@@ -135,13 +137,14 @@ class TestRoute:
     def test_width_mismatch_rejected(self, setup):
         cfg, b, ctx, model = setup
         with pytest.raises(ValueError, match="width"):
-            route(model, b.xtilde, b.graph, ctx.hr[:, :5])
+            route(model, b.xtilde, b.graph, standardized_all(ctx)[:, :5])
 
     def test_mask_zeroes_columns_at_fixed_width(self, setup):
         cfg, b, ctx, model = setup
-        mask = np.zeros(ctx.hr.shape[1])
-        out = route_noisy(model, b.xtilde, b.graph, ctx.hr, mask=mask)
-        manual = route(model, b.xtilde, b.graph, np.zeros_like(ctx.hr))
+        hr = standardized_all(ctx)
+        mask = np.zeros(hr.shape[1])
+        out = route_noisy(model, b.xtilde, b.graph, hr, mask=mask)
+        manual = route(model, b.xtilde, b.graph, np.zeros_like(hr))
         assert np.array_equal(out.logits, manual.logits)
 
     @pytest.mark.parametrize("use_memory", [True, False])
@@ -151,16 +154,17 @@ class TestRoute:
         first two), its logits are those of the folded tape forward bit for
         bit, and they agree with the unfolded chain to rel 1e-12."""
         cfg, b, ctx, _ = setup
-        model = init_router(cfg.d, ctx.names, cfg.d_m, cfg.n_memory, 4, seed=9,
+        model = init_router(cfg.d, ctx.table.names, cfg.d_m, cfg.n_memory, 4, seed=9,
                             use_memory=use_memory)
         model.params["proj_b"] = np.random.default_rng(9).normal(size=cfg.d_m)
         lv = ad.leaves(model.params)
-        folded = route_t(lv, b.xtilde, b.graph, ctx.hr, None, use_memory)
-        unfolded = tape_route_t(lv, b.xtilde, b.graph, ctx.hr, None, use_memory)
+        hr = standardized_all(ctx)
+        folded = route_t(lv, b.xtilde, b.graph, hr, None, use_memory)
+        unfolded = tape_route_t(lv, b.xtilde, b.graph, hr, None, use_memory)
         calls = []
         for name in ("node_branch_t", "fold_t", "feature_branch_t"):
             monkeypatch.setattr(router, name, counting(calls, name, getattr(router, name)))
-        out = route(model, b.xtilde, b.graph, ctx.hr)
+        out = route(model, b.xtilde, b.graph, hr)
         assert calls == ["node_branch_t", "fold_t", "feature_branch_t"]
         calls.clear()
         freeze_node_branch(model, [ctx])
@@ -197,13 +201,13 @@ class TestRoute:
     def test_no_memory_router_skips_retrieval(self, setup):
         cfg, b, ctx, _ = setup
         model = init_router(
-            cfg.d, ctx.names, cfg.d_m, cfg.n_memory, 4, seed=8, use_memory=False
+            cfg.d, ctx.table.names, cfg.d_m, cfg.n_memory, 4, seed=8, use_memory=False
         )
-        out = route(model, b.xtilde, b.graph, ctx.hr)
+        out = route(model, b.xtilde, b.graph, standardized_all(ctx))
         assert np.abs(out.weights.sum(axis=1) - 1.0).max() < 1e-9
         model.params["mem_node"] += 1.0
         model.params["mem_feat"] += 1.0
-        again = route(model, b.xtilde, b.graph, ctx.hr)
+        again = route(model, b.xtilde, b.graph, standardized_all(ctx))
         assert again.logits.tobytes() == out.logits.tobytes()
 
 
@@ -301,8 +305,8 @@ class TestBalance:
 class TestUtility:
     def test_full_subset_matches_direct_kl(self, setup):
         cfg, b, ctx, model = setup
-        v = routing_utility(model, frozenset(ctx.names), freeze_node_branch(model, [ctx]))
-        out = route(model, b.xtilde, b.graph, ctx.hr)
+        v = routing_utility(model, frozenset(ctx.table.names), freeze_node_branch(model, [ctx]))
+        out = route(model, b.xtilde, b.graph, standardized_all(ctx))
         direct = -kl_router_loss(ctx.q_matrix, out.logits[ctx.queries])
         assert v == pytest.approx(direct, abs=1e-12)
 
@@ -313,25 +317,44 @@ class TestUtility:
 
     def test_utility_is_pure(self, setup):
         cfg, b, ctx, model = setup
-        s = frozenset(ctx.names[:7])
+        s = frozenset(ctx.table.names[:7])
         frozen = freeze_node_branch(model, [ctx])
         assert routing_utility(model, s, frozen) == routing_utility(model, s, frozen)
 
     def test_freezing_a_context_on_other_columns_is_refused(self, setup):
-        """The utility masks the router's columns by name, so a context whose
-        columns are the same count under other names or in another order is
-        refused, not routed."""
-        cfg, b, ctx, model = setup
-        for names in (ctx.names[::-1], toy_names(len(ctx.names))):
-            other = init_router(cfg.d, names, cfg.d_m, cfg.n_memory, 4, seed=5)
-            with pytest.raises(ValueError, match="other than those the router reads"):
-                freeze_node_branch(other, [ctx])
+        """A router whose names the context's table lacks is refused, and the
+        error names the column."""
+        cfg, b, ctx, _ = setup
+        names = ctx.table.names[:-1] + ["ghost"]
+        other = init_router(cfg.d, names, cfg.d_m, cfg.n_memory, 4, seed=5)
+        with pytest.raises(ValueError, match="'ghost'"):
+            freeze_node_branch(other, [ctx])
+
+    def test_a_router_routes_the_table_in_its_own_order(self, setup):
+        """A router whose names are the table's columns in another order
+        routes them in its order: its utility is that of the same router on
+        a table whose columns stand in that order."""
+        cfg, b, ctx, _ = setup
+        names = ctx.table.names[::-1]
+        model = init_router(cfg.d, names, cfg.d_m, cfg.n_memory, 4, seed=5)
+        order = [ctx.table.names.index(n) for n in names]
+        reordered = ctx.with_features(RouterFeatureTable(
+            ctx.table.matrix[:, order], names,
+            [ctx.table.categories[i] for i in order], ctx.table.provenance))
+        rng = np.random.default_rng(6)
+        subsets = [frozenset(names)] + [frozenset(n for n in names if rng.random() < 0.5)
+                                        for _ in range(5)]
+        frozen, frozen_ref = (freeze_node_branch(model, [c]) for c in (ctx, reordered))
+        for s in subsets:
+            assert routing_utility(model, s, frozen) == routing_utility(model, s, frozen_ref)
+        hr = ctx.table.standardized(names)
+        assert hr.tobytes() == standardized_all(ctx)[:, order].tobytes()
 
     @pytest.mark.parametrize("use_memory", [True, False])
     def test_frozen_branch_matches_full_forward(self, setup, pretrained, use_memory):
         cfg, b, ctx, _ = setup
         experts = pretrained[2]
-        model = init_router(cfg.d, ctx.names, cfg.d_m, cfg.n_memory, 4, seed=20,
+        model = init_router(cfg.d, ctx.table.names, cfg.d_m, cfg.n_memory, 4, seed=20,
                             use_memory=use_memory)
         other = prepare_graph(
             gen_synthetic(20, 5, 0.15, structure_seed=4, planted_kind="mixed"), cfg.d
@@ -340,7 +363,7 @@ class TestUtility:
         frozen = freeze_node_branch(model, [ctx, ctx2])
         rng = np.random.default_rng(21)
         for _ in range(10):
-            s = frozenset(n for n in ctx.names if rng.random() < 0.5)
+            s = frozenset(n for n in ctx.table.names if rng.random() < 0.5)
             ref = full_forward_utility(model, s, [ctx, ctx2])
             assert routing_utility(model, s, frozen) == pytest.approx(ref, rel=1e-12)
 
@@ -352,7 +375,7 @@ class TestUtility:
             gen_synthetic(20, 5, 0.15, structure_seed=4, planted_kind="mixed"), cfg.d
         )
         ctx2 = build_contexts([other], pretrained[2], cfg)[0]
-        assert len(ctx2.queries) != len(ctx.queries) and ctx2.names == ctx.names
+        assert len(ctx2.queries) != len(ctx.queries) and ctx2.table.names == ctx.table.names
         return [ctx, ctx2]
 
     @staticmethod
@@ -366,7 +389,7 @@ class TestUtility:
     @pytest.mark.parametrize("use_memory", [True, False])
     def test_matches_the_tape_oracle(self, setup, two_contexts, use_memory):
         cfg = setup[0]
-        names = two_contexts[0].names
+        names = two_contexts[0].table.names
         model = self.biased_router(cfg, names, use_memory, seed=24)
         frozen = freeze_node_branch(model, two_contexts)
         rng = np.random.default_rng(25)
@@ -380,15 +403,14 @@ class TestUtility:
     def test_a_column_of_zeros_on_every_context_adds_exactly_nothing(
             self, setup, two_contexts, use_memory):
         cfg = setup[0]
-        names = two_contexts[0].names
+        names = two_contexts[0].table.names
         model = self.biased_router(cfg, names, use_memory, seed=26)
         j = 3
         zeroed = []
         for ctx in two_contexts:
-            z = copy.copy(ctx)
-            z.hr = ctx.hr.copy()
-            z.hr[:, j] = 0.0
-            zeroed.append(z)
+            matrix = ctx.table.matrix.copy()
+            matrix[:, j] = 0.0  # constant, so it standardizes to zeros
+            zeroed.append(ctx.with_features(dataclasses.replace(ctx.table, matrix=matrix)))
         frozen = freeze_node_branch(model, zeroed)
         rng = np.random.default_rng(27)
         others = [n for n in names if n != names[j]]
@@ -401,8 +423,8 @@ class TestUtility:
 
     def test_frozen_branch_goes_stale_when_the_router_trains(self, setup):
         cfg, b, ctx, _ = setup
-        model = init_router(cfg.d, ctx.names, cfg.d_m, cfg.n_memory, 4, seed=22)
-        s = frozenset(ctx.names[::2])
+        model = init_router(cfg.d, ctx.table.names, cfg.d_m, cfg.n_memory, 4, seed=22)
+        s = frozenset(ctx.table.names[::2])
         frozen = freeze_node_branch(model, [ctx])
         before = routing_utility(model, s, frozen)
         train_router(model, [ctx], tiny_cfg(lr=0.05), "main", seed=23)  # in place
@@ -439,17 +461,18 @@ class TestInvariantLoss:
     @pytest.mark.parametrize("use_memory", [True, False])
     def test_shared_node_branch_matches_per_environment_forward(self, setup, use_memory):
         cfg, b, ctx, _ = setup
-        model = init_router(cfg.d, ctx.names, cfg.d_m, cfg.n_memory, 4, seed=24,
+        model = init_router(cfg.d, ctx.table.names, cfg.d_m, cfg.n_memory, 4, seed=24,
                             use_memory=use_memory)
-        masks, noise = invariant_env_draws(ctx, 5, 0.3, 25)
+        masks, noise = invariant_env_draws(model, ctx, 5, 0.3, 25)
 
         def shared(lv):
             node = node_branch_t(lv, ctx.sx, use_memory)
             folded = fold_t(lv, ad.gather_rows(node, ctx.queries), use_memory)
-            return _env_losses_t(lv, ctx, folded, masks, noise[ctx.queries])
+            return _env_losses_t(lv, ctx, standardized_all(ctx)[ctx.queries], folded, masks,
+                                 noise[ctx.queries])
 
         def reference(lv):
-            return per_env_route_losses_t(lv, ctx, masks, noise, use_memory)
+            return per_env_route_losses_t(lv, ctx, standardized_all(ctx), masks, noise, use_memory)
 
         runs = []
         for build in (shared, reference):
@@ -469,12 +492,13 @@ class TestInvariantLoss:
 class TestRouterGradients:
     def test_invariant_loss_fd(self, setup):
         cfg, b, ctx, model = setup
-        masks, noise = invariant_env_draws(ctx, 3, 0.3, 12)
+        masks, noise = invariant_env_draws(model, ctx, 3, 0.3, 12)
 
         def build(lv):
             node = node_branch_t(lv, ctx.sx, True)
             folded = fold_t(lv, ad.gather_rows(node, ctx.queries), True)
-            env = _env_losses_t(lv, ctx, folded, masks, noise[ctx.queries])
+            env = _env_losses_t(lv, ctx, standardized_all(ctx)[ctx.queries], folded, masks,
+                                 noise[ctx.queries])
             return _combine_env_losses_t(env, 0.8)
 
         loss_fn, grad_fn, vec = fd_adapters(build, model.params)
@@ -484,7 +508,7 @@ class TestRouterGradients:
         cfg, b, ctx, model = setup
 
         def build(lv):
-            logits = route_t(lv, ctx.xtilde, ctx.graph, ctx.hr, None, True)
+            logits = route_t(lv, ctx.xtilde, ctx.graph, standardized_all(ctx), None, True)
             return kl_router_loss_t(ctx.kl_targets, ad.gather_rows(logits, ctx.queries))
 
         loss_fn, grad_fn, vec = fd_adapters(build, model.params)
@@ -494,7 +518,7 @@ class TestRouterGradients:
         cfg, b, ctx, model = setup
 
         def build(lv):
-            logits = route_t(lv, ctx.xtilde, ctx.graph, ctx.hr, None, True)
+            logits = route_t(lv, ctx.xtilde, ctx.graph, standardized_all(ctx), None, True)
             return balance_loss_t(
                 ad.gather_rows(ad.row_softmax(logits), ctx.queries),
                 ad.gather_rows(logits, ctx.queries),
@@ -507,7 +531,7 @@ class TestRouterGradients:
 class TestTraining:
     def test_warmup_concentrates_on_always_correct_expert(self, setup):
         cfg, b, ctx, _ = setup
-        model = init_router(cfg.d, ctx.names, cfg.d_m, cfg.n_memory, 4, seed=13)
+        model = init_router(cfg.d, ctx.table.names, cfg.d_m, cfg.n_memory, 4, seed=13)
         forced = RoutingContext.__new__(RoutingContext)
         forced.__dict__.update(ctx.__dict__)
         forced.q_matrix = np.zeros_like(ctx.q_matrix)
@@ -515,7 +539,7 @@ class TestTraining:
         forced.kl_targets = _kl_targets(forced.q_matrix, 4)
         toy_cfg = tiny_cfg(lr=0.05, warmup_epochs=300)
         train_router(model, [forced], toy_cfg, "warmup", seed=14)
-        out = route(model, b.xtilde, b.graph, ctx.hr)
+        out = route(model, b.xtilde, b.graph, standardized_all(ctx))
         assert out.weights[forced.queries, 0].mean() > 0.9
 
     def test_training_makes_no_sparse_product(self, setup, monkeypatch):
@@ -525,14 +549,14 @@ class TestTraining:
         calls = []
         monkeypatch.setattr(ad, "spmm", counting(calls, "spmm", ad.spmm))
         monkeypatch.setattr(router, "propagate", counting(calls, "propagate", propagate))
-        model = init_router(cfg.d, ctx.names, cfg.d_m, cfg.n_memory, 4, seed=35)
+        model = init_router(cfg.d, ctx.table.names, cfg.d_m, cfg.n_memory, 4, seed=35)
         for phase in ("warmup", "main"):
             assert len(train_router(model, [ctx], tiny_cfg(), phase, seed=36)) > 0
         assert calls == []
 
     def test_main_phase_runs_and_is_finite(self, setup):
         cfg, b, ctx, _ = setup
-        model = init_router(cfg.d, ctx.names, cfg.d_m, cfg.n_memory, 4, seed=15)
+        model = init_router(cfg.d, ctx.table.names, cfg.d_m, cfg.n_memory, 4, seed=15)
         trace = train_router(model, [ctx], tiny_cfg(lr=1e-3), "main", seed=16)
         assert len(trace) == 2
         assert all(np.isfinite(v) for v in trace)
@@ -548,7 +572,7 @@ class TestTraining:
         main_cfg = tiny_cfg(lr=0.05, router_epochs=2, n_envs=4)
 
         def trained(train):
-            model = init_router(cfg.d, ctx.names, cfg.d_m, cfg.n_memory, 4,
+            model = init_router(cfg.d, ctx.table.names, cfg.d_m, cfg.n_memory, 4,
                                 seed=26, use_memory=use_memory)
             return train(model), model.params
 
@@ -580,7 +604,7 @@ class TestTraining:
 
         monkeypatch.setattr(ad, "fit", one_epoch)
         for n_envs in (3, 20):
-            model = init_router(cfg.d, ctx.names, cfg.d_m, cfg.n_memory, 4, seed=31,
+            model = init_router(cfg.d, ctx.table.names, cfg.d_m, cfg.n_memory, 4, seed=31,
                                 use_memory=use_memory)
             train_router(model, [ctx], tiny_cfg(n_envs=n_envs), "main", seed=32)
         assert sizes[0] == sizes[1] <= bound, sizes
@@ -638,7 +662,7 @@ class TestTraining:
 class TestRouterCheckpoint:
     def test_roundtrip(self, tmp_path, setup):
         cfg, b, ctx, model = setup
-        names = ctx.names
+        names = ctx.table.names
         path = str(tmp_path / "router.bin")
         save_router(model, path)
         m2 = load_router(path)

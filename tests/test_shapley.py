@@ -49,9 +49,21 @@ class TestEstimator:
         b = estimate_contributions(FEATURES8, util, 6, seed=9)
         assert np.array_equal(a.samples, b.samples)
 
-    def test_needs_two_features_and_one_iteration(self):
+    def test_one_feature_is_estimated_exactly(self):
+        """With one feature every sample is v({f}) - v(empty set), at three
+        utility calls per iteration; no feature or no iteration is refused."""
+        calls = []
+
+        def utility(s):
+            calls.append(s)
+            return 0.75 if s else 0.25
+
+        stats = estimate_contributions(["only"], utility, 4, seed=0)
+        assert stats.samples.tolist() == [[0.5]] * 4
+        assert stats.mean.tolist() == [0.5] and stats.std.tolist() == [0.0]
+        assert stats.eval_count == len(calls) == 3 * 4
         with pytest.raises(ValueError):
-            estimate_contributions(["only"], lambda s: 0.0, 3, seed=0)
+            estimate_contributions([], lambda s: 0.0, 3, seed=0)
         with pytest.raises(ValueError):
             estimate_contributions(FEATURES8, lambda s: 0.0, 0, seed=0)
 
