@@ -3,10 +3,10 @@
 Every trainable loss in this package is built from the ops below and is
 verified against central finite differences (``finite_diff_check`` in
 ``tests/helpers.py``), so the op set stays deliberately small: dense/sparse
-matmul, elementwise nonlinearities, row/segment softmax, gather/scatter
-indexing, GPR's ``weighted_sum``, and the router's ops:
-``gram_cosine_rows``, ``key_softmax``, and the folded readout
-``readout_table`` and ``table_readout``.
+matmul, elementwise nonlinearities, row/segment softmax, row gathers,
+ATTENTION's weighted neighbour sum ``edge_spmm``, GPR's ``weighted_sum``,
+and the router's ops: ``gram_cosine_rows``, ``key_softmax``, and the folded
+readout ``readout_table`` and ``table_readout``.
 Backward drops an inner node's gradient once it is used; leaves keep
 theirs. ``fit`` is the AdamW loop every model trains through.
 """
@@ -345,6 +345,22 @@ def scatter_add_rows(idx, rows, n):
     return incidence @ rows
 
 
+def edge_spmm(w, x, src, dst, indptr):
+    """out[i] = sum of w[e] * x[src[e]] over the edges e with dst[e] == i, in
+    edge order: S @ x for the CSR matrix S of values w, indices src and row
+    pointer indptr, taken as stored (neither sorted nor summed)."""
+    w, x = wrap(w), wrap(x)
+    s = sp.csr_matrix((w.value, src, indptr), shape=(len(indptr) - 1, len(x.value)))
+    out = Tensor(s @ x.value, (x, w))
+
+    def bw(g):
+        _acc(x, s.T @ g)
+        _acc(w, (g[dst] * x.value[src]).sum(axis=1))
+
+    out._backward = bw
+    return out
+
+
 def gather_rows(a, idx):
     a = wrap(a)
     out = Tensor(a.value[idx], (a,))
@@ -356,27 +372,6 @@ def gather_rows(a, idx):
         else:
             acc = scatter_add_rows(idx, g, a.value.shape[0])
         _acc(a, acc)
-
-    out._backward = bw
-    return out
-
-
-def segment_sum_rows(a, seg, n_seg):
-    """out[s] = sum of rows of a whose segment id is s."""
-    a = wrap(a)
-    out = Tensor(scatter_add_rows(seg, a.value, n_seg), (a,))
-    out._backward = lambda g: _acc(a, g[seg])
-    return out
-
-
-def scale_rows(a, w):
-    """Multiply each row of a (R x d) by the matching entry of w (R,)."""
-    a, w = wrap(a), wrap(w)
-    out = Tensor(a.value * w.value[:, None], (a, w))
-
-    def bw(g):
-        _acc(a, g * w.value[:, None])
-        _acc(w, (g * a.value).sum(axis=1))
 
     out._backward = bw
     return out

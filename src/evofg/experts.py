@@ -83,17 +83,17 @@ def init_expert(arch, d, d_e, d_prime, seed) -> ExpertModel:
 
 
 def _attention_edges(g: Graph):
-    """(src, dst) arrays covering every directed neighbor pair plus a
-    self-loop per node; cached on the graph."""
+    """(src, dst, indptr): every directed neighbor pair plus a self-loop per
+    node, as a CSR pattern whose rows are dst; cached on the graph."""
     cached = g._ops.get("att_edges")
     if cached is not None:
         return cached
     # each node's neighbors in ascending order, then its self-loop
     n = g.num_nodes
     src = np.insert(g.indices, g.indptr[1:], np.arange(n))
-    pair = (src, np.repeat(np.arange(n), g.degrees + 1))
-    g._ops["att_edges"] = pair
-    return pair
+    edges = (src, np.repeat(np.arange(n), g.degrees + 1), g.indptr + np.arange(n + 1))
+    g._ops["att_edges"] = edges
+    return edges
 
 
 def propagate(arch, xtilde, g: Graph):
@@ -134,7 +134,7 @@ def encode_t(arch, lv, inputs, g: Graph):
         return ad.tanh(ad.matmul(ad.wrap(inputs), lv["w0"]))
     if arch == "ATTENTION":
         z = ad.matmul(ad.wrap(inputs), lv["w0"])
-        src, dst = _attention_edges(g)
+        src, dst, indptr = _attention_edges(g)
         part_self = ad.matvec(z, lv["att_self"])
         part_nbr = ad.matvec(z, lv["att_nbr"])
         logits = ad.leaky_relu(
@@ -142,9 +142,7 @@ def encode_t(arch, lv, inputs, g: Graph):
             slope=LEAKY_SLOPE,
         )
         alpha = ad.segment_softmax(logits, dst, g.num_nodes)
-        h = ad.segment_sum_rows(
-            ad.scale_rows(ad.gather_rows(z, src), alpha), dst, g.num_nodes
-        )
+        h = ad.edge_spmm(alpha, z, src, dst, indptr)
         return ad.tanh(ad.sub(h, ad.spmm(g.neighbor_mean(), h)))
     if arch == "CHEBY":
         h = ad.matmul(ad.wrap(inputs[0]), lv["cheb_w0"])
@@ -222,6 +220,8 @@ def anomaly_loss_t(hq, hq_recon, y):
 def sample_key_split(y, key_fraction, rng):
     """Keys = random fraction of normal nodes (at least one); queries = the
     rest of the graph."""
+    if y is None:
+        raise ValueError("training graph has no labels to sample keys from")
     normal = np.flatnonzero(np.asarray(y) == 0)
     if normal.size == 0:
         raise ValueError("graph has no normal nodes to sample keys from")

@@ -628,9 +628,10 @@ def evaluate_scored(scored):
 
 def evaluate_runs(cfg: PipelineConfig, train_graphs, test_graphs, runs=1,
                   prepared_cache=None):
-    """The multi-seed protocol: full pipelines at seeds seed..seed+runs-1,
-    per-graph metrics aggregated as mean and standard deviation."""
+    """The multi-seed protocol: full pipelines at seeds seed..seed+runs-1 on
+    one prepared cache, per-graph metrics aggregated as mean and std."""
     check_unique_names(g.name for g in test_graphs)
+    prepared_cache = {} if prepared_cache is None else prepared_cache
     run_reports = []
     for i in range(runs):
         run_cfg = dataclasses.replace(cfg, seed=cfg.seed + i)

@@ -129,7 +129,7 @@ def unfolded_encode_t(arch, lv, xtilde, g: Graph):
         return ad.tanh(_unfolded_residual(h, g))
     if arch == "ATTENTION":
         z = ad.matmul(x, lv["w0"])
-        src, dst = _attention_edges(g)
+        src, dst, indptr = _attention_edges(g)
         part_self = ad.matvec(z, lv["att_self"])
         part_nbr = ad.matvec(z, lv["att_nbr"])
         logits = ad.leaky_relu(
@@ -137,9 +137,7 @@ def unfolded_encode_t(arch, lv, xtilde, g: Graph):
             slope=LEAKY_SLOPE,
         )
         alpha = ad.segment_softmax(logits, dst, g.num_nodes)
-        h = ad.segment_sum_rows(
-            ad.scale_rows(ad.gather_rows(z, src), alpha), dst, g.num_nodes
-        )
+        h = ad.edge_spmm(alpha, z, src, dst, indptr)
         return ad.tanh(_unfolded_residual(h, g))
     if arch == "CHEBY":
         # scaled Laplacian with lambda_max ~= 2 reduces to -sym_norm

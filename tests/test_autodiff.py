@@ -5,6 +5,8 @@ import pytest
 import scipy.sparse as sp
 
 from evofg import autodiff as ad
+from evofg import experts
+from evofg.graph import Graph
 from helpers import (
     fd_adapters,
     finite_diff_check,
@@ -36,6 +38,7 @@ def test_sparse_segment_and_gather_ops_gradient():
     rng = np.random.default_rng(1)
     s = sp.csr_matrix(np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float))
     seg = np.array([0, 0, 1, 2, 2])
+    indptr = np.array([0, 2, 3, 5])  # the rows of seg
     idx = np.array([2, 0, 1, 1, 2])
     params = {"w": rng.normal(size=(3, 3)), "a": rng.normal(size=5)}
     x = rng.normal(size=(3, 3))
@@ -44,14 +47,68 @@ def test_sparse_segment_and_gather_ops_gradient():
         h = ad.spmm(s, ad.matmul(ad.wrap(x), lv["w"]))
         rows = ad.gather_rows(h, idx)
         alpha = ad.segment_softmax(ad.leaky_relu(lv["a"], 0.2), seg, 3)
-        mixed = ad.segment_sum_rows(ad.scale_rows(rows, alpha), seg, 3)
+        mixed = ad.edge_spmm(alpha, h, idx, seg, indptr)
         c0 = ad.matvec(mixed, np.array([1.0, 0.0, 0.0]))
-        sums = ad.tsum(mixed, axis=1)
+        sums = ad.tsum(rows, axis=1)
         lo = ad.index_scalar(sums, int(np.argmin(sums.value)))
         return ad.add(ad.tmean(ad.mul(c0, c0)), ad.mul(lo, 0.3))
 
     loss_fn, grad_fn, vec = fd_adapters(build, params)
     rep = finite_diff_check(loss_fn, grad_fn, vec)
+    assert rep.max_rel_err < 1e-6
+
+
+def _edge_patterns(rng):
+    """(src, dst, indptr, number of source rows): ATTENTION's patterns of
+    random graphs with isolated nodes and of edgeless graphs, then patterns
+    whose rows hold unsorted, repeated sources, some rows none."""
+    for n in (1, 7, 30):
+        for edges in ([], [(u, v) for u in range(n // 2) for v in range(u)
+                           if rng.random() < 0.4]):
+            g = Graph(n, np.array(edges, dtype=np.int64).reshape(-1, 2),
+                      np.zeros((n, 1)), None)
+            yield experts._attention_edges(g) + (n,)
+    for _ in range(20):
+        n, m = (int(k) for k in rng.integers(1, 30, size=2))
+        counts = rng.integers(0, 12, size=n)
+        yield (rng.integers(0, m, size=counts.sum()), np.repeat(np.arange(n), counts),
+               np.concatenate(([0], np.cumsum(counts))), m)
+
+
+def test_edge_spmm_sums_in_edge_order_bit_for_bit():
+    """``edge_spmm`` and its x-gradient are the ``np.add.at`` sums of the
+    edge products in edge order, bit for bit; the w-gradient is each edge's
+    dot product of upstream gradient and source row."""
+    rng = np.random.default_rng(7)
+    for src, dst, indptr, m in _edge_patterns(rng):
+        n, e = len(indptr) - 1, len(src)
+        w = ad.param(rng.normal(size=e) * 10.0 ** rng.integers(-8, 9, size=e))
+        x = ad.param(rng.normal(size=(m, 4)) * 10.0 ** rng.integers(-8, 9, size=(m, 1)))
+        up = rng.normal(size=(n, 4))
+        out = ad.edge_spmm(w, x, src, dst, indptr)
+        ad.tsum(ad.mul(out, up)).backward()
+        want = np.zeros((n, 4))
+        np.add.at(want, dst, w.value[:, None] * x.value[src])
+        want_x = np.zeros((m, 4))
+        np.add.at(want_x, src, w.value[:, None] * up[dst])
+        assert np.array_equal(out.value, want)
+        assert np.array_equal(x.grad, want_x)
+        assert np.allclose(w.grad, np.einsum("ed,ed->e", up[dst], x.value[src]),
+                           rtol=1e-13, atol=0)
+
+
+def test_edge_spmm_gradient():
+    rng = np.random.default_rng(8)
+    src = np.array([2, 0, 3, 0, 1, 1, 3, 2])  # unsorted, repeated; row 2 empty
+    dst = np.array([0, 0, 0, 1, 1, 3, 3, 3])
+    indptr = np.array([0, 3, 5, 5, 8])
+    params = {"w": rng.normal(size=8), "x": rng.normal(size=(4, 3))}
+
+    def build(lv):
+        h = ad.tanh(ad.edge_spmm(lv["w"], lv["x"], src, dst, indptr))
+        return ad.tmean(ad.mul(h, h))
+
+    rep = finite_diff_check(*fd_adapters(build, params))
     assert rep.max_rel_err < 1e-6
 
 

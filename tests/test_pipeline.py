@@ -102,6 +102,16 @@ class TestRunPipeline:
         # a report holds a header and one line per estimated column
         assert art.shapley_reports[-1].count("\n") == 2
 
+    def test_an_unlabeled_training_graph_is_refused_as_unlabeled(self, graphs):
+        """Training needs labels: a graph built without them fails the
+        pretrain stage, which says so, not that the graph has no normal
+        nodes."""
+        g = graphs[0][0]
+        unlabeled = Graph(g.num_nodes, g.edges, g.features, None, g.name)
+        with pytest.raises(StageError, match="training graph has no labels") as err:
+            run_pipeline(tiny_cfg(seed=7), [unlabeled])
+        assert err.value.stage == "pretrain"
+
     def test_stage_error_names_stage_and_seed(self):
         bad = Graph(4, [(0, 1)], np.zeros((4, 2)), np.array([1, 1, 1, 1]))
         with pytest.raises(StageError) as err:
@@ -706,6 +716,21 @@ class TestEvaluate:
         assert {"auroc_mean", "auroc_std", "auprc_mean", "auprc_std"} <= set(agg)
         text = report_to_text(rep)
         assert "AUROC" in text and test[0].name in text
+
+    def test_runs_share_one_prepared_cache(self, graphs, monkeypatch):
+        """Without a cache from the caller, the runs of ``evaluate_runs``
+        share one: each training and test graph is prepared once over all
+        runs, and the report is the one a caller's cache gives."""
+        train, test = graphs
+        cfg = tiny_cfg(seed=11, rounds=1)
+        want = report_to_json(evaluate_runs(cfg, train, test, runs=3, prepared_cache={}))
+        prepared = []
+        real = pipeline.compute_primitives
+        monkeypatch.setattr(pipeline, "compute_primitives",
+                            lambda g, x: prepared.append(g.name) or real(g, x))
+        got = report_to_json(evaluate_runs(cfg, train, test, runs=3))
+        assert sorted(prepared) == sorted(g.name for g in train + test)
+        assert got == want
 
     def test_graphs_sharing_a_name_are_refused(self, artifacts, graphs, monkeypatch):
         # results are keyed by graph name: a second graph of one name would
