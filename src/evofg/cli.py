@@ -6,8 +6,9 @@ directory: ``pretrain`` writes the config and the experts, ``warmup`` loads
 them and adds the router, ``evolve`` loads both and writes the full
 artifacts, so only ``pretrain`` takes run settings. A stage-wise run leaves
 the same bytes as ``run_pipeline``.
-Determinism: with the chat backend disabled, (config, seed) fully determines
-every output byte.
+Determinism: with the chat backend disabled and BLAS on one thread, as the
+benchmark and ``tools/exactness.py`` pin it, (config, seed) fully determines
+every output byte; more BLAS threads may move last bits (ROADMAP item 10).
 """
 
 from __future__ import annotations
@@ -66,7 +67,8 @@ RUN_SETTINGS = {
     "seed": ("--seed", int, None),
     "llm_fixtures": ("--llm-fixtures", str, "recorded chat-response directory (fixture mode)"),
     "no_select": ("--no-select", bool, "skip the selection rule (keep all generated features)"),
-    "random_backend": ("--random-backend", bool, "force the deterministic random composer"),
+    "random_backend": ("--random-backend", bool, "take candidates from the deterministic "
+                       "composer; changes nothing unless llm.enabled is on"),
     "no_memory": ("--no-memory", bool, "projection-only router (no memory retrieval)"),
     "lam": ("--lambda", float, "variance-penalty weight override"),
     "reset_final": ("--reset-final", bool, "reinitialize the router before the final retrain"),
@@ -130,6 +132,7 @@ def cmd_load(args):
 def cmd_features(args):
     cfg = _load_config(args)
     g = load_graph_dir(args.graph, with_labels=False)
+    os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
     table = compute_primitives(g, align(g, cfg.d))
     table.export_text(args.out)
     print(f"wrote {len(table.names)} feature columns for {g.num_nodes} nodes -> {args.out}")
@@ -203,6 +206,7 @@ def cmd_evolve(args):
 def cmd_score(args):
     artifacts = RunArtifacts.load(args.artifacts)
     g = load_graph_dir(args.graph, with_labels=False)
+    os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
     scores, routing, per_expert = score_graph(artifacts, g)
     payload = {
         "graph": g.name,

@@ -115,9 +115,10 @@ def check_proposal(expr: FeatureExpr, table: RouterFeatureTable, names):
 
 class DeterministicBackend:
     """Seedless random composer over ``RouterFeatureTable.by_category`` of
-    the active columns, driven by the caller's RNG: uniform category (among
-    those with an active column), k in {1,2,3} with weights 0.4/0.4/0.2
-    (restricted to the category size), operator uniform within the arity."""
+    the router's columns (its ``names``), driven by the caller's RNG:
+    uniform category (among those with such a column), k in {1,2,3} with
+    weights 0.4/0.4/0.2 (restricted to the category size), operator uniform
+    within the arity."""
 
     name = "deterministic"
 

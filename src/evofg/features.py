@@ -153,9 +153,10 @@ def share_tasks(tasks, between=lambda: None, share=True):
 
     A task that the helper runs must not share tasks itself: the helper
     would queue behind its own work. The helper's tasks here (sweep blocks,
-    scope columns, the expert branch of scoring) share nothing; a caller's
-    own sharing inside its first task queues behind the helper's task and
-    is joined by the helper once that ends."""
+    scope columns, the alignment and expert branch of scoring) share
+    nothing. Scoring's sweep, the calling thread's first task, shares its
+    blocks: that sharing queues behind the helper's task and is joined by
+    the helper once that ends."""
     results = [None] * len(tasks)
     indices = iter(range(len(tasks)))
     lock = threading.Lock()
@@ -295,10 +296,6 @@ def _hop_distances(g: Graph) -> np.ndarray:
     return _sweep(g)[0]
 
 
-def _ego_mask(dist):
-    return (dist >= 0) & (dist <= EGO_RADIUS)
-
-
 def betweenness(g: Graph) -> np.ndarray:
     """Brandes betweenness (see ``_level_sweep``)."""
     return _sweep(g)[1].copy()
@@ -317,12 +314,12 @@ def closeness(g: Graph) -> np.ndarray:
     return (r / (n - 1)) * np.divide(r, total, out=np.zeros(n), where=r > 0)
 
 
-def scope_expand(values: np.ndarray, g: Graph):
+def scope_expand(values: np.ndarray, ego: np.ndarray):
     """Expand a node statistic into the four scope columns
-    (target, ego_mean, ego_rank, global_rank)."""
+    (target, ego_mean, ego_rank, global_rank); ``ego`` is the N x N mask of
+    each node's ego graph (the nodes within EGO_RADIUS hops, itself too)."""
     values = np.asarray(values, dtype=np.float64)
-    n = g.num_nodes
-    ego = _ego_mask(_hop_distances(g))
+    n = len(values)
     size = ego.sum(axis=1)
     row = np.broadcast_to(values, ego.shape)
     ego_mean = row.sum(axis=1, where=ego) / size
@@ -447,20 +444,23 @@ def compute_primitives(g: Graph, xtilde: np.ndarray) -> RouterFeatureTable:
     it. The columns after it read only the sweep's cache and ``xtilde``, and
     are shared with the helper where that pays, in two tasks: the k-hop
     similarities, whose GEMMs call BLAS, on the calling thread, and the
-    scope columns, which call none, on the helper. With BLAS on two threads,
-    k-hop tasks on both threads made the columns slower than on one."""
+    scope columns and ego sizes, which call none, on the helper. With BLAS
+    on two threads, k-hop tasks on both made the columns slower than one."""
     bc = betweenness(g)
-    sims, scopes = share_tasks(
-        [lambda: [khop_similarity(g, xtilde, k) for k in range(1, 6)],
-         lambda: [col for stat in (pagerank(g), bc, closeness(g))
-                  for col in scope_expand(stat, g)]],
+
+    def scope_columns():
+        dist = _hop_distances(g)
+        ego = (dist >= 0) & (dist <= EGO_RADIUS)
+        return ([col for stat in (pagerank(g), bc, closeness(g))
+                 for col in scope_expand(stat, ego)],
+                np.count_nonzero(ego, axis=1).astype(np.float64))
+
+    sims, (scopes, ego_size) = share_tasks(
+        [lambda: [khop_similarity(g, xtilde, k) for k in range(1, 6)], scope_columns],
         share=sharing_pays(g.num_nodes),
     )
-    cols = scopes + sims
-    cols.append(g.degrees.astype(np.float64))
-    cols.append(np.count_nonzero(_ego_mask(_hop_distances(g)), axis=1).astype(np.float64))
     return RouterFeatureTable(
-        matrix=np.column_stack(cols),
+        matrix=np.column_stack([*scopes, *sims, g.degrees.astype(np.float64), ego_size]),
         names=list(PRIMITIVE_NAMES),
         categories=list(PRIMITIVE_CATEGORIES),
         provenance=["primitive"] * len(PRIMITIVE_NAMES),

@@ -19,16 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import dsl, experts
+from . import dsl, experts, features
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .experts import ARCHS, anomaly_scores, load_expert, pretrain_expert, save_expert
-from .features import (
-    PRIMITIVE_NAMES,
-    RouterFeatureTable,
-    compute_primitives,
-    share_tasks,
-    sharing_pays,
-)
+from .features import PRIMITIVE_NAMES, RouterFeatureTable, compute_primitives
 from .graph import Graph
 from .llm import DEFAULT_MODEL, ChatCompletionClient, FixtureTransport, LLMBackend
 from .numeric import UndefinedMetricError, auprc, auroc
@@ -525,32 +519,32 @@ def score_graph(artifacts: RunArtifacts, g: Graph, prepared_cache=None):
     its primitives, route deterministically, aggregate, and score. Labels are
     never consulted; every node is a query.
 
-    After the alignment two independent branches run, shared between two
-    threads where that pays (``features.sharing_pays``): the features (the
-    prepare stage on the aligned graph, which finds the primitives in
-    ``prepared_cache`` or adds them there, the rebuilt columns and the
-    routing) and the experts (each one's encoding and reconstruction).
+    First, two independent tasks, shared between two threads where that pays
+    (``features.sharing_pays``): the sweep, skipped when ``prepared_cache``
+    holds the graph, and the experts (the alignment, then each expert's
+    encoding and reconstruction). Then, on the calling thread, the prepare
+    stage (which finds the primitives in ``prepared_cache`` or adds them
+    there), the rebuilt columns and the routing.
 
     Returns (scores, routing_output, per_expert_scores).
     """
     d = artifacts.config.d
     cache = {} if prepared_cache is None else prepared_cache
     hit = cache.get(_cache_key(g, d))
-    xtilde = align(g, d) if hit is None else hit.xtilde
-
-    def feature_branch():
-        (bundle,) = prepare_graphs([g], d, cache, [xtilde])
-        names = artifacts.router.names
-        table = dsl.rebuild_columns(bundle.table, artifacts.provenance, names)
-        return route(artifacts.router, xtilde, g, table.standardized(names))
 
     def expert_branch():
+        xtilde = align(g, d) if hit is None else hit.xtilde
         expert_h = [experts.encode(model, xtilde, g) for model in artifacts.experts]
-        return expert_h, [experts.reconstruct(model, h, artifacts.key_cache[model.arch])
-                          for model, h in zip(artifacts.experts, expert_h)]
+        return xtilde, expert_h, [experts.reconstruct(model, h, artifacts.key_cache[model.arch])
+                                  for model, h in zip(artifacts.experts, expert_h)]
 
-    routing, (expert_h, expert_recon) = share_tasks(
-        [feature_branch, expert_branch], share=sharing_pays(g.num_nodes))
+    sweep = [lambda: features.betweenness(g)] if hit is None else []
+    *_, (xtilde, expert_h, expert_recon) = features.share_tasks(
+        sweep + [expert_branch], share=features.sharing_pays(g.num_nodes))
+    (bundle,) = prepare_graphs([g], d, cache, [xtilde])
+    names = artifacts.router.names
+    table = dsl.rebuild_columns(bundle.table, artifacts.provenance, names)
+    routing = route(artifacts.router, xtilde, g, table.standardized(names))
     per_expert_scores = {model.arch: anomaly_scores(h, recon)
                          for model, h, recon in zip(artifacts.experts, expert_h, expert_recon)}
     h_final, recon_final = aggregate(routing.weights, expert_h, expert_recon)

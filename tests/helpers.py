@@ -20,8 +20,8 @@ from evofg.experts import (
     _attention_edges,
     anomaly_loss_t,
 )
-from evofg.features import RouterFeatureTable
-from evofg.graph import Graph, gen_synthetic
+from evofg.features import RouterFeatureTable, _hop_distances
+from evofg.graph import EGO_RADIUS, Graph, gen_synthetic
 from evofg.router import (
     RoutingOutput,
     _combine_env_losses_t,
@@ -573,6 +573,33 @@ def tape_routing_utility(model, subset, contexts):
         targets = _kl_targets(ctx.q_matrix, model.dims[4])
         vals.append(float(kl_router_loss_t(targets, logits).value))
     return -float(np.mean(vals))
+
+
+def ego_mask(dist):
+    """The ego graphs of a hop-distance matrix (-1 where unreachable): the
+    nodes within EGO_RADIUS hops, each node itself too."""
+    return (dist >= 0) & (dist <= EGO_RADIUS)
+
+
+def per_call_scope_expand(values, g: Graph):
+    """The four scope columns (target, ego_mean, ego_rank, global_rank) of a
+    node statistic, each call building its own ego mask from the graph's
+    cached hop distances (reference for ``features.scope_expand``)."""
+    values = np.asarray(values, dtype=np.float64)
+    n = g.num_nodes
+    ego = ego_mask(_hop_distances(g))
+    size = ego.sum(axis=1)
+    row = np.broadcast_to(values, ego.shape)
+    ego_mean = row.sum(axis=1, where=ego) / size
+    less = np.count_nonzero(ego & (row < values[:, None]), axis=1)
+    ties = np.count_nonzero(ego & (row == values[:, None]), axis=1) - 1  # not v itself
+    ego_rank = np.divide(less + 0.5 * ties, size - 1, out=np.full(n, 0.5), where=size > 1)
+    sorted_vals = np.sort(values)
+    left = np.searchsorted(sorted_vals, values, side="left")
+    right = np.searchsorted(sorted_vals, values, side="right")
+    global_rank = np.divide(left + 0.5 * (right - left - 1), n - 1, out=np.full(n, 0.5),
+                            where=n > 1)
+    return values.copy(), ego_mean, ego_rank, global_rank
 
 
 def brute_force_distances(g: Graph):

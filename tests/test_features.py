@@ -32,8 +32,10 @@ from helpers import (
     complete_graph,
     degenerate_graphs,
     cycle_graph,
+    ego_mask,
     graph_from_edges,
     path_graph,
+    per_call_scope_expand,
     random_graph,
     star_graph,
     sweep_cases,
@@ -111,31 +113,47 @@ class TestCloseness:
             assert np.abs(closeness(g) - brute_force_closeness(g)).max() < 1e-9
 
 
+def _ego(g):
+    return ego_mask(features._hop_distances(g))
+
+
 class TestScopeExpand:
     def test_all_equal_values(self):
         g = complete_graph(4)
-        t, em, er, gr = scope_expand(np.full(4, 2.5), g)
+        t, em, er, gr = scope_expand(np.full(4, 2.5), _ego(g))
         assert np.allclose(t, 2.5) and np.allclose(em, 2.5)
         assert np.allclose(er, 0.5) and np.allclose(gr, 0.5)
 
     def test_unique_max_global_rank_one(self):
         g = path_graph(5)
         vals = np.array([0.0, 1.0, 5.0, 1.0, 0.0])
-        *_, gr = scope_expand(vals, g)
+        *_, gr = scope_expand(vals, _ego(g))
         assert gr[2] == 1.0
 
     def test_path3_betweenness_ego_rank(self):
         g = path_graph(3)
-        _, _, er, _ = scope_expand(np.array([0.0, 1.0, 0.0]), g)
+        _, _, er, _ = scope_expand(np.array([0.0, 1.0, 0.0]), _ego(g))
         assert er[1] == 1.0
 
     def test_rank_columns_bounded(self):
         rng = np.random.default_rng(3)
         g = random_graph(rng, 15, p=0.2)
         vals = rng.normal(size=15)
-        *_, er, gr = scope_expand(vals, g)
+        *_, er, gr = scope_expand(vals, _ego(g))
         assert (er >= 0).all() and (er <= 1).all()
         assert (gr >= 0).all() and (gr <= 1).all()
+
+
+@pytest.mark.parametrize("case,g", sweep_cases(), ids=[case for case, _ in sweep_cases()])
+def test_one_ego_mask_gives_the_per_call_scope_columns(case, g):
+    """The scope columns and ego sizes built on one ego mask per graph equal,
+    bit for bit, those of a scope_expand that builds its own mask per call."""
+    table = compute_primitives(g, align(g, 4))
+    want = [col for stat in (pagerank(g), betweenness(g), closeness(g))
+            for col in per_call_scope_expand(stat, g)]
+    want.append(np.count_nonzero(ego_mask(features._hop_distances(g)), axis=1).astype(float))
+    names = PRIMITIVE_NAMES[:12] + ["Ego_size"]
+    assert [table.column(name).tobytes() for name in names] == [w.tobytes() for w in want]
 
 
 class TestSimilarities:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from evofg import autodiff as ad
-from evofg.features import _ego_mask, _hop_distances
+from evofg.features import _hop_distances
 from evofg.graph import (
     EGO_RADIUS,
     Graph,
@@ -18,6 +18,7 @@ from evofg.graph import (
 from helpers import (
     brute_force_distances,
     complete_graph,
+    ego_mask,
     graph_equals,
     neighbors,
     path_graph,
@@ -197,15 +198,15 @@ class TestNeighborhoods:
         g = Graph(3, [(0, 1)], np.zeros((3, 2)), None)
         dist = _hop_distances(g)
         assert dist[2].tolist() == [-1, -1, 0]
-        assert np.flatnonzero(_ego_mask(dist[2])).tolist() == [2]
+        assert np.flatnonzero(ego_mask(dist[2])).tolist() == [2]
 
     def test_ego_path_endpoint_reaches_radius(self):
         dist = _hop_distances(path_graph(10))
-        assert np.flatnonzero(_ego_mask(dist[0])).tolist() == list(range(EGO_RADIUS + 1))
+        assert np.flatnonzero(ego_mask(dist[0])).tolist() == list(range(EGO_RADIUS + 1))
 
     def test_ego_complete_graph_is_whole_graph(self):
         dist = _hop_distances(complete_graph(5))
-        assert _ego_mask(dist[2]).all()
+        assert ego_mask(dist[2]).all()
 
     def test_shells_partition_ego(self):
         rng = np.random.default_rng(0)
@@ -214,11 +215,11 @@ class TestNeighborhoods:
             dist = _hop_distances(g)
             oracle = brute_force_distances(g)
             assert np.array_equal(dist, np.where(np.isfinite(oracle), oracle, -1))
-            assert np.array_equal(_ego_mask(dist), oracle <= EGO_RADIUS)
+            assert np.array_equal(ego_mask(dist), oracle <= EGO_RADIUS)
             shells = np.stack([dist == k for k in range(1, EGO_RADIUS + 1)])
             assert (shells.sum(axis=0) <= 1).all()  # pairwise disjoint
             union = shells.any(axis=0) | np.eye(g.num_nodes, dtype=bool)
-            assert np.array_equal(union, _ego_mask(dist))
+            assert np.array_equal(union, ego_mask(dist))
 
 
 class TestSynthetic:

@@ -250,13 +250,22 @@ def _big_graphs():
             for s, n in ((21, 300), (22, 420))]
 
 
-def _score_bytes(artifacts, g):
-    """The bytes of every output of scoring a fresh copy of ``g`` (no cached
-    sweep): scores, routing weights and each expert's scores."""
-    fresh = Graph(g.num_nodes, g.edges, g.features, None, g.name)
-    scores, routing, per_expert = score_graph(artifacts, fresh)
+def _fresh(g):
+    """A copy of ``g`` with nothing cached on it (no sweep, no digest)."""
+    return Graph(g.num_nodes, g.edges, g.features, None, g.name)
+
+
+def _output_bytes(outputs):
+    """The bytes of every output of ``score_graph``: scores, routing weights
+    and each expert's scores."""
+    scores, routing, per_expert = outputs
     return ([scores.tobytes(), routing.weights.tobytes()]
             + [per_expert[arch].tobytes() for arch in experts.ARCHS])
+
+
+def _score_bytes(artifacts, g):
+    """The bytes of every output of scoring a fresh copy of ``g``."""
+    return _output_bytes(score_graph(artifacts, _fresh(g)))
 
 
 class TestScoreGraph:
@@ -291,6 +300,40 @@ class TestScoreGraph:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert got == {(t, j): want[j] for t in range(2) for j in range(len(big))}
+
+    def test_scores_with_sharing_match_scores_without(self, artifacts, monkeypatch):
+        """Past one 256-row block both steps of scoring share their tasks;
+        with that sharing turned off every output is byte-identical."""
+        big = _big_graphs()
+        assert all(features.sharing_pays(g.num_nodes) for g in big)
+        want = [_score_bytes(artifacts, g) for g in big]
+        monkeypatch.setattr(features, "sharing_pays", lambda n: False)
+        assert [_score_bytes(artifacts, g) for g in big] == want
+
+    def test_a_warm_cache_scores_a_fresh_graph_without_a_sweep(self, artifacts):
+        g = _big_graphs()[1]
+        cache = {}
+        want = _output_bytes(score_graph(artifacts, _fresh(g), cache))
+        fresh = _fresh(g)
+        assert _output_bytes(score_graph(artifacts, fresh, cache)) == want
+        assert "sweep" not in fresh._ops
+
+    def test_a_patch_on_betweenness_sees_the_scoring_sweep(self, artifacts, monkeypatch):
+        """The benchmark's tracer replaces ``features.betweenness`` in its
+        module; the sweep that scoring runs before its prepare stage runs
+        inside the replacement, and the prepare stage reads it cached."""
+        g = _fresh(_big_graphs()[0])
+        real, calls = vars(features)["betweenness"], []
+
+        def traced(graph):
+            swept = "sweep" in graph._ops
+            out = real(graph)
+            calls.append((swept, "sweep" in graph._ops))
+            return out
+
+        monkeypatch.setattr(features, "betweenness", traced)
+        score_graph(artifacts, g)
+        assert calls == [(False, True), (True, True)]
 
     @pytest.mark.parametrize("n", [150, 256])
     def test_graph_within_one_block_scores_without_the_helper(self, artifacts,
@@ -1097,6 +1140,20 @@ class TestCLI:
         assert sorted(os.listdir(dst)) == ["edges.txt", "features.txt"]
         assert graph_equals(load_graph_dir(src, with_labels=False),
                             load_graph_dir(dst, with_labels=False))
+
+    def test_features_creates_the_directory_of_its_out_file(self, tmp_path):
+        out = str(tmp_path / "new" / "dir" / "features.tsv")
+        self.run("features", "--graph", self.unlabeled_graph_dir(tmp_path), "--out", out)
+        with open(out) as fh:
+            assert fh.readline().rstrip("\n").split("\t") == list(PRIMITIVE_NAMES)
+
+    def test_score_creates_the_directory_of_its_out_file(self, tmp_path, artifacts):
+        art, out = str(tmp_path / "artifacts"), str(tmp_path / "new" / "dir" / "s.json")
+        artifacts.save(art)
+        self.run("score", "--artifacts", art, "--graph", self.unlabeled_graph_dir(tmp_path),
+                 "--out", out)
+        with open(out, encoding="utf-8") as fh:
+            assert len(json.load(fh)["scores"]) == 6
 
     def test_features_of_a_graph_without_labels(self, tmp_path):
         out = str(tmp_path / "features.tsv")
