@@ -3,10 +3,11 @@
 Every trainable loss in this package is built from the ops below and is
 verified against central finite differences (``finite_diff_check`` in
 ``tests/helpers.py``), so the op set stays deliberately small: dense/sparse
-matmul, elementwise nonlinearities, row/segment softmax, row gathers,
-ATTENTION's weighted neighbour sum ``edge_spmm``, GPR's ``weighted_sum``,
-and the router's ops: ``gram_cosine_rows``, ``key_softmax``, and the folded
-readout ``readout_table`` and ``table_readout``.
+matmul, elementwise nonlinearities, row softmax, row gathers at sorted
+unique indices, ATTENTION's attention-weighted neighbour sum
+``edge_attention``, GPR's ``weighted_sum``, and the router's ops:
+``gram_cosine_rows``, ``key_softmax``, and the folded readout
+``readout_table`` and ``table_readout``.
 Backward drops an inner node's gradient once it is used; leaves keep
 theirs. ``fit`` is the AdamW loop every model trains through.
 """
@@ -175,19 +176,6 @@ def matmul(a, b):
     return out
 
 
-def matvec(a, v):
-    """2-D tensor @ 1-D tensor -> 1-D tensor."""
-    a, v = wrap(a), wrap(v)
-    out = Tensor(a.value @ v.value, (a, v))
-
-    def bw(g):
-        _acc(a, np.outer(g, v.value))
-        _acc(v, a.value.T @ g)
-
-    out._backward = bw
-    return out
-
-
 def transpose(a):
     a = wrap(a)
     out = Tensor(a.value.T, (a,))
@@ -208,14 +196,6 @@ def tanh(a):
     y = np.tanh(a.value)
     out = Tensor(y, (a,))
     out._backward = lambda g: _acc(a, g * (1.0 - y * y))
-    return out
-
-
-def leaky_relu(a, slope=0.2):
-    a = wrap(a)
-    pos = a.value > 0
-    out = Tensor(np.where(pos, a.value, slope * a.value), (a,))
-    out._backward = lambda g: _acc(a, g * np.where(pos, 1.0, slope))
     return out
 
 
@@ -315,62 +295,53 @@ def row_log_softmax(a):
     return out
 
 
-def segment_softmax(logits, seg, n_seg):
-    """Softmax of a 1-D tensor within segments given by constant ids."""
-    logits = wrap(logits)
-    x = logits.value
-    mx = np.full(n_seg, -np.inf)
-    np.maximum.at(mx, seg, x)
-    e = np.exp(x - mx[seg])
-    tot = np.zeros(n_seg)
-    np.add.at(tot, seg, e)
-    p = e / tot[seg]
-    out = Tensor(p, (logits,))
+def edge_attention(z, a_self, a_nbr, edges, slope):
+    """A GAT layer's neighbour sum over the CSR pattern ``edges = (src, dst,
+    indptr)`` whose rows are dst: out[i] = sum of alpha[e] * z[src[e]] over
+    the edges e with dst[e] == i, where alpha is the softmax within each row
+    of leaky_relu(z[dst] @ a_self + z[src] @ a_nbr, slope). Every per-row
+    sum adds in edge order; the forward's CSR matrix of alpha, taken as
+    stored, serves the backward too."""
+    z, a_self, a_nbr = wrap(z), wrap(a_self), wrap(a_nbr)
+    src, dst, indptr = edges
+    n, zv = len(indptr) - 1, z.value
+    pre = (zv @ a_self.value)[dst] + (zv @ a_nbr.value)[src]
+    pos = pre > 0
+    logits = np.where(pos, pre, slope * pre)
+    mx = np.full(n, -np.inf)
+    np.maximum.at(mx, dst, logits)
+    e = np.exp(logits - mx[dst])
+    alpha = e / np.bincount(dst, e, n)[dst]
+    s = sp.csr_matrix((alpha, src, indptr), shape=(n, len(zv)))
+    out = Tensor(s @ zv, (z, a_self, a_nbr))
 
     def bw(g):
-        t = np.zeros(n_seg)
-        np.add.at(t, seg, g * p)
-        _acc(logits, p * (g - t[seg]))
-
-    out._backward = bw
-    return out
-
-
-def scatter_add_rows(idx, rows, n):
-    """out[i] = sum of rows[j] over the j with idx[j] == i, for i < n, added
-    in j order: the sums of ``np.add.at`` bit for bit, as one product with
-    the sparse n x R incidence matrix of idx. rows is 1-D or 2-D."""
-    r = len(idx)
-    incidence = sp.csr_matrix((np.ones(r), (idx, np.arange(r))), shape=(n, r))
-    return incidence @ rows
-
-
-def edge_spmm(w, x, src, dst, indptr):
-    """out[i] = sum of w[e] * x[src[e]] over the edges e with dst[e] == i, in
-    edge order: S @ x for the CSR matrix S of values w, indices src and row
-    pointer indptr, taken as stored (neither sorted nor summed)."""
-    w, x = wrap(w), wrap(x)
-    s = sp.csr_matrix((w.value, src, indptr), shape=(len(indptr) - 1, len(x.value)))
-    out = Tensor(s @ x.value, (x, w))
-
-    def bw(g):
-        _acc(x, s.T @ g)
-        _acc(w, (g[dst] * x.value[src]).sum(axis=1))
+        g_alpha = (g[dst] * zv[src]).sum(axis=1)
+        g_pre = alpha * (g_alpha - np.bincount(dst, g_alpha * alpha, n)[dst])
+        g_pre = g_pre * np.where(pos, 1.0, slope)
+        g_self = np.bincount(dst, g_pre, n)
+        g_nbr = np.bincount(src, g_pre, len(zv))
+        # the three parts in this order give the bits that training has
+        # always given; the exactness case acc-s0-lr1e-3 sees another order
+        _acc(z, s.T @ g + np.outer(g_self, a_self.value) + np.outer(g_nbr, a_nbr.value))
+        _acc(a_self, zv.T @ g_self)
+        _acc(a_nbr, zv.T @ g_nbr)
 
     out._backward = bw
     return out
 
 
 def gather_rows(a, idx):
+    """The rows of a at idx, which must be strictly increasing (sorted and
+    unique), so that backward is a plain scatter."""
+    if np.any(np.diff(idx) <= 0):
+        raise ValueError("gather_rows needs strictly increasing indices")
     a = wrap(a)
     out = Tensor(a.value[idx], (a,))
 
     def bw(g):
-        if np.all(np.diff(idx) > 0):  # no repeated row: a plain scatter
-            acc = np.zeros_like(a.value)
-            acc[idx] = g
-        else:
-            acc = scatter_add_rows(idx, g, a.value.shape[0])
+        acc = np.zeros_like(a.value)
+        acc[idx] = g
         _acc(a, acc)
 
     out._backward = bw

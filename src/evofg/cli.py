@@ -257,6 +257,8 @@ def cmd_eval(args):
 
 
 def cmd_report(args):
+    if not os.path.isdir(args.artifacts):
+        raise CommandError(f"no artifacts directory {args.artifacts}")
     texts = []
     path = os.path.join(args.artifacts, METRICS_TEXT)
     if os.path.exists(path):

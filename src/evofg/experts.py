@@ -83,8 +83,10 @@ def init_expert(arch, d, d_e, d_prime, seed) -> ExpertModel:
 
 
 def _attention_edges(g: Graph):
-    """(src, dst, indptr): every directed neighbor pair plus a self-loop per
-    node, as a CSR pattern whose rows are dst; cached on the graph."""
+    """(src, dst, indptr): the edges ``ad.edge_attention`` attends over,
+    every directed neighbor pair plus a self-loop per node, as a CSR pattern
+    whose rows are dst, so each node's softmax and neighbour sum run over
+    its row in edge order; cached on the graph."""
     cached = g._ops.get("att_edges")
     if cached is not None:
         return cached
@@ -134,15 +136,8 @@ def encode_t(arch, lv, inputs, g: Graph):
         return ad.tanh(ad.matmul(ad.wrap(inputs), lv["w0"]))
     if arch == "ATTENTION":
         z = ad.matmul(ad.wrap(inputs), lv["w0"])
-        src, dst, indptr = _attention_edges(g)
-        part_self = ad.matvec(z, lv["att_self"])
-        part_nbr = ad.matvec(z, lv["att_nbr"])
-        logits = ad.leaky_relu(
-            ad.add(ad.gather_rows(part_self, dst), ad.gather_rows(part_nbr, src)),
-            slope=LEAKY_SLOPE,
-        )
-        alpha = ad.segment_softmax(logits, dst, g.num_nodes)
-        h = ad.edge_spmm(alpha, z, src, dst, indptr)
+        h = ad.edge_attention(z, lv["att_self"], lv["att_nbr"], _attention_edges(g),
+                              LEAKY_SLOPE)
         return ad.tanh(ad.sub(h, ad.spmm(g.neighbor_mean(), h)))
     if arch == "CHEBY":
         h = ad.matmul(ad.wrap(inputs[0]), lv["cheb_w0"])

@@ -349,6 +349,8 @@ def gen_synthetic(
         raise ValueError("n_nodes must be >= 20")
     if planted_kind not in ("structural", "attribute", "mixed"):
         raise ValueError(f"unknown planted_kind {planted_kind!r}")
+    if n_communities < 1:
+        raise ValueError("n_communities must be >= 1")
 
     rng = np.random.default_rng(structure_seed)
     comm = rng.integers(0, n_communities, size=n_nodes)

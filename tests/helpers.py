@@ -17,7 +17,6 @@ from evofg.experts import (
     CHEB_ORDER,
     GPR_DEPTH,
     LEAKY_SLOPE,
-    _attention_edges,
     anomaly_loss_t,
 )
 from evofg.features import RouterFeatureTable, _hop_distances
@@ -129,15 +128,17 @@ def unfolded_encode_t(arch, lv, xtilde, g: Graph):
         return ad.tanh(_unfolded_residual(h, g))
     if arch == "ATTENTION":
         z = ad.matmul(x, lv["w0"])
-        src, dst, indptr = _attention_edges(g)
-        part_self = ad.matvec(z, lv["att_self"])
-        part_nbr = ad.matvec(z, lv["att_nbr"])
-        logits = ad.leaky_relu(
-            ad.add(ad.gather_rows(part_self, dst), ad.gather_rows(part_nbr, src)),
-            slope=LEAKY_SLOPE,
-        )
-        alpha = ad.segment_softmax(logits, dst, g.num_nodes)
-        h = ad.edge_spmm(alpha, z, src, dst, indptr)
+        # dense GAT: each row's masked softmax over its neighbors and itself
+        # of leaky_relu(z[i] @ att_self + z[j] @ att_nbr)
+        d_e = z.shape[1]
+        part_self = ad.matmul(ad.mul(z, lv["att_self"]), np.ones((d_e, 1)))
+        part_nbr = ad.matmul(np.ones((1, d_e)), ad.transpose(ad.mul(z, lv["att_nbr"])))
+        pre = ad.add(part_self, part_nbr)
+        logits = ad.add(ad.mul(pre, LEAKY_SLOPE),
+                        ad.mul(ad.maximum_scalar(pre, 0.0), 1.0 - LEAKY_SLOPE))
+        attends = g.adjacency().toarray() + np.eye(g.num_nodes) > 0
+        alpha = ad.row_softmax(ad.add(logits, np.where(attends, 0.0, -np.inf)))
+        h = ad.matmul(alpha, z)
         return ad.tanh(_unfolded_residual(h, g))
     if arch == "CHEBY":
         # scaled Laplacian with lambda_max ~= 2 reduces to -sym_norm

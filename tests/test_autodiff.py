@@ -8,9 +8,11 @@ from evofg import autodiff as ad
 from evofg import experts
 from evofg.graph import Graph
 from helpers import (
+    degenerate_graphs,
     fd_adapters,
     finite_diff_check,
     mix_rows,
+    random_graph,
     tile_rows,
     unfused_affine,
     unfused_key_softmax,
@@ -37,104 +39,118 @@ def test_composite_dense_ops_gradient():
 def test_sparse_segment_and_gather_ops_gradient():
     rng = np.random.default_rng(1)
     s = sp.csr_matrix(np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float))
-    seg = np.array([0, 0, 1, 2, 2])
-    indptr = np.array([0, 2, 3, 5])  # the rows of seg
-    idx = np.array([2, 0, 1, 1, 2])
-    params = {"w": rng.normal(size=(3, 3)), "a": rng.normal(size=5)}
+    src = np.array([2, 0, 1, 1, 2])  # unsorted, repeated sources
+    indptr = np.array([0, 2, 3, 5])
+    edges = (src, np.repeat(np.arange(3), np.diff(indptr)), indptr)
+    idx = np.array([0, 2])
+    params = {"w": rng.normal(size=(3, 3)), "a": rng.normal(size=3), "b": rng.normal(size=3)}
     x = rng.normal(size=(3, 3))
 
     def build(lv):
         h = ad.spmm(s, ad.matmul(ad.wrap(x), lv["w"]))
         rows = ad.gather_rows(h, idx)
-        alpha = ad.segment_softmax(ad.leaky_relu(lv["a"], 0.2), seg, 3)
-        mixed = ad.edge_spmm(alpha, h, idx, seg, indptr)
-        c0 = ad.matvec(mixed, np.array([1.0, 0.0, 0.0]))
+        mixed = ad.edge_attention(h, lv["a"], lv["b"], edges, 0.2)
         sums = ad.tsum(rows, axis=1)
         lo = ad.index_scalar(sums, int(np.argmin(sums.value)))
-        return ad.add(ad.tmean(ad.mul(c0, c0)), ad.mul(lo, 0.3))
+        return ad.add(ad.tmean(ad.mul(mixed, mixed)), ad.mul(lo, 0.3))
 
     loss_fn, grad_fn, vec = fd_adapters(build, params)
     rep = finite_diff_check(loss_fn, grad_fn, vec)
     assert rep.max_rel_err < 1e-6
 
 
+def test_gather_rows_refuses_indices_that_are_not_strictly_increasing():
+    a = ad.param(np.arange(12.0).reshape(4, 3))
+    for idx in ([0, 2, 2], [3, 1], [1, 0, 2]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            ad.gather_rows(a, np.array(idx))
+    ad.tsum(ad.gather_rows(a, np.array([0, 3]))).backward()
+    assert np.array_equal(a.grad, [[1, 1, 1], [0, 0, 0], [0, 0, 0], [1, 1, 1]])
+
+
 def _edge_patterns(rng):
-    """(src, dst, indptr, number of source rows): ATTENTION's patterns of
-    random graphs with isolated nodes and of edgeless graphs, then patterns
-    whose rows hold unsorted, repeated sources, some rows none."""
+    """(src, dst, indptr): ATTENTION's patterns of random graphs with
+    isolated nodes and of edgeless graphs, then square patterns whose rows
+    hold unsorted, repeated sources, some rows none."""
     for n in (1, 7, 30):
         for edges in ([], [(u, v) for u in range(n // 2) for v in range(u)
                            if rng.random() < 0.4]):
             g = Graph(n, np.array(edges, dtype=np.int64).reshape(-1, 2),
                       np.zeros((n, 1)), None)
-            yield experts._attention_edges(g) + (n,)
+            yield experts._attention_edges(g)
     for _ in range(20):
-        n, m = (int(k) for k in rng.integers(1, 30, size=2))
+        n = int(rng.integers(1, 30))
         counts = rng.integers(0, 12, size=n)
-        yield (rng.integers(0, m, size=counts.sum()), np.repeat(np.arange(n), counts),
-               np.concatenate(([0], np.cumsum(counts))), m)
+        yield (rng.integers(0, n, size=counts.sum()), np.repeat(np.arange(n), counts),
+               np.concatenate(([0], np.cumsum(counts))))
 
 
-def test_edge_spmm_sums_in_edge_order_bit_for_bit():
-    """``edge_spmm`` and its x-gradient are the ``np.add.at`` sums of the
-    edge products in edge order, bit for bit; the w-gradient is each edge's
-    dot product of upstream gradient and source row."""
+def test_edge_attention_sums_in_edge_order_bit_for_bit():
+    """``edge_attention`` and its gradients are the ``np.add.at`` sums of
+    the chain it replaces (gathered logits, leaky ReLU, segment softmax,
+    weighted neighbour sum), each added in edge order, bit for bit; z's
+    gradient sums the neighbour sum's part first, then the two logit parts."""
     rng = np.random.default_rng(7)
-    for src, dst, indptr, m in _edge_patterns(rng):
-        n, e = len(indptr) - 1, len(src)
-        w = ad.param(rng.normal(size=e) * 10.0 ** rng.integers(-8, 9, size=e))
-        x = ad.param(rng.normal(size=(m, 4)) * 10.0 ** rng.integers(-8, 9, size=(m, 1)))
+    for src, dst, indptr in _edge_patterns(rng):
+        n = len(indptr) - 1
+        z = ad.param(rng.normal(size=(n, 4)) * 10.0 ** rng.integers(-8, 9, size=(n, 1)))
+        a_self, a_nbr = (ad.param(rng.normal(size=4) / np.abs(z.value).max())
+                         for _ in range(2))
         up = rng.normal(size=(n, 4))
-        out = ad.edge_spmm(w, x, src, dst, indptr)
+        out = ad.edge_attention(z, a_self, a_nbr, (src, dst, indptr), 0.2)
         ad.tsum(ad.mul(out, up)).backward()
+
+        pre = (z.value @ a_self.value)[dst] + (z.value @ a_nbr.value)[src]
+        logits = np.where(pre > 0, pre, 0.2 * pre)
+        mx = np.full(n, -np.inf)
+        np.maximum.at(mx, dst, logits)
+        e = np.exp(logits - mx[dst])
+        tot = np.zeros(n)
+        np.add.at(tot, dst, e)
+        alpha = e / tot[dst]
         want = np.zeros((n, 4))
-        np.add.at(want, dst, w.value[:, None] * x.value[src])
-        want_x = np.zeros((m, 4))
-        np.add.at(want_x, src, w.value[:, None] * up[dst])
+        np.add.at(want, dst, alpha[:, None] * z.value[src])
         assert np.array_equal(out.value, want)
-        assert np.array_equal(x.grad, want_x)
-        assert np.allclose(w.grad, np.einsum("ed,ed->e", up[dst], x.value[src]),
-                           rtol=1e-13, atol=0)
+
+        g_alpha = (up[dst] * z.value[src]).sum(axis=1)
+        t = np.zeros(n)
+        np.add.at(t, dst, g_alpha * alpha)
+        g_pre = alpha * (g_alpha - t[dst]) * np.where(pre > 0, 1.0, 0.2)
+        g_self, g_nbr, want_z = np.zeros(n), np.zeros(n), np.zeros((n, 4))
+        np.add.at(g_self, dst, g_pre)
+        np.add.at(g_nbr, src, g_pre)
+        np.add.at(want_z, src, alpha[:, None] * up[dst])
+        want_z = want_z + np.outer(g_self, a_self.value) + np.outer(g_nbr, a_nbr.value)
+        assert np.array_equal(z.grad, want_z)
+        assert np.array_equal(a_self.grad, z.value.T @ g_self)
+        assert np.array_equal(a_nbr.grad, z.value.T @ g_nbr)
 
 
-def test_edge_spmm_gradient():
+@pytest.mark.parametrize("case", ["random", "isolated_nodes", "edgeless"])
+def test_edge_attention_gradient(case):
     rng = np.random.default_rng(8)
-    src = np.array([2, 0, 3, 0, 1, 1, 3, 2])  # unsorted, repeated; row 2 empty
-    dst = np.array([0, 0, 0, 1, 1, 3, 3, 3])
-    indptr = np.array([0, 3, 5, 5, 8])
-    params = {"w": rng.normal(size=8), "x": rng.normal(size=(4, 3))}
+    graphs = dict(degenerate_graphs(seed=8, d=3), random=random_graph(rng, 12, p=0.3, d=3))
+    g = graphs[case]
+    params = {"w": rng.normal(size=(3, 4)), "a": rng.normal(size=4), "b": rng.normal(size=4)}
 
     def build(lv):
-        h = ad.tanh(ad.edge_spmm(lv["w"], lv["x"], src, dst, indptr))
+        z = ad.matmul(ad.wrap(g.features), lv["w"])
+        h = ad.tanh(ad.edge_attention(z, lv["a"], lv["b"], experts._attention_edges(g), 0.2))
         return ad.tmean(ad.mul(h, h))
 
     rep = finite_diff_check(*fd_adapters(build, params))
     assert rep.max_rel_err < 1e-6
 
 
-def test_scatter_add_rows_matches_add_at_bit_for_bit():
-    rng = np.random.default_rng(6)
-    for _ in range(50):
-        n = int(rng.integers(1, 40))
-        idx = rng.integers(0, n, size=int(rng.integers(0, 300)))  # unsorted, repeated
-        scale = 10.0 ** rng.integers(-8, 9, size=(len(idx), 1))
-        for rows in (rng.normal(size=(len(idx), 5)) * scale, rng.normal(size=len(idx))):
-            ref = np.zeros((n,) + rows.shape[1:])
-            np.add.at(ref, idx, rows)
-            got = ad.scatter_add_rows(idx, rows, n)
-            assert got.shape == ref.shape
-            assert np.array_equal(got, ref)
-
-
-def test_log_softmax_softplus_matvec_gradient():
+def test_log_softmax_softplus_gradient():
     rng = np.random.default_rng(2)
-    params = {"w": rng.normal(size=(5, 4)), "v": rng.normal(size=4)}
+    params = {"w": rng.normal(size=(5, 4)), "v": rng.normal(size=(4, 1))}
     x = rng.normal(size=(7, 5))
 
     def build(lv):
         logits = ad.matmul(ad.wrap(x), lv["w"])
         lsm = ad.row_log_softmax(logits)
-        gate = ad.softplus(ad.matvec(logits, lv["v"]))
+        gate = ad.softplus(ad.matmul(logits, lv["v"]))
         scalars = [ad.tmean(ad.mul(lsm, lsm)), ad.tmean(gate)]
         vecd = ad.stack_scalars(scalars)
         dev = ad.sub(vecd, ad.tmean(vecd))

@@ -1,6 +1,7 @@
 """tools/exactness.py runs a case end to end and prints a digest of every
 file the run leaves and of every held-out graph's scores and weights."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 
 from evofg.experts import ARCHS
 from evofg.graph import gen_synthetic
+from evofg.pipeline import PipelineConfig
 from helpers import acceptance_suite, graph_equals
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "exactness.py"
@@ -40,3 +42,13 @@ def test_acceptance_cases_write_the_acceptance_suite():
         tool = [gen_synthetic(**spec) for spec in specs]
         assert [g.name for g in tool] == [g.name for g in suite]
         assert all(graph_equals(a, b) for a, b in zip(tool, suite, strict=True))
+
+
+def test_the_lr_case_is_the_acceptance_suite_at_seed_0_and_lr_1e_3():
+    code = ("import dataclasses, json, runpy; t = runpy.run_path(%r); "
+            "print(json.dumps(dataclasses.asdict(t['cases']()['acc-s0-lr1e-3'][0])))"
+            % str(TOOL))
+    out = subprocess.run([sys.executable, "-c", code],
+                         check=True, capture_output=True, text=True).stdout
+    want = dataclasses.asdict(dataclasses.replace(PipelineConfig(seed=0), lr=1e-3))
+    assert json.loads(out) == json.loads(json.dumps(want))

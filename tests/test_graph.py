@@ -243,6 +243,11 @@ class TestSynthetic:
             with pytest.raises(ValueError):
                 gen_synthetic(50, 4, rate, 0, "mixed")
 
+    def test_a_community_count_below_one_is_refused_by_name(self):
+        for count in (0, -2):
+            with pytest.raises(ValueError, match="n_communities"):
+                gen_synthetic(50, 4, 0.1, 0, "mixed", n_communities=count)
+
     def test_structural_anomalies_have_low_degree(self):
         g = gen_synthetic(200, 8, 0.1, structure_seed=5, planted_kind="structural")
         assert g.degrees[g.labels == 1].mean() < g.degrees[g.labels == 0].mean()

@@ -1064,6 +1064,12 @@ class TestCLI:
         for arch, want in per_expert.items():
             assert same(payload["per_expert_scores"][arch], want), arch
 
+    def test_report_refuses_a_missing_directory(self, tmp_path, capsys):
+        missing = str(tmp_path / "no_such_dir")
+        capsys.readouterr()
+        assert cli_main(["report", "--artifacts", missing]) == 2
+        assert f"evofg report: no artifacts directory {missing}" in capsys.readouterr().err
+
     def test_eval_refuses_arguments_before_reading_a_graph(self, tmp_path, capsys,
                                                             monkeypatch):
         def no_training(*args, **kwargs):
