@@ -103,14 +103,17 @@ def _load_graph_as_is(path):
 
 
 def cmd_gen(args):
-    g = gen_synthetic(
-        n_nodes=args.nodes,
-        n_features=args.features,
-        anomaly_rate=args.rate,
-        structure_seed=args.seed,
-        planted_kind=args.kind,
-        n_communities=args.communities,
-    )
+    try:
+        g = gen_synthetic(
+            n_nodes=args.nodes,
+            n_features=args.features,
+            anomaly_rate=args.rate,
+            structure_seed=args.seed,
+            planted_kind=args.kind,
+            n_communities=args.communities,
+        )
+    except ValueError as exc:
+        raise CommandError(str(exc)) from None
     save_graph(g, args.out)
     print(f"wrote {g.name}: {g.num_nodes} nodes, {g.num_edges} edges, "
           f"{int(g.labels.sum())} anomalies -> {args.out}")

@@ -104,7 +104,7 @@ def check_proposal(expr: FeatureExpr, table: RouterFeatureTable, names):
     of a proposed expression is one of the router's ``names`` (its active
     columns) of ``table`` in its category (``FeatureExpr`` checks the rest)."""
     for f in expr.args:
-        if not table.has_column(f):
+        if f not in table.names:
             raise ExprValidationError(f"unknown column {f!r}")
         if f not in names:
             raise ExprValidationError(f"column {f!r} is not active")
@@ -142,13 +142,13 @@ def generate_candidates(backend, table: RouterFeatureTable, names, m: int, rng) 
     columns ``names`` of ``table`` via the four-stage protocol.
     ``backend.propose(table.by_category(names), history, rng)`` returns a
     FeatureExpr; ``history`` holds the round's (kind, name) pairs, kind
-    "accepted" or "duplicate". Duplicates of existing provenance are
-    rejected and regenerated (10 retries per slot). A failing or invalid backend is
-    replaced by the deterministic composer, whose proposals always pass
-    ``check_proposal``, for the remaining slots; a failure of the composer
-    itself is raised."""
+    "accepted" or "duplicate". Duplicates of a column of ``table`` or of an
+    earlier slot are rejected and regenerated (10 retries per slot). A
+    failing or invalid backend is replaced by the deterministic composer,
+    whose proposals always pass ``check_proposal``, for the remaining slots;
+    a failure of the composer itself is raised."""
     by_cat = table.by_category(names)
-    existing = {p.name for p in table.provenance if isinstance(p, FeatureExpr)}
+    existing = set(table.names)
     fallback = backend if isinstance(backend, DeterministicBackend) else DeterministicBackend()
     out = []
     history = []
@@ -178,20 +178,16 @@ def generate_candidates(backend, table: RouterFeatureTable, names, m: int, rng) 
     return out
 
 
-def expr_to_dict(p):
-    if p == "primitive":
-        return "primitive"
-    return {"op": p.op, "args": list(p.args), "category": p.category}
+def expr_to_dict(expr):
+    return {"op": expr.op, "args": list(expr.args), "category": expr.category}
 
 
 def expr_from_dict(d):
     """The inverse of ``expr_to_dict``; anything else raises
     ExprValidationError."""
-    if d == "primitive":
-        return "primitive"
     if not (isinstance(d, dict) and set(d) == {"op", "args", "category"}
             and isinstance(d["args"], list) and all(isinstance(a, str) for a in d["args"])):
-        raise ExprValidationError(f'{d!r} is neither "primitive" nor {{op, args, category}}')
+        raise ExprValidationError(f"{d!r} is not an {{op, args, category}} expression")
     return FeatureExpr(op=d["op"], args=tuple(d["args"]), category=d["category"])
 
 
@@ -201,12 +197,12 @@ def extend_table(table: RouterFeatureTable, exprs) -> RouterFeatureTable:
     return _extended(table, exprs)
 
 
-def rebuild_columns(table: RouterFeatureTable, provenance, active_names) -> RouterFeatureTable:
+def rebuild_columns(table: RouterFeatureTable, exprs, active_names) -> RouterFeatureTable:
     """A fresh graph's primitive table plus what a trained run's router
-    reads, ``active_names``: the generated columns among them and the
-    generated columns they read, directly or not, re-created in provenance
-    order. A deselected column that none of them reads is not evaluated."""
-    exprs = [p for p in provenance if p != "primitive" and not table.has_column(p.name)]
+    reads, ``active_names``: the generated columns among them and those they
+    read, directly or not, re-created in the order of the run's ``exprs``. A
+    column the table has, or one that none of them reads, is not evaluated."""
+    exprs = [e for e in exprs if e.name not in table.names]
     needed = set(active_names)
     for expr in reversed(exprs):  # an expression reads only earlier columns
         if expr.name in needed:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -359,46 +359,38 @@ def khop_similarity(g: Graph, xtilde: np.ndarray, k: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RouterFeatureTable:
-    """Node-by-feature matrix with names, categories and per-column
-    provenance ("primitive" or the expression that built it).
+    """Node-by-feature ``matrix``, with each column's name (unique) and
+    category in ``names`` and ``categories``.
 
     A table is a value: ``with_columns`` returns a new table and leaves this
     one as it was. The first len(PRIMITIVE_NAMES) columns are always the
     primitives in their fixed order; generated columns are appended and
     never removed, so earlier expressions stay evaluable on new graphs.
-    Which columns a router reads is its list of names, not the table's.
+    Which columns a router reads is its list of names, and how a generated
+    column is built is its run's record (``RunArtifacts.exprs``), not the table's.
     """
 
     matrix: np.ndarray
     names: list[str]
     categories: list[str]
-    provenance: list = field(default_factory=list)
 
     def __post_init__(self):
-        if len(set(self.names)) != len(self.names):
-            raise ValueError("duplicate column names")
+        dup = [n for i, n in enumerate(self.names) if n in self.names[:i]]
+        if dup:
+            raise ValueError(f"column {dup[0]!r} already exists")
         if self.matrix.shape[1] != len(self.names):
             raise ValueError("matrix width does not match names")
 
     def column(self, name):
         return self.matrix[:, self.names.index(name)]
 
-    def has_column(self, name):
-        return name in self.names
-
     def with_columns(self, exprs, values):
         """This table plus one column per expression, named and built by
         it, with the values in ``values``."""
-        names = list(self.names)
-        for expr in exprs:
-            if expr.name in names:
-                raise ValueError(f"column {expr.name!r} already exists")
-            names.append(expr.name)
         return RouterFeatureTable(
             matrix=np.column_stack([self.matrix, *values]),
-            names=names,
+            names=self.names + [e.name for e in exprs],
             categories=self.categories + [e.category for e in exprs],
-            provenance=self.provenance + list(exprs),
         )
 
     def column_map(self):
@@ -463,5 +455,4 @@ def compute_primitives(g: Graph, xtilde: np.ndarray) -> RouterFeatureTable:
         matrix=np.column_stack([*scopes, *sims, g.degrees.astype(np.float64), ego_size]),
         names=list(PRIMITIVE_NAMES),
         categories=list(PRIMITIVE_CATEGORIES),
-        provenance=["primitive"] * len(PRIMITIVE_NAMES),
     )

@@ -297,12 +297,16 @@ def load_round_reports(out_dir):
             reports.append(fh.read())
 
 
+# a features.json entry of a primitive column, which no expression builds
+PRIMITIVE = "primitive"
+
+
 @dataclass
 class RunArtifacts:
     config: PipelineConfig
     experts: list
     router: object
-    provenance: list  # per-column "primitive" or FeatureExpr, table order
+    exprs: list  # the generated FeatureExprs, in the order their columns were added
     key_cache: dict  # arch -> stacked key embeddings from training graphs
     shapley_reports: list = field(default_factory=list)
 
@@ -314,7 +318,8 @@ class RunArtifacts:
     def save(self, out_dir):
         save_pretrained(out_dir, self.config, self.experts)
         save_router_file(out_dir, self.router)
-        provenance = [dsl.expr_to_dict(p) for p in self.provenance]
+        provenance = ([PRIMITIVE] * len(PRIMITIVE_NAMES)
+                      + [dsl.expr_to_dict(e) for e in self.exprs])
         with open(os.path.join(out_dir, FEATURES_FILE), "w", encoding="utf-8") as fh:
             json.dump({"provenance": provenance, "active": self.active_names}, fh, indent=2)
         save_checkpoint(os.path.join(out_dir, KEYS_FILE), {"kind": "keycache"}, self.key_cache)
@@ -330,7 +335,7 @@ class RunArtifacts:
     def load(cls, out_dir):
         config, models = load_pretrained(out_dir)
         router = load_router_file(out_dir)
-        provenance, active = load_features(os.path.join(out_dir, FEATURES_FILE))
+        exprs, active = load_features(os.path.join(out_dir, FEATURES_FILE))
         if router.names != active:
             raise CheckpointError(
                 f"{out_dir}: {ROUTER_FILE} routes on {len(router.names)} features that "
@@ -350,30 +355,31 @@ class RunArtifacts:
             config=config,
             experts=models,
             router=router,
-            provenance=provenance,
+            exprs=exprs,
             key_cache=key_cache,
             shapley_reports=load_round_reports(out_dir),
         )
 
 
 def load_features(path):
-    """(provenance, active names) saved in a ``features.json``. Raises
-    CheckpointError, naming the file, unless it is an object whose list
-    ``provenance`` holds this version's primitives, then expressions that
-    read only earlier columns, and whose list ``active`` names columns."""
+    """(generated expressions, active names) saved in a ``features.json``.
+    Raises CheckpointError, naming the file, unless it is an object whose
+    list ``provenance`` holds this version's primitives (``PRIMITIVE``
+    each), then expressions that read only earlier columns, and whose list
+    ``active`` names columns."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             feats = json.load(fh)
         if not (isinstance(feats, dict) and isinstance(feats.get("provenance"), list)
                 and isinstance(feats.get("active"), list)):
             raise ValueError("needs an object with the lists provenance and active")
-        provenance = [dsl.expr_from_dict(p) for p in feats["provenance"]]
-        n = len(PRIMITIVE_NAMES)
-        if provenance[:n] != ["primitive"] * n or "primitive" in provenance[n:]:
-            raise ValueError(f"holds {provenance.count('primitive')} primitives; this "
+        provenance, n = feats["provenance"], len(PRIMITIVE_NAMES)
+        if provenance[:n] != [PRIMITIVE] * n or PRIMITIVE in provenance[n:]:
+            raise ValueError(f"holds {provenance.count(PRIMITIVE)} primitives; this "
                              f"version reads its {n} ahead of every expression")
+        exprs = [dsl.expr_from_dict(p) for p in provenance[n:]]
         defined = list(PRIMITIVE_NAMES)
-        for expr in provenance[n:]:
+        for expr in exprs:
             _require_defined(expr.name, expr.args, defined)
             if expr.name in defined:
                 raise ValueError(f"{expr.name} is defined twice")
@@ -381,7 +387,7 @@ def load_features(path):
         _require_defined("active", feats["active"], defined)
     except ValueError as exc:  # ExprValidationError and JSON errors among them
         raise CheckpointError(f"{path}: {exc}") from exc
-    return provenance, feats["active"]
+    return exprs, feats["active"]
 
 
 def _require_defined(reader, names, defined):
@@ -446,10 +452,11 @@ def evolve(router_model, contexts, models, cfg: PipelineConfig) -> RunArtifacts:
     and the key cache."""
     backend = make_backend(cfg)
     gen_rng = derive_rng(cfg.seed, "generate")
-    reports = []
+    reports, generated = [], []
     for r in range(1, cfg.rounds + 1):
         exprs = dsl.generate_candidates(backend, contexts[0].table, router_model.names,
                                         cfg.gen_per_round, gen_rng)
+        generated += exprs
         contexts = [ctx.with_features(dsl.extend_table(ctx.table, exprs)) for ctx in contexts]
         candidates, dropped = _without_constant_columns(
             contexts, router_model.names + [e.name for e in exprs])
@@ -477,7 +484,7 @@ def evolve(router_model, contexts, models, cfg: PipelineConfig) -> RunArtifacts:
         config=cfg,
         experts=models,
         router=router_model,
-        provenance=list(contexts[0].table.provenance),
+        exprs=generated,
         key_cache=build_key_cache(contexts),
         shapley_reports=reports,
     )
@@ -543,7 +550,7 @@ def score_graph(artifacts: RunArtifacts, g: Graph, prepared_cache=None):
         sweep + [expert_branch], share=features.sharing_pays(g.num_nodes))
     (bundle,) = prepare_graphs([g], d, cache, [xtilde])
     names = artifacts.router.names
-    table = dsl.rebuild_columns(bundle.table, artifacts.provenance, names)
+    table = dsl.rebuild_columns(bundle.table, artifacts.exprs, names)
     routing = route(artifacts.router, xtilde, g, table.standardized(names))
     per_expert_scores = {model.arch: anomaly_scores(h, recon)
                          for model, h, recon in zip(artifacts.experts, expert_h, expert_recon)}

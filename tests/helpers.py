@@ -373,7 +373,6 @@ def fold_extend(table, exprs):
             matrix=np.column_stack([table.matrix, values]),
             names=table.names + [expr.name],
             categories=table.categories + [expr.category],
-            provenance=table.provenance + [expr],
         )
     return table
 

@@ -473,7 +473,7 @@ def test_c11_llm_client_fixture_coverage(tmp_path, caplog):
         finally:
             socket.socket = real_socket
 
-        generated = [p for p in artifacts.provenance if p != "primitive"]
+        generated = artifacts.exprs
         assert len(generated) == 5  # pipeline completed every slot
         assert generated[0].name == "BINARY_DIV(PR_t,PR_ego_mean)"
         messages = [r.message for r in caplog.records]

@@ -34,9 +34,7 @@ def small_table(columns):
     names = list(columns)
     cats = ["PageRank"] * len(names)
     mat = np.stack([columns[n] for n in names], axis=1)
-    return RouterFeatureTable(
-        matrix=mat, names=names, categories=cats, provenance=["primitive"] * len(names)
-    )
+    return RouterFeatureTable(matrix=mat, names=names, categories=cats)
 
 
 class TestEval:
@@ -280,7 +278,9 @@ class TestProvenance:
     def test_expr_dict_roundtrip(self):
         e = FeatureExpr("BINARY_SUB", ("BC_t", "BC_ego_mean"), "Betweenness")
         assert expr_from_dict(expr_to_dict(e)) == e
-        assert expr_to_dict("primitive") == "primitive"
+        # a primitive entry of features.json is the file's detail, not an expression
+        with pytest.raises(ExprValidationError, match="not an"):
+            expr_from_dict("primitive")
 
     def test_rebuild_columns_on_fresh_graph(self):
         t = make_table(seed=9)
@@ -289,21 +289,21 @@ class TestProvenance:
         t = extend_table(t, exprs)
         kept = t.names[:len(PRIMITIVE_NAMES):3] + [exprs[2].name, exprs[5].name]
 
-        fresh = rebuild_columns(make_table(seed=10), t.provenance, kept)
+        fresh = rebuild_columns(make_table(seed=10), exprs, kept)
         assert [n for n in fresh.names if n in kept] == [n for n in t.names if n in kept]
         assert [n for n in t.names if n in fresh.names] == fresh.names
 
     def test_extension_and_activation_leave_the_input_table_as_it_was(self):
         # prepared caches and routing contexts share tables without copies
         t = make_table(seed=11)
-        matrix, names = t.matrix.copy(), list(t.names)
+        matrix, names, categories = t.matrix.copy(), list(t.names), list(t.categories)
         exprs = generate_candidates(DeterministicBackend(), t, t.names, 4,
                                     np.random.default_rng(6))
         grown = extend_table(t, exprs)
-        rebuild_columns(t, grown.provenance, names[:5] + [exprs[0].name])
+        rebuild_columns(t, exprs, names[:5] + [exprs[0].name])
         assert grown.matrix.shape[1] == len(PRIMITIVE_NAMES) + 4
         assert np.array_equal(t.matrix, matrix)
-        assert t.names == names and t.provenance == ["primitive"] * len(PRIMITIVE_NAMES)
+        assert t.names == names and t.categories == categories
 
 
 def _two_rounds_of_exprs(table, seed):
@@ -326,7 +326,6 @@ def _two_rounds_of_exprs(table, seed):
 def _assert_same_table(got, want):
     assert got.names == want.names
     assert got.categories == want.categories
-    assert got.provenance == want.provenance
     assert got.matrix.shape == want.matrix.shape
     assert got.matrix.tobytes() == want.matrix.tobytes()
 
@@ -351,18 +350,16 @@ class TestColumnsInOneTable:
         trained = make_table(n=40, seed=13)
         exprs = _two_rounds_of_exprs(trained, seed=8)
         kept = trained.names[::4] + [e.name for e in exprs[1::3]]
-        provenance = fold_extend(trained, exprs).provenance
         fresh = make_table(n=33, seed=14)
         want = fold_extend(fresh, exprs)
-        _assert_same_active(rebuild_columns(fresh, provenance, kept), want, kept)
+        _assert_same_active(rebuild_columns(fresh, exprs, kept), want, kept)
         # columns the table already has are kept, not evaluated again
         half = extend_table(fresh, exprs[:10])
-        _assert_same_active(rebuild_columns(half, provenance, kept), want, kept)
+        _assert_same_active(rebuild_columns(half, exprs, kept), want, kept)
 
     def test_rebuild_evaluates_only_what_the_active_columns_read(self, monkeypatch):
         trained = make_table(n=40, seed=16)
         exprs = _two_rounds_of_exprs(trained, seed=9)
-        provenance = fold_extend(trained, exprs).provenance
         generated = {e.name: e for e in exprs}
         # LOG1P(SIGMOID(x)) reads a generated column through another one
         kept = trained.names[:5] + [e.name for e in (exprs[-1], exprs[-2], exprs[-4])]
@@ -383,11 +380,11 @@ class TestColumnsInOneTable:
 
         monkeypatch.setattr(dsl, "eval_expr", recording_eval)
         fresh = make_table(n=33, seed=17)
-        rebuild_columns(fresh, provenance, kept)
+        rebuild_columns(fresh, exprs, kept)
         assert evaluated == [e.name for e in exprs if e.name in needed]
         half = extend_table(fresh, exprs[:10])
         evaluated.clear()
-        rebuild_columns(half, provenance, kept)
+        rebuild_columns(half, exprs, kept)
         assert evaluated == [e.name for e in exprs[10:] if e.name in needed]
 
     def test_a_name_the_table_has_is_refused(self):

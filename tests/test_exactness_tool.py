@@ -3,9 +3,12 @@ file the run leaves and of every held-out graph's scores and weights."""
 
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from evofg.experts import ARCHS
 from evofg.graph import gen_synthetic
@@ -13,12 +16,24 @@ from evofg.pipeline import PipelineConfig
 from helpers import acceptance_suite, graph_equals
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "exactness.py"
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def test_one_case_prints_a_digest_of_every_output():
-    out = subprocess.run([sys.executable, str(TOOL), "--case", "acc-s1-nomem1"],
-                         check=True, capture_output=True, text=True).stdout
-    (name, case), = json.loads(out).items()
+def _run_case(case, **blas):
+    """The tool's stdout for ``case``, with the BLAS thread variables
+    ``blas`` set and every other one unset."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS} | blas
+    return subprocess.run([sys.executable, str(TOOL), "--case", case], env=env,
+                          check=True, capture_output=True, text=True).stdout
+
+
+@pytest.fixture(scope="module")
+def bare_output():
+    return _run_case("acc-s1-nomem1")
+
+
+def test_one_case_prints_a_digest_of_every_output(bare_output):
+    (name, case), = json.loads(bare_output).items()
     assert name == "acc-s1-nomem1"
     assert set(case["files"]) == (
         {"config.json", "router.bin", "features.json", "keys.bin"}
@@ -29,6 +44,12 @@ def test_one_case_prints_a_digest_of_every_output():
     digests = list(case["files"].values()) + list(case["scores"].values())
     assert all(len(d) == 64 for d in digests)
     assert case["kept"] >= 1
+
+
+def test_blas_is_pinned_to_one_thread_whatever_the_environment(bare_output):
+    # on more than one CPU, OpenBLAS loaded before the pin sums some GEMMs
+    # on two threads, which moves last bits of the router and the scores
+    assert bare_output == _run_case("acc-s1-nomem1", OPENBLAS_NUM_THREADS="1")
 
 
 def test_acceptance_cases_write_the_acceptance_suite():

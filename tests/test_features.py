@@ -550,12 +550,11 @@ class TestRouterFeatureTable:
         return compute_primitives(g, g.features)
 
     def test_unique_names_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="column 'a' already exists"):
             RouterFeatureTable(
-                matrix=np.zeros((2, 2)),
-                names=["a", "a"],
-                categories=["Topology", "Topology"],
-                provenance=["primitive"] * 2,
+                matrix=np.zeros((2, 3)),
+                names=["a", "b", "a"],
+                categories=["Topology"] * 3,
             )
 
     def test_standardized_active_zero_mean_unit_std(self):
@@ -571,7 +570,7 @@ class TestRouterFeatureTable:
         # about 1e-17; its z-scores would be +-1, with a sign set by rounding
         n = 7
         matrix = np.column_stack([np.full(n, value), np.arange(n, dtype=float)])
-        t = RouterFeatureTable(matrix, ["c", "x"], ["Topology"] * 2, ["primitive"] * 2)
+        t = RouterFeatureTable(matrix, ["c", "x"], ["Topology"] * 2)
         z = t.standardized(t.names)
         assert z[:, 0].tobytes() == np.zeros(n).tobytes()
         assert np.allclose(z[:, 1].std(), 1.0)

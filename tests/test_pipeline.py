@@ -7,6 +7,7 @@ import shutil
 import sys
 import threading
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from evofg import autodiff as ad
 from evofg import dsl, experts, features, pipeline, router
 from evofg.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from evofg.cli import main as cli_main
-from evofg.features import PRIMITIVE_NAMES
+from evofg.features import PRIMITIVE_NAMES, RouterFeatureTable
 from evofg.graph import Graph, gen_synthetic, load_graph_dir, save_graph
 from evofg.pipeline import (
     PipelineConfig,
@@ -77,13 +78,12 @@ class TestRunPipeline:
         assert set(artifacts.key_cache) == {"LOWPASS", "ATTENTION", "CHEBY", "GPR"}
 
     def test_generated_features_in_provenance(self, artifacts):
-        generated = [p for p in artifacts.provenance if p != "primitive"]
-        assert generated  # two rounds of four candidates each
+        assert artifacts.exprs  # two rounds of four candidates each
 
     def test_round_zero_is_warmup_only_baseline(self, graphs):
         train, _ = graphs
         art = run_pipeline(tiny_cfg(seed=6, rounds=0), train, prepared_cache={})
-        assert all(p == "primitive" for p in art.provenance)
+        assert art.exprs == []
         assert art.active_names == list(PRIMITIVE_NAMES)
         assert art.shapley_reports == []
 
@@ -236,10 +236,18 @@ class TestRunPipeline:
         dropped = line.split(": ", 1)[1].split(", ")
         assert dropped[:4] == constant
         assert set(dropped).isdisjoint(estimated[0])
-        tables = [dsl.rebuild_columns(b.table, art.provenance, art.active_names)
+        tables = [dsl.rebuild_columns(b.table, art.exprs, art.active_names)
                   for b in bundles]
         assert np.any([t.standardized(art.active_names).any(axis=0) for t in tables],
                       axis=0).all()
+
+
+def test_nothing_is_dropped_when_no_candidate_varies():
+    """A contribution estimate needs a column: when every candidate is
+    constant on every context, all of them stay."""
+    flat = RouterFeatureTable(np.ones((5, 2)), ["a", "b"], ["Topology"] * 2)
+    contexts = [SimpleNamespace(table=flat)] * 2
+    assert pipeline._without_constant_columns(contexts, ["b", "a"]) == (["b", "a"], [])
 
 
 def _big_graphs():
@@ -452,7 +460,7 @@ class TestScoreGraph:
         from evofg import dsl
 
         bundle = prepare_graphs([train[0]], cfg.d, cache)[0]
-        table = dsl.rebuild_columns(bundle.table, art.provenance, art.active_names)
+        table = dsl.rebuild_columns(bundle.table, art.exprs, art.active_names)
         ctx = build_contexts([bundle], art.experts, cfg)[0]
         routing = route(art.router, bundle.xtilde, bundle.graph,
                         table.standardized(art.active_names))
@@ -717,10 +725,24 @@ class TestEvaluate:
         assert rep["per_graph"]["g"]["auprc"] == 1.0
 
     def test_single_class_marked_undefined(self):
-        rep = evaluate_scored(
-            {"g": {"scores": np.ones(4), "labels": np.zeros(4, dtype=int)}}
-        )
-        assert rep["per_graph"]["g"]["undefined"]
+        rep = evaluate_scored({"g": {"scores": np.ones(4), "labels": np.zeros(4, dtype=int),
+                                     "per_expert": {"GPR": np.arange(4.0)}}})
+        row = rep["per_graph"]["g"]
+        assert row["undefined"]
+        assert row["auroc"] is row["auprc"] is None
+        assert row["per_expert_auroc"] == {"GPR": None}
+        assert "mean_auroc" not in rep
+        assert report_to_text(rep).splitlines()[1].split() == ["g", "undef", "undef"]
+
+    def test_a_graph_undefined_in_a_run_is_undefined_in_the_aggregate(self, graphs):
+        train, test = graphs
+        g = test[0]
+        flat = Graph(g.num_nodes, g.edges, g.features, np.zeros_like(g.labels), "flat")
+        rep = evaluate_runs(tiny_cfg(seed=11, rounds=1), train, [flat, g], runs=1)
+        assert rep["aggregate"]["flat"] == {"undefined": True}
+        assert rep["runs"][0]["per_graph"]["flat"]["undefined"]
+        assert rep["mean_auroc_over_runs"] == rep["aggregate"][g.name]["auroc_mean"]
+        assert report_to_text(rep).splitlines()[1].split() == ["flat", "undefined", "undefined"]
 
     def test_routing_frequency_rows_sum_to_one(self, artifacts, graphs):
         _, test = graphs
@@ -1063,6 +1085,40 @@ class TestCLI:
         assert list(payload["per_expert_scores"]) == list(per_expert)
         for arch, want in per_expert.items():
             assert same(payload["per_expert_scores"][arch], want), arch
+
+    @pytest.mark.parametrize("flags, why", [
+        (["--communities", "0"], "n_communities must be >= 1"),
+        (["--rate", "0.7"], "anomaly_rate must lie in (0, 0.5)"),
+        (["--nodes", "10"], "n_nodes must be >= 20"),
+    ])
+    def test_gen_refuses_what_gen_synthetic_refuses(self, tmp_path, capsys, flags, why):
+        out = tmp_path / "g"
+        capsys.readouterr()
+        assert cli_main(["gen", "--out", str(out), *flags]) == 2
+        assert capsys.readouterr().err == f"evofg gen: {why}\n"
+        assert not out.exists()
+
+    def test_eval_train_writes_the_report_of_evaluate_runs(self, tmp_path):
+        dirs, cfg_path = self.write_run_inputs(tmp_path)
+        test, out = str(tmp_path / "te"), str(tmp_path / "out")
+        self.run("gen", "--out", test, "--nodes", "30", "--features", "8", "--rate", "0.1",
+                 "--seed", "33")
+        self.run("eval", "--train", *dirs, "--test", test, "--out", out, "--config", cfg_path)
+        want = evaluate_runs(PipelineConfig.from_json(cfg_path),
+                             [load_graph_dir(d) for d in dirs], [load_graph_dir(test)])
+        with open(os.path.join(out, "metrics.json"), encoding="utf-8") as fh:
+            assert fh.read() == report_to_json(want)
+        with open(os.path.join(out, "metrics.txt"), encoding="utf-8") as fh:
+            assert fh.read() == report_to_text(want)
+
+    def test_pretrain_llm_fixtures_turn_the_chat_backend_on(self, tmp_path):
+        dirs, cfg_path = self.write_run_inputs(tmp_path)
+        art, fixtures = str(tmp_path / "artifacts"), str(tmp_path / "fixtures")
+        self.run("pretrain", "--train", *dirs, "--out", art, "--config", cfg_path,
+                 "--llm-fixtures", fixtures)
+        saved = PipelineConfig.from_json(os.path.join(art, "config.json"))
+        assert saved.llm == dataclasses.replace(PipelineConfig.from_json(cfg_path).llm,
+                                                enabled=True, fixtures_dir=fixtures)
 
     def test_report_refuses_a_missing_directory(self, tmp_path, capsys):
         missing = str(tmp_path / "no_such_dir")

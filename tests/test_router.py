@@ -340,7 +340,7 @@ class TestUtility:
         order = [ctx.table.names.index(n) for n in names]
         reordered = ctx.with_features(RouterFeatureTable(
             ctx.table.matrix[:, order], names,
-            [ctx.table.categories[i] for i in order], ctx.table.provenance))
+            [ctx.table.categories[i] for i in order]))
         rng = np.random.default_rng(6)
         subsets = [frozenset(names)] + [frozenset(n for n in names if rng.random() < 0.5)
                                         for _ in range(5)]

@@ -41,9 +41,11 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "benchmark"))
 
-import numpy as np  # noqa: E402
+# run comes first: it pins BLAS to one thread, which takes effect only
+# before numpy loads OpenBLAS, and puts this checkout's src/ first on sys.path
+import run as bench  # noqa: E402
 
-import run as bench  # noqa: E402  (puts this checkout's src/ first on sys.path)
+import numpy as np  # noqa: E402
 from evofg import graph, pipeline  # noqa: E402
 
 ACCEPTANCE_TRAIN = (
