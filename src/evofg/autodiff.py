@@ -9,7 +9,13 @@ unique indices, ATTENTION's attention-weighted neighbour sum
 ``gram_cosine_rows``, ``key_softmax``, and the folded readout
 ``readout_table`` and ``table_readout``.
 Backward drops an inner node's gradient once it is used; leaves keep
-theirs. ``fit`` is the AdamW loop every model trains through.
+theirs. ``fit`` is the AdamW loop every model trains through. It builds
+one tape per epoch and drops it once that epoch's step is taken, so one
+tape is alive at a time. Each ``fit`` call owns a ``Workspace`` and passes
+it to the epoch's losses, which pass it to the ops that write big blocks
+(``key_softmax``); the workspace lends the same arrays to every epoch and
+dies with the call. Ops called without one, as in scoring, allocate fresh
+arrays.
 """
 
 from __future__ import annotations
@@ -260,18 +266,24 @@ def row_softmax(a):
     return out
 
 
-def key_softmax(a, keys):
+def key_softmax(a, keys, ws=None):
     """row_softmax(a @ keys.T): each row's attention over the rows of keys,
-    computed in place of the logits, which backward does not need."""
+    computed in place of the logits, which backward does not need. With a
+    ``Workspace`` ``ws``, the attention and its backward's logit gradient
+    are written into arrays it lends."""
     a, keys = wrap(a), wrap(keys)
-    p = a.value @ keys.value.T
+    shape = (len(a.value), len(keys.value))
+    p = np.matmul(a.value, keys.value.T, out=np.empty(shape) if ws is None else ws.empty(shape))
     p -= p.max(axis=1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=1, keepdims=True)
     out = Tensor(p, (a, keys))
 
     def bw(g):
-        gl = p * (g - (g * p).sum(axis=1, keepdims=True))
+        # p * (g - (g * p).sum(...)), with one array in place of three
+        gl = np.multiply(g, p, out=np.empty(shape) if ws is None else ws.scratch(shape))
+        np.subtract(g, gl.sum(axis=1, keepdims=True), out=gl)
+        gl *= p
         if a.requires_grad:
             _acc(a, gl @ keys.value)
         if keys.requires_grad:
@@ -295,13 +307,14 @@ def row_log_softmax(a):
     return out
 
 
-def edge_attention(z, a_self, a_nbr, edges, slope):
+def edge_attention(z, a_self, a_nbr, edges, slope, ws=None):
     """A GAT layer's neighbour sum over the CSR pattern ``edges = (src, dst,
     indptr)`` whose rows are dst: out[i] = sum of alpha[e] * z[src[e]] over
     the edges e with dst[e] == i, where alpha is the softmax within each row
     of leaky_relu(z[dst] @ a_self + z[src] @ a_nbr, slope). Every per-row
     sum adds in edge order; the forward's CSR matrix of alpha, taken as
-    stored, serves the backward too."""
+    stored, serves the backward too. With a ``Workspace`` ``ws``, the
+    backward gathers its per-edge rows into the workspace's scratch."""
     z, a_self, a_nbr = wrap(z), wrap(a_self), wrap(a_nbr)
     src, dst, indptr = edges
     n, zv = len(indptr) - 1, z.value
@@ -316,7 +329,11 @@ def edge_attention(z, a_self, a_nbr, edges, slope):
     out = Tensor(s @ zv, (z, a_self, a_nbr))
 
     def bw(g):
-        g_alpha = (g[dst] * zv[src]).sum(axis=1)
+        shape = (2, len(dst), zv.shape[1])
+        g_dst, z_src = np.empty(shape) if ws is None else ws.scratch(shape)
+        np.take(g, dst, axis=0, out=g_dst)
+        np.take(zv, src, axis=0, out=z_src)
+        g_alpha = np.multiply(g_dst, z_src, out=g_dst).sum(axis=1)
         g_pre = alpha * (g_alpha - np.bincount(dst, g_alpha * alpha, n)[dst])
         g_pre = g_pre * np.where(pos, 1.0, slope)
         g_self = np.bincount(dst, g_pre, n)
@@ -530,16 +547,60 @@ class TrainingDivergedError(RuntimeError):
     """A training loss became NaN or infinite."""
 
 
+class Workspace:
+    """Arrays that one ``fit`` call lends to the ops of its epochs, so that
+    an epoch's big blocks reuse the last epoch's memory instead of asking
+    the allocator again. An op handed a workspace writes a block its tape
+    keeps into ``empty(shape)``, and a block only its own backward reads
+    into ``scratch(shape)``. ``fit`` takes every lent array back once the
+    epoch's tape is dropped; the workspace, and every array in it, dies
+    with the ``fit`` call."""
+
+    def __init__(self):
+        self._free = {}  # shape -> arrays not lent out
+        self._lent = []
+        self._scratch = np.empty(0)
+
+    def empty(self, shape):
+        """An uninitialised float64 array of ``shape``, lent until
+        ``release``."""
+        free = self._free.get(shape)
+        buf = free.pop() if free else np.empty(shape)
+        self._lent.append(buf)
+        return buf
+
+    def scratch(self, shape):
+        """An uninitialised float64 array of ``shape`` that the next
+        ``scratch`` call overwrites: every caller shares one buffer, as
+        large as the largest request."""
+        size = int(np.prod(shape))
+        if size > self._scratch.size:
+            self._scratch = np.empty(size)
+        return self._scratch[:size].reshape(shape)
+
+    def release(self):
+        """Take back every lent array: call only when no tape holds one."""
+        for buf in self._lent:
+            self._free.setdefault(buf.shape, []).append(buf)
+        self._lent.clear()
+
+
 def fit(params, epochs, epoch_losses, lr, wd, what):
     """The training loop of every model: per epoch, one AdamW step on
     ``params`` (updated in place) against the mean of the scalar losses that
-    ``epoch_losses(leaves)`` builds on leaves of them. Returns the loss trace;
-    a non-finite loss raises before its epoch's step, naming ``what``."""
+    ``epoch_losses(leaves, ws)`` builds on leaves of them, with ``ws`` this
+    call's ``Workspace``. Returns the loss trace; a non-finite loss raises
+    before its epoch's step, naming ``what``.
+
+    An epoch's tape lives until its step is taken, so only one is alive at
+    a time; the arrays its ops took from ``ws`` then go back to the
+    workspace for the next epoch."""
     opt = AdamW(params, lr=lr, weight_decay=wd)
+    ws = Workspace()
     trace = []
     for epoch in range(epochs):
         lv = leaves(params)
-        total = tmean(stack_scalars(epoch_losses(lv)))
+        total = tmean(stack_scalars(epoch_losses(lv, ws)))
         if not np.isfinite(total.value):
             raise TrainingDivergedError(
                 f"{what}: non-finite loss at epoch {epoch} (trace={trace})"
@@ -547,4 +608,6 @@ def fit(params, epochs, epoch_losses, lr, wd, what):
         total.backward()
         opt.step(grads(lv))
         trace.append(float(total.value))
+        del total, lv
+        ws.release()
     return trace

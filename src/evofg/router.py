@@ -111,14 +111,15 @@ def propagate(xtilde, g):
     return g.sym_norm_selfloops() @ np.asarray(xtilde, dtype=np.float64)
 
 
-def node_branch_t(lv, sx, use_memory=True):
+def node_branch_t(lv, sx, use_memory=True, ws=None):
     """The mask-independent half of the forward on ``sx = propagate(xtilde,
     g)``: node queries tanh(sx @ gnn_w) and, with memory, their node-memory
-    retrieval in their place. Returns the node embedding."""
+    retrieval in their place. Returns the node embedding. ``ws`` is the
+    training call's ``ad.Workspace``, None outside training."""
     hn_q = ad.tanh(ad.matmul(ad.wrap(sx), lv["gnn_w"]))
     if not use_memory:
         return hn_q
-    return ad.matmul(ad.key_softmax(hn_q, lv["mem_node"]), lv["mem_node"])
+    return ad.matmul(ad.key_softmax(hn_q, lv["mem_node"], ws), lv["mem_node"])
 
 
 def fold_t(lv, node, use_memory=True):
@@ -144,12 +145,12 @@ def with_ones(hr, masks=None):
     return out.reshape(-1, hr.shape[1] + 1)
 
 
-def feature_branch_t(lv, folded, hr1, noise=None):
+def feature_branch_t(lv, folded, hr1, noise=None, ws=None):
     """The logits of the rows of ``hr1`` (``with_ones``) on ``folded =
     fold_t(lv, node, ...)``; ``hr1`` may stack k groups of ``node``'s rows,
-    which all read the one table."""
+    which all read the one table. ``ws`` as in ``node_branch_t``."""
     keys, table = folded
-    att = hr1 if keys is None else ad.key_softmax(hr1, keys)
+    att = hr1 if keys is None else ad.key_softmax(hr1, keys, ws)
     logits = ad.table_readout(att, table)
     if noise is not None:
         hr = ad.wrap(hr1[:, :-1])
@@ -335,14 +336,14 @@ def routing_utility(model: RouterModel, subset, frozen) -> float:
     return -float(np.mean(vals))
 
 
-def _env_losses_t(lv, ctx, hr_q, folded, masks, noise_q):
+def _env_losses_t(lv, ctx, hr_q, folded, masks, noise_q, ws=None):
     """The anomaly loss of every masked-feature environment, as one K-vector.
     The K masked copies of the query features ``hr_q`` are routed as one
     stacked operand on the query rows' ``folded = fold_t(...)``, with the
     query noise rows ``noise_q``; each environment's loss is the mean over
-    its own query rows."""
+    its own query rows. ``ws`` as in ``node_branch_t``."""
     hr1 = with_ones(hr_q, masks)
-    logits = feature_branch_t(lv, folded, hr1, np.tile(noise_q, (len(masks), 1)))
+    logits = feature_branch_t(lv, folded, hr1, np.tile(noise_q, (len(masks), 1)), ws)
     cos = ad.gram_cosine_rows(ad.row_softmax(logits), *ctx.gram)  # k x Nq
     return consistency_loss_t(cos, ctx.y_q, axis=1)
 
@@ -364,32 +365,33 @@ def train_router(model, contexts, cfg, phase, seed):
     experts frozen; one step per epoch on the mean loss over graphs. The node
     branch runs on every node of a graph, the feature branch on its query
     rows only, which are all any loss reads: each context's table
-    standardized on the router's names, at the queries, once per call."""
+    standardized on the router's names, at the queries, and its clean
+    operand ``with_ones`` of them, once per call."""
     rng = np.random.default_rng(seed)
     n_experts = model.dims[4]
     hr_qs = [ctx.table.standardized(model.names)[ctx.queries] for ctx in contexts]
+    hr1s = [with_ones(hr_q) for hr_q in hr_qs]
 
-    def epoch_losses(lv):
+    def epoch_losses(lv, ws):
         graph_losses = []
-        for ctx, hr_q in zip(contexts, hr_qs):
+        for ctx, hr_q, hr1 in zip(contexts, hr_qs, hr1s):
             n = ctx.graph.num_nodes
             # one node branch and readout table per graph and epoch; in the
             # main phase the environments and the clean balance pass share them
-            node = node_branch_t(lv, ctx.sx, model.use_memory)
+            node = node_branch_t(lv, ctx.sx, model.use_memory, ws)
             folded = fold_t(lv, ad.gather_rows(node, ctx.queries), model.use_memory)
-            hr1 = with_ones(hr_q)
             if phase == "warmup":
                 noise = rng.standard_normal((n, n_experts))[ctx.queries]
-                logits = feature_branch_t(lv, folded, hr1, noise)
+                logits = feature_branch_t(lv, folded, hr1, noise, ws)
                 graph_losses.append(kl_router_loss_t(ctx.kl_targets, logits))
             else:
                 draws = rng.random((cfg.n_envs, hr_q.shape[1]))
                 masks = (draws >= cfg.mask_rate).astype(float)
                 env_noise = rng.standard_normal((n, n_experts))[ctx.queries]
-                env = _env_losses_t(lv, ctx, hr_q, folded, masks, env_noise)
+                env = _env_losses_t(lv, ctx, hr_q, folded, masks, env_noise, ws)
                 l_in = _combine_env_losses_t(env, cfg.lam)
                 clean_noise = rng.standard_normal((n, n_experts))[ctx.queries]
-                logits = feature_branch_t(lv, folded, hr1, clean_noise)
+                logits = feature_branch_t(lv, folded, hr1, clean_noise, ws)
                 l_moe = balance_loss_t(ad.row_softmax(logits), logits)
                 graph_losses.append(ad.add(l_in, l_moe))
         return graph_losses

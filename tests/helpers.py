@@ -4,6 +4,7 @@ float wrappers of tape losses, and brute-force oracles."""
 
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import dataclass
 from math import factorial
 
@@ -14,13 +15,16 @@ from scipy.sparse.csgraph import shortest_path
 from evofg import autodiff as ad
 from evofg.dsl import eval_expr
 from evofg.experts import (
+    ARCHS,
     CHEB_ORDER,
     GPR_DEPTH,
     LEAKY_SLOPE,
     anomaly_loss_t,
+    pretrain_expert,
 )
 from evofg.features import RouterFeatureTable, _hop_distances
 from evofg.graph import EGO_RADIUS, Graph, gen_synthetic
+from evofg.pipeline import build_contexts, prepare_graph
 from evofg.router import (
     RoutingOutput,
     _combine_env_losses_t,
@@ -256,6 +260,28 @@ def acceptance_suite():
                       n_communities=6, name="test_shifted_b"),
     ]
     return train, test
+
+
+def suite_contexts(cfg):
+    """The routing contexts of the acceptance suite's two training graphs,
+    read through experts pretrained for ``cfg.expert_epochs``."""
+    train, _ = acceptance_suite()
+    bundles = [prepare_graph(g, cfg.d) for g in train]
+    inputs = [(b.graph, b.xtilde) for b in bundles]
+    experts = [pretrain_expert(a, inputs, cfg, seed=i)[0] for i, a in enumerate(ARCHS)]
+    return build_contexts(bundles, experts, cfg)
+
+
+def traced(fn):
+    """(peak, final) traced memory of ``fn()`` above what was traced before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - before, current - before
 
 
 def graph_from_edges(n, edges, d=3, labels=None, seed=0, name="toy"):

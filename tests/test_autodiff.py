@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -223,7 +224,7 @@ def _quadratic_losses(nan_at=None):
     """Per-epoch losses of a quadratic in ``w``; NaN at epoch ``nan_at``."""
     epoch = []
 
-    def losses(lv):
+    def losses(lv, ws):
         epoch.append(len(epoch))
         loss = ad.tmean(ad.mul(lv["w"], lv["w"]))
         return [ad.mul(loss, np.nan) if epoch[-1] == nan_at else loss, loss]
@@ -236,6 +237,51 @@ def test_fit_steps_once_per_epoch_on_the_mean_loss():
     trace = ad.fit(params, 200, _quadratic_losses(), 0.1, 0.0, "probe")
     assert len(trace) == 200 and trace[0] == 6.5
     assert np.abs(params["w"]).max() < 0.05
+
+
+def test_fit_holds_one_epoch_of_tape_at_a_time():
+    """When epoch k + 1's losses are entered, every array epoch k's call put
+    on the tape is already dead: ``fit`` drops an epoch's tape once its step
+    is taken, not when the next one is built."""
+    params = {"w": np.array([3.0, -2.0])}
+    built, alive = [], []
+
+    def losses(lv, ws=None):
+        alive.append([ref() is not None for ref in built])
+        h = ad.tanh(ad.mul(lv["w"], 2.0))
+        built[:] = [weakref.ref(h.value), weakref.ref(lv["w"].value)]
+        loss = ad.tmean(ad.mul(h, h))
+        built.append(weakref.ref(loss.value))
+        return [loss]
+
+    ad.fit(params, 4, losses, 0.1, 0.0, "probe")
+    # the leaf wraps params["w"] itself, which lives on
+    assert alive == [[]] + [[False, True, False]] * 3
+
+
+def test_fit_lends_every_epoch_the_same_workspace_arrays():
+    params = {"w": np.array([3.0, -2.0])}
+    lent = []
+
+    def losses(lv, ws):
+        lent.append((ws, ws.empty((4, 3)), ws.empty((4, 3)), ws.empty((2,))))
+        return [ad.tmean(ad.mul(lv["w"], lv["w"]))]
+
+    ad.fit(params, 3, losses, 0.1, 0.0, "probe")
+    ids = [{id(a) for a in epoch} for epoch in lent]
+    assert len(ids[0]) == 4  # one workspace, three distinct arrays
+    assert ids[1] == ids[0] and ids[2] == ids[0]
+    ad.fit(params, 1, losses, 0.1, 0.0, "probe")
+    assert lent[-1][0] is not lent[0][0]  # each call owns its workspace
+
+
+def test_workspace_scratch_is_one_buffer_for_every_shape():
+    ws = ad.Workspace()
+    big = ws.scratch((3, 4))
+    small = ws.scratch((2, 5))
+    assert small.shape == (2, 5) and small.flags.c_contiguous
+    assert np.shares_memory(big, small)
+    assert not np.shares_memory(ws.scratch((4, 4)), big)  # grown
 
 
 def test_fit_raises_before_the_step_of_a_non_finite_epoch():

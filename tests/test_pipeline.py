@@ -36,7 +36,13 @@ from evofg.pipeline import (
     score_labeled,
     warmup_router,
 )
-from helpers import degenerate_graphs, full_forward_utility, graph_equals, path_graph
+from helpers import (
+    degenerate_graphs,
+    full_forward_utility,
+    graph_equals,
+    path_graph,
+    traced,
+)
 
 TINY = dict(
     d=5, d_e=6, d_prime=5, d_m=6, n_memory=4,
@@ -430,6 +436,27 @@ class TestScoreGraph:
         scores, routing, per_expert = score_graph(artifacts, huge)
         assert np.isfinite(scores).all() and np.isfinite(routing.weights).all()
         assert all(np.isfinite(s).all() for s in per_expert.values())
+
+    def test_scoring_keeps_nothing_between_calls(self, graphs):
+        """Repeated ``score_graph`` calls on a trained model leave traced
+        memory where it was, on graphs of sizes it has not scored before: no
+        buffer outlives its call. The router has the default 32 memories of
+        width 32, so one attention block kept per size would hold 100 KB."""
+        train, _ = graphs
+        art = run_pipeline(tiny_cfg(seed=6, d_m=32, n_memory=32, rounds=0), train,
+                           prepared_cache={})
+
+        def score_sizes(sizes):
+            for n in sizes:
+                for _ in range(2):
+                    score_graph(art, gen_synthetic(n, 8, 0.1, structure_seed=n,
+                                                   planted_kind="mixed"))
+
+        score_sizes([29])  # fills any lazy import or cache
+        _, left = traced(lambda: score_sizes([33, 41, 47, 58, 66, 75]))
+        # measured: 14-20 KB of interpreter caches; one attention block kept
+        # per size left 103 KB
+        assert left < 48 * 2**10, left
 
     def test_prepared_cache_tells_apart_graphs_sharing_a_name(self, artifacts):
         same_size = [
