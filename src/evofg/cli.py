@@ -22,8 +22,9 @@ import logging
 import os
 import sys
 
+from .checkpoint import CheckpointError
 from .features import PRIMITIVE_NAMES, compute_primitives
-from .graph import LABEL_FILE, gen_synthetic, load_graph_dir, save_graph
+from .graph import LABEL_FILE, GraphFormatError, gen_synthetic, load_graph_dir, save_graph
 from .pipeline import (
     ROUTER_FILE,
     STAGE_OUTPUTS,
@@ -86,11 +87,17 @@ def _add_settings(p, *dests):
 def _load_config(args) -> PipelineConfig:
     overrides = {dest: getattr(args, dest) for dest in RUN_SETTINGS if hasattr(args, dest)}
     path = overrides.pop("config", None)
-    cfg = PipelineConfig.from_json(path) if path else PipelineConfig()
+    try:
+        cfg = PipelineConfig.from_json(path) if path else PipelineConfig()
+    except ValueError as exc:  # JSON errors among them
+        raise CommandError(f"--config {path}: {exc}") from None
     fixtures = overrides.pop("llm_fixtures", None)
     if fixtures:
         overrides["llm"] = dataclasses.replace(cfg.llm, fixtures_dir=fixtures, enabled=True)
-    return dataclasses.replace(cfg, **overrides)
+    try:
+        return dataclasses.replace(cfg, **overrides)
+    except ValueError as exc:
+        raise CommandError(str(exc)) from None
 
 
 def _load_graphs(paths):
@@ -340,6 +347,9 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one command; a bad file, graph, artifacts directory or config ends
+    it with ``evofg <command>: <reason>`` and exit status 2. A StageError,
+    or any other exception, keeps its traceback."""
     args = build_parser().parse_args(argv)
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,
@@ -347,7 +357,7 @@ def main(argv=None):
     )
     try:
         globals()[f"cmd_{args.command}"](args)
-    except CommandError as exc:
+    except (CommandError, OSError, GraphFormatError, CheckpointError) as exc:
         print(f"evofg {args.command}: {exc}", file=sys.stderr)
         return 2
     return 0

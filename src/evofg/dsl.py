@@ -17,10 +17,32 @@ log = logging.getLogger(__name__)
 EPS = 1e-8
 CLAMP = 1e6
 
-UNARY_OPS = ("LOG1P", "LOG", "SQRT", "SQUARE", "CUBE", "RECIPROCAL", "SIGMOID")
-BINARY_OPS = ("BINARY_SUB", "BINARY_DIV", "BINARY_DIFF_OVER_SUM")
-MULTI_OPS = ("MULTI_MEAN", "MULTI_VAR")
-ALL_OPS = UNARY_OPS + BINARY_OPS + MULTI_OPS
+
+def _safe_den(d):
+    sign = np.where(d >= 0, 1.0, -1.0)
+    return sign * np.maximum(np.abs(d), EPS)
+
+
+# the operator catalog: name -> (arity, function of the argument columns),
+# where arity 3 stands for three or more; its order is the order in which
+# the composer draws an operator and the chat prompt lists them
+OPS = {
+    "LOG1P": (1, lambda x: np.log(np.maximum(1.0 + x, EPS))),
+    "LOG": (1, lambda x: np.log(np.maximum(x, EPS))),
+    "SQRT": (1, lambda x: np.sqrt(np.maximum(x, 0.0))),
+    "SQUARE": (1, lambda x: x ** 2),
+    "CUBE": (1, lambda x: x ** 3),
+    "RECIPROCAL": (1, lambda x: 1.0 / _safe_den(x)),
+    "SIGMOID": (1, lambda x: 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))),
+    "BINARY_SUB": (2, lambda a, b: a - b),
+    "BINARY_DIV": (2, lambda a, b: a / _safe_den(b)),
+    "BINARY_DIFF_OVER_SUM": (2, lambda a, b: (a - b) / (np.abs(a) + np.abs(b) + EPS)),
+    "MULTI_MEAN": (3, lambda *cols: np.mean(cols, axis=0)),
+    "MULTI_VAR": (3, lambda *cols: np.var(cols, axis=0)),
+}
+UNARY_OPS, BINARY_OPS, MULTI_OPS = (
+    tuple(op for op, (k, _) in OPS.items() if k == arity) for arity in (1, 2, 3)
+)
 
 
 class ExprValidationError(ValueError):
@@ -36,15 +58,12 @@ class FeatureExpr:
     category: str
 
     def __post_init__(self):
-        if self.op not in ALL_OPS:
+        if self.op not in OPS:
             raise ExprValidationError(f"unknown operator {self.op!r}")
-        k = len(self.args)
-        if self.op in UNARY_OPS and k != 1:
-            raise ExprValidationError(f"{self.op} takes exactly 1 argument, got {k}")
-        if self.op in BINARY_OPS and k != 2:
-            raise ExprValidationError(f"{self.op} takes exactly 2 arguments, got {k}")
-        if self.op in MULTI_OPS and k < 3:
-            raise ExprValidationError(f"{self.op} takes >= 3 arguments, got {k}")
+        arity, k = OPS[self.op][0], len(self.args)
+        if k < 3 if arity == 3 else k != arity:
+            want = ("exactly 1 argument", "exactly 2 arguments", ">= 3 arguments")[arity - 1]
+            raise ExprValidationError(f"{self.op} takes {want}, got {k}")
         if len(set(self.args)) != k:
             raise ExprValidationError("arguments must be distinct")
         if self.category not in CATEGORIES:
@@ -55,11 +74,6 @@ class FeatureExpr:
         return f"{self.op}({','.join(self.args)})"
 
 
-def _safe_den(d):
-    sign = np.where(d >= 0, 1.0, -1.0)
-    return sign * np.maximum(np.abs(d), EPS)
-
-
 def eval_expr(expr: FeatureExpr, columns) -> np.ndarray:
     """Evaluate expr per node on ``columns`` (column name -> column, such as
     ``RouterFeatureTable.column_map()``) with domain guards; output is finite
@@ -67,35 +81,7 @@ def eval_expr(expr: FeatureExpr, columns) -> np.ndarray:
     for a in expr.args:
         if a not in columns:
             raise ExprValidationError(f"unknown column {a!r}")
-    cols = [columns[a] for a in expr.args]
-    op = expr.op
-    if op == "LOG1P":
-        out = np.log(np.maximum(1.0 + cols[0], EPS))
-    elif op == "LOG":
-        out = np.log(np.maximum(cols[0], EPS))
-    elif op == "SQRT":
-        out = np.sqrt(np.maximum(cols[0], 0.0))
-    elif op == "SQUARE":
-        out = cols[0] ** 2
-    elif op == "CUBE":
-        out = cols[0] ** 3
-    elif op == "RECIPROCAL":
-        out = 1.0 / _safe_den(cols[0])
-    elif op == "SIGMOID":
-        x = np.clip(cols[0], -60.0, 60.0)
-        out = 1.0 / (1.0 + np.exp(-x))
-    elif op == "BINARY_SUB":
-        out = cols[0] - cols[1]
-    elif op == "BINARY_DIV":
-        out = cols[0] / _safe_den(cols[1])
-    elif op == "BINARY_DIFF_OVER_SUM":
-        out = (cols[0] - cols[1]) / (np.abs(cols[0]) + np.abs(cols[1]) + EPS)
-    elif op == "MULTI_MEAN":
-        out = np.mean(cols, axis=0)
-    elif op == "MULTI_VAR":
-        out = np.var(cols, axis=0)
-    else:  # pragma: no cover - guarded by FeatureExpr validation
-        raise ExprValidationError(f"unknown operator {op!r}")
+    out = OPS[expr.op][1](*(columns[a] for a in expr.args))
     return np.clip(out, -CLAMP, CLAMP)
 
 

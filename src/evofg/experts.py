@@ -175,18 +175,6 @@ def reconstruct(model: ExpertModel, hq, hk) -> np.ndarray:
     return cross_attention_t(p["wq"], p["wk"], hq, hk, model.dims[2]).value
 
 
-def cross_attn_reconstruct(model: ExpertModel, h, keys, queries) -> np.ndarray:
-    """Reconstruct query rows of h from key rows; keys and queries are
-    disjoint node index sets and keys must be nonempty."""
-    keys = np.asarray(keys, dtype=np.int64)
-    queries = np.asarray(queries, dtype=np.int64)
-    if keys.size == 0:
-        raise ValueError("key set must be nonempty")
-    if np.intersect1d(keys, queries).size:
-        raise ValueError("keys and queries must be disjoint")
-    return reconstruct(model, h[queries], h[keys])
-
-
 def anomaly_scores(hq, hq_recon) -> np.ndarray:
     """Row-wise l2 reconstruction discrepancy."""
     return np.linalg.norm(np.asarray(hq) - np.asarray(hq_recon), axis=1)

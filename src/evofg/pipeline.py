@@ -128,6 +128,8 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, data):
+        if not isinstance(data, dict):
+            raise ValueError(f"a config is an object of fields, not {type(data).__name__}")
         known = {f.name for f in dataclasses.fields(cls)}
         kwargs = {}
         for key, value in data.items():
@@ -271,7 +273,11 @@ def save_pretrained(out_dir, cfg: PipelineConfig, models):
 
 def load_pretrained(out_dir):
     """(config, experts) saved by ``save_pretrained``."""
-    config = PipelineConfig.from_json(os.path.join(out_dir, CONFIG_FILE))
+    path = os.path.join(out_dir, CONFIG_FILE)
+    try:
+        config = PipelineConfig.from_json(path)
+    except ValueError as exc:  # JSON errors among them
+        raise CheckpointError(f"{path}: {exc}") from exc
     models = [load_expert(os.path.join(out_dir, EXPERT_FILE.format(arch))) for arch in ARCHS]
     return config, models
 
@@ -506,7 +512,7 @@ def build_key_cache(contexts):
     """The key cache: per expert, the in-context key embeddings of every
     training graph, stacked in graph order."""
     return {
-        arch: np.vstack([ctx.expert_h_full[e][ctx.keys] for ctx in contexts])
+        arch: np.vstack([ctx.expert_hk[e] for ctx in contexts])
         for e, arch in enumerate(ARCHS)
     }
 

@@ -21,10 +21,10 @@ from .checkpoint import CheckpointError, check_tensors, load_checkpoint, save_ch
 from .experts import (
     anomaly_scores,
     consistency_loss_t,
-    cross_attn_reconstruct,
     encode,
     expert_correctness,
     glorot,
+    reconstruct,
     sample_key_split,
 )
 
@@ -233,10 +233,11 @@ def _gram_blocks(a_mats, b_mats):
 
 class RoutingContext:
     """Frozen per-graph material for router training and utility evaluation:
-    the canonical key/query split, expert embeddings and reconstructions on
-    the queries and their per-row Gram blocks, the expert-correctness
-    targets, the node branch's propagated input ``sx``, and the graph's
-    feature ``table``, which is routed on the router's names."""
+    the canonical key/query split, expert embeddings on the keys (the key
+    cache stacks them) and on the queries, reconstructions of the queries
+    and their per-row Gram blocks, the expert-correctness targets, the node
+    branch's propagated input ``sx``, and the graph's feature ``table``,
+    which is routed on the router's names."""
 
     def __init__(self, graph, xtilde, table, experts, key_fraction, rng):
         self.graph = graph
@@ -244,11 +245,11 @@ class RoutingContext:
         self.sx = propagate(xtilde, graph)
         self.keys, self.queries = sample_key_split(graph.labels, key_fraction, rng)
         self.y_q = np.asarray(graph.labels)[self.queries]
-        self.expert_h_full = [encode(m, xtilde, graph) for m in experts]
-        self.expert_hq = [h[self.queries] for h in self.expert_h_full]
+        expert_h = [encode(m, xtilde, graph) for m in experts]
+        self.expert_hq = [h[self.queries] for h in expert_h]
+        self.expert_hk = [h[self.keys] for h in expert_h]
         self.expert_recon = [
-            cross_attn_reconstruct(m, h, self.keys, self.queries)
-            for m, h in zip(experts, self.expert_h_full)
+            reconstruct(m, hq, hk) for m, hq, hk in zip(experts, self.expert_hq, self.expert_hk)
         ]
         scores = np.stack(
             [anomaly_scores(hq, rec) for hq, rec in zip(self.expert_hq, self.expert_recon)]

@@ -353,6 +353,18 @@ def sweep_cases():
     # from its ends a path is N - 1 = 127 levels deep, the largest level of
     # its int8 distances
     cases.append(("path_128", path_graph(128, d=6, seed=5, name="path_128")))
+    # high-diameter shapes: a random recursive tree (each node hangs from a
+    # uniform earlier one), and a community graph with a path tail, whose
+    # deepest sources run about 130 levels in every block
+    rng = np.random.default_rng(8)
+    parents = [int(rng.integers(i)) for i in range(1, 300)]
+    cases.append(("recursive_tree_300", graph_from_edges(
+        300, list(zip(parents, range(1, 300))), d=6, seed=8, name="recursive_tree_300")))
+    g = gen_synthetic(200, 6, 0.08, structure_seed=9, planted_kind="mixed")
+    tail = np.arange(g.num_nodes - 1, g.num_nodes + 120)
+    edges = np.vstack([g.edges, np.c_[tail[:-1], tail[1:]]])
+    feats = np.vstack([g.features, np.random.default_rng(9).normal(size=(120, 6))])
+    cases.append(("synthetic_tail_320", Graph(320, edges, feats, None, "tail")))
     for seed, n in ((1, 60), (2, 300), (3, 520)):
         g = gen_synthetic(n, 6, 0.08, structure_seed=seed, planted_kind="mixed")
         cases.append((f"synthetic_{n}", g))

@@ -1,5 +1,6 @@
 """tools/exactness.py runs a case end to end and prints a digest of every
-file the run leaves and of every held-out graph's scores and weights."""
+file the run leaves and of every held-out graph's scores, weights and
+primitive feature table."""
 
 import dataclasses
 import json
@@ -40,8 +41,10 @@ def test_one_case_prints_a_digest_of_every_output(bare_output):
         | {f"expert_{arch}.bin" for arch in ARCHS}
         | {f"shapley_round_{r}.txt" for r in (1, 2, 3)}
     )
-    assert set(case["scores"]) == set(case["weights"]) == {"test_shifted_a", "test_shifted_b"}
-    digests = list(case["files"].values()) + list(case["scores"].values())
+    assert (set(case["scores"]) == set(case["weights"]) == set(case["primitives"])
+            == {"test_shifted_a", "test_shifted_b"})
+    digests = [d for key in ("files", "scores", "weights", "primitives")
+               for d in case[key].values()]
     assert all(len(d) == 64 for d in digests)
     assert case["kept"] >= 1
 

@@ -7,7 +7,6 @@ from evofg.experts import (
     ARCHS,
     anomaly_scores,
     cross_attention_t,
-    cross_attn_reconstruct,
     encode,
     encode_t,
     expert_correctness,
@@ -16,6 +15,7 @@ from evofg.experts import (
     load_expert,
     pretrain_expert,
     propagate,
+    reconstruct,
     sample_key_split,
     save_expert,
 )
@@ -128,13 +128,13 @@ class TestCrossAttention:
         g = random_graph(rng, 6, p=0.5, d=4)
         m = init_expert("LOWPASS", 4, 5, 4, seed=6)
         h = encode(m, g.features, g)
-        recon = cross_attn_reconstruct(m, h, keys=[2], queries=[0, 1, 3])
+        recon = reconstruct(m, h[[0, 1, 3]], h[[2]])
         assert np.allclose(recon, np.tile(h[2], (3, 1)))
 
     def test_identical_keys_give_that_row(self):
         h = np.vstack([np.tile([1.0, -0.5, 2.0], (3, 1)), [[0.3, 0.1, -1.0]]])
         m = init_expert("LOWPASS", 3, 3, 3, seed=7)
-        recon = cross_attn_reconstruct(m, h, keys=[0, 1, 2], queries=[3])
+        recon = reconstruct(m, h[[3]], h[[0, 1, 2]])
         assert np.allclose(recon[0], [1.0, -0.5, 2.0])
 
     def test_equal_logits_average_keys(self):
@@ -147,16 +147,6 @@ class TestCrossAttention:
         out = cross_attention_t(wq, wk, hq, hk, 2).value
         assert np.allclose(out, [[0.0, 0.0]])
 
-    def test_empty_keys_rejected(self):
-        m = init_expert("LOWPASS", 3, 3, 3, seed=8)
-        with pytest.raises(ValueError, match="nonempty"):
-            cross_attn_reconstruct(m, np.ones((4, 3)), [], [0, 1])
-
-    def test_overlapping_keys_queries_rejected(self):
-        m = init_expert("LOWPASS", 3, 3, 3, seed=9)
-        with pytest.raises(ValueError, match="disjoint"):
-            cross_attn_reconstruct(m, np.ones((4, 3)), [0, 1], [1, 2])
-
     def test_rows_stay_in_key_bounding_box(self):
         rng = np.random.default_rng(6)
         m = init_expert("ATTENTION", 4, 5, 4, seed=10)
@@ -164,7 +154,7 @@ class TestCrossAttention:
         h = encode(m, g.features, g)
         keys = np.arange(4)
         queries = np.arange(4, 12)
-        recon = cross_attn_reconstruct(m, h, keys, queries)
+        recon = reconstruct(m, h[queries], h[keys])
         lo, hi = h[keys].min(axis=0), h[keys].max(axis=0)
         assert (recon >= lo - 1e-12).all() and (recon <= hi + 1e-12).all()
 
@@ -274,6 +264,12 @@ class TestPretraining:
         assert (y[keys] == 0).all()
         assert len(np.intersect1d(keys, queries)) == 0
         assert len(keys) + len(queries) == len(y)
+
+    def test_key_split_keeps_one_key_at_any_fraction(self):
+        y = np.array([0, 1, 0, 0, 1])
+        keys, queries = sample_key_split(y, 0.01, np.random.default_rng(16))
+        assert len(keys) == 1 and y[keys[0]] == 0
+        assert len(queries) == len(y) - 1
 
 
 class TestCorrectness:

@@ -630,6 +630,20 @@ class TestScoreGraph:
         with pytest.raises(CheckpointError, match=re.escape(path)):
             RunArtifacts.load(out)
 
+    @pytest.mark.parametrize("defect, why", [
+        ("not JSON", "Expecting"), ("a list", "not list"), ("an unknown field", "'bogus'"),
+    ])
+    def test_load_names_a_config_file_it_cannot_read(self, tmp_path, artifacts, defect, why):
+        out = str(tmp_path / "artifacts")
+        artifacts.save(out)
+        path = os.path.join(out, "config.json")
+        text = {"not JSON": "{oops", "a list": "[]", "an unknown field": '{"bogus": 1}'}
+        with open(path, "w") as fh:
+            fh.write(text[defect])
+        with pytest.raises(CheckpointError, match=re.escape(path)) as err:
+            RunArtifacts.load(out)
+        assert why in str(err.value)
+
     def test_load_rejects_a_router_file_as_the_key_cache(self, tmp_path, artifacts):
         out = str(tmp_path / "artifacts")
         artifacts.save(out)
@@ -890,16 +904,19 @@ class TestConfig:
 
     @pytest.mark.parametrize("key", ["n_experts", "E"])
     @pytest.mark.parametrize("value", [3, 5])
-    def test_other_expert_count_rejected_at_config_load(self, tmp_path, key, value):
-        with pytest.raises(ValueError, match=f"{key}={value}: the experts are LOWPASS, ATTENTION"):
+    def test_other_expert_count_rejected_at_config_load(self, tmp_path, capsys, key, value):
+        why = f"{key}={value}: the experts are LOWPASS, ATTENTION"
+        with pytest.raises(ValueError, match=why):
             PipelineConfig.from_dict({key: value})
-        # the CLI reads the config before it opens a training graph
+        # the CLI reads the config before it opens a training graph, which
+        # does not exist and would be refused in other words
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({key: value}))
         out = tmp_path / "out"
-        with pytest.raises(ValueError, match=key):
-            cli_main(["pretrain", "--train", str(tmp_path / "missing"),
-                      "--out", str(out), "--config", str(cfg_path)])
+        capsys.readouterr()
+        assert cli_main(["pretrain", "--train", str(tmp_path / "missing"),
+                         "--out", str(out), "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"evofg pretrain: --config {cfg_path}: {why}")
         assert not out.exists()
 
     @pytest.mark.parametrize("epochs", [(1, 1), (1, 1, 1, 1, 1)])
@@ -1146,6 +1163,51 @@ class TestCLI:
         saved = PipelineConfig.from_json(os.path.join(art, "config.json"))
         assert saved.llm == dataclasses.replace(PipelineConfig.from_json(cfg_path).llm,
                                                 enabled=True, fixtures_dir=fixtures)
+
+    @pytest.mark.parametrize("case", [
+        "load a missing graph", "score missing artifacts", "load a word as a feature",
+        "score a cut router file", "features at T = 0", "pretrain an unknown field",
+        "pretrain a negative seed",
+    ])
+    def test_bad_input_ends_in_one_line_and_status_2(self, tmp_path, capsys, artifacts, case):
+        graph, missing = str(tmp_path / "g"), str(tmp_path / "missing")
+        self.run("gen", "--out", graph, "--nodes", "30", "--features", "5", "--rate", "0.1")
+        art, cfg, out = (str(tmp_path / name) for name in ("artifacts", "cfg.json", "out.json"))
+        artifacts.save(art)
+        router_file = os.path.join(art, "router.bin")
+        with open(router_file, "rb") as fh:
+            router_bytes = fh.read()
+        argv, why, path, text = {
+            "load a missing graph": (["load", "--graph", missing],
+                                     "No such file or directory", None, None),
+            "score missing artifacts": (
+                ["score", "--artifacts", missing, "--graph", graph, "--out", out],
+                os.path.join(missing, "config.json"), None, None),
+            "load a word as a feature": (
+                ["load", "--graph", graph], "features.txt:2: bad real value",
+                os.path.join(graph, "features.txt"), "1 2\n0.5 half\n"),
+            "score a cut router file": (
+                ["score", "--artifacts", art, "--graph", graph, "--out", out],
+                "router.bin: truncated", router_file, router_bytes[:len(router_bytes) // 2]),
+            "features at T = 0": (
+                ["features", "--graph", graph, "--out", out, "--config", cfg],
+                f"--config {cfg}: shapley_iters must be positive", cfg, '{"T": 0}'),
+            "pretrain an unknown field": (
+                ["pretrain", "--train", graph, "--out", art, "--config", cfg],
+                f"--config {cfg}: unknown config field 'bogus'", cfg, '{"bogus": 1}'),
+            "pretrain a negative seed": (
+                ["pretrain", "--train", graph, "--out", art, "--seed", "-1"],
+                "seed must be nonnegative", None, None),
+        }[case]
+        if path is not None:
+            with open(path, "wb" if isinstance(text, bytes) else "w") as fh:
+                fh.write(text)
+        capsys.readouterr()
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"evofg {argv[0]}: ") and err.count("\n") == 1
+        assert why in err
+        assert not os.path.exists(out)
 
     def test_report_refuses_a_missing_directory(self, tmp_path, capsys):
         missing = str(tmp_path / "no_such_dir")

@@ -9,8 +9,9 @@ compared byte for byte.
 Each case trains with ``run_pipeline``, saves the run with ``RunArtifacts``,
 loads it back and scores its held-out graphs with ``score_graph``. The output
 is one sorted JSON object: per case, the sha256 of each artifact file, the
-sha256 of each held-out graph's score and routing-weight arrays, and the
-number of kept features. The cases are
+sha256 of each held-out graph's score and routing-weight arrays and of its
+primitive feature table (the one ``score_graph`` prepares into a fresh
+cache), and the number of kept features. The cases are
 
   acc-s{0,1,2}-nomem{0,1}  the acceptance suite (tests/test_acceptance.py) at
                            config seeds 0-2, with and without no_memory;
@@ -114,12 +115,15 @@ def run_case(cfg, set_up, workdir):
     for path in sorted(glob.glob(os.path.join(art_dir, "*"))):
         with open(path, "rb") as fh:
             files[os.path.basename(path)] = _sha256(fh.read())
-    scores, weights = {}, {}
+    scores, weights, primitives = {}, {}, {}
     for path in test_dirs:
         g = graph.load_graph_dir(path, with_labels=False)
-        s, routing, _ = pipeline.score_graph(artifacts, g)
+        cache = {}
+        s, routing, _ = pipeline.score_graph(artifacts, g, cache)
         scores[g.name], weights[g.name] = _array_digest(s), _array_digest(routing.weights)
-    return {"files": files, "scores": scores, "weights": weights,
+        (bundle,) = cache.values()
+        primitives[g.name] = _array_digest(bundle.table.matrix)
+    return {"files": files, "scores": scores, "weights": weights, "primitives": primitives,
             "kept": len(artifacts.active_names)}
 
 
