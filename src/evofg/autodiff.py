@@ -11,11 +11,11 @@ unique indices, ATTENTION's attention-weighted neighbour sum
 Backward drops an inner node's gradient once it is used; leaves keep
 theirs. ``fit`` is the AdamW loop every model trains through. It builds
 one tape per epoch and drops it once that epoch's step is taken, so one
-tape is alive at a time. Each ``fit`` call owns a ``Workspace`` and passes
-it to the epoch's losses, which pass it to the ops that write big blocks
-(``key_softmax``); the workspace lends the same arrays to every epoch and
-dies with the call. Ops called without one, as in scoring, allocate fresh
-arrays.
+tape is alive at a time. Each ``fit`` call owns a ``Workspace``, one
+scratch buffer, and passes it to the epoch's losses, which pass it to
+``key_softmax``: its backward computes the logit gradient in that buffer,
+which every epoch reuses and which dies with the call. Called without
+one, as in scoring, it allocates a fresh array.
 """
 
 from __future__ import annotations
@@ -269,11 +269,10 @@ def row_softmax(a):
 def key_softmax(a, keys, ws=None):
     """row_softmax(a @ keys.T): each row's attention over the rows of keys,
     computed in place of the logits, which backward does not need. With a
-    ``Workspace`` ``ws``, the attention and its backward's logit gradient
-    are written into arrays it lends."""
+    ``Workspace`` ``ws``, the backward's logit gradient is written into its
+    scratch."""
     a, keys = wrap(a), wrap(keys)
-    shape = (len(a.value), len(keys.value))
-    p = np.matmul(a.value, keys.value.T, out=np.empty(shape) if ws is None else ws.empty(shape))
+    p = a.value @ keys.value.T
     p -= p.max(axis=1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=1, keepdims=True)
@@ -281,7 +280,7 @@ def key_softmax(a, keys, ws=None):
 
     def bw(g):
         # p * (g - (g * p).sum(...)), with one array in place of three
-        gl = np.multiply(g, p, out=np.empty(shape) if ws is None else ws.scratch(shape))
+        gl = np.multiply(g, p, out=np.empty(p.shape) if ws is None else ws.scratch(p.shape))
         np.subtract(g, gl.sum(axis=1, keepdims=True), out=gl)
         gl *= p
         if a.requires_grad:
@@ -307,14 +306,13 @@ def row_log_softmax(a):
     return out
 
 
-def edge_attention(z, a_self, a_nbr, edges, slope, ws=None):
+def edge_attention(z, a_self, a_nbr, edges, slope):
     """A GAT layer's neighbour sum over the CSR pattern ``edges = (src, dst,
     indptr)`` whose rows are dst: out[i] = sum of alpha[e] * z[src[e]] over
     the edges e with dst[e] == i, where alpha is the softmax within each row
     of leaky_relu(z[dst] @ a_self + z[src] @ a_nbr, slope). Every per-row
     sum adds in edge order; the forward's CSR matrix of alpha, taken as
-    stored, serves the backward too. With a ``Workspace`` ``ws``, the
-    backward gathers its per-edge rows into the workspace's scratch."""
+    stored, serves the backward too."""
     z, a_self, a_nbr = wrap(z), wrap(a_self), wrap(a_nbr)
     src, dst, indptr = edges
     n, zv = len(indptr) - 1, z.value
@@ -329,11 +327,7 @@ def edge_attention(z, a_self, a_nbr, edges, slope, ws=None):
     out = Tensor(s @ zv, (z, a_self, a_nbr))
 
     def bw(g):
-        shape = (2, len(dst), zv.shape[1])
-        g_dst, z_src = np.empty(shape) if ws is None else ws.scratch(shape)
-        np.take(g, dst, axis=0, out=g_dst)
-        np.take(zv, src, axis=0, out=z_src)
-        g_alpha = np.multiply(g_dst, z_src, out=g_dst).sum(axis=1)
+        g_alpha = (g[dst] * zv[src]).sum(axis=1)
         g_pre = alpha * (g_alpha - np.bincount(dst, g_alpha * alpha, n)[dst])
         g_pre = g_pre * np.where(pos, 1.0, slope)
         g_self = np.bincount(dst, g_pre, n)
@@ -548,26 +542,12 @@ class TrainingDivergedError(RuntimeError):
 
 
 class Workspace:
-    """Arrays that one ``fit`` call lends to the ops of its epochs, so that
-    an epoch's big blocks reuse the last epoch's memory instead of asking
-    the allocator again. An op handed a workspace writes a block its tape
-    keeps into ``empty(shape)``, and a block only its own backward reads
-    into ``scratch(shape)``. ``fit`` takes every lent array back once the
-    epoch's tape is dropped; the workspace, and every array in it, dies
-    with the ``fit`` call."""
+    """The one scratch buffer of a ``fit`` call, so that every epoch's
+    ``key_softmax`` backward reuses the last epoch's memory instead of
+    asking the allocator again. It dies with the call."""
 
     def __init__(self):
-        self._free = {}  # shape -> arrays not lent out
-        self._lent = []
         self._scratch = np.empty(0)
-
-    def empty(self, shape):
-        """An uninitialised float64 array of ``shape``, lent until
-        ``release``."""
-        free = self._free.get(shape)
-        buf = free.pop() if free else np.empty(shape)
-        self._lent.append(buf)
-        return buf
 
     def scratch(self, shape):
         """An uninitialised float64 array of ``shape`` that the next
@@ -578,12 +558,6 @@ class Workspace:
             self._scratch = np.empty(size)
         return self._scratch[:size].reshape(shape)
 
-    def release(self):
-        """Take back every lent array: call only when no tape holds one."""
-        for buf in self._lent:
-            self._free.setdefault(buf.shape, []).append(buf)
-        self._lent.clear()
-
 
 def fit(params, epochs, epoch_losses, lr, wd, what):
     """The training loop of every model: per epoch, one AdamW step on
@@ -593,8 +567,7 @@ def fit(params, epochs, epoch_losses, lr, wd, what):
     before its epoch's step, naming ``what``.
 
     An epoch's tape lives until its step is taken, so only one is alive at
-    a time; the arrays its ops took from ``ws`` then go back to the
-    workspace for the next epoch."""
+    a time."""
     opt = AdamW(params, lr=lr, weight_decay=wd)
     ws = Workspace()
     trace = []
@@ -609,5 +582,4 @@ def fit(params, epochs, epoch_losses, lr, wd, what):
         opt.step(grads(lv))
         trace.append(float(total.value))
         del total, lv
-        ws.release()
     return trace

@@ -56,8 +56,8 @@ class CommandError(RuntimeError):
     """A command cannot run on the arguments or the artifacts it was given."""
 
 
-# the text report `evofg eval` writes and `evofg report` prints
-METRICS_TEXT = "metrics.txt"
+# the reports `evofg eval` writes; `evofg report` prints the text one
+METRICS_JSON, METRICS_TEXT = "metrics.json", "metrics.txt"
 
 
 # the settings of a training run, dest -> (flag, type, help): `pretrain` and
@@ -170,12 +170,13 @@ def _training_contexts(args, cfg, models):
 
 def _clear_outputs(out_dir, stage):
     """Delete the outputs of the stages after ``stage`` (in ``STAGE_OUTPUTS``
-    order), which a rerun of ``stage`` makes stale."""
+    order) and the reports of `evofg eval`, which a rerun of ``stage`` makes
+    stale."""
     stages = list(STAGE_OUTPUTS)
-    for later in stages[stages.index(stage) + 1:]:
-        for pattern in STAGE_OUTPUTS[later]:
-            for path in glob.glob(os.path.join(out_dir, pattern)):
-                os.remove(path)
+    stale = [p for later in stages[stages.index(stage) + 1:] for p in STAGE_OUTPUTS[later]]
+    for pattern in stale + [METRICS_JSON, METRICS_TEXT]:
+        for path in glob.glob(os.path.join(out_dir, pattern)):
+            os.remove(path)
 
 
 def cmd_pretrain(args):
@@ -198,7 +199,7 @@ def cmd_warmup(args):
 
 def cmd_evolve(args):
     cfg, models = _resume(args.out, "evolve")
-    router_model = load_router_file(args.out)
+    router_model = load_router_file(args.out, cfg.d)
     if router_model.names != list(PRIMITIVE_NAMES):
         raise CommandError(
             f"{args.out}/{ROUTER_FILE} routes on {router_model.d_r} features, not on the "
@@ -207,6 +208,7 @@ def cmd_evolve(args):
     contexts = _training_contexts(args, cfg, models)
     artifacts = run_stage(cfg, "evolve", evolve, router_model, contexts, models, cfg)
     artifacts.save(args.out)
+    _clear_outputs(args.out, "evolve")
     print(
         f"evolved {cfg.rounds} round(s); final feature set has "
         f"{len(artifacts.active_names)} active columns -> {args.out}"
@@ -258,7 +260,7 @@ def cmd_eval(args):
         artifacts = RunArtifacts.load(args.artifacts)
         report = evaluate_scored(score_labeled(artifacts, _load_graphs(args.test)))
     text = report_to_text(report)
-    outputs = {"metrics.json": report_to_json(report), METRICS_TEXT: text}
+    outputs = {METRICS_JSON: report_to_json(report), METRICS_TEXT: text}
     os.makedirs(out_dir, exist_ok=True)
     for name, content in outputs.items():
         with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
@@ -272,8 +274,11 @@ def cmd_report(args):
     texts = []
     path = os.path.join(args.artifacts, METRICS_TEXT)
     if os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as fh:
-            texts.append(fh.read())
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                texts.append(fh.read())
+        except UnicodeDecodeError as exc:
+            raise CommandError(f"{path}: not UTF-8 text: {exc}") from None
     for r, report in enumerate(load_round_reports(args.artifacts), start=1):
         texts.append(f"--- selection round {r} ---\n{report}")
     print("\n".join(texts) if texts else "no reports found; run `evofg eval` first")

@@ -128,17 +128,16 @@ def propagate(arch, xtilde, g: Graph):
     raise ValueError(f"unknown architecture {arch!r}")
 
 
-def encode_t(arch, lv, inputs, g: Graph, ws=None):
+def encode_t(arch, lv, inputs, g: Graph):
     """Tape forward of one expert encoder on ``inputs = propagate(arch,
     xtilde, g)``; lv maps param name -> leaf, or -> the parameter array
-    itself for a forward without gradients. Only ATTENTION reads ``g``, and
-    the training call's ``ad.Workspace`` ``ws``."""
+    itself for a forward without gradients. Only ATTENTION reads ``g``."""
     if arch == "LOWPASS":
         return ad.tanh(ad.matmul(ad.wrap(inputs), lv["w0"]))
     if arch == "ATTENTION":
         z = ad.matmul(ad.wrap(inputs), lv["w0"])
         h = ad.edge_attention(z, lv["att_self"], lv["att_nbr"], _attention_edges(g),
-                              LEAKY_SLOPE, ws)
+                              LEAKY_SLOPE)
         return ad.tanh(ad.sub(h, ad.spmm(g.neighbor_mean(), h)))
     if arch == "CHEBY":
         h = ad.matmul(ad.wrap(inputs[0]), lv["cheb_w0"])
@@ -215,10 +214,10 @@ def sample_key_split(y, key_fraction, rng):
     return keys, queries
 
 
-def expert_training_loss_t(arch, lv, inputs, g, keys, queries, d_prime, ws=None):
+def expert_training_loss_t(arch, lv, inputs, g, keys, queries, d_prime):
     """The anomaly loss of one graph's queries, encoded from ``inputs =
-    propagate(arch, xtilde, g)``; ``ws`` as in ``encode_t``."""
-    h = encode_t(arch, lv, inputs, g, ws)
+    propagate(arch, xtilde, g)``."""
+    h = encode_t(arch, lv, inputs, g)
     hq = ad.gather_rows(h, queries)
     hk = ad.gather_rows(h, keys)
     recon = cross_attention_t(lv["wq"], lv["wk"], hq, hk, d_prime)
@@ -236,12 +235,12 @@ def pretrain_expert(arch, graph_inputs, cfg, seed):
     rng = np.random.default_rng(seed + 1)
     propagated = [(g, propagate(arch, xt, g)) for g, xt in graph_inputs]
 
-    def epoch_losses(lv, ws):
+    def epoch_losses(lv, _ws):
         losses = []
         for g, inputs in propagated:
             keys, queries = sample_key_split(g.labels, cfg.key_fraction, rng)
             losses.append(
-                expert_training_loss_t(arch, lv, inputs, g, keys, queries, cfg.d_prime, ws)
+                expert_training_loss_t(arch, lv, inputs, g, keys, queries, cfg.d_prime)
             )
         return losses
 

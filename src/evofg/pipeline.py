@@ -272,13 +272,21 @@ def save_pretrained(out_dir, cfg: PipelineConfig, models):
 
 
 def load_pretrained(out_dir):
-    """(config, experts) saved by ``save_pretrained``."""
+    """(config, experts) saved by ``save_pretrained``; each expert must read
+    the config's ``d`` input columns."""
     path = os.path.join(out_dir, CONFIG_FILE)
     try:
         config = PipelineConfig.from_json(path)
     except ValueError as exc:  # JSON errors among them
         raise CheckpointError(f"{path}: {exc}") from exc
-    models = [load_expert(os.path.join(out_dir, EXPERT_FILE.format(arch))) for arch in ARCHS]
+    models = []
+    for arch in ARCHS:
+        path = os.path.join(out_dir, EXPERT_FILE.format(arch))
+        model = load_expert(path)
+        if model.dims[0] != config.d:
+            raise CheckpointError(f"{path}: input width {model.dims[0]} is not "
+                                  f"the d = {config.d} of {CONFIG_FILE}")
+        models.append(model)
     return config, models
 
 
@@ -287,9 +295,16 @@ def save_router_file(out_dir, router_model):
     save_router(router_model, os.path.join(out_dir, ROUTER_FILE))
 
 
-def load_router_file(out_dir):
-    """The router saved by ``save_router_file``."""
-    return load_router(os.path.join(out_dir, ROUTER_FILE))
+def load_router_file(out_dir, d):
+    """The router saved by ``save_router_file``, which must read the run's
+    ``d`` input columns and weigh its ``len(ARCHS)`` experts."""
+    path = os.path.join(out_dir, ROUTER_FILE)
+    router = load_router(path)
+    width, n_experts = router.dims[0], router.dims[4]
+    if (width, n_experts) != (d, len(ARCHS)):
+        raise CheckpointError(f"{path}: routes {width} input columns to {n_experts} experts, "
+                              f"not d = {d} columns to the {len(ARCHS)} experts")
+    return router
 
 
 def load_round_reports(out_dir):
@@ -299,8 +314,11 @@ def load_round_reports(out_dir):
         path = os.path.join(out_dir, ROUND_FILE.format(len(reports) + 1))
         if not os.path.exists(path):
             return reports
-        with open(path, "r", encoding="utf-8") as fh:
-            reports.append(fh.read())
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                reports.append(fh.read())
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
 # a features.json entry of a primitive column, which no expression builds
@@ -340,7 +358,7 @@ class RunArtifacts:
     @classmethod
     def load(cls, out_dir):
         config, models = load_pretrained(out_dir)
-        router = load_router_file(out_dir)
+        router = load_router_file(out_dir, config.d)
         exprs, active = load_features(os.path.join(out_dir, FEATURES_FILE))
         if router.names != active:
             raise CheckpointError(

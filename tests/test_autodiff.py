@@ -259,22 +259,6 @@ def test_fit_holds_one_epoch_of_tape_at_a_time():
     assert alive == [[]] + [[False, True, False]] * 3
 
 
-def test_fit_lends_every_epoch_the_same_workspace_arrays():
-    params = {"w": np.array([3.0, -2.0])}
-    lent = []
-
-    def losses(lv, ws):
-        lent.append((ws, ws.empty((4, 3)), ws.empty((4, 3)), ws.empty((2,))))
-        return [ad.tmean(ad.mul(lv["w"], lv["w"]))]
-
-    ad.fit(params, 3, losses, 0.1, 0.0, "probe")
-    ids = [{id(a) for a in epoch} for epoch in lent]
-    assert len(ids[0]) == 4  # one workspace, three distinct arrays
-    assert ids[1] == ids[0] and ids[2] == ids[0]
-    ad.fit(params, 1, losses, 0.1, 0.0, "probe")
-    assert lent[-1][0] is not lent[0][0]  # each call owns its workspace
-
-
 def test_workspace_scratch_is_one_buffer_for_every_shape():
     ws = ad.Workspace()
     big = ws.scratch((3, 4))

@@ -1209,6 +1209,94 @@ class TestCLI:
         assert why in err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("case", [
+        "score under another d", "warm up under another d", "score a 3-expert router",
+        "score a 6-column router", "evolve a 3-expert router",
+        "score a non-UTF-8 round report", "report a non-UTF-8 metrics.txt",
+    ])
+    def test_artifacts_that_disagree_end_in_status_2(self, tmp_path, capsys, artifacts, case):
+        """An artifacts directory whose files disagree on a width, or hold a
+        report that is not UTF-8 text, is refused naming the file, before
+        any graph is scored or any model trained."""
+        graph, out, art = (str(tmp_path / name) for name in ("g", "out.json", "artifacts"))
+        self.run("gen", "--out", graph, "--nodes", "30", "--features", "5", "--rate", "0.1")
+        artifacts.save(art)
+        router_file = os.path.join(art, "router.bin")
+        saved = router.load_router(router_file)
+
+        def set_config_d(d):
+            with open(os.path.join(art, "config.json"), "w", encoding="utf-8") as fh:
+                json.dump({**artifacts.config.to_dict(), "d": d}, fh)
+
+        def save_router_params(**changed):
+            params = {**saved.params, **changed}
+            router.save_router(router.RouterModel(params, saved.names, True), router_file)
+
+        def write_bytes(name):
+            with open(os.path.join(art, name), "wb") as fh:
+                fh.write(b"AUROC \xff\xfe")
+
+        score = ["score", "--artifacts", art, "--graph", graph, "--out", out]
+        train = ["--train", graph, "--out", art]
+        change, argv, why = {
+            "score under another d": (
+                lambda: set_config_d(4), score,
+                "expert_LOWPASS.bin: input width 5 is not the d = 4 of config.json"),
+            "warm up under another d": (
+                lambda: set_config_d(4), ["warmup", *train],
+                "expert_LOWPASS.bin: input width 5 is not the d = 4 of config.json"),
+            "score a 3-expert router": (
+                lambda: save_router_params(scale=saved.params["scale"][:3],
+                                           noise_w=saved.params["noise_w"][:, :3]),
+                score, "router.bin: routes 5 input columns to 3 experts"),
+            "score a 6-column router": (
+                lambda: save_router_params(gnn_w=np.vstack([saved.params["gnn_w"]] * 2)[:6]),
+                score, "router.bin: routes 6 input columns to 4 experts"),
+            "evolve a 3-expert router": (
+                lambda: router.save_router(router.init_router(5, PRIMITIVE_NAMES, 6, 4, 3, 0),
+                                           router_file),
+                ["evolve", *train], "router.bin: routes 5 input columns to 3 experts"),
+            "score a non-UTF-8 round report": (
+                lambda: write_bytes("shapley_round_1.txt"), score,
+                "shapley_round_1.txt: not UTF-8 text"),
+            "report a non-UTF-8 metrics.txt": (
+                lambda: write_bytes("metrics.txt"), ["report", "--artifacts", art],
+                "metrics.txt: not UTF-8 text"),
+        }[case]
+        change()
+        before = sorted(os.listdir(art))
+        capsys.readouterr()
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"evofg {argv[0]}: ") and err.count("\n") == 1
+        assert why in err
+        assert not os.path.exists(out) and sorted(os.listdir(art)) == before
+
+    def test_every_training_rerun_deletes_the_stale_reports(self, tmp_path, capsys):
+        """`evofg eval --artifacts D` writes D's metrics; a rerun of any
+        training stage into D deletes them, so `evofg report` does not print
+        the old model's metrics as the new one's."""
+        dirs, cfg_path = self.write_run_inputs(tmp_path)
+        art, test = str(tmp_path / "artifacts"), str(tmp_path / "te")
+        self.run("gen", "--out", test, "--nodes", "30", "--features", "8", "--rate", "0.1",
+                 "--seed", "33")
+        self.run("pretrain", "--train", *dirs, "--out", art, "--config", cfg_path)
+        for command in ("warmup", "evolve"):
+            self.run(command, "--train", *dirs, "--out", art)
+        self.run("eval", "--artifacts", art, "--test", test)
+        reports = {"metrics.json", "metrics.txt"}
+        for command in ("pretrain", "warmup", "evolve"):
+            assert reports <= set(os.listdir(art)), command
+            extra = ["--config", cfg_path, "--seed", "2"] if command == "pretrain" else []
+            self.run(command, "--train", *dirs, "--out", art, *extra)
+            assert not reports & set(os.listdir(art)), command
+            capsys.readouterr()
+            self.run("report", "--artifacts", art)
+            assert "AUROC" not in capsys.readouterr().out, command
+            for name in reports:
+                with open(os.path.join(art, name), "w", encoding="utf-8") as fh:
+                    fh.write("AUROC 0.99\n")
+
     def test_report_refuses_a_missing_directory(self, tmp_path, capsys):
         missing = str(tmp_path / "no_such_dir")
         capsys.readouterr()
