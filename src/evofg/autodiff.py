@@ -10,7 +10,8 @@ unique indices, ATTENTION's attention-weighted neighbour sum
 ``readout_table`` and ``table_readout``.
 Backward drops an inner node's gradient once it is used; leaves keep
 theirs. ``fit`` is the AdamW loop every model trains through. It builds
-one tape per epoch and drops it once that epoch's step is taken, so one
+one training graph's loss at a time, back-propagates it into the leaves
+and drops its tape before the next graph's loss is built, so one graph's
 tape is alive at a time. Each ``fit`` call owns a ``Workspace``, one
 scratch buffer, and passes it to the epoch's losses, which pass it to
 ``key_softmax``: its backward computes the logit gradient in that buffer,
@@ -40,14 +41,15 @@ class Tensor:
     def shape(self):
         return self.value.shape
 
-    def backward(self):
-        """Accumulate gradients of this scalar into every reachable leaf.
-        Leaves keep their gradients; inner nodes hold none afterwards, so a
-        second call adds one more copy of the leaf gradients."""
+    def backward(self, grad=None):
+        """Accumulate gradients of this scalar, times the seed ``grad``
+        (default 1), into every reachable leaf. Leaves keep their gradients;
+        inner nodes hold none afterwards, so a second call adds one more
+        copy of the leaf gradients."""
         if self.value.ndim != 0:
             raise ValueError("backward() requires a scalar tensor")
         order = _toposort(self)
-        self.grad = np.ones((), dtype=np.float64)
+        self.grad = np.ones((), dtype=np.float64) if grad is None else grad
         for node in order:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
@@ -561,25 +563,37 @@ class Workspace:
 
 def fit(params, epochs, epoch_losses, lr, wd, what):
     """The training loop of every model: per epoch, one AdamW step on
-    ``params`` (updated in place) against the mean of the scalar losses that
-    ``epoch_losses(leaves, ws)`` builds on leaves of them, with ``ws`` this
-    call's ``Workspace``. Returns the loss trace; a non-finite loss raises
-    before its epoch's step, naming ``what``.
+    ``params`` (updated in place) against the mean of the scalar losses of
+    the zero-argument builders that ``epoch_losses(leaves, ws)`` returns,
+    one per training graph, on leaves of them, with ``ws`` this call's
+    ``Workspace``. Returns the loss trace; a non-finite mean raises before
+    its epoch's step, naming ``what``.
 
-    An epoch's tape lives until its step is taken, so only one is alive at
-    a time."""
+    The builders are called in order, and each loss is back-propagated with
+    the seed 1/n that the mean hands it and dropped before the next one is
+    built, so only one graph's tape is alive at a time. The graphs share
+    only leaves, so each leaf sums the same gradients in the same order as
+    one backward through the mean would."""
     opt = AdamW(params, lr=lr, weight_decay=wd)
     ws = Workspace()
     trace = []
     for epoch in range(epochs):
         lv = leaves(params)
-        total = tmean(stack_scalars(epoch_losses(lv, ws)))
-        if not np.isfinite(total.value):
+        builders = epoch_losses(lv, ws)
+        scale = np.asarray(1.0 / len(builders))
+        values = []
+        for build in builders:
+            loss = build()
+            values.append(float(loss.value))
+            if np.isfinite(loss.value):  # a non-finite mean raises below
+                loss.backward(np.ones(()) * scale)
+            del loss
+        total = np.array(values).sum() * scale
+        if not np.isfinite(total):
             raise TrainingDivergedError(
                 f"{what}: non-finite loss at epoch {epoch} (trace={trace})"
             )
-        total.backward()
         opt.step(grads(lv))
-        trace.append(float(total.value))
-        del total, lv
+        trace.append(float(total))
+        del builders, lv
     return trace

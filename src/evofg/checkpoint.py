@@ -11,12 +11,15 @@ Layout (all integers little-endian):
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 
 import numpy as np
 
 MAGIC = b"EVFG"
 FORMAT_VERSION = 1
+MAX_DIM = np.iinfo(np.intp).max  # the largest dimension numpy can hold
 
 
 class CheckpointError(RuntimeError):
@@ -38,7 +41,9 @@ def save_checkpoint(path, header: dict, tensors: dict):
 
 
 def load_checkpoint(path, kind):
-    """(header, tensors) of a sound checkpoint of ``kind`` at ``path``."""
+    """(header, tensors) of a sound checkpoint of ``kind`` at ``path``. Each
+    tensor's shape is checked against what is left of the file before it is
+    read."""
     with open(path, "rb") as fh:
         if fh.read(4) != MAGIC:
             raise CheckpointError(f"{path}: bad magic")
@@ -59,17 +64,21 @@ def load_checkpoint(path, kind):
             raise CheckpointError(f"{path}: header is not JSON: {exc}") from None
         if not isinstance(header, dict) or not isinstance(header.get("tensors"), list):
             raise CheckpointError(f"{path}: header has no tensor list")
+        size = os.fstat(fh.fileno()).st_size
         tensors = {}
         for entry in header["tensors"]:
             try:
                 name, shape = entry["name"], tuple(int(n) for n in entry["shape"])
             except (KeyError, TypeError, ValueError):
                 raise CheckpointError(f"{path}: malformed tensor entry {entry!r}") from None
-            count = int(np.prod(shape)) if shape else 1
-            buf = fh.read(8 * count)
-            if len(buf) != 8 * count:
-                raise CheckpointError(f"{path}: truncated tensor {name}")
-            tensors[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+            if not all(0 <= n <= MAX_DIM for n in shape):
+                raise CheckpointError(f"{path}: tensor {name} has a dimension out of "
+                                      f"range in its shape {list(shape)}")
+            count = math.prod(shape)
+            if 8 * count > size - fh.tell():
+                raise CheckpointError(f"{path}: truncated tensor {name}: its shape "
+                                      f"{list(shape)} runs past the end of the file")
+            tensors[name] = np.frombuffer(fh.read(8 * count), dtype="<f8").reshape(shape).copy()
         if fh.read(1):
             raise CheckpointError(f"{path}: trailing bytes after the last tensor")
     if header.get("kind") != kind:

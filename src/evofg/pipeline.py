@@ -272,8 +272,9 @@ def save_pretrained(out_dir, cfg: PipelineConfig, models):
 
 
 def load_pretrained(out_dir):
-    """(config, experts) saved by ``save_pretrained``; each expert must read
-    the config's ``d`` input columns."""
+    """(config, experts) saved by ``save_pretrained``; each expert file must
+    hold the architecture it is named after and read the config's ``d``
+    input columns."""
     path = os.path.join(out_dir, CONFIG_FILE)
     try:
         config = PipelineConfig.from_json(path)
@@ -283,6 +284,8 @@ def load_pretrained(out_dir):
     for arch in ARCHS:
         path = os.path.join(out_dir, EXPERT_FILE.format(arch))
         model = load_expert(path)
+        if model.arch != arch:
+            raise CheckpointError(f"{path}: holds a {model.arch} expert, not {arch}")
         if model.dims[0] != config.d:
             raise CheckpointError(f"{path}: input width {model.dims[0]} is not "
                                   f"the d = {config.d} of {CONFIG_FILE}")

@@ -363,7 +363,8 @@ def _combine_env_losses_t(vec, lam):
 
 def train_router(model, contexts, cfg, phase, seed):
     """Warm-up (KL alignment) or main (invariant + balance) optimization with
-    experts frozen; one step per epoch on the mean loss over graphs. The node
+    experts frozen; one step per epoch on the mean loss over graphs, each
+    graph's loss built in graph order, so the draws keep theirs. The node
     branch runs on every node of a graph, the feature branch on its query
     rows only, which are all any loss reads: each context's table
     standardized on the router's names, at the queries, and its clean
@@ -373,29 +374,28 @@ def train_router(model, contexts, cfg, phase, seed):
     hr_qs = [ctx.table.standardized(model.names)[ctx.queries] for ctx in contexts]
     hr1s = [with_ones(hr_q) for hr_q in hr_qs]
 
+    def graph_loss(lv, ws, ctx, hr_q, hr1):
+        n = ctx.graph.num_nodes
+        # one node branch and readout table per graph and epoch; in the main
+        # phase the environments and the clean balance pass share them
+        node = node_branch_t(lv, ctx.sx, model.use_memory, ws)
+        folded = fold_t(lv, ad.gather_rows(node, ctx.queries), model.use_memory)
+        if phase == "warmup":
+            noise = rng.standard_normal((n, n_experts))[ctx.queries]
+            logits = feature_branch_t(lv, folded, hr1, noise, ws)
+            return kl_router_loss_t(ctx.kl_targets, logits)
+        draws = rng.random((cfg.n_envs, hr_q.shape[1]))
+        masks = (draws >= cfg.mask_rate).astype(float)
+        env_noise = rng.standard_normal((n, n_experts))[ctx.queries]
+        env = _env_losses_t(lv, ctx, hr_q, folded, masks, env_noise, ws)
+        l_in = _combine_env_losses_t(env, cfg.lam)
+        clean_noise = rng.standard_normal((n, n_experts))[ctx.queries]
+        logits = feature_branch_t(lv, folded, hr1, clean_noise, ws)
+        return ad.add(l_in, balance_loss_t(ad.row_softmax(logits), logits))
+
     def epoch_losses(lv, ws):
-        graph_losses = []
-        for ctx, hr_q, hr1 in zip(contexts, hr_qs, hr1s):
-            n = ctx.graph.num_nodes
-            # one node branch and readout table per graph and epoch; in the
-            # main phase the environments and the clean balance pass share them
-            node = node_branch_t(lv, ctx.sx, model.use_memory, ws)
-            folded = fold_t(lv, ad.gather_rows(node, ctx.queries), model.use_memory)
-            if phase == "warmup":
-                noise = rng.standard_normal((n, n_experts))[ctx.queries]
-                logits = feature_branch_t(lv, folded, hr1, noise, ws)
-                graph_losses.append(kl_router_loss_t(ctx.kl_targets, logits))
-            else:
-                draws = rng.random((cfg.n_envs, hr_q.shape[1]))
-                masks = (draws >= cfg.mask_rate).astype(float)
-                env_noise = rng.standard_normal((n, n_experts))[ctx.queries]
-                env = _env_losses_t(lv, ctx, hr_q, folded, masks, env_noise, ws)
-                l_in = _combine_env_losses_t(env, cfg.lam)
-                clean_noise = rng.standard_normal((n, n_experts))[ctx.queries]
-                logits = feature_branch_t(lv, folded, hr1, clean_noise, ws)
-                l_moe = balance_loss_t(ad.row_softmax(logits), logits)
-                graph_losses.append(ad.add(l_in, l_moe))
-        return graph_losses
+        return [functools.partial(graph_loss, lv, ws, *args)
+                for args in zip(contexts, hr_qs, hr1s)]
 
     epochs = cfg.warmup_epochs if phase == "warmup" else cfg.router_epochs
     return ad.fit(model.params, epochs, epoch_losses, cfg.lr, cfg.wd, f"router {phase}")

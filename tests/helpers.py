@@ -4,6 +4,8 @@ float wrappers of tape losses, and brute-force oracles."""
 
 from __future__ import annotations
 
+import json
+import struct
 import tracemalloc
 from dataclasses import dataclass
 from math import factorial
@@ -284,6 +286,16 @@ def traced(fn):
     return peak - before, current - before
 
 
+def with_first_tensor_shape(blob, shape):
+    """The checkpoint bytes ``blob`` with the shape of its header's first
+    tensor entry set to ``shape``; the payload is left as it is."""
+    hlen, = struct.unpack("<I", blob[8:12])
+    header = json.loads(blob[12:12 + hlen])
+    header["tensors"][0]["shape"] = shape
+    new = json.dumps(header).encode()
+    return blob[:8] + struct.pack("<I", len(new)) + new + blob[12 + hlen:]
+
+
 def graph_from_edges(n, edges, d=3, labels=None, seed=0, name="toy"):
     rng = np.random.default_rng(seed)
     feats = rng.normal(size=(n, d))
@@ -544,6 +556,25 @@ def per_env_route_losses_t(lv, ctx, hr, masks, noise, use_memory):
         rec = mix_rows(p_q, ctx.expert_recon)
         losses.append(anomaly_loss_t(hq, rec, ctx.y_q))
     return ad.stack_scalars(losses)
+
+
+def reference_fit(params, epochs, epoch_losses, lr, wd, what):
+    """Reference for ``autodiff.fit``: per epoch, every graph's loss on one
+    tape under their mean, back-propagated once."""
+    opt = ad.AdamW(params, lr=lr, weight_decay=wd)
+    ws = ad.Workspace()
+    trace = []
+    for epoch in range(epochs):
+        lv = ad.leaves(params)
+        total = ad.tmean(ad.stack_scalars([build() for build in epoch_losses(lv, ws)]))
+        if not np.isfinite(total.value):
+            raise ad.TrainingDivergedError(
+                f"{what}: non-finite loss at epoch {epoch} (trace={trace})"
+            )
+        total.backward()
+        opt.step(ad.grads(lv))
+        trace.append(float(total.value))
+    return trace
 
 
 def reference_train_main(model, contexts, cfg, seed):

@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 import weakref
 
@@ -221,13 +222,18 @@ def test_adamw_decreases_quadratic():
 
 
 def _quadratic_losses(nan_at=None):
-    """Per-epoch losses of a quadratic in ``w``; NaN at epoch ``nan_at``."""
+    """Per-epoch builders of two graphs' losses, each a quadratic in ``w``;
+    the first is NaN at epoch ``nan_at``."""
     epoch = []
 
     def losses(lv, ws):
         epoch.append(len(epoch))
-        loss = ad.tmean(ad.mul(lv["w"], lv["w"]))
-        return [ad.mul(loss, np.nan) if epoch[-1] == nan_at else loss, loss]
+        nan = epoch[-1] == nan_at
+
+        def loss():
+            return ad.tmean(ad.mul(lv["w"], lv["w"]))
+
+        return [lambda: ad.mul(loss(), np.nan) if nan else loss(), loss]
 
     return losses
 
@@ -248,15 +254,46 @@ def test_fit_holds_one_epoch_of_tape_at_a_time():
 
     def losses(lv, ws=None):
         alive.append([ref() is not None for ref in built])
-        h = ad.tanh(ad.mul(lv["w"], 2.0))
-        built[:] = [weakref.ref(h.value), weakref.ref(lv["w"].value)]
-        loss = ad.tmean(ad.mul(h, h))
-        built.append(weakref.ref(loss.value))
+
+        def loss():
+            h = ad.tanh(ad.mul(lv["w"], 2.0))
+            built[:] = [weakref.ref(h.value), weakref.ref(lv["w"].value)]
+            out = ad.tmean(ad.mul(h, h))
+            built.append(weakref.ref(out.value))
+            return out
+
         return [loss]
 
     ad.fit(params, 4, losses, 0.1, 0.0, "probe")
     # the leaf wraps params["w"] itself, which lives on
     assert alive == [[]] + [[False, True, False]] * 3
+
+
+def test_fit_holds_one_graphs_tape_at_a_time():
+    """When graph k + 1's loss is built, every array graph k's loss put on
+    the tape is already dead: ``fit`` back-propagates each graph's loss and
+    drops its tape before it builds the next one."""
+    params = {"w": np.array([3.0, -2.0])}
+    built, alive = [], []
+
+    def losses(lv, ws):
+        def loss(scale):
+            alive.append([ref() is not None for ref in built])
+            h = ad.tanh(ad.mul(lv["w"], scale))
+            out = ad.tmean(ad.mul(h, h))
+            built[:] = [weakref.ref(h.value), weakref.ref(out.value)]
+            return out
+
+        return [functools.partial(loss, s) for s in (1.0, 2.0, 3.0)]
+
+    ad.fit(params, 2, losses, 0.1, 0.0, "probe")
+    assert alive == [[]] + [[False, False]] * 5
+
+
+def test_backward_seeds_the_gradient_it_is_given():
+    lv = ad.leaves({"w": np.array([1.0, -2.0])})
+    ad.tsum(ad.mul(lv["w"], lv["w"])).backward(np.float64(0.5))
+    assert lv["w"].grad.tolist() == [1.0, -2.0]
 
 
 def test_workspace_scratch_is_one_buffer_for_every_shape():

@@ -14,6 +14,7 @@ from evofg.checkpoint import (
 )
 from evofg.experts import init_expert, load_expert, save_expert
 from evofg.router import init_router, load_router, save_router
+from helpers import with_first_tensor_shape
 
 
 def _write(path, blob):
@@ -70,6 +71,23 @@ def test_header_length_past_the_end_rejected(tmp_path):
         data = fh.read()
     _write(path, _fixed(len(data)) + data[12:])
     _rejected(path, "runs past the end of the file")
+
+
+@pytest.mark.parametrize("shape,reason", [
+    ([10**12], "truncated tensor t: its shape [1000000000000] runs past the end"),
+    ([10**18, 1000], "truncated tensor t: its shape [1000000000000000000, 1000] runs past"),
+    ([-1, 4], "tensor t has a dimension out of range in its shape [-1, 4]"),
+    ([2, -2], "tensor t has a dimension out of range in its shape [2, -2]"),
+    ([0, 10**30], "tensor t has a dimension out of range"),
+    ([4], "truncated tensor t: its shape [4] runs past the end"),
+])
+def test_a_shape_the_file_cannot_hold_rejected_before_reading(tmp_path, shape, reason):
+    path = str(tmp_path / "x.bin")
+    save_checkpoint(path, {"kind": "test"}, {"t": np.ones(3)})
+    with open(path, "rb") as fh:
+        data = fh.read()
+    _write(path, with_first_tensor_shape(data, shape))
+    _rejected(path, reason)
 
 
 @pytest.mark.parametrize("saved,loader", [("expert", load_router), ("router", load_expert)])

@@ -76,3 +76,18 @@ def test_the_lr_case_is_the_acceptance_suite_at_seed_0_and_lr_1e_3():
                          check=True, capture_output=True, text=True).stdout
     want = dataclasses.asdict(dataclasses.replace(PipelineConfig(seed=0), lr=1e-3))
     assert json.loads(out) == json.loads(json.dumps(want))
+
+
+def test_the_three_graph_case_trains_on_test_shifted_a_too(tmp_path):
+    code = ("import dataclasses, json, os, runpy; t = runpy.run_path(%r); "
+            "cfg, set_up = t['cases']()['acc3-s0-lr1e-3']; "
+            "train, cache, tests = set_up(%r); "
+            "print(json.dumps([dataclasses.asdict(cfg), [g.name for g in train], "
+            "[os.path.basename(d) for d in tests], cache]))" % (str(TOOL), str(tmp_path)))
+    out = subprocess.run([sys.executable, "-c", code],
+                         check=True, capture_output=True, text=True).stdout
+    cfg, train, tests, cache = json.loads(out)
+    want = dataclasses.asdict(dataclasses.replace(PipelineConfig(seed=0), lr=1e-3))
+    assert cfg == json.loads(json.dumps(want)) and cache is None
+    assert train == ["train_structural", "train_attribute", "test_shifted_a"]
+    assert tests == ["test_shifted_b"]

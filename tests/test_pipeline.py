@@ -42,6 +42,7 @@ from helpers import (
     graph_equals,
     path_graph,
     traced,
+    with_first_tensor_shape,
 )
 
 TINY = dict(
@@ -1167,7 +1168,8 @@ class TestCLI:
     @pytest.mark.parametrize("case", [
         "load a missing graph", "score missing artifacts", "load a word as a feature",
         "score a cut router file", "features at T = 0", "pretrain an unknown field",
-        "pretrain a negative seed",
+        "pretrain a negative seed", "score a router of 10**12 rows",
+        "score a router with a negative width",
     ])
     def test_bad_input_ends_in_one_line_and_status_2(self, tmp_path, capsys, artifacts, case):
         graph, missing = str(tmp_path / "g"), str(tmp_path / "missing")
@@ -1198,6 +1200,14 @@ class TestCLI:
             "pretrain a negative seed": (
                 ["pretrain", "--train", graph, "--out", art, "--seed", "-1"],
                 "seed must be nonnegative", None, None),
+            "score a router of 10**12 rows": (
+                ["score", "--artifacts", art, "--graph", graph, "--out", out],
+                "router.bin: truncated tensor gnn_w", router_file,
+                with_first_tensor_shape(router_bytes, [10**12])),
+            "score a router with a negative width": (
+                ["score", "--artifacts", art, "--graph", graph, "--out", out],
+                "router.bin: tensor gnn_w has a dimension out of range", router_file,
+                with_first_tensor_shape(router_bytes, [5, -6])),
         }[case]
         if path is not None:
             with open(path, "wb" if isinstance(text, bytes) else "w") as fh:
@@ -1213,6 +1223,7 @@ class TestCLI:
         "score under another d", "warm up under another d", "score a 3-expert router",
         "score a 6-column router", "evolve a 3-expert router",
         "score a non-UTF-8 round report", "report a non-UTF-8 metrics.txt",
+        "score a GPR expert named LOWPASS", "warm up a GPR expert named LOWPASS",
     ])
     def test_artifacts_that_disagree_end_in_status_2(self, tmp_path, capsys, artifacts, case):
         """An artifacts directory whose files disagree on a width, or hold a
@@ -1231,6 +1242,10 @@ class TestCLI:
         def save_router_params(**changed):
             params = {**saved.params, **changed}
             router.save_router(router.RouterModel(params, saved.names, True), router_file)
+
+        def copy_expert(src, dst):
+            shutil.copyfile(os.path.join(art, f"expert_{src}.bin"),
+                            os.path.join(art, f"expert_{dst}.bin"))
 
         def write_bytes(name):
             with open(os.path.join(art, name), "wb") as fh:
@@ -1262,6 +1277,12 @@ class TestCLI:
             "report a non-UTF-8 metrics.txt": (
                 lambda: write_bytes("metrics.txt"), ["report", "--artifacts", art],
                 "metrics.txt: not UTF-8 text"),
+            "score a GPR expert named LOWPASS": (
+                lambda: copy_expert("GPR", "LOWPASS"), score,
+                "expert_LOWPASS.bin: holds a GPR expert, not LOWPASS"),
+            "warm up a GPR expert named LOWPASS": (
+                lambda: copy_expert("GPR", "LOWPASS"), ["warmup", *train],
+                "expert_LOWPASS.bin: holds a GPR expert, not LOWPASS"),
         }[case]
         change()
         before = sorted(os.listdir(art))

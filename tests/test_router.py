@@ -45,6 +45,7 @@ from helpers import (
     kl_router_loss,
     mix_rows,
     per_env_route_losses_t,
+    reference_fit,
     reference_train_main,
     random_graph,
     route_noisy,
@@ -588,6 +589,50 @@ class TestTraining:
             err = np.abs(params[name] - p_ref).max()
             assert err <= 1e-12 * np.abs(p_ref).max(), name
 
+    @pytest.mark.parametrize("n_graphs", [2, 3])
+    def test_fit_trains_bit_for_bit_as_one_tape_per_epoch(self, monkeypatch, n_graphs):
+        """``fit`` back-propagates each graph's loss on its own tape. The four
+        experts, the warm-up and a main phase, trained on 2 and on 3 graphs,
+        take the same gradients, parameters and loss traces, bit for bit, as
+        through ``reference_fit``'s one tape per epoch under the mean. The
+        lr is large enough that a last-bit gradient change would move the
+        parameters too."""
+        cfg = tiny_cfg(lr=1e-2)
+        kinds = ("structural", "attribute", "mixed")
+        bundles = [prepare_graph(gen_synthetic(24 + 4 * i, 6, 0.15, structure_seed=60 + i,
+                                               planted_kind=kinds[i], name=f"g{i}"), cfg.d)
+                   for i in range(n_graphs)]
+        step = ad.AdamW.step
+
+        def train(fit):
+            monkeypatch.setattr(ad, "fit", fit)
+            runs, grads = [], []
+
+            def recording_step(opt, grad_dict):
+                grads.append({k: g.tobytes() for k, g in grad_dict.items()})
+                step(opt, grad_dict)
+
+            monkeypatch.setattr(ad.AdamW, "step", recording_step)
+            inputs = [(b.graph, b.xtilde) for b in bundles]
+            experts = []
+            for i, arch in enumerate(ARCHS):
+                model, trace = pretrain_expert(arch, inputs, cfg, seed=i)
+                experts.append(model)
+                runs.append((model.params, trace))
+            contexts = build_contexts(bundles, experts, cfg)
+            model = init_router(cfg.d, contexts[0].table.names, cfg.d_m, cfg.n_memory, 4,
+                                seed=61)
+            for phase, seed in (("warmup", 62), ("main", 63)):
+                trace = train_router(model, contexts, cfg, phase, seed)
+                runs.append((copy.deepcopy(model.params), trace))
+            return grads, [({k: v.tobytes() for k, v in params.items()},
+                            np.array(trace).tobytes()) for params, trace in runs]
+
+        grads, runs = train(ad.fit)
+        assert (grads, runs) == train(reference_fit)
+        epochs = sum(cfg.expert_epochs) + cfg.warmup_epochs + cfg.router_epochs
+        assert len(grads) == epochs and len(runs) == 6
+
     @pytest.mark.parametrize("use_memory,bound", [(True, 77), (False, 69)])
     def test_a_main_phase_epoch_keeps_a_small_tape(self, setup, monkeypatch,
                                                     use_memory, bound):
@@ -601,7 +646,7 @@ class TestTraining:
         sizes = []
 
         def one_epoch(params, epochs, epoch_losses, lr, wd, what):
-            losses = epoch_losses(ad.leaves(params), ad.Workspace())
+            losses = [build() for build in epoch_losses(ad.leaves(params), ad.Workspace())]
             total = ad.tmean(ad.stack_scalars(losses))
             sizes.append(len(ad._toposort(total)))
             return [float(total.value)]
@@ -676,14 +721,28 @@ def suite():
 
 class TestTrainingMemory:
     def test_main_phase_holds_one_epoch_of_tape(self, suite):
-        """The main phase's traced peak is one epoch's tape and its
+        """The main phase's traced peak is one graph's tape and its
         backward. Measured on this suite: 27.4 MB while ``fit`` kept the
         last epoch's tape alive through the next forward, 18.0 MB with one
-        tape at a time and the workspace's one scratch buffer."""
+        epoch's tape at a time and the workspace's one scratch buffer, 11.6
+        MB with one graph's tape at a time."""
         cfg, contexts, model = suite
         model = copy.deepcopy(model)
         peak, _ = traced(lambda: train_router(model, contexts, cfg, "main", seed=42))
         assert peak < 22 * 2**20, peak / 2**20
+
+    def test_main_phase_memory_does_not_grow_with_the_graphs(self, suite):
+        """A main phase on two copies of a context peaks within 1.15 times
+        one copy's traced peak: ``fit`` holds one graph's tape at a time.
+        With every graph's tape built before one backward it read about 2
+        times."""
+        cfg, contexts, model = suite
+        peaks = []
+        for copies in (1, 2):
+            trained = copy.deepcopy(model)
+            peaks.append(traced(lambda: train_router(trained, contexts[:1] * copies, cfg,
+                                                     "main", seed=47))[0])
+        assert peaks[1] < 1.15 * peaks[0], [p / 2**20 for p in peaks]
 
     def test_key_softmax_backwards_write_into_the_fit_calls_scratch(self, setup, monkeypatch):
         """Every epoch of one ``fit`` call gets the same ``Workspace`` and each

@@ -19,6 +19,11 @@ cache), and the number of kept features. The cases are
                            lr = 1e-3: at the default lr = 1e-5, AdamW's
                            normalised steps hide last-bit gradient changes,
                            such as the order in which a gradient is summed;
+  acc3-s0-lr1e-3           the same with test_shifted_a as a third labelled
+                           training graph, so that each epoch's mean over
+                           graphs takes the inexact 1/3 and each leaf sums
+                           three graphs' gradients; test_shifted_b alone is
+                           held out;
   suite-train-s{1,2,3}     the benchmark's suite-train workload at seeds 1-3;
   reference                the zero-shot reference model, scored on the
                            held-out graphs of zero-shot-large at seed 1.
@@ -71,12 +76,13 @@ def _array_digest(arr):
     return _sha256(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
 
 
-def _acceptance_case(seed, **config):
+def _acceptance_case(seed, n_train=len(ACCEPTANCE_TRAIN), **config):
+    """The acceptance suite's graphs, of which the first ``n_train`` train
+    and the rest are held out."""
     def set_up(workdir):
         dirs = [graph.save_graph(graph.gen_synthetic(**spec), os.path.join(workdir, spec["name"]))
                 for spec in ACCEPTANCE_TRAIN + ACCEPTANCE_TEST]
-        k = len(ACCEPTANCE_TRAIN)
-        return [graph.load_graph_dir(d) for d in dirs[:k]], None, dirs[k:]
+        return [graph.load_graph_dir(d) for d in dirs[:n_train]], None, dirs[n_train:]
 
     return pipeline.PipelineConfig(seed=seed, **config), set_up
 
@@ -100,6 +106,7 @@ def cases():
         for no_memory in (False, True):
             out[f"acc-s{seed}-nomem{int(no_memory)}"] = _acceptance_case(seed, no_memory=no_memory)
     out["acc-s0-lr1e-3"] = _acceptance_case(0, lr=1e-3)
+    out["acc3-s0-lr1e-3"] = _acceptance_case(0, n_train=len(ACCEPTANCE_TRAIN) + 1, lr=1e-3)
     for seed in (1, 2, 3):
         out[f"suite-train-s{seed}"] = _benchmark_case("suite-train", seed)
     out["reference"] = _benchmark_case("zero-shot-large", 1)
