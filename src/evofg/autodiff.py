@@ -9,14 +9,15 @@ unique indices, ATTENTION's attention-weighted neighbour sum
 ``gram_cosine_rows``, ``key_softmax``, and the folded readout
 ``readout_table`` and ``table_readout``.
 Backward drops an inner node's gradient once it is used; leaves keep
-theirs. ``fit`` is the AdamW loop every model trains through. It builds
-one training graph's loss at a time, back-propagates it into the leaves
-and drops its tape before the next graph's loss is built, so one graph's
-tape is alive at a time. Each ``fit`` call owns a ``Workspace``, one
-scratch buffer, and passes it to the epoch's losses, which pass it to
-``key_softmax``: its backward computes the logit gradient in that buffer,
-which every epoch reuses and which dies with the call. Called without
-one, as in scoring, it allocates a fresh array.
+theirs. ``fit(params, epochs, graph_loss, graphs, lr, wd, what)`` is the
+AdamW loop every model trains through. Per epoch it calls
+``graph_loss(leaves, ws, *args)`` for each tuple ``args`` of ``graphs`` in
+turn, back-propagates that loss into the leaves and drops its tape before
+the next graph's loss is built, so one graph's tape is alive at a time.
+``ws`` is the call's ``Workspace``, one scratch buffer, which the losses
+pass to ``key_softmax``: its backward computes the logit gradient in that
+buffer, which every epoch reuses and which dies with the call. Called
+without one, as in scoring, it allocates a fresh array.
 """
 
 from __future__ import annotations
@@ -496,18 +497,6 @@ def weighted_sum(w, stack):
     return out
 
 
-def stack_scalars(ts):
-    ts = [wrap(t) for t in ts]
-    out = Tensor(np.array([t.value for t in ts]), tuple(ts))
-
-    def bw(g):
-        for i, t in enumerate(ts):
-            _acc(t, g[i])
-
-    out._backward = bw
-    return out
-
-
 ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
 
@@ -561,29 +550,28 @@ class Workspace:
         return self._scratch[:size].reshape(shape)
 
 
-def fit(params, epochs, epoch_losses, lr, wd, what):
+def fit(params, epochs, graph_loss, graphs, lr, wd, what):
     """The training loop of every model: per epoch, one AdamW step on
-    ``params`` (updated in place) against the mean of the scalar losses of
-    the zero-argument builders that ``epoch_losses(leaves, ws)`` returns,
-    one per training graph, on leaves of them, with ``ws`` this call's
+    ``params`` (updated in place) against the mean over the training graphs
+    of the scalar losses ``graph_loss(leaves, ws, *args)``, one per tuple
+    ``args`` of ``graphs``, on leaves of ``params``, with ``ws`` this call's
     ``Workspace``. Returns the loss trace; a non-finite mean raises before
     its epoch's step, naming ``what``.
 
-    The builders are called in order, and each loss is back-propagated with
+    The graphs' losses are built in order, and each is back-propagated with
     the seed 1/n that the mean hands it and dropped before the next one is
     built, so only one graph's tape is alive at a time. The graphs share
     only leaves, so each leaf sums the same gradients in the same order as
     one backward through the mean would."""
     opt = AdamW(params, lr=lr, weight_decay=wd)
     ws = Workspace()
+    scale = np.asarray(1.0 / len(graphs))
     trace = []
     for epoch in range(epochs):
         lv = leaves(params)
-        builders = epoch_losses(lv, ws)
-        scale = np.asarray(1.0 / len(builders))
         values = []
-        for build in builders:
-            loss = build()
+        for args in graphs:
+            loss = graph_loss(lv, ws, *args)
             values.append(float(loss.value))
             if np.isfinite(loss.value):  # a non-finite mean raises below
                 loss.backward(np.ones(()) * scale)
@@ -595,5 +583,5 @@ def fit(params, epochs, epoch_losses, lr, wd, what):
             )
         opt.step(grads(lv))
         trace.append(float(total))
-        del builders, lv
+        del lv
     return trace

@@ -235,15 +235,12 @@ def pretrain_expert(arch, graph_inputs, cfg, seed):
     rng = np.random.default_rng(seed + 1)
     propagated = [(g, propagate(arch, xt, g)) for g, xt in graph_inputs]
 
-    def graph_loss(lv, g, inputs):
+    def graph_loss(lv, _ws, g, inputs):
         keys, queries = sample_key_split(g.labels, cfg.key_fraction, rng)
         return expert_training_loss_t(arch, lv, inputs, g, keys, queries, cfg.d_prime)
 
-    def epoch_losses(lv, _ws):
-        return [functools.partial(graph_loss, lv, g, inputs) for g, inputs in propagated]
-
     epochs = cfg.expert_epochs[ARCHS.index(arch)]
-    return model, ad.fit(model.params, epochs, epoch_losses, cfg.lr, cfg.wd, arch)
+    return model, ad.fit(model.params, epochs, graph_loss, propagated, cfg.lr, cfg.wd, arch)
 
 
 def expert_correctness(scores_per_expert, y) -> np.ndarray:

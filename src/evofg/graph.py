@@ -87,8 +87,18 @@ class Graph:
     def _build_adjacency(self):
         if self.edges.size and (self.edges[:, 0] == self.edges[:, 1]).any():
             raise GraphFormatError("self-loop in edge list")
-        a = self.adjacency()
+        n = self.num_nodes
+        if self.num_edges:
+            u, v = self.edges[:, 0], self.edges[:, 1]
+            data = np.ones(2 * self.num_edges)
+            a = sp.coo_matrix(
+                (data, (np.concatenate([u, v]), np.concatenate([v, u]))),
+                shape=(n, n),
+            ).tocsr()
+        else:
+            a = sp.csr_matrix((n, n))
         a.sort_indices()
+        self._adjacency = a
         self.indptr = a.indptr.astype(np.int64)
         self.indices = a.indices.astype(np.int64)
         self.degrees = np.diff(self.indptr)
@@ -102,19 +112,7 @@ class Graph:
 
     def adjacency(self):
         """Symmetric 0/1 adjacency as scipy CSR."""
-        n = self.num_nodes
-        if "A" not in self._ops:
-            if self.num_edges:
-                u, v = self.edges[:, 0], self.edges[:, 1]
-                data = np.ones(2 * self.num_edges)
-                a = sp.coo_matrix(
-                    (data, (np.concatenate([u, v]), np.concatenate([v, u]))),
-                    shape=(n, n),
-                ).tocsr()
-            else:
-                a = sp.csr_matrix((n, n))
-            self._ops["A"] = a
-        return self._ops["A"]
+        return self._adjacency
 
     def sym_norm_selfloops(self):
         """D^-1/2 (A+I) D^-1/2 with degrees counted after adding self-loops."""

@@ -393,12 +393,9 @@ def train_router(model, contexts, cfg, phase, seed):
         logits = feature_branch_t(lv, folded, hr1, clean_noise, ws)
         return ad.add(l_in, balance_loss_t(ad.row_softmax(logits), logits))
 
-    def epoch_losses(lv, ws):
-        return [functools.partial(graph_loss, lv, ws, *args)
-                for args in zip(contexts, hr_qs, hr1s)]
-
     epochs = cfg.warmup_epochs if phase == "warmup" else cfg.router_epochs
-    return ad.fit(model.params, epochs, epoch_losses, cfg.lr, cfg.wd, f"router {phase}")
+    return ad.fit(model.params, epochs, graph_loss, list(zip(contexts, hr_qs, hr1s)),
+                  cfg.lr, cfg.wd, f"router {phase}")
 
 
 def routing_frequency(weights) -> np.ndarray:

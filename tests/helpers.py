@@ -555,10 +555,24 @@ def per_env_route_losses_t(lv, ctx, hr, masks, noise, use_memory):
         hq = mix_rows(p_q, ctx.expert_hq)
         rec = mix_rows(p_q, ctx.expert_recon)
         losses.append(anomaly_loss_t(hq, rec, ctx.y_q))
-    return ad.stack_scalars(losses)
+    return stack_scalars(losses)
 
 
-def reference_fit(params, epochs, epoch_losses, lr, wd, what):
+def stack_scalars(ts):
+    """The 1-D tensor of the scalar tensors ``ts``; backward hands each its
+    entry of the gradient."""
+    ts = [ad.wrap(t) for t in ts]
+    out = ad.Tensor(np.array([t.value for t in ts]), tuple(ts))
+
+    def bw(g):
+        for i, t in enumerate(ts):
+            ad._acc(t, g[i])
+
+    out._backward = bw
+    return out
+
+
+def reference_fit(params, epochs, graph_loss, graphs, lr, wd, what):
     """Reference for ``autodiff.fit``: per epoch, every graph's loss on one
     tape under their mean, back-propagated once."""
     opt = ad.AdamW(params, lr=lr, weight_decay=wd)
@@ -566,7 +580,7 @@ def reference_fit(params, epochs, epoch_losses, lr, wd, what):
     trace = []
     for epoch in range(epochs):
         lv = ad.leaves(params)
-        total = ad.tmean(ad.stack_scalars([build() for build in epoch_losses(lv, ws)]))
+        total = ad.tmean(stack_scalars([graph_loss(lv, ws, *args) for args in graphs]))
         if not np.isfinite(total.value):
             raise ad.TrainingDivergedError(
                 f"{what}: non-finite loss at epoch {epoch} (trace={trace})"
@@ -604,7 +618,7 @@ def reference_train_main(model, contexts, cfg, seed):
                 ad.gather_rows(logits, ctx.queries),
             )
             graph_losses.append(ad.add(_combine_env_losses_t(env, cfg.lam), l_moe))
-        total = ad.tmean(ad.stack_scalars(graph_losses))
+        total = ad.tmean(stack_scalars(graph_losses))
         total.backward()
         opt.step(ad.grads(lv))
         trace.append(float(total.value))

@@ -1,4 +1,3 @@
-import functools
 import tracemalloc
 import weakref
 
@@ -15,6 +14,7 @@ from helpers import (
     finite_diff_check,
     mix_rows,
     random_graph,
+    stack_scalars,
     tile_rows,
     unfused_affine,
     unfused_key_softmax,
@@ -154,7 +154,7 @@ def test_log_softmax_softplus_gradient():
         lsm = ad.row_log_softmax(logits)
         gate = ad.softplus(ad.matmul(logits, lv["v"]))
         scalars = [ad.tmean(ad.mul(lsm, lsm)), ad.tmean(gate)]
-        vecd = ad.stack_scalars(scalars)
+        vecd = stack_scalars(scalars)
         dev = ad.sub(vecd, ad.tmean(vecd))
         return ad.add(ad.tmean(vecd), ad.tmean(ad.mul(dev, dev)))
 
@@ -222,49 +222,42 @@ def test_adamw_decreases_quadratic():
 
 
 def _quadratic_losses(nan_at=None):
-    """Per-epoch builders of two graphs' losses, each a quadratic in ``w``;
-    the first is NaN at epoch ``nan_at``."""
+    """The loss and the graphs of two training graphs, each loss a
+    quadratic in ``w``; the first is NaN at epoch ``nan_at``."""
     epoch = []
 
-    def losses(lv, ws):
-        epoch.append(len(epoch))
-        nan = epoch[-1] == nan_at
+    def graph_loss(lv, ws, k):
+        if k == 0:
+            epoch.append(len(epoch))
+        loss = ad.tmean(ad.mul(lv["w"], lv["w"]))
+        return ad.mul(loss, np.nan) if k == 0 and epoch[-1] == nan_at else loss
 
-        def loss():
-            return ad.tmean(ad.mul(lv["w"], lv["w"]))
-
-        return [lambda: ad.mul(loss(), np.nan) if nan else loss(), loss]
-
-    return losses
+    return graph_loss, [(0,), (1,)]
 
 
 def test_fit_steps_once_per_epoch_on_the_mean_loss():
     params = {"w": np.array([3.0, -2.0])}
-    trace = ad.fit(params, 200, _quadratic_losses(), 0.1, 0.0, "probe")
+    trace = ad.fit(params, 200, *_quadratic_losses(), 0.1, 0.0, "probe")
     assert len(trace) == 200 and trace[0] == 6.5
     assert np.abs(params["w"]).max() < 0.05
 
 
 def test_fit_holds_one_epoch_of_tape_at_a_time():
-    """When epoch k + 1's losses are entered, every array epoch k's call put
+    """When epoch k + 1's loss is entered, every array epoch k's call put
     on the tape is already dead: ``fit`` drops an epoch's tape once its step
     is taken, not when the next one is built."""
     params = {"w": np.array([3.0, -2.0])}
     built, alive = [], []
 
-    def losses(lv, ws=None):
+    def loss(lv, ws):
         alive.append([ref() is not None for ref in built])
+        h = ad.tanh(ad.mul(lv["w"], 2.0))
+        built[:] = [weakref.ref(h.value), weakref.ref(lv["w"].value)]
+        out = ad.tmean(ad.mul(h, h))
+        built.append(weakref.ref(out.value))
+        return out
 
-        def loss():
-            h = ad.tanh(ad.mul(lv["w"], 2.0))
-            built[:] = [weakref.ref(h.value), weakref.ref(lv["w"].value)]
-            out = ad.tmean(ad.mul(h, h))
-            built.append(weakref.ref(out.value))
-            return out
-
-        return [loss]
-
-    ad.fit(params, 4, losses, 0.1, 0.0, "probe")
+    ad.fit(params, 4, loss, [()], 0.1, 0.0, "probe")
     # the leaf wraps params["w"] itself, which lives on
     assert alive == [[]] + [[False, True, False]] * 3
 
@@ -276,17 +269,14 @@ def test_fit_holds_one_graphs_tape_at_a_time():
     params = {"w": np.array([3.0, -2.0])}
     built, alive = [], []
 
-    def losses(lv, ws):
-        def loss(scale):
-            alive.append([ref() is not None for ref in built])
-            h = ad.tanh(ad.mul(lv["w"], scale))
-            out = ad.tmean(ad.mul(h, h))
-            built[:] = [weakref.ref(h.value), weakref.ref(out.value)]
-            return out
+    def loss(lv, ws, scale):
+        alive.append([ref() is not None for ref in built])
+        h = ad.tanh(ad.mul(lv["w"], scale))
+        out = ad.tmean(ad.mul(h, h))
+        built[:] = [weakref.ref(h.value), weakref.ref(out.value)]
+        return out
 
-        return [functools.partial(loss, s) for s in (1.0, 2.0, 3.0)]
-
-    ad.fit(params, 2, losses, 0.1, 0.0, "probe")
+    ad.fit(params, 2, loss, [(1.0,), (2.0,), (3.0,)], 0.1, 0.0, "probe")
     assert alive == [[]] + [[False, False]] * 5
 
 
@@ -308,9 +298,9 @@ def test_workspace_scratch_is_one_buffer_for_every_shape():
 def test_fit_raises_before_the_step_of_a_non_finite_epoch():
     params = {"w": np.array([3.0, -2.0])}
     with pytest.raises(ad.TrainingDivergedError) as err:
-        ad.fit(params, 5, _quadratic_losses(nan_at=2), 0.1, 1e-2, "probe")
+        ad.fit(params, 5, *_quadratic_losses(nan_at=2), 0.1, 1e-2, "probe")
     reference = {"w": np.array([3.0, -2.0])}
-    trace = ad.fit(reference, 2, _quadratic_losses(), 0.1, 1e-2, "probe")
+    trace = ad.fit(reference, 2, *_quadratic_losses(), 0.1, 1e-2, "probe")
     assert str(err.value) == f"probe: non-finite loss at epoch 2 (trace={trace})"
     assert params["w"].tobytes() == reference["w"].tobytes()
 

@@ -17,6 +17,7 @@ from evofg.pipeline import PipelineConfig
 from helpers import acceptance_suite, graph_equals
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "exactness.py"
+GOLDEN = json.loads((TOOL.parent / "exactness_golden.json").read_text())
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -26,6 +27,15 @@ def _run_case(case, **blas):
     env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS} | blas
     return subprocess.run([sys.executable, str(TOOL), "--case", case], env=env,
                           check=True, capture_output=True, text=True).stdout
+
+
+def _differences(golden, result):
+    """The lines ``differences`` of the tool prints for ``result``."""
+    code = ("import json, runpy, sys; t = runpy.run_path(%r); "
+            "print(json.dumps(t['differences'](*json.load(sys.stdin))))" % str(TOOL))
+    return json.loads(subprocess.run([sys.executable, "-c", code],
+                                     input=json.dumps([golden, result]), check=True,
+                                     capture_output=True, text=True).stdout)
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +57,31 @@ def test_one_case_prints_a_digest_of_every_output(bare_output):
                for d in case[key].values()]
     assert all(len(d) == 64 for d in digests)
     assert case["kept"] >= 1
+    assert case == GOLDEN[name], _differences({name: GOLDEN[name]}, {name: case})
+
+
+def test_the_lr_case_checks_against_its_golden_digests():
+    # lr = 1e-3 lets the order in which a gradient is summed reach the bits
+    run = subprocess.run([sys.executable, str(TOOL), "--check", "--case", "acc-s0-lr1e-3"],
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert run.stdout == "" and "0 differences in 1 cases" in run.stderr
+
+
+def test_check_names_each_key_that_differs():
+    case = json.loads(json.dumps(GOLDEN["acc-s0-lr1e-3"]))
+    case["scores"]["test_shifted_a"] = "0" * 64
+    del case["files"]["router.bin"]
+    case["kept"] += 1
+    golden = {"acc-s0-lr1e-3": GOLDEN["acc-s0-lr1e-3"]}
+    assert _differences(golden, {"acc-s0-lr1e-3": case}) == [
+        f"acc-s0-lr1e-3/files/router.bin: golden {golden['acc-s0-lr1e-3']['files']['router.bin']},"
+        " this run None",
+        f"acc-s0-lr1e-3/kept: golden {case['kept'] - 1}, this run {case['kept']}",
+        f"acc-s0-lr1e-3/scores/test_shifted_a: golden "
+        f"{golden['acc-s0-lr1e-3']['scores']['test_shifted_a']}, this run {'0' * 64}",
+    ]
+    assert _differences(golden, golden) == []
 
 
 def test_blas_is_pinned_to_one_thread_whatever_the_environment(bare_output):

@@ -50,6 +50,7 @@ from helpers import (
     random_graph,
     route_noisy,
     route_t,
+    stack_scalars,
     standardized_all,
     suite_contexts,
     tape_route_t,
@@ -645,9 +646,9 @@ class TestTraining:
         cfg, b, ctx, _ = setup
         sizes = []
 
-        def one_epoch(params, epochs, epoch_losses, lr, wd, what):
-            losses = [build() for build in epoch_losses(ad.leaves(params), ad.Workspace())]
-            total = ad.tmean(ad.stack_scalars(losses))
+        def one_epoch(params, epochs, graph_loss, graphs, lr, wd, what):
+            lv, ws = ad.leaves(params), ad.Workspace()
+            total = ad.tmean(stack_scalars([graph_loss(lv, ws, *args) for args in graphs]))
             sizes.append(len(ad._toposort(total)))
             return [float(total.value)]
 
@@ -760,14 +761,14 @@ class TestTrainingMemory:
                 taken.append((self, shape))
                 return super().scratch(shape)
 
-        def recording_fit(params, n, epoch_losses, *args):
+        def recording_fit(params, n, graph_loss, *args):
             epochs.append([])
 
-            def losses(lv, ws):
+            def loss(lv, ws, *graph):
                 epochs[-1].append(ws)
-                return epoch_losses(lv, ws)
+                return graph_loss(lv, ws, *graph)
 
-            return fit(params, n, losses, *args)
+            return fit(params, n, loss, *args)
 
         def recording_key_softmax(a, keys, ws=None):
             out = key_softmax(a, keys, ws)

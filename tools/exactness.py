@@ -6,6 +6,19 @@ compared byte for byte.
     python3 /path/to/other/checkout/tools/exactness.py > parent.json
     diff parent.json change.json
 
+    python3 tools/exactness.py --check
+
+``--check`` runs the cases against the committed golden output,
+tools/exactness_golden.json, prints each key whose digest differs and exits
+with status 1 on any difference. The bits are promised for one environment,
+recorded in tools/exactness_golden_env.json (numpy's and scipy's versions
+and numpy's BLAS build), which ``--check`` prints beside this run's on
+any difference. A change that moves bits on purpose rewrites both files:
+
+    python3 tools/exactness.py > tools/exactness_golden.json
+
+and the environment ``--check`` reports for this run into the other.
+
 Each case trains with ``run_pipeline``, saves the run with ``RunArtifacts``,
 loads it back and scores its held-out graphs with ``score_graph``. The output
 is one sorted JSON object: per case, the sha256 of each artifact file, the
@@ -52,7 +65,11 @@ sys.path.insert(0, os.path.join(ROOT, "benchmark"))
 import run as bench  # noqa: E402
 
 import numpy as np  # noqa: E402
+import scipy  # noqa: E402
 from evofg import graph, pipeline  # noqa: E402
+
+GOLDEN = os.path.join(ROOT, "tools", "exactness_golden.json")
+GOLDEN_ENV = os.path.join(ROOT, "tools", "exactness_golden_env.json")
 
 ACCEPTANCE_TRAIN = (
     dict(n_nodes=400, n_features=48, anomaly_rate=0.06, structure_seed=101,
@@ -134,17 +151,60 @@ def run_case(cfg, set_up, workdir):
             "kept": len(artifacts.active_names)}
 
 
+def environment():
+    """numpy's and scipy's versions and numpy's BLAS build."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "scipy": scipy.__version__,
+            "blas": f"{blas['name']} {blas['version']}",
+            "blas_config": blas.get("openblas configuration", "")}
+
+
+def differences(golden, result, path=()):
+    """One line per key of the nested ``result`` whose value differs from
+    ``golden``'s, or that only one of them has."""
+    lines = []
+    for key in sorted(set(golden) | set(result)):
+        want, got = golden.get(key), result.get(key)
+        if isinstance(want, dict) and isinstance(got, dict):
+            lines += differences(want, got, path + (key,))
+        elif want != got:
+            lines.append(f"{'/'.join(path + (key,))}: golden {want}, this run {got}")
+    return lines
+
+
+def check(result):
+    """Compare ``result`` with the golden output's entries of the same
+    cases; returns the exit status."""
+    with open(GOLDEN) as fh:
+        golden = json.load(fh)
+    lines = differences({name: golden.get(name) for name in result}, result)
+    for line in lines:
+        print(line)
+    with open(GOLDEN_ENV) as fh:
+        golden_env = json.load(fh)
+    env = environment()
+    if lines or golden_env != env:
+        print(f"golden environment: {json.dumps(golden_env)}", file=sys.stderr)
+        print(f"this environment:   {json.dumps(env)}", file=sys.stderr)
+    print(f"{len(lines)} differences in {len(result)} cases", file=sys.stderr)
+    return 1 if lines else 0
+
+
 def main(argv=None):
     all_cases = cases()
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--case", action="append", choices=sorted(all_cases),
                         help="run only this case (repeatable; default: all)")
+    parser.add_argument("--check", action="store_true",
+                        help="compare with the golden output instead of printing it")
     args = parser.parse_args(argv)
     result = {}
     for name in args.case or all_cases:
         with tempfile.TemporaryDirectory(prefix=f"exactness-{name}-") as workdir:
             result[name] = run_case(*all_cases[name], workdir)
         print(f"{name}: kept {result[name]['kept']}", file=sys.stderr)
+    if args.check:
+        return check(result)
     print(json.dumps(result, indent=1, sort_keys=True))
     return 0
 
